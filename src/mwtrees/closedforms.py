@@ -6,12 +6,19 @@ matrix satisfies a family of product identities against the inverse-weighted
 Laplacian.  This module computes those expressions, checks the identities
 numerically, and probes the rank, inertia, interlacing and generalized-
 inverse properties that hold alongside them.
+
+Every check works on one :class:`_Analysis` of its graph: the structure is
+validated once, and D, L, the pseudo-inverse of L, the weight sum and the
+SPD flag are each built at most once, on first use, and shared read-only.
+:func:`verification_suite` hands one analysis to every check family; each
+public function builds its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +33,11 @@ from .errors import (
 )
 from .graphs import (
     MatrixWeightedGraph,
+    adjacency,
     check_structure,
     degrees,
     delta_vector,
     is_connected,
-    is_tree,
     require_tree,
     weight_sum,
 )
@@ -38,20 +45,21 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
+    g_inverse_sample,
     inertia_of,
     inverse,
     kronecker,
     numerical_rank,
     pseudo_inverse,
-    random_g_inverse,
     sign_log_determinant,
     symmetric_eigenvalues,
 )
 from .operators import (
     LaplacianMode,
-    distance_matrix,
-    incidence_matrix,
+    incidence_data,
     laplacian,
+    laplacian_data,
+    tree_distance_data,
     weights_are_spd,
 )
 
@@ -99,6 +107,89 @@ def _skipped(name: str, reason: str,
     return VerificationReport(name, SKIPPED, None, None, g.n, g.s, reason)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """What the checks of one graph share, each piece built at most once.
+
+    Construction validates the structure (ValueError on a malformed graph)
+    and decides connectivity.  The rest is built on first use and cached
+    read-only, so no check can change what another one sees; graphs are
+    immutable, so the cache cannot go stale.
+    """
+
+    g: MatrixWeightedGraph
+    connected: bool = field(init=False)
+
+    def __post_init__(self):
+        check_structure(self.g)
+        object.__setattr__(self, "connected", is_connected(self.g))
+
+    @property
+    def tree(self) -> bool:
+        return self.connected and self.g.m == self.g.n - 1
+
+    def require_connected(self) -> None:
+        if not self.connected:
+            raise NotConnectedError(
+                f"graph on {self.g.n} vertices is not connected"
+            )
+
+    def require_tree(self) -> None:
+        if not self.tree:
+            require_tree(self.g)  # raises NotATreeError
+
+    def require_spd(self) -> None:
+        if not self.spd:
+            raise NotSPDError("every edge weight must be SPD")
+
+    @cached_property
+    def spd(self) -> bool:
+        return weights_are_spd(self.g)
+
+    @cached_property
+    def weight_sum(self) -> np.ndarray:
+        return _read_only(weight_sum(self.g))
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        self.require_tree()
+        return _read_only(tree_distance_data(self.g))
+
+    @cached_property
+    def distance_eigenvalues(self) -> np.ndarray:
+        return _read_only(symmetric_eigenvalues(self.distance))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """The inverse-weighted Laplacian."""
+        return _read_only(laplacian_data(self.g, LaplacianMode.INVERTED))
+
+    @cached_property
+    def laplacian_pinv(self) -> np.ndarray:
+        return _read_only(pseudo_inverse(self.laplacian))
+
+    def g_inverse(self, seed: int) -> BlockMatrix:
+        """The ``random_g_inverse`` sample of L for ``seed``."""
+        return BlockMatrix(
+            g_inverse_sample(self.laplacian, self.laplacian_pinv, seed),
+            self.g.s,
+        )
+
+
+def _worst_pair(dev: np.ndarray) -> float:
+    """Largest Frobenius norm of a block ``dev[i, j]``, i < j, of an
+    (n, n, s, s) array; 0.0 when there is no pair."""
+    rows = dev[np.triu_indices(dev.shape[0], 1)].reshape(-1, 1, dev[0, 0].size)
+    # one dot product per block, the one np.linalg.norm takes of one block
+    norms = np.sqrt(rows @ rows.transpose(0, 2, 1))
+    return float(norms.max(initial=0.0))
+
+
 def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]:
     """``(sign, log|det|)`` of the tree distance matrix, in closed form.
 
@@ -107,15 +198,15 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     so it costs one small determinant per edge instead of an (n s)^3
     factorization.  Sign 0.0 means the distance matrix is singular.
     """
-    check_structure(g)
-    require_tree(g)
+    a = _Analysis(g)
+    a.require_tree()
     sign = -1.0 if ((g.n - 1) * g.s) % 2 else 1.0
     log_abs = (g.n - 2) * g.s * math.log(2.0)
     for e in g.edges:
         es, el = sign_log_determinant(e.weight)
         sign *= es
         log_abs += el
-    rs, rl = sign_log_determinant(weight_sum(g))
+    rs, rl = sign_log_determinant(a.weight_sum)
     sign *= rs
     log_abs += rl
     if sign == 0.0:
@@ -153,16 +244,29 @@ def invertibility_check(
     all edge weights are invertible, so no (n s)-sized factorization is
     needed.
     """
-    check_structure(g)
-    require_tree(g)
+    return _invertibility(_Analysis(g), rel_tol)
+
+
+def _invertibility(a: _Analysis, rel_tol: float) -> InvertibilityResult:
+    a.require_tree()
+    g = a.g
     for k, e in enumerate(g.edges):
         if numerical_rank(e.weight, rel_tol) < g.s:
             return InvertibilityResult(
                 False, f"edge {k} ({e.u}, {e.v}) weight is singular"
             )
-    if numerical_rank(weight_sum(g), rel_tol) < g.s:
+    if numerical_rank(a.weight_sum, rel_tol) < g.s:
         return InvertibilityResult(False, "sum of edge weights is singular")
     return InvertibilityResult(True)
+
+
+def _require_invertible(a: _Analysis) -> None:
+    result = _invertibility(a, DEFAULT_RANK_TOL)
+    if not result.invertible:
+        raise NotInvertibleError(
+            f"distance matrix is not invertible: {result.reason}",
+            reason=result.reason,
+        )
 
 
 def distance_inverse(g: MatrixWeightedGraph) -> BlockMatrix:
@@ -173,17 +277,15 @@ def distance_inverse(g: MatrixWeightedGraph) -> BlockMatrix:
     is the sum of the edge weights.  Raises NotInvertibleError (carrying the
     reason) when :func:`invertibility_check` fails.
     """
-    result = invertibility_check(g)
-    if not result.invertible:
-        raise NotInvertibleError(
-            f"distance matrix is not invertible: {result.reason}",
-            reason=result.reason,
-        )
-    lap = laplacian(g, LaplacianMode.INVERTED).data
-    delta = delta_vector(g).astype(float)
-    r_inv = inverse(weight_sum(g))
-    data = -0.5 * lap + 0.5 * kronecker(np.outer(delta, delta), r_inv)
-    return BlockMatrix(data, g.s)
+    a = _Analysis(g)
+    _require_invertible(a)
+    return BlockMatrix(_inverse_data(a), g.s)
+
+
+def _inverse_data(a: _Analysis) -> np.ndarray:
+    delta = delta_vector(a.g).astype(float)
+    r_inv = inverse(a.weight_sum)
+    return -0.5 * a.laplacian + 0.5 * kronecker(np.outer(delta, delta), r_inv)
 
 
 def distance_inverse_factored(g: MatrixWeightedGraph) -> BlockMatrix:
@@ -194,15 +296,14 @@ def distance_inverse_factored(g: MatrixWeightedGraph) -> BlockMatrix:
     :func:`distance_inverse` and kept as an independent route for
     cross-checking.  Requires every weight SPD.
     """
-    check_structure(g)
-    require_tree(g)
-    if not weights_are_spd(g):
+    a = _Analysis(g)
+    a.require_tree()
+    if not a.spd:
         raise NotSPDError("every edge weight must be SPD for the factored form")
-    lap = laplacian(g, LaplacianMode.INVERTED).data
     delta = delta_vector(g).astype(float)
     big_delta = kronecker(delta[:, None], np.eye(g.s))
-    r_inv = inverse(weight_sum(g))
-    data = -0.5 * lap + 0.5 * (big_delta @ r_inv @ big_delta.T)
+    r_inv = inverse(a.weight_sum)
+    data = -0.5 * a.laplacian + 0.5 * (big_delta @ r_inv @ big_delta.T)
     return BlockMatrix(data, g.s)
 
 
@@ -223,16 +324,16 @@ def verify_identities(
 
     Requires an invertible tree distance matrix (NotInvertibleError if not).
     """
-    result = invertibility_check(g)
-    if not result.invertible:
-        raise NotInvertibleError(
-            f"distance matrix is not invertible: {result.reason}",
-            reason=result.reason,
-        )
+    return _identities(_Analysis(g), rel_tol)
+
+
+def _identities(a: _Analysis, rel_tol: float) -> list[VerificationReport]:
+    _require_invertible(a)
+    g = a.g
     n, s = g.n, g.s
     tol = rel_tol * n * s
-    dist = distance_matrix(g).data
-    lap = laplacian(g, LaplacianMode.INVERTED).data
+    dist = a.distance
+    lap = a.laplacian
     delta = delta_vector(g).astype(float)
     ones = np.ones(n)
     eye_ns = np.eye(n * s)
@@ -259,16 +360,15 @@ def verify_identities(
         "three-factor product collapsing back to the Laplacian",
     ))
 
-    d_inv = distance_inverse(g).data
-    shifted = d_inv - lap
-    closed = dist / 3.0 + kronecker(np.ones((n, n)), weight_sum(g)) / 3.0
+    shifted = _inverse_data(a) - lap
+    closed = dist / 3.0 + kronecker(np.ones((n, n)), a.weight_sum) / 3.0
     reports.append(_report(
         "dinv_minus_l", float(np.linalg.norm(shifted @ closed - eye_ns)), tol, g,
         "product check of the closed form for (D^{-1} - L)^{-1}",
     ))
 
-    if weights_are_spd(g):
-        q = incidence_matrix(g).data
+    if a.spd:
+        q = incidence_data(g)
         lhs = q.T @ dist @ q
         rhs = -2.0 * np.eye((n - 1) * s)
         reports.append(_report(
@@ -295,25 +395,20 @@ def ginverse_invariance_check(
     a class function of the g-inverse family, so the deviation is pure
     round-off; tolerance is ``rel_tol`` times the pseudo-inverse norm.
     """
-    check_structure(g)
-    if not is_connected(g):
-        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    if not weights_are_spd(g):
-        raise NotSPDError("every edge weight must be SPD")
+    return _ginverse_invariance(_Analysis(g), seeds, rel_tol)
+
+
+def _ginverse_invariance(
+    a: _Analysis, seeds: tuple[int, ...], rel_tol: float
+) -> VerificationReport:
+    g = a.g
+    a.require_connected()
+    a.require_spd()
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
-    lap = laplacian(g, LaplacianMode.INVERTED)
-    samples = [
-        BlockMatrix(random_g_inverse(lap.data, seed), g.s) for seed in seeds
-    ]
-    worst = 0.0
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            base = samples[0].pair_contraction(i, j)
-            for other in samples[1:]:
-                dev = np.linalg.norm(other.pair_contraction(i, j) - base)
-                worst = max(worst, float(dev))
-    scale = float(np.linalg.norm(pseudo_inverse(lap.data)))
+    base, *others = (a.g_inverse(seed).pair_contractions() for seed in seeds)
+    worst = max(_worst_pair(other - base) for other in others)
+    scale = float(np.linalg.norm(a.laplacian_pinv))
     return _report(
         "ginverse_invariance", worst, rel_tol * scale, g,
         f"{len(seeds)} g-inverse samples, seeds {tuple(seeds)}",
@@ -329,19 +424,19 @@ def ginverse_distance_recovery(
     generalized inverse H of the Laplacian equals distance block (i, j).
     Tolerance is ``rel_tol`` times the distance-matrix norm.
     """
-    check_structure(g)
-    require_tree(g)
-    if not weights_are_spd(g):
-        raise NotSPDError("every edge weight must be SPD")
-    lap = laplacian(g, LaplacianMode.INVERTED)
-    sample = BlockMatrix(random_g_inverse(lap.data, seed), g.s)
-    dist = distance_matrix(g)
-    worst = 0.0
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            dev = np.linalg.norm(sample.pair_contraction(i, j) - dist.block(i, j))
-            worst = max(worst, float(dev))
-    scale = float(np.linalg.norm(dist.data))
+    return _ginverse_recovery(_Analysis(g), seed, rel_tol)
+
+
+def _ginverse_recovery(
+    a: _Analysis, seed: int, rel_tol: float
+) -> VerificationReport:
+    g = a.g
+    a.require_tree()
+    a.require_spd()
+    dist = a.distance
+    blocks = dist.reshape(g.n, g.s, g.n, g.s).transpose(0, 2, 1, 3)
+    worst = _worst_pair(a.g_inverse(seed).pair_contractions() - blocks)
+    scale = float(np.linalg.norm(dist))
     return _report(
         "ginverse_recovery", worst, rel_tol * scale, g,
         f"g-inverse sample for seed {seed}",
@@ -356,12 +451,13 @@ def inertia_check(
     The expected value is (s, (n-1) s, 0): block size many positive
     eigenvalues, all the rest negative, none zero.
     """
-    check_structure(g)
-    require_tree(g)
-    if not weights_are_spd(g):
-        raise NotSPDError("every edge weight must be SPD")
-    eig = symmetric_eigenvalues(distance_matrix(g).data)
-    return inertia_of(eig, zero_tol)
+    return _inertia(_Analysis(g), zero_tol)
+
+
+def _inertia(a: _Analysis, zero_tol: float) -> Inertia:
+    a.require_tree()
+    a.require_spd()
+    return inertia_of(a.distance_eigenvalues, zero_tol)
 
 
 @dataclass(frozen=True)
@@ -394,13 +490,15 @@ def interlacing_check(
     ``mu[s+i] <= -2/lam[i] <= mu[i]`` for i = 0..k-1.  Slack is
     ``slack_tol`` times the largest eigenvalue magnitude present.
     """
-    check_structure(g)
-    require_tree(g)
-    if not weights_are_spd(g):
-        raise NotSPDError("every edge weight must be SPD")
-    n, s = g.n, g.s
-    mu = symmetric_eigenvalues(distance_matrix(g).data)
-    lam = symmetric_eigenvalues(laplacian(g, LaplacianMode.INVERTED).data)
+    return _interlacing(_Analysis(g), slack_tol)
+
+
+def _interlacing(a: _Analysis, slack_tol: float) -> InterlacingReport:
+    a.require_tree()
+    a.require_spd()
+    n, s = a.g.n, a.g.s
+    mu = a.distance_eigenvalues
+    lam = symmetric_eigenvalues(a.laplacian)
     k = (n - 1) * s
     if k == 0:
         return InterlacingReport(mu, lam, np.zeros((0, 3)), 0.0, 0.0, True, n, s)
@@ -439,13 +537,20 @@ def _marked_cofactor(g: MatrixWeightedGraph, edge_index: int, w: float) -> float
 
 
 def _bridge_indices(g: MatrixWeightedGraph) -> set[int]:
-    """Indices of edges whose removal disconnects the graph."""
+    """Indices of edges whose removal disconnects the graph: one search
+    from vertex 1 per edge, skipping that edge."""
+    adj = adjacency(g)
     bridges = set()
     for k in range(g.m):
-        pruned = MatrixWeightedGraph(
-            g.n, g.s, [e for i, e in enumerate(g.edges) if i != k]
-        )
-        if not is_connected(pruned):
+        seen = {1}
+        stack = [1]
+        while stack:
+            x = stack.pop()
+            for y, j in adj[x]:
+                if j != k and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < g.n:
             bridges.add(k)
     return bridges
 
@@ -476,10 +581,13 @@ def rank_deficient_weighting(g: MatrixWeightedGraph) -> DeficientWeighting:
     that linear polynomial.  Trees have no such weighting (IsATreeError);
     every connected non-tree has one.
     """
-    check_structure(g)
-    if not is_connected(g):
-        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    if is_tree(g):
+    return _deficient_weighting(_Analysis(g))
+
+
+def _deficient_weighting(a: _Analysis) -> DeficientWeighting:
+    g = a.g
+    a.require_connected()
+    if a.tree:
         raise IsATreeError(
             "every nonsingular weighting of a tree has full-rank Laplacian"
         )
@@ -538,14 +646,23 @@ def rank_characterization_probe(
     nonsingular matrices and checks each rank.  A connected non-tree always
     admits a scalar weighting with deficient rank, which the probe exhibits.
     """
+    return _rank_probe(_Analysis(g), trials, seed, rel_tol, condition_cap)
+
+
+def _rank_probe(
+    a: _Analysis,
+    trials: int,
+    seed: int,
+    rel_tol: float = DEFAULT_RANK_TOL,
+    condition_cap: float = 1e4,
+) -> RankProbe:
     from .generators import random_nonsingular
 
-    check_structure(g)
-    if not is_connected(g):
-        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
-    if is_tree(g):
+    g = a.g
+    a.require_connected()
+    if a.tree:
         full = (g.n - 1) * g.s
-        ranks = [numerical_rank(laplacian(g, LaplacianMode.INVERTED).data, rel_tol)]
+        ranks = [numerical_rank(a.laplacian, rel_tol)]
         rng = np.random.default_rng(seed)
         for _ in range(trials):
             reweighted = MatrixWeightedGraph(
@@ -568,7 +685,7 @@ def rank_characterization_probe(
             witness=None,
             passed=all(r == full for r in ranks),
         )
-    witness = rank_deficient_weighting(g)
+    witness = _deficient_weighting(a)
     lap = reweighted_scalar_laplacian(g, witness.edge_index, witness.w)
     rank = numerical_rank(lap, rel_tol)
     return RankProbe(
@@ -600,11 +717,12 @@ def verification_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    a = _Analysis(g)
     reports: list[VerificationReport] = []
 
     if suite in ("identities", "all"):
         try:
-            reports.extend(verify_identities(g, rel_tol=rel_tol))
+            reports.extend(_identities(a, rel_tol))
         except (NotATreeError, NotInvertibleError) as exc:
             reports.extend(
                 _skipped(name, str(exc), g) for name in IDENTITY_NAMES
@@ -612,28 +730,23 @@ def verification_suite(
 
     if suite in ("ginverse", "all"):
         try:
-            reports.append(
-                ginverse_invariance_check(
-                    g, seeds=(seed, seed + 1), rel_tol=ginverse_rel_tol
-                )
-            )
+            reports.append(_ginverse_invariance(
+                a, (seed, seed + 1), ginverse_rel_tol
+            ))
         except (NotConnectedError, NotSPDError) as exc:
             reports.append(_skipped("ginverse_invariance", str(exc), g))
         try:
-            reports.append(
-                ginverse_distance_recovery(g, seed=seed + 2,
-                                           rel_tol=ginverse_rel_tol)
-            )
+            reports.append(_ginverse_recovery(a, seed + 2, ginverse_rel_tol))
         except (NotATreeError, NotSPDError) as exc:
             reports.append(_skipped("ginverse_recovery", str(exc), g))
 
     if suite in ("spectrum", "all"):
         try:
-            found = inertia_check(g, zero_tol=zero_tol)
+            found = _inertia(a, zero_tol)
             expected = Inertia(g.s, (g.n - 1) * g.s, 0)
             mismatch = sum(
-                abs(a - b)
-                for a, b in zip(found.as_tuple(), expected.as_tuple())
+                abs(x - y)
+                for x, y in zip(found.as_tuple(), expected.as_tuple())
             )
             reports.append(_report(
                 "inertia", float(mismatch), 0.0, g,
@@ -643,7 +756,7 @@ def verification_suite(
         except (NotATreeError, NotSPDError) as exc:
             reports.append(_skipped("inertia", str(exc), g))
         try:
-            inter = interlacing_check(g, slack_tol=slack_tol)
+            inter = _interlacing(a, slack_tol)
             reports.append(_report(
                 "interlacing", inter.worst_violation, inter.slack, g,
                 f"{inter.triples.shape[0]} eigenvalue triples",
@@ -653,7 +766,7 @@ def verification_suite(
 
     if suite in ("rank", "all"):
         try:
-            probe = rank_characterization_probe(g, trials=trials, seed=seed)
+            probe = _rank_probe(a, trials, seed)
             if probe.branch == "tree":
                 residual = float(
                     max(abs(r - probe.full_rank) for r in probe.observed_ranks)

@@ -55,7 +55,8 @@ class MatrixWeightedGraph:
     Edges are stored with u < v (the orientation the incidence matrix signs
     against) in the order given; edge indices used throughout the API are
     0-based positions in ``edges``.  The constructor normalizes but does not
-    reject: call :func:`validate` to check an instance.
+    reject: call :func:`validate` to check an instance.  Weights are copied
+    and stored read-only, so a graph cannot change after it is built.
     """
 
     n: int
@@ -74,7 +75,11 @@ class MatrixWeightedGraph:
             u, v = int(u), int(v)
             if u > v:
                 u, v = v, u
-            normalized.append(Edge(u, v, np.asarray(w, dtype=float)))
+            # a private read-only copy: the caller's array cannot change the
+            # graph afterwards, and nothing can change it through the graph
+            weight = np.array(w, dtype=float)
+            weight.flags.writeable = False
+            normalized.append(Edge(u, v, weight))
         object.__setattr__(self, "edges", tuple(normalized))
 
     @property
@@ -149,7 +154,7 @@ def validate(g: MatrixWeightedGraph) -> list[Violation]:
     return problems
 
 
-def _adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
+def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
     """Adjacency lists indexed by vertex (entry 0 unused): (neighbor,
     edge_index) pairs."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
@@ -222,7 +227,7 @@ def bfs_parents(
     Returns (parent_vertex, parent_edge) lists indexed by vertex; the root
     and unreachable vertices have parent 0 and edge -1.
     """
-    adj = _adjacency(g)
+    adj = adjacency(g)
     parent = [0] * (g.n + 1)
     via = [-1] * (g.n + 1)
     seen = [False] * (g.n + 1)

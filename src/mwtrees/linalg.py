@@ -147,7 +147,12 @@ def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndar
     correction terms vanish and the sample is the plain inverse.
     """
     m = as_matrix(a)
-    p = pseudo_inverse(m, rel_tol)
+    return g_inverse_sample(m, pseudo_inverse(m, rel_tol), seed)
+
+
+def g_inverse_sample(m: np.ndarray, p: np.ndarray, seed: int) -> np.ndarray:
+    """The :func:`random_g_inverse` sample of ``m`` for ``seed``, given its
+    pseudo-inverse ``p``, so several samples can share one ``p``."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, size=p.shape)
     v = rng.uniform(-1.0, 1.0, size=p.shape)
@@ -284,4 +289,24 @@ class BlockMatrix:
         return (
             self.block(i, i) + self.block(j, j)
             - self.block(i, j) - self.block(j, i)
+        )
+
+    def pair_contractions(self) -> np.ndarray:
+        """Every :meth:`pair_contraction` at once, as an (n, n, s, s) array.
+
+        Entry ``[i - 1, j - 1]`` is ``pair_contraction(i, j)`` bit for bit:
+        the same four blocks combined in the same order.  Needs a square
+        block grid.
+        """
+        n, s = self.block_rows, self.block_size
+        if self.block_cols != n:
+            raise ValueError(
+                f"pair contractions need a square block grid, "
+                f"got {n}x{self.block_cols}"
+            )
+        blocks = self.data.reshape(n, s, n, s).transpose(0, 2, 1, 3)
+        diag = blocks[np.arange(n), np.arange(n)]
+        return (
+            diag[:, None] + diag[None, :]
+            - blocks - blocks.transpose(1, 0, 2, 3)
         )

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NotSPDError, SingularMatrixError, SingularWeightError
 from .graphs import (
     MatrixWeightedGraph,
-    bfs_parents,
+    adjacency,
     check_structure,
     require_tree,
 )
@@ -33,29 +33,63 @@ def distance_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
     """Block distance matrix of a matrix-weighted tree.
 
     Block (i, j) is the sum of the weights on the unique i-to-j path, taken
-    in ascending edge-index order so the result is bit-for-bit reproducible;
-    diagonal blocks are zero.  Blocks (i, j) and (j, i) are the same matrix,
-    so the full array is symmetric exactly when every path sum is.
+    in ascending edge-index order; diagonal blocks are zero.  Blocks (i, j)
+    and (j, i) are the same matrix, so the full array is symmetric exactly
+    when every path sum is.  See :func:`tree_distance_data` for how it is
+    built and why it matches ``distance_oracle`` bit for bit.
     """
     check_structure(g)
     require_tree(g)
+    return BlockMatrix(tree_distance_data(g), g.s)
+
+
+def tree_distance_data(g: MatrixWeightedGraph) -> np.ndarray:
+    """The array of :func:`distance_matrix`, for a tree already checked.
+
+    Built by cut accumulation: removing edge k splits the tree in two, and
+    W_k lies on the path of exactly the vertex pairs it separates.  Edges
+    are taken in ascending index order and W_k is added to every separated
+    block pair, so each block starts at zero and receives its path weights
+    in ascending edge order: the same float additions, in the same order,
+    as the pairwise definition, hence the same bits.  Vertices are laid out
+    in depth-first preorder from vertex 1, where every subtree is one
+    contiguous run, so each cut is four slice additions.
+    """
     n, s = g.n, g.s
-    data = np.zeros((n * s, n * s))
-    weights = [e.weight for e in g.edges]
-    for i in range(1, n):
-        parent, via = bfs_parents(g, i)
-        for j in range(i + 1, n + 1):
-            ids = []
-            x = j
-            while x != i:
-                ids.append(via[x])
-                x = parent[x]
-            block = np.zeros((s, s))
-            for k in sorted(ids):
-                block = block + weights[k]
-            data[(i - 1) * s : i * s, (j - 1) * s : j * s] = block
-            data[(j - 1) * s : j * s, (i - 1) * s : i * s] = block
-    return BlockMatrix(data, s)
+    adj = adjacency(g)
+    order: list[int] = []
+    parent = [0] * (n + 1)
+    child = [0] * g.m          # endpoint of edge k farther from vertex 1
+    seen = [False] * (n + 1)
+    seen[1] = True
+    stack = [1]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, k in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                child[k] = y
+                stack.append(y)
+    pos = [0] * (n + 1)
+    for p, x in enumerate(order):
+        pos[x] = p
+    size = [1] * (n + 1)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+
+    blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p and q
+    for k, e in enumerate(g.edges):
+        lo = pos[child[k]]
+        hi = lo + size[child[k]]
+        blocks[lo:hi, :lo] += e.weight
+        blocks[lo:hi, hi:] += e.weight
+        blocks[:lo, lo:hi] += e.weight
+        blocks[hi:, lo:hi] += e.weight
+    at = pos[1:]
+    blocks = blocks[np.ix_(at, at)]   # back to vertex order
+    return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
 
 
 def laplacian(
@@ -70,6 +104,13 @@ def laplacian(
     weight raises SingularWeightError naming the edge.
     """
     check_structure(g)
+    return BlockMatrix(laplacian_data(g, mode), g.s)
+
+
+def laplacian_data(
+    g: MatrixWeightedGraph, mode: LaplacianMode = LaplacianMode.INVERTED
+) -> np.ndarray:
+    """The array of :func:`laplacian`, for a graph already checked."""
     n, s = g.n, g.s
     data = np.zeros((n * s, n * s))
     for k, e in enumerate(g.edges):
@@ -90,7 +131,7 @@ def laplacian(
         data[iv : iv + s, iv : iv + s] += block
         data[iu : iu + s, iv : iv + s] -= block
         data[iv : iv + s, iu : iu + s] -= block
-    return BlockMatrix(data, s)
+    return data
 
 
 def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
@@ -103,6 +144,11 @@ def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
     NotSPDError naming the edge.
     """
     check_structure(g)
+    return BlockMatrix(incidence_data(g), g.s)
+
+
+def incidence_data(g: MatrixWeightedGraph) -> np.ndarray:
+    """The array of :func:`incidence_matrix`, for a graph already checked."""
     n, s = g.n, g.s
     data = np.zeros((n * s, g.m * s))
     for k, e in enumerate(g.edges):
@@ -115,7 +161,7 @@ def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
         col = k * s
         data[(e.u - 1) * s : e.u * s, col : col + s] = root
         data[(e.v - 1) * s : e.v * s, col : col + s] = -root
-    return BlockMatrix(data, s)
+    return data
 
 
 def weights_are_spd(g: MatrixWeightedGraph) -> bool:

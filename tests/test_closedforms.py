@@ -457,3 +457,37 @@ def test_report_status_fail_is_reachable():
     reports = verify_identities(path4_block2(), rel_tol=1e-20)
     statuses = {r.name: r.status for r in reports}
     assert statuses["dinv_minus_l"] == FAIL
+
+
+def test_suite_builds_one_analysis_per_graph(monkeypatch):
+    from mwtrees import closedforms
+
+    g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
+                              seed=3))
+    calls = {"D": 0, "L": 0, "pinv": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(closedforms, "tree_distance_data",
+                        counted("D", closedforms.tree_distance_data))
+    monkeypatch.setattr(closedforms, "laplacian_data",
+                        counted("L", closedforms.laplacian_data))
+    monkeypatch.setattr(closedforms, "pseudo_inverse",
+                        counted("pinv", closedforms.pseudo_inverse))
+    reports = verification_suite(g, "all")
+    assert all(r.status == PASS for r in reports)
+    assert calls == {"D": 1, "L": 1, "pinv": 1}
+
+
+def test_analysis_shares_read_only_arrays():
+    from mwtrees.closedforms import _Analysis
+
+    a = _Analysis(path_graph(4, s=2))
+    for arr in (a.distance, a.laplacian, a.laplacian_pinv, a.weight_sum,
+                a.distance_eigenvalues):
+        assert not arr.flags.writeable
+    assert a.distance is a.distance

@@ -144,3 +144,16 @@ def test_weight_sum_frozen():
     assert np.array_equal(weight_sum(path4_block2()), expected)
     assert np.array_equal(weight_sum(MatrixWeightedGraph(1, 2, [])),
                           np.zeros((2, 2)))
+
+
+def test_graph_does_not_alias_caller_weights():
+    w = np.array([[2.0, 0.0], [0.0, 1.0]])
+    g = MatrixWeightedGraph(2, 2, [(1, 2, w)])
+    w[0, 0] = 5.0
+    assert g.edges[0].weight[0, 0] == 2.0
+
+
+def test_graph_weights_are_read_only():
+    g = path4_block2()
+    with pytest.raises(ValueError):
+        g.edges[0].weight[0, 0] = 5.0

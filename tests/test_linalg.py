@@ -239,3 +239,19 @@ def test_block_matrix_pair_contraction_hand_value():
     bm = BlockMatrix(PATH3_D, 1)
     # D_11 + D_22 - D_12 - D_21 = 0 + 0 - 1 - 1
     assert bm.pair_contraction(1, 2) == np.array([[-2.0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1, 2, 8]), st.integers(0, 10**6))
+def test_pair_contractions_match_pair_contraction(n, s, seed):
+    h = BlockMatrix(np.random.default_rng(seed).standard_normal((n * s, n * s)), s)
+    every = h.pair_contractions()
+    assert every.shape == (n, n, s, s)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert np.array_equal(every[i - 1, j - 1], h.pair_contraction(i, j))
+
+
+def test_pair_contractions_need_a_square_grid():
+    with pytest.raises(ValueError):
+        BlockMatrix(np.zeros((4, 2)), 2).pair_contractions()

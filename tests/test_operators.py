@@ -17,6 +17,7 @@ from mwtrees.generators import (
     WeightKind,
     distance_oracle,
     random_connected_nontree,
+    random_spd,
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph
@@ -205,3 +206,57 @@ def test_operators_reject_malformed_graphs():
     for op in (distance_matrix, laplacian, incidence_matrix):
         with pytest.raises(ValueError, match="BadWeightShape"):
             op(bad)
+
+
+def test_distance_matrix_ignores_later_writes_to_caller_weights():
+    w = np.array([[2.0, 0.0], [0.0, 1.0]])
+    g = MatrixWeightedGraph(3, 2, [(1, 2, w), (2, 3, np.eye(2))])
+    before = distance_matrix(g).data
+    w[0, 0] = 5.0
+    assert np.array_equal(distance_matrix(g).data, before)
+
+
+def _adversarial_topology(shape: str, n: int, rng) -> list[tuple[int, int]]:
+    if shape == "path":
+        return [(i, i + 1) for i in range(1, n)]
+    if shape == "star":
+        return [(1, i) for i in range(2, n + 1)]
+    if shape == "caterpillar":
+        spine = max(1, n // 3)
+        legs = [(1 + int(rng.integers(spine)), v) for v in range(spine + 1, n + 1)]
+        return [(i, i + 1) for i in range(1, spine)] + legs
+    # Pruefer: a uniformly random labelled tree
+    return [
+        (e.u, e.v)
+        for e in random_tree(
+            GenConfig(n_range=(n, n), s_range=(1, 1), seed=int(rng.integers(2**31)))
+        ).edges
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["path", "star", "caterpillar", "pruefer"]),
+    st.integers(2, 60),
+    st.sampled_from([1, 2, 8]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_distance_matrix_bit_identical_on_adversarial_shapes(
+    shape, n, s, spd, seed
+):
+    rng = np.random.default_rng(seed)
+    topo = _adversarial_topology(shape, n, rng)
+    # relabel the vertices and shuffle the storage order, so neither vertex 1
+    # nor ascending edge indices follow the shape
+    label = rng.permutation(n) + 1
+    edges = [
+        (
+            int(label[u - 1]),
+            int(label[v - 1]),
+            random_spd(s, seed=rng) if spd else rng.standard_normal((s, s)),
+        )
+        for u, v in topo
+    ]
+    g = MatrixWeightedGraph(n, s, [edges[k] for k in rng.permutation(len(edges))])
+    assert np.array_equal(distance_matrix(g).data, distance_oracle(g).data)
