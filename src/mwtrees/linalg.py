@@ -1,22 +1,23 @@
 """Dense linear-algebra kernels shared by the whole package.
 
-Everything here works on plain float64 numpy arrays.  Rank, symmetry and
-definiteness decisions are made with relative thresholds so they behave the
-same across scales; the defaults below can be overridden per call.
+Everything here works on plain float64 numpy arrays, with numpy as the only
+backend.  Rank, symmetry and definiteness decisions are made with relative
+thresholds so they behave the same across scales; the defaults below can be
+overridden per call.  A square matrix is singular exactly when its
+:func:`numerical_rank` falls short of its order: :func:`inverse` and every
+invertibility check use that one test.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSPDError, NotSymmetricError, SingularMatrixError
 
-# Relative cutoff (times the largest singular value / pivot) below which a
-# direction counts as numerically zero.
+# Relative cutoff (times the largest singular value) below which a direction
+# counts as numerically zero.
 DEFAULT_RANK_TOL = 1e-9
 # Relative asymmetry (times the Frobenius norm) tolerated before a matrix is
 # rejected as non-symmetric.
@@ -62,26 +63,22 @@ def kronecker(a, b) -> np.ndarray:
 
 
 def inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Inverse of a square matrix via LU with partial pivoting.
+    """Inverse of a square matrix.
 
-    Raises SingularMatrixError when the smallest pivot magnitude falls below
-    ``rel_tol`` times the largest, instead of silently amplifying noise.
+    Raises SingularMatrixError when :func:`numerical_rank` (singular values
+    above ``rel_tol`` times the largest) is below the order of the matrix,
+    instead of silently amplifying noise.
     """
     m = as_matrix(a)
     _require_square(m)
-    if m.shape[0] == 0:
-        return m.copy()
-    with warnings.catch_warnings():
-        # exact singularity is handled below by raising; no need to warn too
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    largest = float(pivots.max())
-    if largest == 0.0 or float(pivots.min()) <= rel_tol * largest:
-        raise SingularMatrixError(
-            f"matrix of shape {m.shape} is singular to working precision"
-        )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
+    if numerical_rank(m, rel_tol) == m.shape[0]:
+        try:
+            return np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            pass  # an exactly zero pivot, reachable only with rel_tol ~ 0
+    raise SingularMatrixError(
+        f"matrix of shape {m.shape} is singular to working precision"
+    )
 
 
 def determinant(a) -> float:

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +101,52 @@ def test_invert_singular_distance_matrix(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invert", str(path))
     assert code == 4
     assert "not invertible" in err
+
+
+def test_near_singular_weight_rejected_by_build_and_invert(capsys, tmp_path):
+    # sigma_min / sigma_max of the weight is 1e-10, below the 1e-9 rank
+    # cutoff, yet both LU pivots are 1e-5
+    g = MatrixWeightedGraph(2, 2, [(1, 2, [[1e-5, 1.0], [0.0, 1e-5]])])
+    path = tmp_path / "near_singular.json"
+    path.write_text(dumps_graph(g))
+    code, out, err = run_cli(capsys, "build", str(path), "--which", "L")
+    assert code == 3 and out == ""
+    assert "SingularWeightError" in err and "edge 0" in err
+    code, out, err = run_cli(capsys, "invert", str(path))
+    assert code == 4 and out == ""
+    assert "not invertible" in err
+
+
+def _run_python(*argv):
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+
+
+def test_import_loads_no_scipy():
+    done = _run_python(
+        "-c", "import json, sys, mwtrees; print(json.dumps(list(sys.modules)))"
+    )
+    assert done.returncode == 0, done.stderr
+    modules = set(json.loads(done.stdout))
+    assert "mwtrees.linalg" in modules
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+def test_cli_process_imports_no_scipy():
+    done = _run_python("-X", "importtime", "-m", "mwtrees", "det", PATH4)
+    assert done.returncode == 0, done.stderr
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+    assert "mwtrees.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_det_fixture(capsys):

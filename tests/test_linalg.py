@@ -23,6 +23,8 @@ from mwtrees.linalg import (
     symmetric_eigenvalues,
 )
 
+from conftest import conditioned_matrix
+
 # Scalar path on 3 vertices: distance matrix and Laplacian worked out by hand.
 PATH3_D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 PATH3_L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -71,6 +73,26 @@ def test_inverse_rejects_numerically_singular():
     w = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     with pytest.raises(SingularMatrixError):
         inverse(w)
+
+
+def test_inverse_maps_an_exactly_zero_pivot_to_singular():
+    # at rel_tol 0 the SVD of ones((2, 2)) reports full rank, but LU meets a
+    # zero pivot
+    with pytest.raises(SingularMatrixError):
+        inverse(np.ones((2, 2)), rel_tol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.floats(-11.0, 0.0), st.integers(0, 10**6))
+def test_inverse_singular_exactly_when_rank_deficient(s, log_ratio, seed):
+    w = conditioned_matrix(s, 10.0**log_ratio, np.random.default_rng(seed))
+    deficient = numerical_rank(w) < s
+    try:
+        inverse(w)
+    except SingularMatrixError:
+        assert deficient
+    else:
+        assert not deficient
 
 
 def test_inverse_rejects_non_square_and_non_finite():

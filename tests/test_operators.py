@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwtrees.closedforms import invertibility_check
 from mwtrees.errors import NotATreeError, NotSPDError, SingularWeightError
 from mwtrees.gallery import (
     cycle4_block2,
@@ -28,6 +31,8 @@ from mwtrees.operators import (
     laplacian,
     weights_are_spd,
 )
+
+from conftest import conditioned_matrix
 
 # Golden matrices for the order-4 path with 2x2 weights diag(2, 1),
 # [[0, 2], [1, 0]], diag(1, 2).  Worked out by hand from the path sums and
@@ -142,6 +147,24 @@ def test_laplacian_raw_accepts_singular_weights():
         laplacian(g, LaplacianMode.INVERTED)
     assert info.value.edge_index == 0
     assert info.value.endpoints == (1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 10**6))
+def test_laplacian_and_invertibility_check_agree_on_singular_edges(n, s, seed):
+    rng = np.random.default_rng(seed)
+    topo = _adversarial_topology("pruefer", n, rng)
+    g = MatrixWeightedGraph(n, s, [
+        (u, v, conditioned_matrix(s, 10.0 ** rng.uniform(-11.0, 0.0), rng))
+        for u, v in topo
+    ])
+    try:
+        laplacian(g, LaplacianMode.INVERTED)
+        laplacian_edge = None
+    except SingularWeightError as exc:
+        laplacian_edge = exc.edge_index
+    named = re.match(r"edge (\d+) ", invertibility_check(g).reason)
+    assert laplacian_edge == (int(named.group(1)) if named else None)
 
 
 @settings(max_examples=20, deadline=None)
