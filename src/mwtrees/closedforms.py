@@ -10,8 +10,10 @@ inverse properties that hold alongside them.
 Every check works on one :class:`_Analysis` of its graph: the structure is
 validated once, and D, L, the pseudo-inverse of L, the weight sum and the
 SPD flag are each built at most once, on first use, and shared read-only.
-:func:`verification_suite` hands one analysis to every check family; each
-public function builds its own.
+The per-edge facts (the rank, determinant and inverse of each weight, the
+reweightings of the rank probe) come from one stacked call per graph, not
+one call per edge.  :func:`verification_suite` hands one analysis to
+every check family; each public function builds its own.
 """
 
 from __future__ import annotations
@@ -45,21 +47,25 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
+    g_inverse_projectors,
     g_inverse_sample,
     inertia_of,
     inverse,
     kronecker,
     numerical_rank,
+    numerical_ranks,
     pseudo_inverse,
     sign_log_determinant,
     symmetric_eigenvalues,
 )
 from .operators import (
     LaplacianMode,
+    block_laplacian,
     incidence_data,
-    laplacian,
+    inverse_weights,
     laplacian_data,
     tree_distance_data,
+    weight_stack,
     weights_are_spd,
 )
 
@@ -173,10 +179,17 @@ class _Analysis:
     def laplacian_pinv(self) -> np.ndarray:
         return _read_only(pseudo_inverse(self.laplacian))
 
+    @cached_property
+    def g_inverse_projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``I - L^+ L`` and ``I - L L^+``, shared by every sample."""
+        left, right = g_inverse_projectors(self.laplacian, self.laplacian_pinv)
+        return _read_only(left), _read_only(right)
+
     def g_inverse(self, seed: int) -> BlockMatrix:
         """The ``random_g_inverse`` sample of L for ``seed``."""
         return BlockMatrix(
-            g_inverse_sample(self.laplacian, self.laplacian_pinv, seed),
+            g_inverse_sample(self.laplacian_pinv, *self.g_inverse_projectors,
+                             seed),
             self.g.s,
         )
 
@@ -196,19 +209,20 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     The determinant factors as (-1)^((n-1)s) * 2^((n-2)s) times the product
     of the edge-weight determinants times the determinant of the weight sum,
     so it costs one small determinant per edge instead of an (n s)^3
-    factorization.  Sign 0.0 means the distance matrix is singular.
+    factorization; those of the edge weights come from one batched
+    ``slogdet``.  Sign 0.0 means the distance matrix is singular.
     """
     a = _Analysis(g)
     a.require_tree()
     sign = -1.0 if ((g.n - 1) * g.s) % 2 else 1.0
     log_abs = (g.n - 2) * g.s * math.log(2.0)
-    for e in g.edges:
-        es, el = sign_log_determinant(e.weight)
+    signs, logs = np.linalg.slogdet(weight_stack(g))
+    # accumulated in edge order, then R, as one edge at a time would
+    factors = [*zip(signs.tolist(), logs.tolist()),
+               sign_log_determinant(a.weight_sum)]
+    for es, el in factors:
         sign *= es
         log_abs += el
-    rs, rl = sign_log_determinant(a.weight_sum)
-    sign *= rs
-    log_abs += rl
     if sign == 0.0:
         return 0.0, -math.inf
     return sign, log_abs
@@ -250,11 +264,13 @@ def invertibility_check(
 def _invertibility(a: _Analysis, rel_tol: float) -> InvertibilityResult:
     a.require_tree()
     g = a.g
-    for k, e in enumerate(g.edges):
-        if numerical_rank(e.weight, rel_tol) < g.s:
-            return InvertibilityResult(
-                False, f"edge {k} ({e.u}, {e.v}) weight is singular"
-            )
+    singular = np.flatnonzero(numerical_ranks(weight_stack(g), rel_tol) < g.s)
+    if singular.size:
+        k = int(singular[0])
+        e = g.edges[k]
+        return InvertibilityResult(
+            False, f"edge {k} ({e.u}, {e.v}) weight is singular"
+        )
     if numerical_rank(a.weight_sum, rel_tol) < g.s:
         return InvertibilityResult(False, "sum of edge weights is singular")
     return InvertibilityResult(True)
@@ -340,10 +356,10 @@ def _identities(a: _Analysis, rel_tol: float) -> list[VerificationReport]:
     eye_s = np.eye(s)
 
     reports = []
-    lhs = lap @ dist
+    ld = lap @ dist
     rhs = kronecker(np.outer(delta, ones), eye_s) - 2.0 * eye_ns
     reports.append(_report(
-        "ld", float(np.linalg.norm(lhs - rhs)), tol, g,
+        "ld", float(np.linalg.norm(ld - rhs)), tol, g,
         "Laplacian times distance matrix against its rank-one-plus-shift form",
     ))
 
@@ -354,7 +370,8 @@ def _identities(a: _Analysis, rel_tol: float) -> list[VerificationReport]:
         "distance matrix times Laplacian against its rank-one-plus-shift form",
     ))
 
-    lhs = lap @ dist @ lap
+    lhs = ld @ lap   # the (L @ D) @ L that lap @ dist @ lap evaluates
+    del ld   # free it before the larger temporaries of the checks below
     reports.append(_report(
         "ldl", float(np.linalg.norm(lhs + 2.0 * lap)), tol, g,
         "three-factor product collapsing back to the Laplacian",
@@ -520,15 +537,9 @@ def reweighted_scalar_laplacian(
     others.  Only the topology of ``g`` matters; block weights are ignored."""
     if not 0 <= edge_index < g.m:
         raise ValueError(f"edge index {edge_index} out of range 0..{g.m - 1}")
-    lap = np.zeros((g.n, g.n))
-    for k, e in enumerate(g.edges):
-        wt = w if k == edge_index else 1.0
-        iu, iv = e.u - 1, e.v - 1
-        lap[iu, iu] += wt
-        lap[iv, iv] += wt
-        lap[iu, iv] -= wt
-        lap[iv, iu] -= wt
-    return lap
+    weights = np.ones((g.m, 1, 1))
+    weights[edge_index] = w
+    return block_laplacian(g, weights)
 
 
 def _marked_cofactor(g: MatrixWeightedGraph, edge_index: int, w: float) -> float:
@@ -656,28 +667,20 @@ def _rank_probe(
     rel_tol: float = DEFAULT_RANK_TOL,
     condition_cap: float = 1e4,
 ) -> RankProbe:
-    from .generators import random_nonsingular
+    from .generators import random_nonsingular_stack
 
     g = a.g
     a.require_connected()
     if a.tree:
         full = (g.n - 1) * g.s
         ranks = [numerical_rank(a.laplacian, rel_tol)]
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            reweighted = MatrixWeightedGraph(
-                g.n,
-                g.s,
-                [
-                    (e.u, e.v, random_nonsingular(g.s, condition_cap, rng))
-                    for e in g.edges
-                ],
-            )
-            ranks.append(
-                numerical_rank(
-                    laplacian(reweighted, LaplacianMode.INVERTED).data, rel_tol
-                )
-            )
+        # trial t, edge k gets the (t m + k)-th random_nonsingular draw
+        draws = random_nonsingular_stack(
+            trials * g.m, g.s, condition_cap, np.random.default_rng(seed)
+        )
+        blocks = inverse_weights(g, draws).reshape(trials, g.m, g.s, g.s)
+        ranks += [numerical_rank(block_laplacian(g, b), rel_tol)
+                  for b in blocks]
         return RankProbe(
             branch="tree",
             full_rank=full,

@@ -2,7 +2,8 @@
 
 Everything derives from MWTreesError so callers can catch library failures
 with a single except clause.  Errors that point at a specific edge carry its
-0-based index in ``edge_index``.
+0-based index in ``edge_index``; errors raised for one member of a stack of
+matrices carry its position in ``index``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ class MWTreesError(Exception):
 class SingularMatrixError(MWTreesError):
     """A matrix that had to be inverted is singular to working precision."""
 
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
 
 class NotSymmetricError(MWTreesError):
     """A routine that requires a symmetric matrix got an asymmetric one."""
@@ -23,9 +28,11 @@ class NotSymmetricError(MWTreesError):
 class NotSPDError(MWTreesError):
     """A matrix (or edge weight) is not symmetric positive definite."""
 
-    def __init__(self, message: str, edge_index: int | None = None):
+    def __init__(self, message: str, edge_index: int | None = None,
+                 index: int | None = None):
         super().__init__(message)
         self.edge_index = edge_index
+        self.index = index
 
 
 class NotConnectedError(MWTreesError):

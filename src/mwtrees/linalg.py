@@ -6,6 +6,13 @@ thresholds so they behave the same across scales; the defaults below can be
 overridden per call.  A square matrix is singular exactly when its
 :func:`numerical_rank` falls short of its order: :func:`inverse` and every
 invertibility check use that one test.
+
+The per-edge tests come in stacked form: :func:`numerical_ranks`,
+:func:`inverses`, :func:`spd_flags` and :func:`spd_inverse_sqrts` take an
+``(m, r, c)`` stack and make one batched LAPACK call for all of it.  numpy's
+linalg routines factor each member of a stack on its own, so every member
+gets the bits a call on it alone would give.  The 2-D functions are stacks
+of one over the same code.
 """
 
 from __future__ import annotations
@@ -26,35 +33,39 @@ DEFAULT_SYMMETRY_TOL = 1e-9
 DEFAULT_SPD_EIG_TOL = 1e-12
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array, rejecting non-finite entries."""
+def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce ``a`` to a float64 array of ``ndim`` axes (3 for a stack of
+    matrices), rejecting non-finite entries."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    if m.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-
-
-def asymmetry(a) -> float:
-    """Largest entry of ``|a - a.T|``; 0.0 for an exactly symmetric matrix."""
-    m = as_matrix(a)
-    _require_square(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m - m.T)))
 
 
 def is_symmetric(a, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
     """True when the relative asymmetry of ``a`` is within ``sym_tol``."""
     m = as_matrix(a)
     _require_square(m)
-    return asymmetry(m) <= sym_tol * max(1e-300, float(np.linalg.norm(m)))
+    return bool(_asymmetries(m[None], sym_tol)[1][0])
+
+
+def _asymmetries(m: np.ndarray, sym_tol: float):
+    """Largest entry of ``|a - a.T|`` for each member ``a`` of a square
+    stack, and whether it is within ``sym_tol`` times the Frobenius norm."""
+    if m.shape[-1] == 0:
+        return np.zeros(len(m)), np.ones(len(m), dtype=bool)
+    asym = np.max(np.abs(m - m.transpose(0, 2, 1)), axis=(1, 2))
+    # one dot product per member, the one np.linalg.norm takes of a matrix
+    rows = m.reshape(len(m), 1, m.shape[1] * m.shape[2])
+    norms = np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(m))
+    return asym, asym <= sym_tol * np.maximum(1e-300, norms)
 
 
 def kronecker(a, b) -> np.ndarray:
@@ -69,15 +80,28 @@ def inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     above ``rel_tol`` times the largest) is below the order of the matrix,
     instead of silently amplifying noise.
     """
-    m = as_matrix(a)
+    return inverses(as_matrix(a)[None], rel_tol)[0]
+
+
+def inverses(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """:func:`inverse` of each member of an ``(m, s, s)`` stack.
+
+    The first singular member raises SingularMatrixError with its position
+    in ``index``.
+    """
+    m = as_matrix(a, "stack", 3)
     _require_square(m)
-    if numerical_rank(m, rel_tol) == m.shape[0]:
+    singular = np.flatnonzero(numerical_ranks(m, rel_tol) < m.shape[-1])
+    if not singular.size:
         try:
             return np.linalg.inv(m)
         except np.linalg.LinAlgError:
-            pass  # an exactly zero pivot, reachable only with rel_tol ~ 0
+            # an exactly zero LU pivot, reachable only with rel_tol ~ 0;
+            # slogdet factors the same way and reports it as sign 0
+            singular = np.flatnonzero(np.linalg.slogdet(m)[0] == 0.0)
     raise SingularMatrixError(
-        f"matrix of shape {m.shape} is singular to working precision"
+        f"matrix of shape {m.shape[1:]} is singular to working precision",
+        index=int(singular[0]),
     )
 
 
@@ -108,23 +132,29 @@ def symmetric_eigenvalues(a, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarra
     """
     m = as_matrix(a)
     _require_square(m)
-    if not is_symmetric(m, sym_tol):
+    asym, symmetric = _asymmetries(m[None], sym_tol)
+    if not symmetric[0]:
         raise NotSymmetricError(
-            f"matrix is not symmetric: max |a - a.T| entry {asymmetry(m):.3e}"
+            f"matrix is not symmetric: max |a - a.T| entry {asym[0]:.3e}"
         )
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
 def numerical_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rel_tol`` times the largest one."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0
+    return int(numerical_ranks(as_matrix(a)[None], rel_tol)[0])
+
+
+def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """:func:`numerical_rank` of each member of an ``(m, r, c)`` stack, from
+    one batched SVD."""
+    m = as_matrix(a, "stack", 3)
+    if 0 in m.shape[1:]:
+        return np.zeros(len(m), dtype=int)
     sv = np.linalg.svd(m, compute_uv=False)
-    largest = float(sv.max())
-    if largest == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * largest))
+    # a zero matrix has no singular value above 0 * rel_tol, hence rank 0
+    return np.count_nonzero(sv > rel_tol * sv.max(axis=1, keepdims=True),
+                            axis=1)
 
 
 def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -144,37 +174,46 @@ def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndar
     correction terms vanish and the sample is the plain inverse.
     """
     m = as_matrix(a)
-    return g_inverse_sample(m, pseudo_inverse(m, rel_tol), seed)
+    p = pseudo_inverse(m, rel_tol)
+    return g_inverse_sample(p, *g_inverse_projectors(m, p), seed)
 
 
-def g_inverse_sample(m: np.ndarray, p: np.ndarray, seed: int) -> np.ndarray:
-    """The :func:`random_g_inverse` sample of ``m`` for ``seed``, given its
-    pseudo-inverse ``p``, so several samples can share one ``p``."""
+def g_inverse_projectors(m: np.ndarray,
+                         p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``I - P m`` and ``I - m P`` for ``m`` with pseudo-inverse ``p``: the
+    factors of the random terms of a :func:`random_g_inverse` sample.  They
+    do not depend on the seed, so several samples can share them."""
+    return np.eye(p.shape[0]) - p @ m, np.eye(m.shape[0]) - m @ p
+
+
+def g_inverse_sample(p: np.ndarray, left: np.ndarray, right: np.ndarray,
+                     seed: int) -> np.ndarray:
+    """The :func:`random_g_inverse` sample for ``seed``, given the
+    pseudo-inverse ``p`` and the :func:`g_inverse_projectors`."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, size=p.shape)
     v = rng.uniform(-1.0, 1.0, size=p.shape)
-    left = np.eye(p.shape[0]) - p @ m
-    right = np.eye(m.shape[0]) - m @ p
     return p + left @ u + v @ right
 
 
-def _spd_eigendecomposition(
-    w: np.ndarray,
-    eig_tol: float,
-    sym_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    _require_square(w)
-    if not is_symmetric(w, sym_tol):
-        raise NotSPDError(
-            f"matrix is not symmetric: max |a - a.T| entry {asymmetry(w):.3e}"
-        )
-    lam, vec = np.linalg.eigh(w)
-    if lam[-1] <= 0.0 or lam[0] <= eig_tol * lam[-1]:
-        raise NotSPDError(
-            f"matrix is not positive definite: eigenvalue range "
-            f"[{lam[0]:.3e}, {lam[-1]:.3e}]"
-        )
-    return lam, vec
+def _spd_eigendecompositions(m: np.ndarray, eig_tol: float, sym_tol: float):
+    """``eigh`` of each member of a square stack, a mask of the SPD members
+    (symmetric within ``sym_tol``, smallest eigenvalue above ``eig_tol``
+    times the largest, which is positive) and a NotSPDError for the first
+    member that is not, with its position in ``index`` (None when all are)."""
+    _require_square(m)
+    asym, symmetric = _asymmetries(m, sym_tol)
+    lam, vec = np.linalg.eigh(m)
+    spd = symmetric & (lam[:, -1] > 0.0) & (lam[:, 0] > eig_tol * lam[:, -1])
+    if spd.all():
+        return lam, vec, spd, None
+    k = int(np.argmin(spd))
+    if not symmetric[k]:
+        reason = f"matrix is not symmetric: max |a - a.T| entry {asym[k]:.3e}"
+    else:
+        reason = (f"matrix is not positive definite: eigenvalue range "
+                  f"[{lam[k, 0]:.3e}, {lam[k, -1]:.3e}]")
+    return lam, vec, spd, NotSPDError(reason, index=k)
 
 
 def is_spd(
@@ -183,12 +222,14 @@ def is_spd(
     sym_tol: float = DEFAULT_SYMMETRY_TOL,
 ) -> bool:
     """True when ``a`` is symmetric positive definite to working precision."""
-    m = as_matrix(a)
-    try:
-        _spd_eigendecomposition(m, eig_tol, sym_tol)
-    except NotSPDError:
-        return False
-    return True
+    return bool(spd_flags(as_matrix(a)[None], eig_tol, sym_tol)[0])
+
+
+def spd_flags(a, eig_tol: float = DEFAULT_SPD_EIG_TOL,
+              sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
+    """:func:`is_spd` of each member of an ``(m, s, s)`` stack."""
+    m = as_matrix(a, "stack", 3)
+    return _spd_eigendecompositions(m, eig_tol, sym_tol)[2]
 
 
 def spd_inverse_sqrt(
@@ -201,12 +242,24 @@ def spd_inverse_sqrt(
     Computed from the eigendecomposition; raises NotSPDError when ``w`` is
     asymmetric or has an eigenvalue at or below ``eig_tol`` times its largest.
     """
-    m = as_matrix(w)
-    lam, vec = _spd_eigendecomposition(m, eig_tol, sym_tol)
-    root = (vec / np.sqrt(lam)) @ vec.T
-    # eigh round-off can leave a ~1e-16 asymmetry; return an exactly
-    # symmetric factor
-    return 0.5 * (root + root.T)
+    return spd_inverse_sqrts(as_matrix(w)[None], eig_tol, sym_tol)[0]
+
+
+def spd_inverse_sqrts(w, eig_tol: float = DEFAULT_SPD_EIG_TOL,
+                      sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
+    """:func:`spd_inverse_sqrt` of each member of an ``(m, s, s)`` stack.
+
+    The first member that is not SPD raises NotSPDError with its position
+    in ``index``.
+    """
+    m = as_matrix(w, "stack", 3)
+    lam, vec, _, error = _spd_eigendecompositions(m, eig_tol, sym_tol)
+    if error is not None:
+        raise error
+    root = (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
+    # eigh round-off can leave a ~1e-16 asymmetry; return exactly
+    # symmetric factors
+    return 0.5 * (root + root.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

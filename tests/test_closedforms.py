@@ -26,6 +26,7 @@ from mwtrees.closedforms import (
     verify_identities,
 )
 from mwtrees.errors import (
+    BadConfigError,
     IsATreeError,
     NotATreeError,
     NotInvertibleError,
@@ -42,11 +43,12 @@ from mwtrees.generators import (
     GenConfig,
     WeightKind,
     random_connected_nontree,
+    random_nonsingular,
     random_tree,
     spanning_tree_oracle,
 )
 from mwtrees.graphs import MatrixWeightedGraph
-from mwtrees.linalg import Inertia
+from mwtrees.linalg import Inertia, inverse, numerical_rank
 from mwtrees.operators import LaplacianMode, distance_matrix, laplacian
 
 
@@ -94,6 +96,26 @@ def test_determinant_singular_weight_sum():
 def test_determinant_rejects_non_trees():
     with pytest.raises(NotATreeError):
         distance_determinant(cycle_graph(4))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_overflowed_weight_sum_is_rejected_not_read(s):
+    # every weight and D are finite, but R = 3 * 7e307 I overflows to inf
+    big = 7e307 * np.eye(s)
+    star = MatrixWeightedGraph(4, s, [(1, k, big) for k in (2, 3, 4)])
+    assert np.isfinite(distance_matrix(star).data).all()
+    assert np.isfinite(laplacian(star).data).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            distance_determinant_sign_log(star)
+        with pytest.raises(ValueError, match="non-finite"):
+            invertibility_check(star)
+        # a singular edge is named before R is looked at
+        zero_edge = MatrixWeightedGraph(
+            4, s, [(1, 2, big), (1, 3, np.zeros((s, s))), (1, 4, big)]
+        )
+        result = invertibility_check(zero_edge)
+    assert not result.invertible and "edge 1 (1, 3)" in result.reason
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,6 +345,41 @@ def test_rank_probe_tree_branch():
     assert probe.passed
 
 
+@pytest.mark.parametrize("s, cap", [(2, 1e4), (3, 20.0), (8, 1e4)])
+def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
+    monkeypatch, s, cap
+):
+    from mwtrees import closedforms
+
+    g = random_tree(GenConfig(n_range=(7, 7), s_range=(s, s), seed=s))
+    used = []
+    real = closedforms.block_laplacian
+    monkeypatch.setattr(closedforms, "block_laplacian",
+                        lambda graph, blocks: used.append(blocks)
+                        or real(graph, blocks))
+    probe = rank_characterization_probe(g, trials=4, seed=9,
+                                        condition_cap=cap)
+
+    rng = np.random.default_rng(9)
+    old_ranks = [numerical_rank(laplacian(g).data)]
+    for blocks in used:
+        draws = [random_nonsingular(s, cap, rng) for _ in g.edges]
+        expected = np.array([inverse(w) for w in draws])
+        assert blocks.tobytes() == expected.tobytes()
+        reweighted = MatrixWeightedGraph(
+            g.n, s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
+        )
+        old_ranks.append(numerical_rank(laplacian(reweighted).data))
+    assert len(used) == 4
+    assert probe.observed_ranks == tuple(old_ranks)
+
+
+def test_rank_probe_condition_cap_below_one_gives_up():
+    g = path4_block2()
+    with pytest.raises(BadConfigError, match="well-conditioned 2x2"):
+        rank_characterization_probe(g, trials=2, condition_cap=0.5)
+
+
 def test_rank_probe_witness_branch_diamond():
     probe = rank_characterization_probe(diamond4())
     assert probe.branch == "witness"
@@ -481,6 +538,30 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
     reports = verification_suite(g, "all")
     assert all(r.status == PASS for r in reports)
     assert calls == {"D": 1, "L": 1, "pinv": 1}
+
+
+def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):
+    # one stacked call per graph: an SPD tree with twice the edges makes the
+    # same number of svd, inv and eigh calls
+    def calls(m):
+        g = random_tree(GenConfig(n_range=(m + 1, m + 1), s_range=(2, 2),
+                                  kind=WeightKind.SPD, seed=m))
+        counts = {"svd": 0, "inv": 0, "eigh": 0}
+        with monkeypatch.context() as mp:
+            for name in counts:
+                def counted(*args, _name=name, _fn=getattr(np.linalg, name),
+                            **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+                mp.setattr(np.linalg, name, counted)
+            reports = verification_suite(g, "all")
+            distance_inverse(g)
+        assert all(r.status == PASS for r in reports)
+        return counts
+
+    small, large = calls(20), calls(40)
+    assert small == large
+    assert all(small.values())
 
 
 def test_analysis_shares_read_only_arrays():

@@ -7,19 +7,26 @@ from hypothesis import strategies as st
 
 from mwtrees.errors import NotSPDError, NotSymmetricError, SingularMatrixError
 from mwtrees.linalg import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_SPD_EIG_TOL,
+    DEFAULT_SYMMETRY_TOL,
     BlockMatrix,
     Inertia,
     determinant,
     inertia_of,
     inverse,
+    inverses,
     is_spd,
     is_symmetric,
     kronecker,
     numerical_rank,
+    numerical_ranks,
     pseudo_inverse,
     random_g_inverse,
     sign_log_determinant,
+    spd_flags,
     spd_inverse_sqrt,
+    spd_inverse_sqrts,
     symmetric_eigenvalues,
 )
 
@@ -277,3 +284,108 @@ def test_pair_contractions_match_pair_contraction(n, s, seed):
 def test_pair_contractions_need_a_square_grid():
     with pytest.raises(ValueError):
         BlockMatrix(np.zeros((4, 2)), 2).pair_contractions()
+
+
+# --- stacked kernels --------------------------------------------------------
+#
+# The references below are the per-matrix computations, written out with
+# numpy calls on one matrix at a time; the stacked kernels must give the
+# same bytes.
+
+MEMBER_KINDS = ("spd", "asymmetric", "near_singular", "singular")
+
+
+def _member(kind: str, s: int, rng) -> np.ndarray:
+    if kind == "spd":
+        q = np.linalg.qr(rng.standard_normal((s, s)))[0]
+        w = (q * np.exp(rng.uniform(-3.0, 3.0, s))) @ q.T
+        return 0.5 * (w + w.T)
+    if kind == "asymmetric":
+        return rng.uniform(-1.0, 1.0, (s, s))
+    if kind == "near_singular":
+        # singular value ratio around the rank cutoff of 1e-9
+        return conditioned_matrix(s, 10.0 ** rng.uniform(-11.0, -7.0), rng)
+    w = rng.uniform(-1.0, 1.0, (s, s))
+    w[-1] = 0.0  # a zero row: exactly singular
+    return w
+
+
+def _rank_reference(w: np.ndarray) -> int:
+    sv = np.linalg.svd(w, compute_uv=False)
+    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv.max()))
+
+
+def _spd_reference(w: np.ndarray) -> bool:
+    asym = np.max(np.abs(w - w.T))
+    if asym > DEFAULT_SYMMETRY_TOL * max(1e-300, float(np.linalg.norm(w))):
+        return False
+    lam = np.linalg.eigh(w)[0]
+    return bool(lam[-1] > 0.0 and lam[0] > DEFAULT_SPD_EIG_TOL * lam[-1])
+
+
+def _inverse_sqrt_reference(w: np.ndarray) -> np.ndarray:
+    lam, vec = np.linalg.eigh(w)
+    root = (vec / np.sqrt(lam)) @ vec.T
+    return 0.5 * (root + root.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=6),
+    st.integers(0, 10**6),
+)
+def test_stacked_kernels_match_per_matrix_calls_bit_for_bit(s, kinds, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_member(kind, s, rng) for kind in kinds])
+
+    ranks = [_rank_reference(w) for w in stack]
+    assert numerical_ranks(stack).tolist() == ranks
+    assert [numerical_rank(w) for w in stack] == ranks
+    singular = [k for k, r in enumerate(ranks) if r < s]
+    if singular:
+        with pytest.raises(SingularMatrixError) as info:
+            inverses(stack)
+        assert info.value.index == singular[0]
+    else:
+        expected = np.array([np.linalg.inv(w) for w in stack])
+        assert inverses(stack).tobytes() == expected.tobytes()
+        assert np.array([inverse(w) for w in stack]).tobytes() == \
+            expected.tobytes()
+
+    flags = [_spd_reference(w) for w in stack]
+    assert spd_flags(stack).tolist() == flags
+    assert [is_spd(w) for w in stack] == flags
+    if all(flags):
+        expected = np.array([_inverse_sqrt_reference(w) for w in stack])
+        assert spd_inverse_sqrts(stack).tobytes() == expected.tobytes()
+        assert np.array([spd_inverse_sqrt(w) for w in stack]).tobytes() == \
+            expected.tobytes()
+    else:
+        with pytest.raises(NotSPDError) as info:
+            spd_inverse_sqrts(stack)
+        assert info.value.index == flags.index(False)
+
+
+def test_stacked_kernels_accept_empty_stacks():
+    empty = np.zeros((0, 3, 3))
+    assert numerical_ranks(empty).shape == (0,)
+    assert inverses(empty).shape == (0, 3, 3)
+    assert spd_flags(empty).shape == (0,)
+    assert spd_inverse_sqrts(empty).shape == (0, 3, 3)
+
+
+def test_inverses_name_an_exactly_zero_pivot():
+    stack = np.array([np.eye(2), np.ones((2, 2)), np.ones((2, 2))])
+    with pytest.raises(SingularMatrixError) as info:
+        inverses(stack, rel_tol=0.0)
+    assert info.value.index == 1
+
+
+def test_stacked_kernels_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        numerical_ranks(np.eye(2))
+    with pytest.raises(ValueError):
+        inverses(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError):
+        spd_flags(np.full((1, 2, 2), np.inf))

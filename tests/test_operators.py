@@ -167,6 +167,32 @@ def test_laplacian_and_invertibility_check_agree_on_singular_edges(n, s, seed):
     assert laplacian_edge == (int(named.group(1)) if named else None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(1, 8), st.data())
+def test_laplacian_and_invertibility_check_name_the_first_singular_edge(
+    n, s, data
+):
+    singular = sorted(data.draw(
+        st.sets(st.integers(0, n - 2), min_size=2, max_size=n - 1)
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    topo = _adversarial_topology("pruefer", n, rng)
+    edges = []
+    for k, (u, v) in enumerate(topo):
+        w = random_spd(s, 100.0, rng)
+        if k in singular:
+            w[rng.integers(s)] = 0.0  # one zero row
+        edges.append((u, v, w))
+    g = MatrixWeightedGraph(n, s, edges)
+    with pytest.raises(SingularWeightError) as info:
+        laplacian(g, LaplacianMode.INVERTED)
+    first = singular[0]
+    assert info.value.edge_index == first
+    assert info.value.endpoints == topo[first]
+    assert invertibility_check(g).reason == \
+        f"edge {first} {topo[first]} weight is singular"
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_laplacian_block_rows_and_columns_sum_to_zero(seed):
