@@ -8,12 +8,13 @@ numerically, and probes the rank, inertia, interlacing and generalized-
 inverse properties that hold alongside them.
 
 Every check works on one :class:`_Analysis` of its graph: the structure is
-validated once, and D, L, the pseudo-inverse of L, the weight sum and the
-SPD flag are each built at most once, on first use, and shared read-only.
-The per-edge facts (the rank, determinant and inverse of each weight, the
-reweightings of the rank probe) come from one stacked call per graph, not
-one call per edge.  :func:`verification_suite` hands one analysis to
-every check family; each public function builds its own.
+validated once, and D, L, the weight sum and the SPD flag are each built at
+most once, on first use, and shared read-only; with SPD weights one SVD of
+L gives its pseudo-inverse, rank and spectrum.  The per-edge facts (the
+rank, determinant and inverse of each weight, the reweightings of the rank
+probe) come from one stacked call per graph, not one call per edge.
+:func:`verification_suite` hands one analysis to every check family; each
+public function builds its own.
 """
 
 from __future__ import annotations
@@ -54,19 +55,19 @@ from .linalg import (
     kronecker,
     numerical_rank,
     numerical_ranks,
-    pseudo_inverse,
     sign_log_determinant,
+    spd_inverse_sqrts,
+    svd_pseudo_inverse,
     symmetric_eigenvalues,
 )
 from .operators import (
     LaplacianMode,
+    block_incidence,
     block_laplacian,
-    incidence_data,
     inverse_weights,
     laplacian_data,
     tree_distance_data,
     weight_stack,
-    weights_are_spd,
 )
 
 PASS = "PASS"
@@ -125,7 +126,8 @@ class _Analysis:
     Construction validates the structure (ValueError on a malformed graph)
     and decides connectivity.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
-    immutable, so the cache cannot go stale.
+    immutable, so the cache cannot go stale.  One ``eigh`` of the weights
+    decides SPD and gives Q; one SVD of L gives L^+, its rank and spectrum.
     """
 
     g: MatrixWeightedGraph
@@ -154,8 +156,16 @@ class _Analysis:
             raise NotSPDError("every edge weight must be SPD")
 
     @cached_property
+    def weight_roots(self) -> np.ndarray | None:
+        """The inverse square roots of the weights; None unless all are SPD."""
+        try:
+            return _read_only(spd_inverse_sqrts(weight_stack(self.g)))
+        except NotSPDError:
+            return None
+
+    @property
     def spd(self) -> bool:
-        return weights_are_spd(self.g)
+        return self.weight_roots is not None
 
     @cached_property
     def weight_sum(self) -> np.ndarray:
@@ -176,8 +186,15 @@ class _Analysis:
         return _read_only(laplacian_data(self.g, LaplacianMode.INVERTED))
 
     @cached_property
+    def laplacian_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values and pseudo-inverse of L, from one SVD.  With SPD
+        weights L is symmetric positive semidefinite, so the singular values
+        are its eigenvalues in descending order."""
+        return tuple(map(_read_only, svd_pseudo_inverse(self.laplacian)))
+
+    @property
     def laplacian_pinv(self) -> np.ndarray:
-        return _read_only(pseudo_inverse(self.laplacian))
+        return self.laplacian_svd[1]
 
     @cached_property
     def g_inverse_projectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +402,7 @@ def _identities(a: _Analysis, rel_tol: float) -> list[VerificationReport]:
     ))
 
     if a.spd:
-        q = incidence_data(g)
+        q = block_incidence(g, a.weight_roots)
         lhs = q.T @ dist @ q
         rhs = -2.0 * np.eye((n - 1) * s)
         reports.append(_report(
@@ -515,7 +532,7 @@ def _interlacing(a: _Analysis, slack_tol: float) -> InterlacingReport:
     a.require_spd()
     n, s = a.g.n, a.g.s
     mu = a.distance_eigenvalues
-    lam = symmetric_eigenvalues(a.laplacian)
+    lam = a.laplacian_svd[0]
     k = (n - 1) * s
     if k == 0:
         return InterlacingReport(mu, lam, np.zeros((0, 3)), 0.0, 0.0, True, n, s)
@@ -548,22 +565,25 @@ def _marked_cofactor(g: MatrixWeightedGraph, edge_index: int, w: float) -> float
 
 
 def _bridge_indices(g: MatrixWeightedGraph) -> set[int]:
-    """Indices of edges whose removal disconnects the graph: one search
-    from vertex 1 per edge, skipping that edge."""
+    """The bridges of a connected graph, by Tarjan's search (IPL 1974): the
+    edge into ``x`` of a depth-first tree is a bridge when no other edge
+    leaves the subtree of ``x``.  Iterative, so deep paths do not recurse."""
     adj = adjacency(g)
-    bridges = set()
-    for k in range(g.m):
-        seen = {1}
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y, j in adj[x]:
-                if j != k and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) < g.n:
-            bridges.add(k)
-    return bridges
+    pos = [0] * (g.n + 1)     # preorder number from 1, 0 while unvisited
+    via = [-1] * (g.n + 1)    # index of the tree edge into each vertex
+    order, stack = [], [(1, -1)]
+    while stack:
+        x, k = stack.pop()
+        if not pos[x]:
+            order.append(x)
+            pos[x], via[x] = len(order), k
+            stack.extend((y, j) for y, j in adj[x] if not pos[y])
+    low = pos[:]   # least preorder number reachable from a subtree
+    for x in reversed(order):
+        for y, j in adj[x]:
+            if j != via[x]:   # a tree edge to the child y, or a back edge
+                low[x] = min(low[x], low[y] if j == via[y] else pos[y])
+    return {via[x] for x in order[1:] if low[x] == pos[x]}
 
 
 @dataclass(frozen=True)
@@ -673,7 +693,11 @@ def _rank_probe(
     a.require_connected()
     if a.tree:
         full = (g.n - 1) * g.s
-        ranks = [numerical_rank(a.laplacian, rel_tol)]
+        if a.spd:   # count on the singular values L^+ is built from
+            sv = a.laplacian_svd[0]
+            ranks = [int(np.count_nonzero(sv > rel_tol * sv.max()))]
+        else:
+            ranks = [numerical_rank(a.laplacian, rel_tol)]
         # trial t, edge k gets the (t m + k)-th random_nonsingular draw
         draws = random_nonsingular_stack(
             trials * g.m, g.s, condition_cap, np.random.default_rng(seed)

@@ -160,8 +160,18 @@ def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the same rank cutoff as
     :func:`numerical_rank`."""
+    return svd_pseudo_inverse(a, rel_tol)[1]
+
+
+def svd_pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL):
+    """The singular values of ``a`` (descending) and its pseudo-inverse, from
+    one SVD.  The pseudo-inverse is formed as ``np.linalg.pinv`` forms it,
+    so it is the same to the bit."""
     m = as_matrix(a)
-    return np.linalg.pinv(m, rcond=rel_tol)
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    large = sv > rel_tol * sv.max(initial=0.0)
+    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+    return sv, vt.T @ (inv_sv[:, None] * u.T)
 
 
 def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -199,8 +209,8 @@ def g_inverse_sample(p: np.ndarray, left: np.ndarray, right: np.ndarray,
 def _spd_eigendecompositions(m: np.ndarray, eig_tol: float, sym_tol: float):
     """``eigh`` of each member of a square stack, a mask of the SPD members
     (symmetric within ``sym_tol``, smallest eigenvalue above ``eig_tol``
-    times the largest, which is positive) and a NotSPDError for the first
-    member that is not, with its position in ``index`` (None when all are)."""
+    times the largest, which is positive) and the reason and position of the
+    first member that is not (None when all are)."""
     _require_square(m)
     asym, symmetric = _asymmetries(m, sym_tol)
     lam, vec = np.linalg.eigh(m)
@@ -213,7 +223,7 @@ def _spd_eigendecompositions(m: np.ndarray, eig_tol: float, sym_tol: float):
     else:
         reason = (f"matrix is not positive definite: eigenvalue range "
                   f"[{lam[k, 0]:.3e}, {lam[k, -1]:.3e}]")
-    return lam, vec, spd, NotSPDError(reason, index=k)
+    return lam, vec, spd, (reason, k)
 
 
 def is_spd(
@@ -253,9 +263,10 @@ def spd_inverse_sqrts(w, eig_tol: float = DEFAULT_SPD_EIG_TOL,
     in ``index``.
     """
     m = as_matrix(w, "stack", 3)
-    lam, vec, _, error = _spd_eigendecompositions(m, eig_tol, sym_tol)
-    if error is not None:
-        raise error
+    lam, vec, _, failure = _spd_eigendecompositions(m, eig_tol, sym_tol)
+    if failure is not None:
+        # fresh: raising a stored exception ties its traceback's frames in a cycle
+        raise NotSPDError(failure[0], index=failure[1])
     root = (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     # eigh round-off can leave a ~1e-16 asymmetry; return exactly
     # symmetric factors

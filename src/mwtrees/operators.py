@@ -177,24 +177,11 @@ def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
     Column block k (one per edge, (n s) x (m s) overall) carries
     ``+inverse_sqrt(W_k)`` at the smaller endpoint and the negated copy at
     the larger one, so that ``Q @ Q.T`` equals the inverse-weighted
-    Laplacian and block rows of Q sum to zero.  A non-SPD weight raises
-    NotSPDError naming the edge.
+    Laplacian and block rows of Q sum to zero.  The inverse square roots of
+    all weights come from one batched SPD test and eigendecomposition; the
+    first non-SPD weight raises NotSPDError naming its edge.
     """
     check_structure(g)
-    return BlockMatrix(incidence_data(g), g.s)
-
-
-def incidence_data(g: MatrixWeightedGraph) -> np.ndarray:
-    """The array of :func:`incidence_matrix`, for a graph already checked.
-
-    The inverse square roots of all weights come from one batched SPD test
-    and eigendecomposition; the first non-SPD weight raises NotSPDError
-    naming its edge.  Against one call per edge, this took the traced
-    benchmark's ``operators.incidence_matrix_s`` from 3.9 to 0.8 ms on an
-    SPD path (n=72, s=2) and from 5.4 to 1.2 ms on a Pruefer tree (n=64,
-    s=4), on a 2-vCPU VM, with the same bits.
-    """
-    n, s = g.n, g.s
     try:
         roots = spd_inverse_sqrts(weight_stack(g))
     except NotSPDError as exc:
@@ -203,6 +190,13 @@ def incidence_data(g: MatrixWeightedGraph) -> np.ndarray:
         raise NotSPDError(
             f"edge {k} ({e.u}, {e.v}): {exc}", edge_index=k
         ) from None
+    return BlockMatrix(block_incidence(g, roots), g.s)
+
+
+def block_incidence(g: MatrixWeightedGraph, roots: np.ndarray) -> np.ndarray:
+    """The array of :func:`incidence_matrix` for ``g`` with ``roots[k]`` at
+    the smaller endpoint of edge k and ``-roots[k]`` at the larger one."""
+    n, s = g.n, roots.shape[-1]
     data = np.zeros((n, s, g.m, s))   # [i, :, k, :]: block (i, k)
     k = np.arange(g.m)
     data[[e.u - 1 for e in g.edges], :, k, :] = roots

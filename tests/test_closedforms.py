@@ -456,6 +456,184 @@ def test_deficient_weighting_matches_spanning_tree_oracle(seed):
     assert w.trees_with_edge > 0 and w.trees_without_edge > 0
 
 
+# --- one decomposition of L -------------------------------------------------
+
+
+def _topology(shape: str, size: int, rng) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of a random recursive tree, a path, a
+    size x size grid or K_size."""
+    if shape == "tree":
+        return size, [(int(rng.integers(1, v)), v) for v in range(2, size + 1)]
+    if shape == "path":
+        return size, [(v - 1, v) for v in range(2, size + 1)]
+    if shape == "grid":
+        at = np.arange(1, size * size + 1).reshape(size, size)
+        pairs = [*zip(at[:, :-1].ravel(), at[:, 1:].ravel()),
+                 *zip(at[:-1].ravel(), at[1:].ravel())]
+        return size * size, [(int(u), int(v)) for u, v in pairs]
+    return size, [(u, v) for u in range(1, size + 1)
+                  for v in range(u + 1, size + 1)]
+
+
+def _spd_weight(s: int, ratio: float, rng) -> np.ndarray:
+    """An SPD weight with eigenvalues log-evenly from 1 down to ``ratio``,
+    scaled by a random power of ten in [0.1, 10]."""
+    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+    return (q * np.geomspace(1.0, ratio, s)) @ q.T * 10.0 ** rng.uniform(-1, 1)
+
+
+SPD_SHAPES = st.tuples(
+    st.sampled_from(["tree", "path", "grid", "complete"]),
+    st.integers(2, 10),
+    st.integers(1, 8),
+    st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]),   # down to nearly singular
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _spd_graph(shape, size, s, ratio, seed) -> MatrixWeightedGraph:
+    if shape == "grid":
+        size = min(size, 4)
+    elif shape == "complete":
+        size = max(min(size, 7), 3)
+    rng = np.random.default_rng(seed)
+    n, edges = _topology(shape, size, rng)
+    return MatrixWeightedGraph(
+        n, s, [(u, v, _spd_weight(s, ratio, rng)) for u, v in edges]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(SPD_SHAPES)
+def test_one_svd_gives_rank_pinv_ginverses_and_spectrum(case):
+    from mwtrees.closedforms import _Analysis
+    from mwtrees.linalg import symmetric_eigenvalues
+
+    g = _spd_graph(*case)
+    a = _Analysis(g)
+    lap, p = a.laplacian, a.laplacian_pinv
+    assert a.spd
+    lam = a.laplacian_svd[0]
+    for rel_tol in (1e-9, 3e-7, 3e-5, 3e-3):   # off the weight ratios
+        rank = numerical_rank(lap, rel_tol)
+        assert np.count_nonzero(lam > rel_tol * lam.max()) == rank
+        if a.tree:   # the probe's first rank is counted on lam
+            probe = rank_characterization_probe(g, trials=0, rel_tol=rel_tol)
+            assert probe.observed_ranks == (rank,)
+
+    assert np.allclose(lam, symmetric_eigenvalues(lap), rtol=0.0,
+                       atol=1e-12 * np.abs(lam).max())
+
+    # np.linalg.pinv's pseudo-inverse, bit for bit, and the Penrose
+    # conditions to round-off times the condition number of L on its range
+    assert np.array_equal(p, np.linalg.pinv(lap, rcond=1e-9))
+    kept = lam[lam > 1e-9 * lam.max()]
+    rtol = max(1e-9, 1e-12 * kept.max() / kept.min())
+    norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(p)
+    assert np.linalg.norm(lap @ p @ lap - lap) <= rtol * norm_l
+    assert np.linalg.norm(p @ lap @ p - p) <= rtol * norm_p
+    for prod in (lap @ p, p @ lap):
+        assert np.linalg.norm(prod - prod.T) <= rtol * norm_l * norm_p
+
+    for seed in (0, 1, 2):
+        h = a.g_inverse(seed).data
+        assert np.linalg.norm(lap @ h @ lap - lap) <= (
+            rtol * norm_l * max(norm_p * norm_l, np.linalg.norm(h) * norm_l))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SPD_SHAPES.map(lambda case: (*case[:3], 1e-6, case[4])))
+def test_nearly_singular_weights_fail_only_the_ldl_identity(case):
+    # correct inputs: every record but ldl, whose tolerance ignores the
+    # conditioning of L, passes (the g-inverse and spectral checks included)
+    reports = verification_suite(_spd_graph(*case), "all")
+    assert {r.name for r in reports if r.status == FAIL} <= {"ldl"}
+
+
+def _ill_conditioned_tree(cond: float, skew: float) -> MatrixWeightedGraph:
+    """A tree whose first weight has condition number ``cond`` and the
+    asymmetry ``skew`` times its norm (the SPD test admits up to 1e-9)."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    w = (q * np.geomspace(1.0, 1.0 / cond, 3)) @ q.T
+    w = 0.5 * (w + w.T) + skew * np.linalg.norm(w) * np.triu(np.ones((3, 3)), 1)
+    return MatrixWeightedGraph(4, 3, [(1, 2, w), (2, 3, 2.0 * np.eye(3)),
+                                      (2, 4, np.diag([1.0, 2.0, 3.0]))])
+
+
+@pytest.mark.parametrize("cond, skew", [(1e8, 0.0), (1e3, 4e-10),
+                                        (1e7, 4e-10)])
+def test_ill_conditioned_spd_weights_get_reports_not_errors(cond, skew):
+    # inverting a weight scales its admitted asymmetry by its condition
+    # number; no check may then reject L as asymmetric or skip the graph
+    g = _ill_conditioned_tree(cond, skew)
+    from mwtrees.linalg import is_spd
+
+    assert all(is_spd(e.weight) for e in g.edges)
+    for suite in ("ginverse", "spectrum", "rank"):
+        reports = verification_suite(g, suite)
+        assert reports and all(r.status != SKIPPED for r in reports)
+    assert interlacing_check(g).passed
+
+
+def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:
+    """Reference bridge search: one search from vertex 1 per deleted edge."""
+    from mwtrees.graphs import adjacency
+
+    adj = adjacency(g)
+    bridges = set()
+    for k in range(g.m):
+        seen, stack = {1}, [1]
+        while stack:
+            for y, j in adj[stack.pop()]:
+                if j != k and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < g.n:
+            bridges.add(k)
+    return bridges
+
+
+def _scalar_graph(n: int, edges) -> MatrixWeightedGraph:
+    return MatrixWeightedGraph(n, 1, [(u, v, [[1.0]]) for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["tree", "grid", "complete", "nontree", "dense"]),
+       st.integers(2, 12), st.integers(0, 10**6))
+def test_bridge_search_matches_per_edge_deletion(shape, size, seed):
+    from mwtrees.closedforms import _bridge_indices
+
+    rng = np.random.default_rng(seed)
+    if shape == "nontree":
+        g = random_connected_nontree(GenConfig(
+            n_range=(3, 3 + size), s_range=(1, 1),
+            kind=WeightKind.SCALAR_POSITIVE, seed=seed))
+    elif shape == "dense":
+        # a random tree plus each other pair with probability 0.2, shuffled
+        _, edges = _topology("tree", size, rng)
+        edges += [(u, v) for u in range(1, size + 1)
+                  for v in range(u + 1, size + 1)
+                  if (u, v) not in edges and rng.uniform() < 0.2]
+        g = _scalar_graph(size, [edges[i] for i in rng.permutation(len(edges))])
+    else:
+        g = _scalar_graph(*_topology(shape, min(size, 6) if shape == "grid"
+                                     else size, rng))
+    assert _bridge_indices(g) == _bridges_by_deletion(g)
+
+
+def test_bridge_search_handles_a_deep_path():
+    from mwtrees.closedforms import _bridge_indices
+
+    n = 5000
+    path = _scalar_graph(n, [(v - 1, v) for v in range(2, n + 1)])
+    assert _bridge_indices(path) == set(range(n - 1))
+    # closing the path into a cycle leaves no bridge; a pendant edge is one
+    lasso = _scalar_graph(n + 1, [*((v - 1, v) for v in range(2, n + 1)),
+                                  (1, n), (n, n + 1)])
+    assert _bridge_indices(lasso) == {n}
+
+
 # --- suite orchestration ----------------------------------------------------
 
 
@@ -521,7 +699,11 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
 
     g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
                               seed=3))
-    calls = {"D": 0, "L": 0, "pinv": 0}
+    lap = laplacian(g).data
+    calls = {"D": 0, "L": 0}
+    # decompositions of L itself, and every eigh (of L or of the weights)
+    of_l = {"eigh": 0, "eigvalsh": 0, "svd": 0, "pinv": 0}
+    eigh_calls = 0
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -529,15 +711,28 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def decomposition(name, fn):
+        def wrapper(a, *args, **kwargs):
+            nonlocal eigh_calls
+            eigh_calls += name == "eigh"
+            a = np.asarray(a)
+            of_l[name] += a.shape[-2:] == lap.shape and any(
+                np.array_equal(x, lap) for x in a.reshape(-1, *lap.shape))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(closedforms, "tree_distance_data",
                         counted("D", closedforms.tree_distance_data))
     monkeypatch.setattr(closedforms, "laplacian_data",
                         counted("L", closedforms.laplacian_data))
-    monkeypatch.setattr(closedforms, "pseudo_inverse",
-                        counted("pinv", closedforms.pseudo_inverse))
+    for name in of_l:
+        monkeypatch.setattr(np.linalg, name,
+                            decomposition(name, getattr(np.linalg, name)))
     reports = verification_suite(g, "all")
     assert all(r.status == PASS for r in reports)
-    assert calls == {"D": 1, "L": 1, "pinv": 1}
+    assert calls == {"D": 1, "L": 1}
+    assert of_l == {"eigh": 0, "eigvalsh": 0, "svd": 1, "pinv": 0}
+    assert eigh_calls == 1   # the weights' SPD test and roots
 
 
 def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):
@@ -572,3 +767,29 @@ def test_analysis_shares_read_only_arrays():
                 a.distance_eigenvalues):
         assert not arr.flags.writeable
     assert a.distance is a.distance
+
+
+@pytest.mark.parametrize("make", [path4_block2, lambda: path_graph(4, s=2)])
+def test_suite_frees_its_analysis_without_the_cycle_collector(monkeypatch, make):
+    # a reference cycle through a traceback would keep D, L and L^+ alive
+    # until the collector runs: on a non-SPD tree that grew peak memory
+    import gc
+    import weakref
+
+    from mwtrees import closedforms
+
+    made = []
+
+    class Recorded(closedforms._Analysis):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(closedforms, "_Analysis", Recorded)
+    g = make()
+    gc.disable()
+    try:
+        verification_suite(g, "all")
+        assert [ref() for ref in made] == [None]
+    finally:
+        gc.enable()
