@@ -5,9 +5,12 @@ determinant of a tree distance matrix with closed-form/factorization
 cross-checks, run the verification suites, emit random instances, and find
 rank-deficient weightings of non-tree graphs.
 
-Exit codes: 0 success / all checks pass, 1 a check failed, 2 parse or
-validation failure, 3 precondition failure (not a tree, not SPD, ...),
-4 matrix not invertible.
+Exit codes: 0 success / all checks pass, 1 a check failed, 2 the input
+could not be read, parsed or validated (or ``random`` could not write its
+output), 3 precondition failure (not a tree, not SPD, ...), 4 matrix not
+invertible, 5 internal error: an exception that is not a package error
+escaped a command's computation; it is a bug, and its traceback goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -50,19 +53,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_INVERTIBLE = 4
+EXIT_INTERNAL = 5
 
 
 def _read_input(path: str) -> tuple[MatrixWeightedGraph, str]:
     """Load a graph from a file path or stdin ('-'); return it with the
     sha256 digest of the raw text."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise GraphFileError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFileError(f"cannot read {path}: {exc}") from None
     return loads_graph(text), input_digest(text.encode("utf-8"))
 
 
@@ -222,7 +226,10 @@ def cmd_verify(args) -> int:
 
 def cmd_random(args) -> int:
     kind = WeightKind(args.kind)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise GraphFileError(f"cannot write to {args.out}: {exc}") from None
     files = []
     for i in range(args.count):
         seed = args.seed + i
@@ -238,7 +245,10 @@ def cmd_random(args) -> int:
         else:
             g = random_connected_nontree(config)
         path = os.path.join(args.out, f"graph-{i:04d}.json")
-        dump_graph(g, path)
+        try:
+            dump_graph(g, path)
+        except OSError as exc:
+            raise GraphFileError(f"cannot write {path}: {exc}") from None
         files.append({"path": path, "seed": seed, "n": g.n, "s": g.s,
                       "edges": g.m})
     manifest = {
@@ -365,9 +375,13 @@ def main(argv=None) -> int:
     except MWTreesError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception:   # not a package error: a bug, reported as one
+        import traceback   # here, so that start-up does not pay for it
+
+        traceback.print_exc()
+        print(f"error: internal error in mwtrees {args.command}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,10 +15,19 @@ rank, determinant and inverse of each weight, the reweightings of the rank
 probe) come from one stacked call per graph, not one call per edge.
 :func:`verification_suite` hands one analysis to every check family; each
 public function builds its own.
+
+The rank probe of a tree decides each Laplacian rank without an SVD where
+it can: the Laplacian grounded at vertex 1 has an inverse in closed form,
+and one matrix product with it bounds the smallest nonzero singular value
+from below, while the block row sums bound the null ones from above.
+When the bounds clear the tolerance with a margin for LAPACK's own error,
+the rank is certified; otherwise the SVD computes it.  Either way it is
+the rank the SVD gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,6 +73,7 @@ from .operators import (
     LaplacianMode,
     block_incidence,
     block_laplacian,
+    grounded_tree_inverses,
     inverse_weights,
     laplacian_data,
     tree_distance_data,
@@ -78,6 +88,11 @@ SKIPPED = "SKIPPED"
 IDENTITY_NAMES = ("ld", "dl", "ldl", "dinv_minus_l", "qdq")
 
 SUITES = ("identities", "ginverse", "spectrum", "rank", "all")
+
+#: The rank certificate of a tree Laplacian of order N allows this many
+#: times ``N eps sigma_1`` for the error of the singular values LAPACK
+#: computes and for the rounding of its own residual product.
+_CERTIFICATE_SAFETY = 64.0
 
 
 @dataclass(frozen=True)
@@ -653,7 +668,9 @@ class RankProbe:
     for the given weights and each random nonsingular reweighting; all must
     equal ``full_rank`` = (n-1) s.  On a non-tree (branch "witness"),
     ``observed_ranks`` holds the single scalar-Laplacian rank under the
-    deficient weighting, which must be below ``full_rank`` = n - 1.
+    deficient weighting, which must be below ``full_rank`` = n - 1.  Every
+    rank is the count of singular values above ``rel_tol`` times the
+    largest that an SVD gives, whether it was certified or computed.
     """
 
     branch: str
@@ -676,6 +693,13 @@ def rank_characterization_probe(
     weighting, so the probe reweights a tree ``trials`` times with random
     nonsingular matrices and checks each rank.  A connected non-tree always
     admits a scalar weighting with deficient rank, which the probe exhibits.
+
+    The ranks are the SVD ranks at ``rel_tol``.  On a tree each is
+    certified without an SVD when the closed-form bounds of the module
+    docstring decide it, and computed by one when they do not, as with a
+    ``rel_tol`` near machine precision or near the smallest nonzero
+    singular value.  With SPD weights the first rank is counted on the
+    singular values that give L^+.
     """
     return _rank_probe(_Analysis(g), trials, seed, rel_tol, condition_cap)
 
@@ -696,15 +720,20 @@ def _rank_probe(
         if a.spd:   # count on the singular values L^+ is built from
             sv = a.laplacian_svd[0]
             ranks = [int(np.count_nonzero(sv > rel_tol * sv.max()))]
-        else:
-            ranks = [numerical_rank(a.laplacian, rel_tol)]
+            laps, weight_sets = [], []
+        else:   # L is certified like the reweightings, with g's weights
+            ranks, laps, weight_sets = [], [a.laplacian], [weight_stack(g)]
         # trial t, edge k gets the (t m + k)-th random_nonsingular draw
         draws = random_nonsingular_stack(
             trials * g.m, g.s, condition_cap, np.random.default_rng(seed)
-        )
-        blocks = inverse_weights(g, draws).reshape(trials, g.m, g.s, g.s)
-        ranks += [numerical_rank(block_laplacian(g, b), rel_tol)
-                  for b in blocks]
+        ).reshape(trials, g.m, g.s, g.s)
+        blocks = inverse_weights(g, draws.reshape(-1, g.s, g.s))
+        blocks = blocks.reshape(draws.shape)
+        # one reweighted Laplacian at a time, each dropped once ranked
+        laps = itertools.chain(laps, (block_laplacian(g, b) for b in blocks))
+        inverses = grounded_tree_inverses(g, [*weight_sets, *draws])
+        ranks += [_tree_rank(lap, inv, g.s, rel_tol)
+                  for lap, inv in zip(laps, inverses)]
         return RankProbe(
             branch="tree",
             full_rank=full,
@@ -722,6 +751,51 @@ def _rank_probe(
         witness=witness,
         passed=rank < g.n - 1,
     )
+
+
+def _tree_rank(lap: np.ndarray, inv: np.ndarray, s: int,
+               rel_tol: float) -> int:
+    """``numerical_rank(lap, rel_tol)`` of the block Laplacian ``lap`` of a
+    tree, certified without an SVD where that can be done, computed by one
+    where it cannot; ``inv`` is its :func:`grounded_tree_inverses` inverse.
+
+    With N = n s, the grounded block K = ``lap[s:, s:]`` has the exact
+    inverse G = ``inv``, and ``||X||`` below is the bound
+    ``sqrt(||X||_1 ||X||_inf)`` on the spectral norm.  Then
+    ``sigma_{N-s}(lap) >= sigma_min(K) >= (1 - ||K G - I||) / ||G||`` (the
+    singular values of a submatrix interlace, Thompson 1972);
+    ``sigma_{N-s+1}(lap) <= ||lap Z||`` for ``Z = 1_n kron I_s / sqrt(n)``,
+    whose product is the block row sums; and ``||lap||_F / sqrt(N) <=
+    sigma_1 <= ||lap||``.  When the first bound clears ``rel_tol sigma_1``
+    and the second stays below it, both by ``_CERTIFICATE_SAFETY N eps
+    sigma_1``, which covers the error of the singular values LAPACK would
+    compute and of ``K G``, the SVD would count (n - 1) s.
+    """
+    size = lap.shape[0]
+    n = size // s
+    if n > 1:
+        slack = _CERTIFICATE_SAFETY * size * np.finfo(float).eps
+        mag = np.abs(lap)
+        top = _norm_bound(mag)
+        norm_k, norm_g = _norm_bound(mag[s:, s:]), _norm_bound(np.abs(inv))
+        residual = lap[s:, s:] @ inv
+        residual.flat[::size - s + 1] -= 1.0   # K G - I
+        residual = _norm_bound(np.abs(residual)) + slack * norm_k * norm_g
+        lowest = (1.0 - residual) / norm_g
+        null = _norm_bound(np.abs(lap @ np.tile(np.eye(s), (n, 1))))
+        null /= math.sqrt(n)
+        bottom = float(np.linalg.norm(lap)) / math.sqrt(size)
+        if (lowest - slack * top > rel_tol * (1.0 + slack) * top
+                and null + slack * top <= rel_tol * (1.0 - slack) * bottom):
+            return (n - 1) * s
+    return numerical_rank(lap, rel_tol)
+
+
+def _norm_bound(mag: np.ndarray) -> float:
+    """``sqrt(||x||_1 ||x||_inf)`` for ``mag = |x|``, an upper bound on the
+    spectral norm of x."""
+    return math.sqrt(float(mag.sum(axis=0).max(initial=0.0))
+                     * float(mag.sum(axis=1).max(initial=0.0)))
 
 
 def verification_suite(

@@ -81,7 +81,8 @@ class TooLargeError(MWTreesError):
 
 
 class GraphFileError(MWTreesError):
-    """A graph file failed to parse or validate."""
+    """A graph file could not be read or written, or failed to parse or
+    validate."""
 
     def __init__(self, message: str, problems: list[str] | None = None):
         super().__init__(message)

@@ -81,7 +81,7 @@ def graph_from_dict(obj: Any) -> MatrixWeightedGraph:
         v = _require_int(entry, "v", where)
         try:
             weight = np.asarray(entry["weight"], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise GraphFileError(
                 f"{where}: weight is not a rectangular numeric array"
             ) from None

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +267,44 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def test_unreadable_input_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "s": 1, "edges": [], "\xff": 0}')
+    code, out, err = run_cli(capsys, "det", str(path))
+    assert code == 2 and out == ""
+    assert "cannot read" in err
+    # an integer weight beyond float range is a bad weight, not a crash
+    path.write_text('{"n": 2, "s": 1, "edges": [{"u": 1, "v": 2, '
+                    '"weight": [[1' + "0" * 400 + ']]}]}')
+    code, out, err = run_cli(capsys, "det", str(path))
+    assert code == 2 and out == ""
+    assert "rectangular numeric array" in err
+
+
+def test_random_unwritable_output_exits_two(capsys, tmp_path):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, "random", "--n", "4", "--s", "1",
+                             "--out", str(taken))
+    assert code == 2 and out == ""
+    assert "cannot write" in err
+
+
+def test_untyped_error_after_parsing_is_an_internal_error(capsys,
+                                                          monkeypatch):
+    # a ValueError from a command's computation is a bug: it gets its own
+    # exit code and its traceback, not the parse-error code
+    def broken(*args, **kwargs):
+        raise ValueError("cannot convert float NaN to integer")
+
+    monkeypatch.setattr("mwtrees.cli.verification_suite", broken)
+    code, out, err = run_cli(capsys, "verify", PATH4)
+    assert code == 5 and out == ""
+    assert "Traceback" in err
+    assert "ValueError: cannot convert float NaN to integer" in err
+    assert "internal error in mwtrees verify" in err
+
+
 def test_deficient_diamond(capsys):
     code, report, _ = run_json(capsys, "deficient", DIAMOND)
     assert code == 0
@@ -301,9 +340,9 @@ def test_random_writes_loadable_instances(capsys, tmp_path):
     run_cli(capsys, "random", "--n", "6", "--s", "2", "--count", "3",
             "--seed", "11", "--out", second)
     for i in range(3):
-        a = open(os.path.join(out_dir, f"graph-{i:04d}.json")).read()
-        b = open(os.path.join(second, f"graph-{i:04d}.json")).read()
-        assert a == b
+        name = f"graph-{i:04d}.json"
+        assert (Path(out_dir) / name).read_text() == (
+            Path(second) / name).read_text()
 
 
 def test_random_nontree_topology(capsys, tmp_path):

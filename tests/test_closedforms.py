@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mwtrees.closedforms import (
@@ -48,7 +48,12 @@ from mwtrees.generators import (
     spanning_tree_oracle,
 )
 from mwtrees.graphs import MatrixWeightedGraph
-from mwtrees.linalg import Inertia, inverse, numerical_rank
+from mwtrees.linalg import (
+    Inertia,
+    inverse,
+    numerical_rank,
+    svd_pseudo_inverse,
+)
 from mwtrees.operators import LaplacianMode, distance_matrix, laplacian
 
 
@@ -634,6 +639,99 @@ def test_bridge_search_handles_a_deep_path():
     assert _bridge_indices(lasso) == {n}
 
 
+# --- certified tree ranks ----------------------------------------------------
+
+
+def _probe_tree(shape: str, n: int, s: int, spd: bool,
+                seed: int) -> MatrixWeightedGraph:
+    """A path, a star (both relabelled at random) or a uniform Pruefer tree
+    on n vertices, with SPD or random nonsingular weights."""
+    rng = np.random.default_rng(seed)
+    if shape == "prufer" and n > 1:
+        topo = random_tree(GenConfig(n_range=(n, n), s_range=(1, 1),
+                                     seed=seed))
+        edges = [(e.u, e.v) for e in topo.edges]
+    else:
+        label = rng.permutation(n) + 1
+        hub = (lambda v: 1) if shape == "star" else (lambda v: v - 1)
+        edges = [(label[hub(v) - 1], label[v - 1]) for v in range(2, n + 1)]
+    weights = (_spd_weight(s, 1e-2, rng) if spd
+               else random_nonsingular(s, 1e4, rng) for _ in edges)
+    return MatrixWeightedGraph(
+        n, s, [(u, v, w) for (u, v), w in zip(edges, weights)]
+    )
+
+
+TREE_PROBES = st.tuples(
+    st.sampled_from(["path", "star", "prufer"]),
+    st.integers(1, 12),                       # n
+    st.integers(1, 8),                        # s
+    st.booleans(),                            # SPD weights
+    st.floats(math.log10(1.5), 12.0),         # log10 condition_cap
+    st.floats(-16.0, -1.0),                   # log10 rel_tol
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREE_PROBES)
+@example(("path", 1, 3, True, 4.0, -9.0, 0))
+@example(("star", 2, 1, False, 0.2, -16.0, 1))
+@example(("path", 2, 2, False, 0.25, -16.0, 2))   # SVD noise above rel_tol
+@example(("prufer", 9, 8, False, 12.0, -12.0, 3))
+@example(("path", 7, 2, True, 4.0, -1.0, 4))
+def test_rank_probe_reports_the_svd_ranks(case):
+    # whether a rank is certified or computed, it is the rank the SVD of the
+    # assembled Laplacian gives, at every tolerance and conditioning
+    from mwtrees import closedforms
+
+    shape, n, s, spd, log_cap, log_tol, seed = case
+    g = _probe_tree(shape, n, s, spd, seed)
+    rel_tol = 10.0 ** log_tol
+    laps = [laplacian(g).data]
+    real = closedforms.block_laplacian
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closedforms, "block_laplacian",
+                   lambda graph, blocks: laps.append(real(graph, blocks))
+                   or laps[-1])
+        try:
+            probe = rank_characterization_probe(
+                g, trials=3, seed=seed, rel_tol=rel_tol,
+                condition_cap=10.0 ** log_cap,
+            )
+        except BadConfigError:   # no s x s draw this well conditioned
+            assume(False)
+    assert probe.branch == "tree" and len(laps) == 4
+    expected = [numerical_rank(lap, rel_tol) for lap in laps]
+    if spd:   # the probe counts this one on the SVD that gives L^+
+        sv = svd_pseudo_inverse(laps[0])[0]
+        expected[0] = int(np.count_nonzero(sv > rel_tol * sv.max()))
+    assert probe.observed_ranks == tuple(expected)
+
+
+@pytest.mark.parametrize("spd", [True, False])
+@pytest.mark.parametrize("rel_tol, certified", [
+    (1e-9, True),     # the bounds decide with room to spare
+    (1e-17, False),   # below what LAPACK resolves: the SVD decides
+    (0.5, False),     # above the smallest nonzero singular value
+])
+def test_rank_certificate_falls_back_to_the_svd_only_when_undecided(
+    monkeypatch, spd, rel_tol, certified
+):
+    g = _probe_tree("prufer", 9, 3, spd, 5)
+    size = g.n * g.s
+    svds = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        svds.append(np.shape(a)[-2:] == (size, size))
+                        or real(a, *args, **kwargs))
+    probe = rank_characterization_probe(g, trials=4, rel_tol=rel_tol)
+    # with SPD weights the first rank is counted on the SVD of L
+    assert sum(svds) == (not certified) * (4 + (not spd)) + spd
+    if certified:
+        assert probe.passed
+
+
 # --- suite orchestration ----------------------------------------------------
 
 
@@ -733,6 +831,23 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
     assert calls == {"D": 1, "L": 1}
     assert of_l == {"eigh": 0, "eigvalsh": 0, "svd": 1, "pinv": 0}
     assert eigh_calls == 1   # the weights' SPD test and roots
+
+
+@pytest.mark.parametrize("kind", [WeightKind.SPD, WeightKind.NONSINGULAR])
+def test_suite_certifies_reweighted_ranks_without_an_svd(monkeypatch, kind):
+    # the rank probe's reweighted Laplacians are certified, not decomposed:
+    # the one (n s) x (n s) SVD left is that of L, and only with SPD weights
+    g = random_tree(GenConfig(n_range=(12, 12), s_range=(3, 3), kind=kind,
+                              seed=4))
+    size = g.n * g.s
+    full_size = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        full_size.append(np.shape(a)[-2:] == (size, size))
+                        or real(a, *args, **kwargs))
+    reports = {r.name: r for r in verification_suite(g, "all")}
+    assert reports["rank_characterization"].status == PASS
+    assert sum(full_size) == (kind is WeightKind.SPD)
 
 
 def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):

@@ -26,9 +26,12 @@ from mwtrees.generators import (
 from mwtrees.graphs import MatrixWeightedGraph
 from mwtrees.operators import (
     LaplacianMode,
+    block_laplacian,
     distance_matrix,
+    grounded_tree_inverses,
     incidence_matrix,
     laplacian,
+    weight_stack,
     weights_are_spd,
 )
 
@@ -309,3 +312,41 @@ def test_distance_matrix_bit_identical_on_adversarial_shapes(
     ]
     g = MatrixWeightedGraph(n, s, [edges[k] for k in rng.permutation(len(edges))])
     assert np.array_equal(distance_matrix(g).data, distance_oracle(g).data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["path", "star", "caterpillar", "pruefer"]),
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 8]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_grounded_tree_inverse_is_the_path_sum_form(shape, n, s, spd, seed):
+    # block (i, j) is (D_i1 + D_j1 - D_ij) / 2, and it inverts the Laplacian
+    # of the inverted weights grounded at vertex 1
+    rng = np.random.default_rng(seed)
+    topo = _adversarial_topology(shape, n, rng) if n > 1 else []
+    label = rng.permutation(n) + 1
+    g = MatrixWeightedGraph(n, s, [
+        (int(label[u - 1]), int(label[v - 1]),
+         random_spd(s, seed=rng) if spd else rng.standard_normal((s, s)))
+        for u, v in topo
+    ])
+    weights = weight_stack(g)
+    other = [2.0 * w for w in weights]
+    inv, doubled = grounded_tree_inverses(g, [weights, np.array(other)])
+    d = distance_oracle(g).data.reshape(n, s, n, s)[1:, :, 1:, :]
+    to_root = distance_oracle(g).data.reshape(n, s, n, s)[1:, :, 0, :]
+    expected = 0.5 * (to_root[:, :, None, :] + to_root[None, :, :, :]
+                      .transpose(0, 2, 1, 3) - d)
+    expected = expected.reshape((n - 1) * s, (n - 1) * s)
+    scale = sum(np.abs(w).sum() for w in weights)
+    assert inv.shape == expected.shape
+    assert np.allclose(inv, expected, rtol=0.0, atol=1e-13 * n * scale)
+    assert np.allclose(doubled, 2.0 * inv, rtol=0.0, atol=1e-13 * n * scale)
+    if spd and n > 1:
+        k = block_laplacian(g, np.linalg.inv(weights))[s:, s:]
+        size = (n - 1) * s
+        assert np.linalg.norm(k @ inv - np.eye(size)) <= (
+            1e-13 * size * np.linalg.norm(k) * np.linalg.norm(inv))
