@@ -18,16 +18,17 @@ public function builds its own.
 
 The rank probe of a tree decides each Laplacian rank without an SVD where
 it can: the Laplacian grounded at vertex 1 has an inverse in closed form,
-and one matrix product with it bounds the smallest nonzero singular value
-from below, while the block row sums bound the null ones from above.
-When the bounds clear the tolerance with a margin for LAPACK's own error,
-the rank is certified; otherwise the SVD computes it.  Either way it is
-the rank the SVD gives.
+whose residual bounds the smallest nonzero singular value from below, and
+the block row sums bound the null ones from above.  Both, and the norms
+they need, come from the m edge blocks in O(m s^3) plus prefix sums down
+the tree; no (n s) x (n s) matrix is built.  When the bounds clear the
+tolerance with a margin for rounding and LAPACK's own error, the rank is
+certified; otherwise the SVD computes it.  Either way it is the rank the
+SVD gives.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,9 +72,9 @@ from .linalg import (
 )
 from .operators import (
     LaplacianMode,
+    _subtree_runs,
     block_incidence,
     block_laplacian,
-    grounded_tree_inverses,
     inverse_weights,
     laplacian_data,
     tree_distance_data,
@@ -720,20 +721,18 @@ def _rank_probe(
         if a.spd:   # count on the singular values L^+ is built from
             sv = a.laplacian_svd[0]
             ranks = [int(np.count_nonzero(sv > rel_tol * sv.max()))]
-            laps, weight_sets = [], []
+            sets = []
         else:   # L is certified like the reweightings, with g's weights
-            ranks, laps, weight_sets = [], [a.laplacian], [weight_stack(g)]
+            weights = weight_stack(g)
+            ranks, sets = [], [(weights, inverse_weights(g, weights))]
         # trial t, edge k gets the (t m + k)-th random_nonsingular draw
         draws = random_nonsingular_stack(
             trials * g.m, g.s, condition_cap, np.random.default_rng(seed)
         ).reshape(trials, g.m, g.s, g.s)
         blocks = inverse_weights(g, draws.reshape(-1, g.s, g.s))
-        blocks = blocks.reshape(draws.shape)
-        # one reweighted Laplacian at a time, each dropped once ranked
-        laps = itertools.chain(laps, (block_laplacian(g, b) for b in blocks))
-        inverses = grounded_tree_inverses(g, [*weight_sets, *draws])
-        ranks += [_tree_rank(lap, inv, g.s, rel_tol)
-                  for lap, inv in zip(laps, inverses)]
+        sets += zip(draws, blocks.reshape(draws.shape))
+        tree = _rooted(g) if g.n > 1 else None
+        ranks += [_tree_rank(g, tree, w, b, rel_tol) for w, b in sets]
         return RankProbe(
             branch="tree",
             full_rank=full,
@@ -753,49 +752,120 @@ def _rank_probe(
     )
 
 
-def _tree_rank(lap: np.ndarray, inv: np.ndarray, s: int,
-               rel_tol: float) -> int:
-    """``numerical_rank(lap, rel_tol)`` of the block Laplacian ``lap`` of a
-    tree, certified without an SVD where that can be done, computed by one
-    where it cannot; ``inv`` is its :func:`grounded_tree_inverses` inverse.
+def _rooted(g: MatrixWeightedGraph):
+    """``(below, lo, up, size)`` in the preorder of :func:`_subtree_runs`:
+    edge k joins ``up[k]`` to its child ``lo[k]``, ``below[p, k]`` is 1 for
+    the positions p below it, and p's subtree has ``size[p]`` positions."""
+    _, runs, up = _subtree_runs(g)
+    lo, hi = np.array(runs).T
+    pos = np.arange(g.n)[:, None]
+    size = np.full(g.n, float(g.n))
+    size[lo] = hi - lo
+    return ((lo <= pos) & (pos < hi)).astype(float), lo, np.array(up), size
 
-    With N = n s, the grounded block K = ``lap[s:, s:]`` has the exact
-    inverse G = ``inv``, and ``||X||`` below is the bound
-    ``sqrt(||X||_1 ||X||_inf)`` on the spectral norm.  Then
-    ``sigma_{N-s}(lap) >= sigma_min(K) >= (1 - ||K G - I||) / ||G||`` (the
-    singular values of a submatrix interlace, Thompson 1972);
-    ``sigma_{N-s+1}(lap) <= ||lap Z||`` for ``Z = 1_n kron I_s / sqrt(n)``,
-    whose product is the block row sums; and ``||lap||_F / sqrt(N) <=
-    sigma_1 <= ||lap||``.  When the first bound clears ``rel_tol sigma_1``
-    and the second stays below it, both by ``_CERTIFICATE_SAFETY N eps
-    sigma_1``, which covers the error of the singular values LAPACK would
-    compute and of ``K G``, the SVD would count (n - 1) s.
+
+def _tree_rank(g: MatrixWeightedGraph, tree, weights: np.ndarray,
+               blocks: np.ndarray, rel_tol: float) -> int:
+    """``numerical_rank(block_laplacian(g, blocks), rel_tol)`` for a tree g
+    whose blocks invert its ``weights``, certified from the m edge blocks
+    where it can be, computed by one SVD where it cannot; ``tree`` is
+    :func:`_rooted` of g, None when n = 1.
+
+    With N = n s, L = ``block_laplacian(g, blocks)``, K its block grounded
+    at vertex 1 and ``||X||`` the bound ``sqrt(||X||_1 ||X||_inf)`` on the
+    spectral norm: ``sigma_{N-s}(L) >= sigma_min(K) >= (1 - ||K G - I||) /
+    ||G||`` for any G (submatrix interlacing, Thompson 1972);
+    ``sigma_{N-s+1}(L) <= ||L Z||`` for ``Z = 1_n kron I_s / sqrt(n)``,
+    whose product is the block row sums ``diag_x - sum_{k at x} B_k``; and
+    ``||L||_F / sqrt(N) <= sigma_1 <= ||L||``.  When the first bound clears
+    ``rel_tol sigma_1`` and the second stays below it, both by
+    ``_CERTIFICATE_SAFETY N eps sigma_1``, the SVD would count (n - 1) s.
+
+    Rooted at vertex 1, x has the parent p(x), the subtree sub(x), the block
+    B_x on its parent edge and the path sum P(x) of the weights (0 at the
+    root).  G = K^-1 in exact arithmetic has block (x, j) = P(a), a the
+    lowest common ancestor of x and j, so row x of |G| sums |P(a)| over the
+    ancestors a of x: |sub(x)| times for a = x, |sub(a)| - |sub(child of a
+    toward x)| times for the others.  Rows c and p(c) of G agree outside
+    sub(c), so with ``C_x = B_x (P(x) - P(p(x)))`` the nonzero blocks of K G
+    - I are ``C_x - I`` at (x, x) and ``C_p - C_x`` at (p, j) for j in
+    sub(x), p = p(x) not the root.  Each sum of |L|, |K|, |G| or K G - I is
+    one ``np.add.at`` or ``below @`` product over the m blocks.
+
+    Rounding: the diagonal blocks get the bits of ``block_laplacian``.  The
+    residual takes K's diagonal as the exact ``sum B_k``, off the stored one
+    by at most ``gamma_deg sum |B_k| <= 2 N eps ||K||`` (``|B_x| <= |diag_x|
+    + sum_c |B_c|`` over the children c); the rounded ``P(x) - P(p)`` and
+    C_x err by at most (s + 2) eps times entries of |K| |G|.  Both stay far
+    inside ``_CERTIFICATE_SAFETY N eps ||K|| ||G||``, as does LAPACK's
+    error.  Path sums that overflow give inf or NaN bounds: the SVD decides.
     """
-    size = lap.shape[0]
-    n = size // s
-    if n > 1:
-        slack = _CERTIFICATE_SAFETY * size * np.finfo(float).eps
-        mag = np.abs(lap)
-        top = _norm_bound(mag)
-        norm_k, norm_g = _norm_bound(mag[s:, s:]), _norm_bound(np.abs(inv))
-        residual = lap[s:, s:] @ inv
-        residual.flat[::size - s + 1] -= 1.0   # K G - I
-        residual = _norm_bound(np.abs(residual)) + slack * norm_k * norm_g
-        lowest = (1.0 - residual) / norm_g
-        null = _norm_bound(np.abs(lap @ np.tile(np.eye(s), (n, 1))))
-        null /= math.sqrt(n)
-        bottom = float(np.linalg.norm(lap)) / math.sqrt(size)
-        if (lowest - slack * top > rel_tol * (1.0 + slack) * top
-                and null + slack * top <= rel_tol * (1.0 - slack) * bottom):
-            return (n - 1) * s
-    return numerical_rank(lap, rel_tol)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if tree and _certifies(g, _tree_bounds(g, tree, weights, blocks),
+                               rel_tol):
+            return (g.n - 1) * g.s
+    return numerical_rank(block_laplacian(g, blocks), rel_tol)
 
 
-def _norm_bound(mag: np.ndarray) -> float:
-    """``sqrt(||x||_1 ||x||_inf)`` for ``mag = |x|``, an upper bound on the
-    spectral norm of x."""
-    return math.sqrt(float(mag.sum(axis=0).max(initial=0.0))
-                     * float(mag.sum(axis=1).max(initial=0.0)))
+def _tree_bounds(g: MatrixWeightedGraph, tree, weights: np.ndarray,
+                 blocks: np.ndarray) -> tuple[np.floating, ...]:
+    """``||L||``, ``||K||``, ``||G||``, ``||K G - I||``, ``||L (1_n kron
+    I_s)||`` and ``||L||_F`` for :func:`_tree_rank`, from the edge blocks."""
+    n, s, m = g.n, g.s, g.m
+    below, lo, up, size = tree
+    ends = np.stack([lo, up], axis=1).ravel()   # as in block_laplacian
+    inner = (up > 0)[:, None, None]   # the edges that K keeps
+    pairs = np.repeat(blocks, 2, axis=0)
+    diag = np.zeros((n, s, s))
+    np.add.at(diag, ends, pairs)
+    null = diag.copy()   # the block row sums of L
+    np.subtract.at(null, ends, pairs)
+    paths = (below @ weights.reshape(m, s * s)).reshape(n, s, s)
+    steps = blocks @ (paths[lo] - paths[up])   # C_x
+    at = np.zeros((n, s, s))   # C_x by the position of x, 0 at the root
+    at[lo] = steps
+    turns = np.where(inner, at[up] - steps, 0.0)   # C_p(x) - C_x
+    lsum, nsum, psum = _abs_sums(np.stack([diag, null, paths]))
+    bsum, rsum, tsum = _abs_sums(np.stack([blocks, steps - np.eye(s), turns]))
+    ksum = lsum.copy()
+    np.add.at(lsum, ends, np.repeat(bsum, 2, axis=0))
+    np.add.at(ksum, ends, np.repeat(bsum * inner, 2, axis=0))
+    spread = np.zeros((n, s))   # row p of K G - I has |sub(x)| C_p - C_x
+    np.add.at(spread, up, size[lo, None] * tsum[:, 0])
+    rsum[:, 0] += spread[lo]
+    rsum[:, 1] += (below @ tsum[:, 1])[lo]
+    out = (size[up] - size[lo])[:, None, None] * psum[up]   # 0 at the root
+    gsum = (size[lo, None, None] * psum[lo]
+            + (below @ out.reshape(m, 2 * s)).reshape(n, 2, s)[lo])
+    return (_norm_bound(lsum), _norm_bound(ksum[1:]), _norm_bound(gsum),
+            _norm_bound(rsum),
+            np.sqrt(nsum[:, 0].max() * nsum[:, 1].sum(axis=0).max()),
+            np.sqrt((diag ** 2).sum() + 2.0 * (blocks ** 2).sum()))
+
+
+def _certifies(g: MatrixWeightedGraph, bounds, rel_tol: float) -> bool:
+    """Whether the :func:`_tree_bounds` of a Laplacian of the tree g decide
+    that its SVD rank at ``rel_tol`` is (n - 1) s."""
+    n, s = g.n, g.s
+    top, norm_k, norm_g, residual, null, frobenius = bounds
+    slack = _CERTIFICATE_SAFETY * n * s * np.finfo(float).eps
+    lowest = (1.0 - (residual + slack * norm_k * norm_g)) / norm_g
+    return bool(lowest - slack * top > rel_tol * (1.0 + slack) * top
+                and null / math.sqrt(n) + slack * top
+                <= rel_tol * (1.0 - slack) * frobenius / math.sqrt(n * s))
+
+
+def _abs_sums(x: np.ndarray) -> np.ndarray:
+    """The row sums ``[..., 0, :]`` and column sums ``[..., 1, :]`` of |x|."""
+    mag = np.abs(x)
+    return np.stack([mag.sum(axis=-1), mag.sum(axis=-2)], axis=-2)
+
+
+def _norm_bound(sums: np.ndarray) -> np.floating:
+    """``sqrt(||x||_1 ||x||_inf)`` >= the spectral norm of x, from the row
+    sums ``[i, 0]`` of |x| by block row i and its column sums ``[i, 1]`` by
+    block column i."""
+    return np.sqrt(sums[:, 0].max(initial=0.0) * sums[:, 1].max(initial=0.0))
 
 
 def verification_suite(

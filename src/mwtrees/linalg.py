@@ -64,7 +64,11 @@ def _asymmetries(m: np.ndarray, sym_tol: float):
     asym = np.max(np.abs(m - m.transpose(0, 2, 1)), axis=(1, 2))
     # one dot product per member, the one np.linalg.norm takes of a matrix
     rows = m.reshape(len(m), 1, m.shape[1] * m.shape[2])
-    norms = np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(m))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(m))
+    big = ~np.isfinite(norms)   # squares beyond float range: scale first
+    scale = np.abs(m[big]).max(axis=(1, 2), keepdims=True)
+    norms[big] = scale.ravel() * np.linalg.norm(m[big] / scale, axis=(1, 2))
     return asym, asym <= sym_tol * np.maximum(1e-300, norms)
 
 

@@ -8,7 +8,6 @@ graph's block size.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from enum import Enum
 
 import numpy as np
@@ -57,7 +56,7 @@ def tree_distance_data(g: MatrixWeightedGraph) -> np.ndarray:
     additions.
     """
     n, s = g.n, g.s
-    at, runs = _subtree_runs(g)
+    at, runs, _ = _subtree_runs(g)
     blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p and q
     for (lo, hi), e in zip(runs, g.edges):
         blocks[lo:hi, :lo] += e.weight
@@ -68,49 +67,15 @@ def tree_distance_data(g: MatrixWeightedGraph) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
 
 
-def grounded_tree_inverses(
-    g: MatrixWeightedGraph, weight_sets: Iterable[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """For each ``(m, s, s)`` set of edge weights W, the inverse in exact
-    arithmetic of ``block_laplacian(g, B)[s:, s:]`` for a tree ``g`` with
-    ``B[k]`` the inverse of ``W[k]``: the block Laplacian grounded at
-    vertex 1.
-
-    That Laplacian is ``sum_k (e_u - e_v)(e_u - e_v)^T kron B_k``, so its
-    grounded block has the inverse ``sum_k 1_T 1_T^T kron W_k``, with T the
-    vertices below edge k seen from vertex 1: block (i, j) is the sum of
-    the weights on the path from vertex 1 to the lowest common ancestor of
-    i and j.  No matrix is inverted.  The ancestors come from one
-    :func:`_subtree_runs` traversal, shared by every set; each set then
-    costs one small product for the path sums and one gather.
-    """
-    n, s = g.n, g.s
-    at, runs = _subtree_runs(g)
-    below = np.zeros((n, g.m))   # [p, k]: 1 where position p is below edge k
-    meet = np.zeros((n, n), dtype=int)   # [p, q]: position of the lowest
-    for k, (lo, hi) in enumerate(runs):  # common ancestor of p and q
-        below[lo:hi, k] = 1.0
-    for lo, hi in sorted(runs):   # from the root down, so the lowest wins
-        meet[lo:hi, lo:hi] = lo
-    rest = at[1:]   # vertex order, without vertex 1
-    # entry ((i, a), (j, b)) of the inverse is entry (a, b) of the path sum
-    # at the meeting point of i and j
-    take = (meet[np.ix_(rest, rest)][:, None, :, None] * (s * s)
-            + np.arange(s * s).reshape(1, s, 1, s))
-    take = take.reshape((n - 1) * s, (n - 1) * s)
-    for weights in weight_sets:
-        rooted = below @ weights.reshape(g.m, s * s)   # [p]: path sum to p
-        yield rooted.ravel()[take]
-
-
 def _subtree_runs(
     g: MatrixWeightedGraph,
-) -> tuple[list[int], list[tuple[int, int]]]:
+) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """Lay a tree out in depth-first preorder from vertex 1, where the
     vertices below every edge are one contiguous run.
 
     Returns the preorder position of each vertex, in vertex order, and for
-    each edge, in edge order, the run ``(lo, hi)`` of positions below it.
+    each edge, in edge order, the run ``(lo, hi)`` of positions below it
+    and the position of its endpoint nearer to vertex 1.
     """
     n = g.n
     adj = adjacency(g)
@@ -135,7 +100,8 @@ def _subtree_runs(
     size = [1] * (n + 1)
     for x in reversed(order[1:]):
         size[parent[x]] += size[x]
-    return pos[1:], [(pos[c], pos[c] + size[c]) for c in child]
+    return (pos[1:], [(pos[c], pos[c] + size[c]) for c in child],
+            [pos[parent[c]] for c in child])
 
 
 def laplacian(

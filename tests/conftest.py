@@ -23,3 +23,28 @@ def conditioned_matrix(s: int, ratio: float, rng) -> np.ndarray:
     u, _ = np.linalg.qr(rng.standard_normal((s, s)))
     v, _ = np.linalg.qr(rng.standard_normal((s, s)))
     return (u * np.geomspace(1.0, ratio, s)) @ v.T
+
+
+def grounded_inverse_oracle(g, weights: np.ndarray) -> np.ndarray:
+    """The dense inverse, in exact arithmetic, of the Laplacian of the tree
+    ``g`` with blocks ``inv(weights[k])``, grounded at vertex 1.
+
+    Block (i, j) is the path sum of the weights from vertex 1 to the lowest
+    common ancestor of i and j, gathered from one path sum per vertex; no
+    matrix is inverted.
+    """
+    from mwtrees.operators import _subtree_runs
+
+    n, s = g.n, g.s
+    at, runs, _ = _subtree_runs(g)
+    below = np.zeros((n, g.m))   # [p, k]: 1 where position p is below edge k
+    meet = np.zeros((n, n), dtype=int)   # [p, q]: position of the lowest
+    for k, (lo, hi) in enumerate(runs):  # common ancestor of p and q
+        below[lo:hi, k] = 1.0
+    for lo, hi in sorted(runs):   # from the root down, so the lowest wins
+        meet[lo:hi, lo:hi] = lo
+    rest = at[1:]   # vertex order, without vertex 1
+    take = (meet[np.ix_(rest, rest)][:, None, :, None] * (s * s)
+            + np.arange(s * s).reshape(1, s, 1, s))
+    rooted = below @ np.reshape(weights, (g.m, s * s))   # [p]: path sum to p
+    return rooted.ravel()[take.reshape((n - 1) * s, (n - 1) * s)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,16 @@ from mwtrees.linalg import (
     numerical_rank,
     svd_pseudo_inverse,
 )
-from mwtrees.operators import LaplacianMode, distance_matrix, laplacian
+from mwtrees.operators import (
+    LaplacianMode,
+    block_laplacian,
+    distance_matrix,
+    laplacian,
+    weight_stack,
+    weights_are_spd,
+)
+
+from conftest import grounded_inverse_oracle
 
 
 def complete_graph(n: int) -> MatrixWeightedGraph:
@@ -358,17 +368,19 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
 
     g = random_tree(GenConfig(n_range=(7, 7), s_range=(s, s), seed=s))
     used = []
-    real = closedforms.block_laplacian
-    monkeypatch.setattr(closedforms, "block_laplacian",
-                        lambda graph, blocks: used.append(blocks)
-                        or real(graph, blocks))
+    real = closedforms._tree_rank
+    monkeypatch.setattr(closedforms, "_tree_rank",
+                        lambda graph, tree, weights, blocks, tol:
+                        used.append((weights, blocks))
+                        or real(graph, tree, weights, blocks, tol))
     probe = rank_characterization_probe(g, trials=4, seed=9,
                                         condition_cap=cap)
 
     rng = np.random.default_rng(9)
     old_ranks = [numerical_rank(laplacian(g).data)]
-    for blocks in used:
+    for weights, blocks in used:
         draws = [random_nonsingular(s, cap, rng) for _ in g.edges]
+        assert weights.tobytes() == np.array(draws).tobytes()
         expected = np.array([inverse(w) for w in draws])
         assert blocks.tobytes() == expected.tobytes()
         reweighted = MatrixWeightedGraph(
@@ -683,30 +695,109 @@ TREE_PROBES = st.tuples(
 def test_rank_probe_reports_the_svd_ranks(case):
     # whether a rank is certified or computed, it is the rank the SVD of the
     # assembled Laplacian gives, at every tolerance and conditioning
-    from mwtrees import closedforms
-
     shape, n, s, spd, log_cap, log_tol, seed = case
     g = _probe_tree(shape, n, s, spd, seed)
-    rel_tol = 10.0 ** log_tol
+    rel_tol, cap = 10.0 ** log_tol, 10.0 ** log_cap
+    try:
+        probe = rank_characterization_probe(
+            g, trials=3, seed=seed, rel_tol=rel_tol, condition_cap=cap,
+        )
+    except BadConfigError:   # no s x s draw this well conditioned
+        assume(False)
+    assert probe.branch == "tree"
+    assert probe.observed_ranks == _svd_probe_ranks(g, 3, seed, rel_tol, cap)
+
+
+def _svd_probe_ranks(g: MatrixWeightedGraph, trials: int, seed: int,
+                     rel_tol: float, cap: float) -> tuple[int, ...]:
+    """The SVD ranks of L and of ``trials`` reweighted Laplacians of a tree,
+    each edge taking the next ``random_nonsingular`` draw of ``seed``."""
+    rng = np.random.default_rng(seed)
     laps = [laplacian(g).data]
-    real = closedforms.block_laplacian
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(closedforms, "block_laplacian",
-                   lambda graph, blocks: laps.append(real(graph, blocks))
-                   or laps[-1])
-        try:
-            probe = rank_characterization_probe(
-                g, trials=3, seed=seed, rel_tol=rel_tol,
-                condition_cap=10.0 ** log_cap,
-            )
-        except BadConfigError:   # no s x s draw this well conditioned
-            assume(False)
-    assert probe.branch == "tree" and len(laps) == 4
-    expected = [numerical_rank(lap, rel_tol) for lap in laps]
-    if spd:   # the probe counts this one on the SVD that gives L^+
+    for _ in range(trials):
+        draws = [random_nonsingular(g.s, cap, rng) for _ in g.edges]
+        laps.append(laplacian(MatrixWeightedGraph(
+            g.n, g.s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
+        )).data)
+    ranks = [numerical_rank(lap, rel_tol) for lap in laps]
+    if weights_are_spd(g):   # the probe counts this one on the SVD of L^+
         sv = svd_pseudo_inverse(laps[0])[0]
-        expected[0] = int(np.count_nonzero(sv > rel_tol * sv.max()))
-    assert probe.observed_ranks == tuple(expected)
+        ranks[0] = int(np.count_nonzero(sv > rel_tol * sv.max()))
+    return tuple(ranks)
+
+
+@pytest.mark.parametrize("spd, scale", [(True, 1e300), (False, 1e306)])
+def test_rank_probe_survives_huge_weights(spd, scale):
+    # 1e300-scale SPD weights overflow squared norms; at 1e306 the
+    # certificate's ||G|| overflows and ||L|| underflows, so its bounds are
+    # inf, 0 or NaN and the SVD decides
+    rng = np.random.default_rng(11)
+    g = MatrixWeightedGraph(200, 2, [
+        (v, v + 1, scale * (_spd_weight(2, 1e-2, rng) if spd
+                            else random_nonsingular(2, 1e4, rng)))
+        for v in range(1, 200)
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probe = rank_characterization_probe(g, trials=2, seed=3)
+    assert probe.passed
+    assert probe.observed_ranks == _svd_probe_ranks(g, 2, 3, 1e-9, 1e4)
+
+
+def _dense_bounds(g: MatrixWeightedGraph, weights: np.ndarray,
+                  blocks: np.ndarray) -> tuple[float, ...]:
+    """The bounds of the rank certificate from the assembled Laplacian and
+    the dense grounded inverse."""
+    n, s = g.n, g.s
+    lap = block_laplacian(g, blocks)
+    inv = grounded_inverse_oracle(g, weights)
+    residual = lap[s:, s:] @ inv - np.eye((n - 1) * s)
+
+    def bound(x):
+        mag = np.abs(x)
+        return math.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())
+
+    return (bound(lap), bound(lap[s:, s:]), bound(inv), bound(residual),
+            bound(lap @ np.tile(np.eye(s), (n, 1))),
+            float(np.linalg.norm(lap)))
+
+
+DENSE_TREES = st.one_of(
+    st.tuples(st.just("path"), st.integers(2, 200), st.integers(1, 3)),
+    st.tuples(st.just("star"), st.integers(2, 40), st.just(8)),
+    st.tuples(st.just("prufer"), st.integers(2, 40), st.integers(1, 8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DENSE_TREES, st.booleans(), st.integers(0, 2**32 - 1))
+@example(("path", 200, 3), False, 0)
+@example(("star", 40, 8), True, 1)
+@example(("prufer", 40, 8), False, 2)
+def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
+    # with blocks that do not invert the weights, K G - I is as large as
+    # K and G, so every block of it is checked at full scale
+    from mwtrees import closedforms
+
+    shape, n, s = case
+    g = _probe_tree(shape, n, s, spd, seed)
+    weights = weight_stack(g)
+    rng = np.random.default_rng(seed)
+    others = [random_nonsingular(s, 1e4, rng) for _ in g.edges]
+    for blocks in (np.array([inverse(w) for w in weights]),
+                   np.array([inverse(w) for w in others])):
+        ours = closedforms._tree_bounds(g, closedforms._rooted(g), weights,
+                                        blocks)
+        dense = _dense_bounds(g, weights, blocks)
+        top, norm_k, norm_g, residual, null, frobenius = dense
+        for i in (0, 1, 2, 5):   # ||L||, ||K||, ||G||, ||L||_F
+            assert ours[i] == pytest.approx(dense[i], rel=1e-13, abs=0.0)
+        size_eps = n * s * np.finfo(float).eps
+        assert abs(ours[3] - residual) <= size_eps * norm_k * norm_g
+        assert abs(ours[4] - null) <= size_eps * top * math.sqrt(n)
+        for rel_tol in (1e-16, 1e-13, 1e-9, 1e-4, 0.5):
+            assert (closedforms._certifies(g, ours, rel_tol)
+                    == closedforms._certifies(g, dense, rel_tol))
 
 
 @pytest.mark.parametrize("spd", [True, False])
@@ -784,6 +875,17 @@ def test_verification_suite_reports_are_consistent():
             assert r.detail
         else:
             assert (r.residual <= r.tolerance) == (r.status == PASS)
+
+
+def test_suite_skips_the_spd_checks_when_squared_norms_overflow():
+    g = MatrixWeightedGraph(2, 2, [(1, 2, [[1e200, 2e200], [0.0, 1e200]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = {r.name: r for r in verification_suite(g)}
+    for name in ("qdq", "ginverse_invariance", "ginverse_recovery",
+                 "inertia", "interlacing"):
+        assert reports[name].status == SKIPPED
+    assert reports["rank_characterization"].status == PASS
 
 
 def test_report_status_fail_is_reachable():

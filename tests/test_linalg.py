@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,19 @@ def test_is_spd_and_is_symmetric():
     assert is_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not is_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert is_symmetric(np.zeros((2, 2)))
+
+
+def test_symmetry_test_survives_entries_whose_squares_overflow():
+    # the Frobenius norm of [[1e200, 2e200], [0, 1e200]] is 2.4e200, but
+    # its squares overflow; an infinite norm made it look symmetric
+    lopsided = np.array([[1e200, 2e200], [0.0, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_symmetric(lopsided)
+        assert not is_spd(lopsided)
+        assert is_symmetric(lopsided + lopsided.T)
+        stack = np.array([lopsided, np.diag([1.0, 2.0]), 1e200 * np.eye(2)])
+        assert spd_flags(stack).tolist() == [False, True, True]
 
 
 def test_inertia_of_frozen():

