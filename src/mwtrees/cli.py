@@ -24,7 +24,8 @@ import numpy as np
 
 from .closedforms import (
     SUITES,
-    VerificationReport,
+    _report,
+    _skipped,
     distance_determinant_sign_log,
     distance_inverse,
     rank_deficient_weighting,
@@ -131,16 +132,8 @@ def cmd_invert(args) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = 1e-8 * g.n * g.s
-    rep = VerificationReport(
-        name="inverse_residual",
-        status="PASS" if residual <= tolerance else "FAIL",
-        residual=residual,
-        tolerance=float(tolerance),
-        n=g.n,
-        s=g.s,
-        detail="max |entry| of D @ D_inverse - I",
-    )
-    checks = [check_record(rep)]
+    checks = [check_record(_report("inverse_residual", residual, tolerance, g,
+                                   "max |entry| of D @ D_inverse - I"))]
     matrices = None
     if args.emit_matrices:
         matrices = {"D": dist.data, "D_inverse": inv.data}
@@ -154,34 +147,21 @@ def cmd_det(args) -> int:
     g, digest = _read_input(args.input)
     sign_cf, log_cf = distance_determinant_sign_log(g)
     sign_lu, log_lu = sign_log_determinant(distance_matrix(g).data)
-    reports = [
-        VerificationReport(
-            name="determinant_sign",
-            status="PASS" if sign_cf == sign_lu else "FAIL",
-            residual=abs(sign_cf - sign_lu),
-            tolerance=0.0,
-            n=g.n,
-            s=g.s,
-            detail=f"closed form {sign_cf:+.0f}, factorization {sign_lu:+.0f}",
-        )
-    ]
+    reports = [_report(
+        "determinant_sign", abs(sign_cf - sign_lu), 0.0, g,
+        f"closed form {sign_cf:+.0f}, factorization {sign_lu:+.0f}",
+    )]
     if sign_cf == 0.0 or sign_lu == 0.0:
-        reports.append(VerificationReport(
-            name="determinant_logmag", status="SKIPPED", residual=None,
-            tolerance=None, n=g.n, s=g.s,
-            detail="determinant is zero, no magnitude to compare",
+        reports.append(_skipped(
+            "determinant_logmag",
+            "determinant is zero, no magnitude to compare", g,
         ))
     else:
         residual = abs(log_cf - log_lu) / max(1.0, abs(log_lu))
-        reports.append(VerificationReport(
-            name="determinant_logmag",
-            status="PASS" if residual <= args.tolerance else "FAIL",
-            residual=residual,
-            tolerance=args.tolerance,
-            n=g.n,
-            s=g.s,
-            detail="relative gap between closed-form and factorization "
-                   "log-magnitudes",
+        reports.append(_report(
+            "determinant_logmag", residual, args.tolerance, g,
+            "relative gap between closed-form and factorization "
+            "log-magnitudes",
         ))
     checks = [check_record(r) for r in reports]
     value = 0.0 if sign_cf == 0.0 else sign_cf * float(np.exp(log_cf))
@@ -267,17 +247,11 @@ def cmd_deficient(args) -> int:
     witness = rank_deficient_weighting(g)
     lap = reweighted_scalar_laplacian(g, witness.edge_index, witness.w)
     rank = numerical_rank(lap)
-    rep = VerificationReport(
-        name="rank_deficiency",
-        status="PASS" if rank < g.n - 1 else "FAIL",
-        residual=float(rank),
-        tolerance=float(g.n - 2),
-        n=g.n,
-        s=g.s,
-        detail=f"scalar Laplacian rank with weight {witness.w:g} on edge "
-               f"{witness.endpoints}",
-    )
-    checks = [check_record(rep)]
+    checks = [check_record(_report(
+        "rank_deficiency", float(rank), float(g.n - 2), g,
+        f"scalar Laplacian rank with weight {witness.w:g} on edge "
+        f"{witness.endpoints}",
+    ))]
     extras = {
         "n": g.n,
         "s": g.s,

@@ -7,14 +7,16 @@ Laplacian.  This module computes those expressions, checks the identities
 numerically, and probes the rank, inertia, interlacing and generalized-
 inverse properties that hold alongside them.
 
-Every check works on one :class:`_Analysis` of its graph: the structure is
-validated once, and D, L, the weight sum and the SPD flag are each built at
-most once, on first use, and shared read-only; with SPD weights one SVD of
-L gives its pseudo-inverse, rank and spectrum.  The per-edge facts (the
-rank, determinant and inverse of each weight, the reweightings of the rank
-probe) come from one stacked call per graph, not one call per edge.
-:func:`verification_suite` hands one analysis to every check family; each
-public function builds its own.
+Every public function works on the one :class:`_Analysis` that its graph
+object keeps, built on the first call: the structure is validated once, and
+D, L, the weight sum, the SPD flag, the default-tolerance invertibility and
+the rank-deficient weighting are each built at most once, on first use, and
+shared read-only; with SPD weights one SVD of L gives its pseudo-inverse,
+rank and spectrum.  So :func:`verification_suite`, then
+:func:`distance_determinant_sign_log` and :func:`distance_inverse` on the
+same graph build D and L once between them.  The per-edge facts (the rank,
+determinant and inverse of each weight, the reweightings of the rank probe)
+come from one stacked call per graph, not one call per edge.
 
 The rank probe of a tree decides each Laplacian rank without an SVD where
 it can: the Laplacian grounded at vertex 1 has an inverse in closed form,
@@ -30,7 +32,8 @@ SVD gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,11 +49,13 @@ from .errors import (
 )
 from .graphs import (
     MatrixWeightedGraph,
+    _depth_first,
     adjacency,
     check_structure,
     degrees,
     delta_vector,
     is_connected,
+    is_tree,
     require_tree,
     weight_sum,
 )
@@ -120,7 +125,9 @@ class VerificationReport:
 
 def _report(name: str, residual: float, tolerance: float,
             g: MatrixWeightedGraph, detail: str = "") -> VerificationReport:
-    status = PASS if residual <= tolerance else FAIL
+    # an overflowed residual or tolerance (inf <= inf) proves nothing
+    passed = math.isfinite(residual) and math.isfinite(tolerance)
+    status = PASS if passed and residual <= tolerance else FAIL
     return VerificationReport(name, status, float(residual), float(tolerance),
                               g.n, g.s, detail)
 
@@ -135,37 +142,36 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
 class _Analysis:
     """What the checks of one graph share, each piece built at most once.
 
     Construction validates the structure (ValueError on a malformed graph)
-    and decides connectivity.  The rest is built on first use and cached
+    from the violation list the graph keeps, which also answers whether it
+    is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  One ``eigh`` of the weights
     decides SPD and gives Q; one SVD of L gives L^+, its rank and spectrum.
+
+    :func:`_analysis` keeps one analysis on each graph object.  The analysis
+    reaches its graph through a weak reference, so graph -> analysis is the
+    only strong link: dropping the graph frees D, L and L^+ by reference
+    counting, without the cycle collector.  An analysis built directly, as
+    ``_Analysis(g)``, keeps its graph alive until a graph adopts it.
     """
 
-    g: MatrixWeightedGraph
-    connected: bool = field(init=False)
+    def __init__(self, g: MatrixWeightedGraph):
+        check_structure(g)
+        self._graph = weakref.ref(g)
+        self._owner = g   # cleared by _analysis
 
-    def __post_init__(self):
-        check_structure(self.g)
-        object.__setattr__(self, "connected", is_connected(self.g))
+    @property
+    def g(self) -> MatrixWeightedGraph:
+        return self._graph()
 
     @property
     def tree(self) -> bool:
-        return self.connected and self.g.m == self.g.n - 1
-
-    def require_connected(self) -> None:
-        if not self.connected:
-            raise NotConnectedError(
-                f"graph on {self.g.n} vertices is not connected"
-            )
-
-    def require_tree(self) -> None:
-        if not self.tree:
-            require_tree(self.g)  # raises NotATreeError
+        """Whether the graph is a tree; NotConnectedError if disconnected."""
+        return is_tree(self.g)
 
     def require_spd(self) -> None:
         if not self.spd:
@@ -189,7 +195,7 @@ class _Analysis:
 
     @cached_property
     def distance(self) -> np.ndarray:
-        self.require_tree()
+        require_tree(self.g)
         return _read_only(tree_distance_data(self.g))
 
     @cached_property
@@ -226,6 +232,53 @@ class _Analysis:
             self.g.s,
         )
 
+    @cached_property
+    def invertibility(self) -> InvertibilityResult:
+        """:func:`invertibility_check` at the default tolerance."""
+        return invertibility_check(self.g)
+
+    @cached_property
+    def deficient_weighting(self) -> DeficientWeighting:
+        """The :func:`rank_deficient_weighting` of the graph."""
+        g = self.g
+        if self.tree:
+            raise IsATreeError(
+                "every nonsingular weighting of a tree has full-rank Laplacian"
+            )
+        bridges = _bridge_indices(g)
+        candidates = [k for k in range(g.m) if k not in bridges]
+        if not candidates:
+            raise NoBridgelessEdgeError("every edge is a bridge")
+        deg = degrees(g)
+        best = max(
+            candidates,
+            key=lambda k: (deg[g.edges[k].u - 1] + deg[g.edges[k].v - 1], -k),
+        )
+        c1 = _marked_cofactor(g, best, 1.0)
+        c2 = _marked_cofactor(g, best, 2.0)
+        with_edge = round(c2 - c1)
+        without_edge = round(2.0 * c1 - c2)
+        e = g.edges[best]
+        return DeficientWeighting(
+            edge_index=best,
+            endpoints=(e.u, e.v),
+            w=-without_edge / with_edge,
+            trees_with_edge=with_edge,
+            trees_without_edge=without_edge,
+        )
+
+
+def _analysis(g: MatrixWeightedGraph) -> _Analysis:
+    """The analysis of ``g``, built on the first call and kept in a private
+    slot of the graph, so every public function on one graph object shares
+    it."""
+    a = g.__dict__.get("_analysis")
+    if a is None:
+        a = _Analysis(g)
+        a._owner = None   # the graph owns its analysis, not the reverse
+        g.__dict__["_analysis"] = a
+    return a
+
 
 def _worst_pair(dev: np.ndarray) -> float:
     """Largest Frobenius norm of a block ``dev[i, j]``, i < j, of an
@@ -245,8 +298,8 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     factorization; those of the edge weights come from one batched
     ``slogdet``.  Sign 0.0 means the distance matrix is singular.
     """
-    a = _Analysis(g)
-    a.require_tree()
+    a = _analysis(g)
+    require_tree(g)
     sign = -1.0 if ((g.n - 1) * g.s) % 2 else 1.0
     log_abs = (g.n - 2) * g.s * math.log(2.0)
     signs, logs = np.linalg.slogdet(weight_stack(g))
@@ -291,12 +344,8 @@ def invertibility_check(
     all edge weights are invertible, so no (n s)-sized factorization is
     needed.
     """
-    return _invertibility(_Analysis(g), rel_tol)
-
-
-def _invertibility(a: _Analysis, rel_tol: float) -> InvertibilityResult:
-    a.require_tree()
-    g = a.g
+    a = _analysis(g)
+    require_tree(g)
     singular = np.flatnonzero(numerical_ranks(weight_stack(g), rel_tol) < g.s)
     if singular.size:
         k = int(singular[0])
@@ -310,7 +359,7 @@ def _invertibility(a: _Analysis, rel_tol: float) -> InvertibilityResult:
 
 
 def _require_invertible(a: _Analysis) -> None:
-    result = _invertibility(a, DEFAULT_RANK_TOL)
+    result = a.invertibility
     if not result.invertible:
         raise NotInvertibleError(
             f"distance matrix is not invertible: {result.reason}",
@@ -326,7 +375,7 @@ def distance_inverse(g: MatrixWeightedGraph) -> BlockMatrix:
     is the sum of the edge weights.  Raises NotInvertibleError (carrying the
     reason) when :func:`invertibility_check` fails.
     """
-    a = _Analysis(g)
+    a = _analysis(g)
     _require_invertible(a)
     return BlockMatrix(_inverse_data(a), g.s)
 
@@ -345,8 +394,8 @@ def distance_inverse_factored(g: MatrixWeightedGraph) -> BlockMatrix:
     :func:`distance_inverse` and kept as an independent route for
     cross-checking.  Requires every weight SPD.
     """
-    a = _Analysis(g)
-    a.require_tree()
+    a = _analysis(g)
+    require_tree(g)
     if not a.spd:
         raise NotSPDError("every edge weight must be SPD for the factored form")
     delta = delta_vector(g).astype(float)
@@ -373,12 +422,8 @@ def verify_identities(
 
     Requires an invertible tree distance matrix (NotInvertibleError if not).
     """
-    return _identities(_Analysis(g), rel_tol)
-
-
-def _identities(a: _Analysis, rel_tol: float) -> list[VerificationReport]:
+    a = _analysis(g)
     _require_invertible(a)
-    g = a.g
     n, s = g.n, g.s
     tol = rel_tol * n * s
     dist = a.distance
@@ -445,14 +490,9 @@ def ginverse_invariance_check(
     a class function of the g-inverse family, so the deviation is pure
     round-off; tolerance is ``rel_tol`` times the pseudo-inverse norm.
     """
-    return _ginverse_invariance(_Analysis(g), seeds, rel_tol)
-
-
-def _ginverse_invariance(
-    a: _Analysis, seeds: tuple[int, ...], rel_tol: float
-) -> VerificationReport:
-    g = a.g
-    a.require_connected()
+    a = _analysis(g)
+    if not is_connected(g):
+        raise NotConnectedError(f"graph on {g.n} vertices is not connected")
     a.require_spd()
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
@@ -474,14 +514,8 @@ def ginverse_distance_recovery(
     generalized inverse H of the Laplacian equals distance block (i, j).
     Tolerance is ``rel_tol`` times the distance-matrix norm.
     """
-    return _ginverse_recovery(_Analysis(g), seed, rel_tol)
-
-
-def _ginverse_recovery(
-    a: _Analysis, seed: int, rel_tol: float
-) -> VerificationReport:
-    g = a.g
-    a.require_tree()
+    a = _analysis(g)
+    require_tree(g)
     a.require_spd()
     dist = a.distance
     blocks = dist.reshape(g.n, g.s, g.n, g.s).transpose(0, 2, 1, 3)
@@ -501,11 +535,8 @@ def inertia_check(
     The expected value is (s, (n-1) s, 0): block size many positive
     eigenvalues, all the rest negative, none zero.
     """
-    return _inertia(_Analysis(g), zero_tol)
-
-
-def _inertia(a: _Analysis, zero_tol: float) -> Inertia:
-    a.require_tree()
+    a = _analysis(g)
+    require_tree(g)
     a.require_spd()
     return inertia_of(a.distance_eigenvalues, zero_tol)
 
@@ -540,13 +571,10 @@ def interlacing_check(
     ``mu[s+i] <= -2/lam[i] <= mu[i]`` for i = 0..k-1.  Slack is
     ``slack_tol`` times the largest eigenvalue magnitude present.
     """
-    return _interlacing(_Analysis(g), slack_tol)
-
-
-def _interlacing(a: _Analysis, slack_tol: float) -> InterlacingReport:
-    a.require_tree()
+    a = _analysis(g)
+    require_tree(g)
     a.require_spd()
-    n, s = a.g.n, a.g.s
+    n, s = g.n, g.s
     mu = a.distance_eigenvalues
     lam = a.laplacian_svd[0]
     k = (n - 1) * s
@@ -584,16 +612,11 @@ def _bridge_indices(g: MatrixWeightedGraph) -> set[int]:
     """The bridges of a connected graph, by Tarjan's search (IPL 1974): the
     edge into ``x`` of a depth-first tree is a bridge when no other edge
     leaves the subtree of ``x``.  Iterative, so deep paths do not recurse."""
+    order, via = _depth_first(g, 1)   # via: the tree edge into each vertex
+    pos = [0] * (g.n + 1)     # preorder number from 1
+    for p, x in enumerate(order, 1):
+        pos[x] = p
     adj = adjacency(g)
-    pos = [0] * (g.n + 1)     # preorder number from 1, 0 while unvisited
-    via = [-1] * (g.n + 1)    # index of the tree edge into each vertex
-    order, stack = [], [(1, -1)]
-    while stack:
-        x, k = stack.pop()
-        if not pos[x]:
-            order.append(x)
-            pos[x], via[x] = len(order), k
-            stack.extend((y, j) for y, j in adj[x] if not pos[y])
     low = pos[:]   # least preorder number reachable from a subtree
     for x in reversed(order):
         for y, j in adj[x]:
@@ -626,39 +649,10 @@ def rank_deficient_weighting(g: MatrixWeightedGraph) -> DeficientWeighting:
     storage order on ties), recovers the spanning-tree counts from the
     marked cofactor evaluated at weights 1 and 2, and returns the root of
     that linear polynomial.  Trees have no such weighting (IsATreeError);
-    every connected non-tree has one.
+    every connected non-tree has one.  Computed once per graph object,
+    so it is the witness of an earlier :func:`verification_suite`.
     """
-    return _deficient_weighting(_Analysis(g))
-
-
-def _deficient_weighting(a: _Analysis) -> DeficientWeighting:
-    g = a.g
-    a.require_connected()
-    if a.tree:
-        raise IsATreeError(
-            "every nonsingular weighting of a tree has full-rank Laplacian"
-        )
-    bridges = _bridge_indices(g)
-    candidates = [k for k in range(g.m) if k not in bridges]
-    if not candidates:
-        raise NoBridgelessEdgeError("every edge is a bridge")
-    deg = degrees(g)
-    best = max(
-        candidates,
-        key=lambda k: (deg[g.edges[k].u - 1] + deg[g.edges[k].v - 1], -k),
-    )
-    c1 = _marked_cofactor(g, best, 1.0)
-    c2 = _marked_cofactor(g, best, 2.0)
-    with_edge = round(c2 - c1)
-    without_edge = round(2.0 * c1 - c2)
-    e = g.edges[best]
-    return DeficientWeighting(
-        edge_index=best,
-        endpoints=(e.u, e.v),
-        w=-without_edge / with_edge,
-        trees_with_edge=with_edge,
-        trees_without_edge=without_edge,
-    )
+    return _analysis(g).deficient_weighting
 
 
 @dataclass(frozen=True)
@@ -702,20 +696,9 @@ def rank_characterization_probe(
     singular value.  With SPD weights the first rank is counted on the
     singular values that give L^+.
     """
-    return _rank_probe(_Analysis(g), trials, seed, rel_tol, condition_cap)
-
-
-def _rank_probe(
-    a: _Analysis,
-    trials: int,
-    seed: int,
-    rel_tol: float = DEFAULT_RANK_TOL,
-    condition_cap: float = 1e4,
-) -> RankProbe:
     from .generators import random_nonsingular_stack
 
-    g = a.g
-    a.require_connected()
+    a = _analysis(g)
     if a.tree:
         full = (g.n - 1) * g.s
         if a.spd:   # count on the singular values L^+ is built from
@@ -740,7 +723,7 @@ def _rank_probe(
             witness=None,
             passed=all(r == full for r in ranks),
         )
-    witness = _deficient_weighting(a)
+    witness = a.deficient_weighting
     lap = reweighted_scalar_laplacian(g, witness.edge_index, witness.w)
     rank = numerical_rank(lap, rel_tol)
     return RankProbe(
@@ -888,12 +871,11 @@ def verification_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    a = _Analysis(g)
     reports: list[VerificationReport] = []
 
     if suite in ("identities", "all"):
         try:
-            reports.extend(_identities(a, rel_tol))
+            reports.extend(verify_identities(g, rel_tol))
         except (NotATreeError, NotInvertibleError) as exc:
             reports.extend(
                 _skipped(name, str(exc), g) for name in IDENTITY_NAMES
@@ -901,19 +883,20 @@ def verification_suite(
 
     if suite in ("ginverse", "all"):
         try:
-            reports.append(_ginverse_invariance(
-                a, (seed, seed + 1), ginverse_rel_tol
+            reports.append(ginverse_invariance_check(
+                g, (seed, seed + 1), ginverse_rel_tol
             ))
         except (NotConnectedError, NotSPDError) as exc:
             reports.append(_skipped("ginverse_invariance", str(exc), g))
         try:
-            reports.append(_ginverse_recovery(a, seed + 2, ginverse_rel_tol))
+            reports.append(ginverse_distance_recovery(g, seed + 2,
+                                                      ginverse_rel_tol))
         except (NotATreeError, NotSPDError) as exc:
             reports.append(_skipped("ginverse_recovery", str(exc), g))
 
     if suite in ("spectrum", "all"):
         try:
-            found = _inertia(a, zero_tol)
+            found = inertia_check(g, zero_tol)
             expected = Inertia(g.s, (g.n - 1) * g.s, 0)
             mismatch = sum(
                 abs(x - y)
@@ -927,7 +910,7 @@ def verification_suite(
         except (NotATreeError, NotSPDError) as exc:
             reports.append(_skipped("inertia", str(exc), g))
         try:
-            inter = _interlacing(a, slack_tol)
+            inter = interlacing_check(g, slack_tol)
             reports.append(_report(
                 "interlacing", inter.worst_violation, inter.slack, g,
                 f"{inter.triples.shape[0]} eigenvalue triples",
@@ -937,7 +920,7 @@ def verification_suite(
 
     if suite in ("rank", "all"):
         try:
-            probe = _rank_probe(a, trials, seed)
+            probe = rank_characterization_probe(g, trials, seed)
             if probe.branch == "tree":
                 residual = float(
                     max(abs(r - probe.full_rank) for r in probe.observed_ranks)

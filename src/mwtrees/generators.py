@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 
@@ -310,14 +310,5 @@ def random_instances(
     count: int, config: GenConfig, tree: bool = True
 ) -> list[MatrixWeightedGraph]:
     """A reproducible batch: instance i uses seed ``config.seed + i``."""
-    out = []
-    for i in range(count):
-        cfg = GenConfig(
-            n_range=config.n_range,
-            s_range=config.s_range,
-            kind=config.kind,
-            condition_cap=config.condition_cap,
-            seed=config.seed + i,
-        )
-        out.append(random_tree(cfg) if tree else random_connected_nontree(cfg))
-    return out
+    draw = random_tree if tree else random_connected_nontree
+    return [draw(replace(config, seed=config.seed + i)) for i in range(count)]

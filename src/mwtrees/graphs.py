@@ -8,7 +8,6 @@ once so file loaders can surface complete diagnostics.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,14 @@ class MatrixWeightedGraph:
     0-based positions in ``edges``.  The constructor normalizes but does not
     reject: call :func:`validate` to check an instance.  Weights are copied
     and stored read-only, so a graph cannot change after it is built.
+
+    Because it cannot change, a graph caches what is computed from it in
+    private slots of its ``__dict__``: the violation list of
+    :func:`validate`, and the analysis that the functions of
+    :mod:`mwtrees.closedforms` share (D, L, L^+, the weight sum, the SPD
+    flag and the results built from them).  Those arrays live as long as the
+    graph does.  Pickling or copying a graph rebuilds it through the
+    constructor, so the copy starts with an empty cache.
     """
 
     n: int
@@ -87,14 +94,25 @@ class MatrixWeightedGraph:
         """Number of edges."""
         return len(self.edges)
 
+    def __reduce__(self):
+        return type(self), (self.n, self.s, self.edges)
+
 
 def validate(g: MatrixWeightedGraph) -> list[Violation]:
     """Every problem with ``g``, or an empty list for a usable instance.
 
     Checks order, block size, endpoint ranges, self-loops, weight shapes and
     finiteness, duplicate edges, and connectivity (the last only over the
-    edges whose endpoints are in range).
+    edges that join two distinct vertices in range).  The list is computed
+    once per graph and kept on it; each call returns a copy.
     """
+    found = g.__dict__.get("_violations")
+    if found is None:
+        found = g.__dict__["_violations"] = tuple(_violations(g))
+    return list(found)
+
+
+def _violations(g: MatrixWeightedGraph) -> list[Violation]:
     problems: list[Violation] = []
     if g.n < 1:
         problems.append(Violation(BAD_ORDER, f"vertex count must be >= 1, got {g.n}"))
@@ -147,7 +165,7 @@ def validate(g: MatrixWeightedGraph) -> list[Violation]:
             else:
                 seen[key] = k
 
-    if g.n >= 1 and not _connected_over_valid_edges(g):
+    if g.n >= 1 and len(_depth_first(g, 1)[0]) < g.n:
         problems.append(
             Violation(NOT_CONNECTED, f"graph on {g.n} vertices is not connected")
         )
@@ -156,39 +174,45 @@ def validate(g: MatrixWeightedGraph) -> list[Violation]:
 
 def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
     """Adjacency lists indexed by vertex (entry 0 unused): (neighbor,
-    edge_index) pairs."""
+    edge_index) pairs, over the edges that join two distinct vertices in
+    1..n."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
     for k, e in enumerate(g.edges):
-        adj[e.u].append((e.v, k))
-        adj[e.v].append((e.u, k))
+        if 1 <= e.u < e.v <= g.n:
+            adj[e.u].append((e.v, k))
+            adj[e.v].append((e.u, k))
     return adj
 
 
-def _connected_over_valid_edges(g: MatrixWeightedGraph) -> bool:
-    if g.n < 1:
-        return False
-    adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for e in g.edges:
-        if 1 <= e.u <= g.n and 1 <= e.v <= g.n and e.u != e.v:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-    seen = [False] * (g.n + 1)
-    seen[1] = True
-    queue = deque([1])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    return count == g.n
+def _depth_first(g: MatrixWeightedGraph, root: int) -> tuple[list[int], list[int]]:
+    """Iterative depth-first search from ``root`` over the edges of
+    :func:`adjacency`, so deep graphs do not recurse.
+
+    Returns the vertices reached, in preorder, and for each vertex (entry 0
+    unused) the index of the edge it was reached by, -1 for the root and for
+    vertices not reached.  A vertex is marked when it is popped, so every
+    edge out of it that leads to an unmarked vertex is a candidate; on a
+    tree each vertex is pushed once, by its parent.
+    """
+    adj = adjacency(g)
+    via = [-1] * len(adj)
+    seen = [False] * len(adj)
+    order: list[int] = []
+    stack = [(root, -1)]
+    while stack:
+        x, k = stack.pop()
+        if not seen[x]:
+            seen[x] = True
+            order.append(x)
+            via[x] = k
+            stack.extend((y, j) for y, j in adj[x] if not seen[y])
+    return order, via
 
 
 def is_connected(g: MatrixWeightedGraph) -> bool:
-    """True when every vertex is reachable from vertex 1."""
-    return _connected_over_valid_edges(g)
+    """True when every vertex is reachable from vertex 1 over the edges that
+    join two distinct vertices in range; read off :func:`validate`."""
+    return g.n >= 1 and all(p.code != NOT_CONNECTED for p in validate(g))
 
 
 def check_structure(g: MatrixWeightedGraph) -> None:
@@ -219,31 +243,6 @@ def require_tree(g: MatrixWeightedGraph) -> None:
         )
 
 
-def bfs_parents(
-    g: MatrixWeightedGraph, root: int
-) -> tuple[list[int], list[int]]:
-    """Breadth-first parents from ``root``.
-
-    Returns (parent_vertex, parent_edge) lists indexed by vertex; the root
-    and unreachable vertices have parent 0 and edge -1.
-    """
-    adj = adjacency(g)
-    parent = [0] * (g.n + 1)
-    via = [-1] * (g.n + 1)
-    seen = [False] * (g.n + 1)
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, k in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                via[y] = k
-                queue.append(y)
-    return parent, via
-
-
 def tree_path(g: MatrixWeightedGraph, u: int, v: int) -> list[int]:
     """Edge indices along the unique u-to-v path of a tree, in path order."""
     if u == v:
@@ -251,12 +250,13 @@ def tree_path(g: MatrixWeightedGraph, u: int, v: int) -> list[int]:
     if not (1 <= u <= g.n and 1 <= v <= g.n):
         raise ValueError(f"path endpoints ({u}, {v}) not in 1..{g.n}")
     require_tree(g)
-    parent, via = bfs_parents(g, u)
+    _, via = _depth_first(g, u)
     path = []
     x = v
-    while x != u:
+    while x != u:   # back to u, over the far endpoint of each edge
+        e = g.edges[via[x]]
         path.append(via[x])
-        x = parent[x]
+        x = e.u + e.v - x
     path.reverse()
     return path
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NotSPDError, SingularMatrixError, SingularWeightError
 from .graphs import (
     MatrixWeightedGraph,
-    adjacency,
+    _depth_first,
     check_structure,
     require_tree,
 )
@@ -77,27 +77,16 @@ def _subtree_runs(
     each edge, in edge order, the run ``(lo, hi)`` of positions below it
     and the position of its endpoint nearer to vertex 1.
     """
-    n = g.n
-    adj = adjacency(g)
-    order: list[int] = []
-    parent = [0] * (n + 1)
-    child = [0] * g.m          # endpoint of edge k farther from vertex 1
-    seen = [False] * (n + 1)
-    seen[1] = True
-    stack = [1]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y, k in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                child[k] = y
-                stack.append(y)
-    pos = [0] * (n + 1)
+    order, via = _depth_first(g, 1)
+    pos = [0] * (g.n + 1)
     for p, x in enumerate(order):
         pos[x] = p
-    size = [1] * (n + 1)
+    parent = [0] * (g.n + 1)
+    child = [0] * g.m          # endpoint of edge k farther from vertex 1
+    for x in order[1:]:
+        e = g.edges[via[x]]
+        parent[x], child[via[x]] = e.u + e.v - x, x
+    size = [1] * (g.n + 1)
     for x in reversed(order[1:]):
         size[parent[x]] += size[x]
     return (pos[1:], [(pos[c], pos[c] + size[c]) for c in child],

@@ -986,11 +986,8 @@ def test_analysis_shares_read_only_arrays():
     assert a.distance is a.distance
 
 
-@pytest.mark.parametrize("make", [path4_block2, lambda: path_graph(4, s=2)])
-def test_suite_frees_its_analysis_without_the_cycle_collector(monkeypatch, make):
-    # a reference cycle through a traceback would keep D, L and L^+ alive
-    # until the collector runs: on a non-SPD tree that grew peak memory
-    import gc
+def _recorded_analyses(monkeypatch) -> list:
+    """Weak references to every analysis built from here on."""
     import weakref
 
     from mwtrees import closedforms
@@ -998,15 +995,109 @@ def test_suite_frees_its_analysis_without_the_cycle_collector(monkeypatch, make)
     made = []
 
     class Recorded(closedforms._Analysis):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, g):
+            super().__init__(g)
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(closedforms, "_Analysis", Recorded)
+    return made
+
+
+def _count_calls(monkeypatch, module, name, counts) -> None:
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("make", [path4_block2, lambda: path_graph(4, s=2)])
+def test_suite_frees_its_analysis_without_the_cycle_collector(monkeypatch, make):
+    # the graph keeps its analysis; a reference cycle (through the analysis
+    # or a traceback) would keep D, L and L^+ alive after the graph is gone,
+    # until the collector runs: on a non-SPD tree that grew peak memory
+    import gc
+
+    made = _recorded_analyses(monkeypatch)
     g = make()
     gc.disable()
     try:
         verification_suite(g, "all")
-        assert [ref() for ref in made] == [None]
+        distance_determinant_sign_log(g)
+        distance_inverse(g)
+        assert len(made) == 1 and made[0]() is not None
+        del g
+        assert made[0]() is None
     finally:
         gc.enable()
+
+
+def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
+    # the benchmark's trees op: every call after loads_graph reads the
+    # violation list and the analysis that the graph keeps
+    from mwtrees import closedforms, graphs
+    from mwtrees.formats import dumps_graph, loads_graph
+
+    text = dumps_graph(random_tree(GenConfig(
+        n_range=(12, 12), s_range=(3, 3), kind=WeightKind.SPD, seed=4)))
+    counts = {}
+    _count_calls(monkeypatch, graphs, "_violations", counts)
+    for name in ("tree_distance_data", "laplacian_data"):
+        _count_calls(monkeypatch, closedforms, name, counts)
+    made = _recorded_analyses(monkeypatch)
+    g = loads_graph(text)
+    reports = verification_suite(g, "all")
+    distance_determinant_sign_log(g)
+    distance_inverse(g)
+    assert all(r.status == PASS for r in reports)
+    assert counts == {"_violations": 1, "tree_distance_data": 1,
+                      "laplacian_data": 1}
+    assert len(made) == 1
+
+
+def test_deficient_weighting_reuses_the_suite_witness(monkeypatch):
+    from mwtrees import closedforms
+
+    g = random_connected_nontree(GenConfig(n_range=(9, 9), s_range=(2, 2),
+                                           kind=WeightKind.SPD, seed=3))
+    reports = {r.name: r for r in verification_suite(g, "all")}
+    assert reports["rank_characterization"].status == PASS
+    counts = {}
+    for name in ("_bridge_indices", "_marked_cofactor"):
+        _count_calls(monkeypatch, closedforms, name, counts)
+    witness = rank_deficient_weighting(g)
+    assert counts == {}
+    assert witness is rank_characterization_probe(g).witness
+    assert f"on edge {witness.endpoints}" in reports[
+        "rank_characterization"].detail
+
+
+def test_overflowed_ginverse_records_fail():
+    # weights near 1e200: the g-inverse norms overflow, and inf <= inf must
+    # not read as a pass
+    g = path_graph(3, 2, [1e200 * np.diag([1.0, 2.0]),
+                          1e200 * np.diag([3.0, 1.0])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = {r.name: r for r in verification_suite(g, "all")}
+    assert reports["ginverse_recovery"].status == FAIL
+    assert reports["ginverse_invariance"].status == FAIL
+    for r in reports.values():
+        if r.status == PASS:
+            assert math.isfinite(r.residual) and math.isfinite(r.tolerance)
+
+
+@pytest.mark.parametrize("make", [path4_block2, diamond4])
+def test_pickled_and_copied_graphs_are_rebuilt(make):
+    import copy
+    import pickle
+
+    g = make()
+    before = verification_suite(g, "all")
+    for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                  copy.deepcopy(g)):
+        assert all(not e.weight.flags.writeable for e in clone.edges)
+        assert "_analysis" not in vars(clone)
+        assert "_violations" not in vars(clone)
+        assert verification_suite(clone, "all") == before

@@ -125,6 +125,59 @@ def test_tree_path_direction_only_reverses(seed):
     assert len(set(forward)) == len(forward)
 
 
+def test_validate_decides_connectivity_over_the_valid_edges_only():
+    one = [[1.0]]
+    # vertex 3 is reached only by an out-of-range edge and a self-loop
+    cut = MatrixWeightedGraph(3, 1, [(1, 2, one), (3, 7, one), (3, 3, one)])
+    assert [v.code for v in validate(cut)] == [
+        VERTEX_OUT_OF_RANGE, SELF_LOOP, NOT_CONNECTED]
+    assert not is_connected(cut)
+    # the same invalid edges do not stop a valid edge from joining vertex 3
+    joined = MatrixWeightedGraph(
+        3, 1, [(1, 2, one), (0, 3, one), (2, 2, one), (2, 3, one)])
+    assert [v.code for v in validate(joined)] == [VERTEX_OUT_OF_RANGE, SELF_LOOP]
+    assert is_connected(joined)
+
+
+def test_validate_returns_a_copy_of_the_list_it_keeps():
+    g = MatrixWeightedGraph(4, 1, [(1, 2, [[1.0]]), (3, 4, [[1.0]])])
+    first = validate(g)
+    first.clear()
+    assert [v.code for v in validate(g)] == [NOT_CONNECTED]
+    assert validate(g) is not validate(g)
+
+
+def test_long_path_in_shuffled_edge_order_needs_no_recursion():
+    # a recursive search would pass the interpreter's recursion limit here
+    n = 5000
+    rng = np.random.default_rng(0)
+    edges = [(i, i + 1, [[1.0]]) for i in range(1, n)]
+    g = MatrixWeightedGraph(n, 1, [edges[i] for i in rng.permutation(n - 1)])
+    assert is_connected(g)
+    path = tree_path(g, 1, n)
+    assert [(g.edges[k].u, g.edges[k].v) for k in path] == [
+        (i, i + 1) for i in range(1, n)]
+    assert tree_path(g, n, 1) == path[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_tree_path_walks_from_u_to_v(seed):
+    g = random_tree(GenConfig(n_range=(2, 40), s_range=(1, 1),
+                              kind=WeightKind.SCALAR_POSITIVE, seed=seed))
+    rng = np.random.default_rng(seed)
+    u, v = (int(x) for x in rng.choice(np.arange(1, g.n + 1), size=2,
+                                       replace=False))
+    path = tree_path(g, u, v)
+    x = u
+    for k in path:   # each edge starts where the previous one ended
+        e = g.edges[k]
+        assert x in (e.u, e.v)
+        x = e.u + e.v - x
+    assert x == v
+    assert len(set(path)) == len(path)
+
+
 def test_degrees_and_delta_vector():
     assert np.array_equal(degrees(star_graph(5)), [4, 1, 1, 1, 1])
     assert np.array_equal(delta_vector(path_graph(4)), [1, 0, 0, 1])

@@ -1,0 +1,94 @@
+"""Print one SHA-256 line per library output on a fixed, seeded corpus.
+
+Usage, from the root of a source checkout (the package is imported from
+``src`` next to this file)::
+
+    python3 tools/dump_outputs.py > outputs.txt
+
+The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
+generators of :mod:`mwtrees.generators`: trees and connected non-trees of
+every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
+benchmark op, it hashes the suite records, the rank probe, D, the
+determinant, D^{-1}, L and the rank-deficient weighting; an output that
+raises is hashed as its exception type and message.  Floats are hashed by
+their bits, so two runs, or two commits, that print the same lines gave
+the same bytes.  Comparing the output of a parent commit with that of a
+change shows whether the change moved any result.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import mwtrees as mw  # noqa: E402
+from mwtrees.generators import GenConfig, WeightKind  # noqa: E402
+
+
+def corpus():
+    """``(name, graph)`` pairs, the same on every run."""
+    yield "path4_block2", mw.path4_block2()
+    yield "cycle4_block2", mw.cycle4_block2()
+    yield "diamond4", mw.diamond4()
+    for n, s in ((1, 2), (2, 1), (3, 1), (6, 3), (40, 2)):
+        yield f"path_{n}_{s}", mw.path_graph(n, s)
+    for n, s in ((3, 2), (12, 4), (30, 8)):
+        yield f"star_{n}_{s}", mw.star_graph(n, s)
+    for n, s in ((3, 1), (5, 2), (16, 3)):
+        yield f"cycle_{n}_{s}", mw.cycle_graph(n, s)
+    batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
+    batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
+    batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
+                (WeightKind.NONSINGULAR, True, 12, (20, 40), (4, 8)),
+                (WeightKind.SPD, False, 12, (10, 40), (1, 3))]
+    for i, (kind, tree, count, n_range, s_range) in enumerate(batches):
+        config = GenConfig(n_range, s_range, kind, seed=1000 * i)
+        for j, g in enumerate(mw.random_instances(count, config, tree)):
+            yield f"{kind.value}_{'tree' if tree else 'nontree'}_{i}_{j}", g
+
+
+def canonical(value) -> bytes:
+    """Bytes that stand for ``value`` bit for bit."""
+    if isinstance(value, np.ndarray):
+        return repr((value.dtype.str, value.shape)).encode() + value.tobytes()
+    if isinstance(value, mw.BlockMatrix):
+        return canonical(value.data)
+    if isinstance(value, float):
+        return value.hex().encode()
+    if isinstance(value, (list, tuple)):
+        return b"(" + b",".join(canonical(x) for x in value) + b")"
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value).__name__.encode() + canonical(
+            [getattr(value, name) for name in value.__dataclass_fields__])
+    return repr(value).encode()
+
+
+def outputs(g):
+    """The outputs of one graph, as ``(label, callable)`` in op order."""
+    yield "suite", lambda: mw.verification_suite(g, "all")
+    yield "det", lambda: mw.distance_determinant_sign_log(g)
+    yield "inverse", lambda: mw.distance_inverse(g)
+    yield "probe", lambda: mw.rank_characterization_probe(g)
+    yield "D", lambda: mw.distance_matrix(g)
+    yield "L", lambda: mw.laplacian(g)
+    yield "witness", lambda: mw.rank_deficient_weighting(g)
+
+
+def main() -> None:
+    for name, g in corpus():
+        for label, compute in outputs(g):
+            try:
+                data = canonical(compute())
+            except Exception as exc:  # a refusal is an output too
+                data = f"raised {type(exc).__name__}: {exc}".encode()
+            print(name, label, hashlib.sha256(data).hexdigest())
+
+
+if __name__ == "__main__":
+    with np.errstate(all="ignore"):
+        main()
