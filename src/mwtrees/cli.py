@@ -24,6 +24,7 @@ import numpy as np
 
 from .closedforms import (
     SUITES,
+    _analysis,
     _report,
     _skipped,
     distance_determinant_sign_log,
@@ -188,14 +189,15 @@ def cmd_verify(args) -> int:
     )
     checks = [check_record(r) for r in reports]
     matrices = None
-    if args.emit_matrices:
+    if args.emit_matrices:   # the analysis builds each at most once
         matrices = {}
+        analysis = _analysis(g)
         try:
-            matrices["D"] = distance_matrix(g).data
+            matrices["D"] = analysis.distance
         except MWTreesError:
             pass
         try:
-            matrices["L"] = laplacian(g, LaplacianMode.INVERTED).data
+            matrices["L"] = analysis.laplacian
         except MWTreesError:
             pass
     extras = {"suite": args.suite, "seed": args.seed, "n": g.n, "s": g.s}

@@ -9,14 +9,22 @@ inverse properties that hold alongside them.
 
 Every public function works on the one :class:`_Analysis` that its graph
 object keeps, built on the first call: the structure is validated once, and
-D, L, the weight sum, the SPD flag, the default-tolerance invertibility and
-the rank-deficient weighting are each built at most once, on first use, and
-shared read-only; with SPD weights one SVD of L gives its pseudo-inverse,
-rank and spectrum.  So :func:`verification_suite`, then
-:func:`distance_determinant_sign_log` and :func:`distance_inverse` on the
-same graph build D and L once between them.  The per-edge facts (the rank,
-determinant and inverse of each weight, the reweightings of the rank probe)
-come from one stacked call per graph, not one call per edge.
+D, L, L^+, the weight sum, the SPD flag, the default-tolerance
+invertibility and the rank-deficient weighting are each built at most
+once, on first use, and shared read-only.  So :func:`verification_suite`,
+then :func:`distance_determinant_sign_log` and :func:`distance_inverse` on
+the same graph build D and L once between them.  The per-edge facts (the
+rank, determinant and inverse of each weight, the reweightings of the rank
+probe) come from one stacked call per graph, not one call per edge.
+
+On a tree, L = A B A^T with A = Inc kron I_s of full column rank and B =
+diag(W_k^-1), and L^+ has a closed form in the edge weights (see
+:func:`~mwtrees.operators.tree_pseudo_inverse_data`): the g-inverse checks
+sample around it with no decomposition of L, and the one (n s) x (n s)
+decomposition of an SPD tree's suite is a values-only SVD of L, which gives
+the rank probe's first rank and the interlacing spectrum.  On other graphs
+L^+ is ``np.linalg.pinv``'s, to the bit.  One preorder layout of the tree
+serves D, L^+ and the rank certificate.
 
 The rank probe of a tree decides each Laplacian rank without an SVD where
 it can: the Laplacian grounded at vertex 1 has an inverse in closed form,
@@ -70,19 +78,21 @@ from .linalg import (
     kronecker,
     numerical_rank,
     numerical_ranks,
+    pseudo_inverse,
     sign_log_determinant,
     spd_inverse_sqrts,
-    svd_pseudo_inverse,
     symmetric_eigenvalues,
 )
 from .operators import (
     LaplacianMode,
+    TreeLayout,
     _subtree_runs,
     block_incidence,
     block_laplacian,
     inverse_weights,
     laplacian_data,
     tree_distance_data,
+    tree_pseudo_inverse_data,
     weight_stack,
 )
 
@@ -150,7 +160,10 @@ class _Analysis:
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  One ``eigh`` of the weights
-    decides SPD and gives Q; one SVD of L gives L^+, its rank and spectrum.
+    decides SPD and gives Q.  On a tree one preorder layout serves D, L^+
+    and the rank certificate, L^+ is built in closed form and one
+    values-only SVD of L gives its rank and spectrum; on other graphs L^+
+    comes from the SVD that ``np.linalg.pinv`` takes.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -194,9 +207,14 @@ class _Analysis:
         return _read_only(weight_sum(self.g))
 
     @cached_property
-    def distance(self) -> np.ndarray:
+    def layout(self) -> TreeLayout:
+        """The preorder layout of the tree; NotATreeError on other graphs."""
         require_tree(self.g)
-        return _read_only(tree_distance_data(self.g))
+        return _subtree_runs(self.g)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        return _read_only(tree_distance_data(self.g, self.layout))
 
     @cached_property
     def distance_eigenvalues(self) -> np.ndarray:
@@ -208,15 +226,21 @@ class _Analysis:
         return _read_only(laplacian_data(self.g, LaplacianMode.INVERTED))
 
     @cached_property
-    def laplacian_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values and pseudo-inverse of L, from one SVD.  With SPD
-        weights L is symmetric positive semidefinite, so the singular values
-        are its eigenvalues in descending order."""
-        return tuple(map(_read_only, svd_pseudo_inverse(self.laplacian)))
+    def laplacian_singular_values(self) -> np.ndarray:
+        """The singular values of L, descending, from one values-only SVD:
+        the one :func:`~mwtrees.linalg.numerical_rank` takes, so a rank
+        counted on them is its rank.  With SPD weights L is symmetric
+        positive semidefinite, so they are its eigenvalues."""
+        return _read_only(np.linalg.svd(self.laplacian, compute_uv=False))
 
-    @property
+    @cached_property
     def laplacian_pinv(self) -> np.ndarray:
-        return self.laplacian_svd[1]
+        """L^+: in closed form on a tree, as ``np.linalg.pinv`` forms it
+        (bit for bit) on other graphs.  A singular weight raises, as for L."""
+        lap = self.laplacian
+        if self.tree:
+            return _read_only(tree_pseudo_inverse_data(self.g, self.layout))
+        return _read_only(pseudo_inverse(lap))
 
     @cached_property
     def g_inverse_projectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -532,8 +556,9 @@ def inertia_check(
 ) -> Inertia:
     """Eigenvalue sign counts of the distance matrix of an SPD-weighted tree.
 
-    The expected value is (s, (n-1) s, 0): block size many positive
-    eigenvalues, all the rest negative, none zero.
+    For n >= 2 the expected value is (s, (n-1) s, 0): block size many
+    positive eigenvalues, all the rest negative, none zero.  A single
+    vertex has the s x s zero block as D.
     """
     a = _analysis(g)
     require_tree(g)
@@ -576,7 +601,7 @@ def interlacing_check(
     a.require_spd()
     n, s = g.n, g.s
     mu = a.distance_eigenvalues
-    lam = a.laplacian_svd[0]
+    lam = a.laplacian_singular_values
     k = (n - 1) * s
     if k == 0:
         return InterlacingReport(mu, lam, np.zeros((0, 3)), 0.0, 0.0, True, n, s)
@@ -694,15 +719,15 @@ def rank_characterization_probe(
     docstring decide it, and computed by one when they do not, as with a
     ``rel_tol`` near machine precision or near the smallest nonzero
     singular value.  With SPD weights the first rank is counted on the
-    singular values that give L^+.
+    singular values that the spectrum checks read.
     """
     from .generators import random_nonsingular_stack
 
     a = _analysis(g)
     if a.tree:
         full = (g.n - 1) * g.s
-        if a.spd:   # count on the singular values L^+ is built from
-            sv = a.laplacian_svd[0]
+        if a.spd:   # count on the singular values interlacing reads
+            sv = a.laplacian_singular_values
             ranks = [int(np.count_nonzero(sv > rel_tol * sv.max()))]
             sets = []
         else:   # L is certified like the reweightings, with g's weights
@@ -714,7 +739,7 @@ def rank_characterization_probe(
         ).reshape(trials, g.m, g.s, g.s)
         blocks = inverse_weights(g, draws.reshape(-1, g.s, g.s))
         sets += zip(draws, blocks.reshape(draws.shape))
-        tree = _rooted(g) if g.n > 1 else None
+        tree = a.layout if g.n > 1 else None
         ranks += [_tree_rank(g, tree, w, b, rel_tol) for w, b in sets]
         return RankProbe(
             branch="tree",
@@ -735,24 +760,12 @@ def rank_characterization_probe(
     )
 
 
-def _rooted(g: MatrixWeightedGraph):
-    """``(below, lo, up, size)`` in the preorder of :func:`_subtree_runs`:
-    edge k joins ``up[k]`` to its child ``lo[k]``, ``below[p, k]`` is 1 for
-    the positions p below it, and p's subtree has ``size[p]`` positions."""
-    _, runs, up = _subtree_runs(g)
-    lo, hi = np.array(runs).T
-    pos = np.arange(g.n)[:, None]
-    size = np.full(g.n, float(g.n))
-    size[lo] = hi - lo
-    return ((lo <= pos) & (pos < hi)).astype(float), lo, np.array(up), size
-
-
-def _tree_rank(g: MatrixWeightedGraph, tree, weights: np.ndarray,
-               blocks: np.ndarray, rel_tol: float) -> int:
+def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout | None,
+               weights: np.ndarray, blocks: np.ndarray, rel_tol: float) -> int:
     """``numerical_rank(block_laplacian(g, blocks), rel_tol)`` for a tree g
     whose blocks invert its ``weights``, certified from the m edge blocks
-    where it can be, computed by one SVD where it cannot; ``tree`` is
-    :func:`_rooted` of g, None when n = 1.
+    where it can be, computed by one SVD where it cannot; ``tree`` is the
+    layout of g, None when n = 1.
 
     With N = n s, L = ``block_laplacian(g, blocks)``, K its block grounded
     at vertex 1 and ``||X||`` the bound ``sqrt(||X||_1 ||X||_inf)`` on the
@@ -790,12 +803,14 @@ def _tree_rank(g: MatrixWeightedGraph, tree, weights: np.ndarray,
     return numerical_rank(block_laplacian(g, blocks), rel_tol)
 
 
-def _tree_bounds(g: MatrixWeightedGraph, tree, weights: np.ndarray,
+def _tree_bounds(g: MatrixWeightedGraph, tree: TreeLayout,
+                 weights: np.ndarray,
                  blocks: np.ndarray) -> tuple[np.floating, ...]:
     """``||L||``, ``||K||``, ``||G||``, ``||K G - I||``, ``||L (1_n kron
-    I_s)||`` and ``||L||_F`` for :func:`_tree_rank`, from the edge blocks."""
+    I_s)||`` and ``||L||_F`` for :func:`_tree_rank`, from the edge blocks
+    and the layout of the tree g."""
     n, s, m = g.n, g.s, g.m
-    below, lo, up, size = tree
+    below, lo, up, size = tree.below, tree.lo, tree.up, tree.size
     ends = np.stack([lo, up], axis=1).ravel()   # as in block_laplacian
     inner = (up > 0)[:, None, None]   # the edges that K keeps
     pairs = np.repeat(blocks, 2, axis=0)
@@ -895,20 +910,23 @@ def verification_suite(
             reports.append(_skipped("ginverse_recovery", str(exc), g))
 
     if suite in ("spectrum", "all"):
-        try:
-            found = inertia_check(g, zero_tol)
-            expected = Inertia(g.s, (g.n - 1) * g.s, 0)
-            mismatch = sum(
-                abs(x - y)
-                for x, y in zip(found.as_tuple(), expected.as_tuple())
-            )
-            reports.append(_report(
-                "inertia", float(mismatch), 0.0, g,
-                f"(pos, neg, zero) = {found.as_tuple()}, "
-                f"expected {expected.as_tuple()}",
-            ))
-        except (NotATreeError, NotSPDError) as exc:
-            reports.append(_skipped("inertia", str(exc), g))
+        if g.n < 2:   # one vertex: D is the s x s zero block
+            reports.append(_skipped("inertia", "needs n >= 2", g))
+        else:
+            try:
+                found = inertia_check(g, zero_tol)
+                expected = Inertia(g.s, (g.n - 1) * g.s, 0)
+                mismatch = sum(
+                    abs(x - y)
+                    for x, y in zip(found.as_tuple(), expected.as_tuple())
+                )
+                reports.append(_report(
+                    "inertia", float(mismatch), 0.0, g,
+                    f"(pos, neg, zero) = {found.as_tuple()}, "
+                    f"expected {expected.as_tuple()}",
+                ))
+            except (NotATreeError, NotSPDError) as exc:
+                reports.append(_skipped("inertia", str(exc), g))
         try:
             inter = interlacing_check(g, slack_tol)
             reports.append(_report(

@@ -163,19 +163,13 @@ def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the same rank cutoff as
-    :func:`numerical_rank`."""
-    return svd_pseudo_inverse(a, rel_tol)[1]
-
-
-def svd_pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL):
-    """The singular values of ``a`` (descending) and its pseudo-inverse, from
-    one SVD.  The pseudo-inverse is formed as ``np.linalg.pinv`` forms it,
-    so it is the same to the bit."""
+    :func:`numerical_rank`, from one SVD.  It is formed as
+    ``np.linalg.pinv`` forms it, so it is the same to the bit."""
     m = as_matrix(a)
     u, sv, vt = np.linalg.svd(m, full_matrices=False)
     large = sv > rel_tol * sv.max(initial=0.0)
     inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
-    return sv, vt.T @ (inv_sv[:, None] * u.T)
+    return vt.T @ (inv_sv[:, None] * u.T)
 
 
 def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

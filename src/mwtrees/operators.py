@@ -3,12 +3,14 @@
 Three operators: the tree distance matrix D, the block Laplacian L (raw or
 inverse-weighted), and the scaled incidence matrix Q with L = Q Q^T for SPD
 weights.  All are returned as :class:`~mwtrees.linalg.BlockMatrix` with the
-graph's block size.
+graph's block size.  The arrays behind D and, on a tree, behind the
+pseudo-inverse of L are built from one preorder :class:`TreeLayout`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +45,10 @@ def distance_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
     return BlockMatrix(tree_distance_data(g), g.s)
 
 
-def tree_distance_data(g: MatrixWeightedGraph) -> np.ndarray:
-    """The array of :func:`distance_matrix`, for a tree already checked.
+def tree_distance_data(g: MatrixWeightedGraph,
+                       layout: TreeLayout | None = None) -> np.ndarray:
+    """The array of :func:`distance_matrix`, for a tree already checked;
+    ``layout`` is its :func:`_subtree_runs` (computed when None).
 
     Built by cut accumulation: removing edge k splits the tree in two, and
     W_k lies on the path of exactly the vertex pairs it separates.  Edges
@@ -52,31 +56,78 @@ def tree_distance_data(g: MatrixWeightedGraph) -> np.ndarray:
     block pair, so each block starts at zero and receives its path weights
     in ascending edge order: the same float additions, in the same order,
     as the pairwise definition, hence the same bits.  Vertices are laid out
-    as :func:`_subtree_runs` lays them out, so each cut is four slice
-    additions.
+    in the preorder of the layout, so each cut is four slice additions.
     """
     n, s = g.n, g.s
-    at, runs, _ = _subtree_runs(g)
+    if layout is None:
+        layout = _subtree_runs(g)
     blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p and q
-    for (lo, hi), e in zip(runs, g.edges):
+    for lo, hi, e in zip(layout.lo.tolist(), layout.hi.tolist(), g.edges):
         blocks[lo:hi, :lo] += e.weight
         blocks[lo:hi, hi:] += e.weight
         blocks[:lo, lo:hi] += e.weight
         blocks[hi:, lo:hi] += e.weight
-    blocks = blocks[np.ix_(at, at)]   # back to vertex order
+    blocks = blocks[np.ix_(layout.at, layout.at)]   # back to vertex order
     return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
 
 
-def _subtree_runs(
-    g: MatrixWeightedGraph,
-) -> tuple[list[int], list[tuple[int, int]], list[int]]:
-    """Lay a tree out in depth-first preorder from vertex 1, where the
-    vertices below every edge are one contiguous run.
+def tree_pseudo_inverse_data(g: MatrixWeightedGraph,
+                             layout: TreeLayout | None = None) -> np.ndarray:
+    """The Moore-Penrose inverse of the inverse-weighted Laplacian L of a
+    tree with nonsingular weights, in closed form, for a tree already
+    checked; ``layout`` is its :func:`_subtree_runs` (computed when None).
 
-    Returns the preorder position of each vertex, in vertex order, and for
-    each edge, in edge order, the run ``(lo, hi)`` of positions below it
-    and the position of its endpoint nearer to vertex 1.
+    With t_k the 0/1 indicator of the vertices below edge k, seen from
+    vertex 1, ``G = sum_k t_k t_k^T kron W_k`` is L grounded at vertex 1,
+    inverted and padded with zeros, so ``L G L = L`` and ``G L G = G``.
+    The block rows and columns of L sum to zero and its null space is
+    ``1_n kron R^s``, so ``P = (I - J/n) kron I_s`` projects onto the
+    ranges of L and L^T, and ``P G P`` is the g-inverse with those ranges:
+    L^+, also for weights that are not symmetric.  Since ``P t_k = c_k =
+    t_k - (|t_k| / n) 1_n``, ``L^+ = sum_k c_k c_k^T kron W_k``: one product
+    of the (n, m) matrix of the c_k with the stack of ``c_k^T kron W_k``,
+    with no factorization and no inversion.
     """
+    n, s, m = g.n, g.s, g.m
+    if layout is None:
+        layout = _subtree_runs(g)
+    below = layout.below[layout.at]   # [i, k]: vertex i is below edge k
+    centred = below - below.mean(axis=0)
+    terms = centred.T[:, None, :, None] * weight_stack(g)[:, :, None, :]
+    return (centred @ terms.reshape(m, s * n * s)).reshape(n * s, n * s)
+
+
+class TreeLayout:
+    """A tree laid out in depth-first preorder from vertex 1, where the
+    vertices below every edge are one contiguous run of positions.
+
+    ``at[i - 1]`` is the position of vertex i; edge k joins the position
+    ``up[k]`` to its child at ``lo[k]``, and the positions below it are
+    ``lo[k] .. hi[k] - 1``.  :attr:`below` and :attr:`size` are built on
+    first use.
+    """
+
+    def __init__(self, at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 up: np.ndarray):
+        self.at, self.lo, self.hi, self.up = at, lo, hi, up
+
+    @cached_property
+    def below(self) -> np.ndarray:
+        """The (n, m) matrix with 1 at [p, k] for the positions p below
+        edge k and 0 elsewhere."""
+        pos = np.arange(len(self.at))[:, None]
+        return ((self.lo <= pos) & (pos < self.hi)).astype(float)
+
+    @cached_property
+    def size(self) -> np.ndarray:
+        """The number of positions in the subtree of each position."""
+        size = np.full(len(self.at), float(len(self.at)))
+        size[self.lo] = self.hi - self.lo
+        return size
+
+
+def _subtree_runs(g: MatrixWeightedGraph) -> TreeLayout:
+    """The :class:`TreeLayout` of a tree already checked."""
     order, via = _depth_first(g, 1)
     pos = [0] * (g.n + 1)
     for p, x in enumerate(order):
@@ -89,8 +140,10 @@ def _subtree_runs(
     size = [1] * (g.n + 1)
     for x in reversed(order[1:]):
         size[parent[x]] += size[x]
-    return (pos[1:], [(pos[c], pos[c] + size[c]) for c in child],
-            [pos[parent[c]] for c in child])
+    lo = np.array([pos[c] for c in child], dtype=int)
+    return TreeLayout(np.array(pos[1:]), lo,
+                      lo + np.array([size[c] for c in child], dtype=int),
+                      np.array([pos[parent[c]] for c in child], dtype=int))
 
 
 def laplacian(

@@ -25,6 +25,13 @@ def conditioned_matrix(s: int, ratio: float, rng) -> np.ndarray:
     return (u * np.geomspace(1.0, ratio, s)) @ v.T
 
 
+def graded_spd(s: int, ratio: float, rng) -> np.ndarray:
+    """An SPD weight with eigenvalues log-evenly from 1 down to ``ratio``,
+    scaled by a random power of ten in [0.1, 10]."""
+    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+    return (q * np.geomspace(1.0, ratio, s)) @ q.T * 10.0 ** rng.uniform(-1, 1)
+
+
 def grounded_inverse_oracle(g, weights: np.ndarray) -> np.ndarray:
     """The dense inverse, in exact arithmetic, of the Laplacian of the tree
     ``g`` with blocks ``inv(weights[k])``, grounded at vertex 1.
@@ -36,14 +43,15 @@ def grounded_inverse_oracle(g, weights: np.ndarray) -> np.ndarray:
     from mwtrees.operators import _subtree_runs
 
     n, s = g.n, g.s
-    at, runs, _ = _subtree_runs(g)
+    layout = _subtree_runs(g)
+    runs = list(zip(layout.lo.tolist(), layout.hi.tolist()))
     below = np.zeros((n, g.m))   # [p, k]: 1 where position p is below edge k
     meet = np.zeros((n, n), dtype=int)   # [p, q]: position of the lowest
     for k, (lo, hi) in enumerate(runs):  # common ancestor of p and q
         below[lo:hi, k] = 1.0
     for lo, hi in sorted(runs):   # from the root down, so the lowest wins
         meet[lo:hi, lo:hi] = lo
-    rest = at[1:]   # vertex order, without vertex 1
+    rest = layout.at[1:]   # vertex order, without vertex 1
     take = (meet[np.ix_(rest, rest)][:, None, :, None] * (s * s)
             + np.arange(s * s).reshape(1, s, 1, s))
     rooted = below @ np.reshape(weights, (g.m, s * s))   # [p]: path sum to p

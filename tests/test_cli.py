@@ -12,6 +12,7 @@ from mwtrees.cli import main
 from mwtrees.formats import dumps_graph, input_digest, load_graph
 from mwtrees.gallery import path4_block2
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
+from mwtrees.operators import distance_matrix, laplacian
 
 from conftest import fixture_path
 
@@ -209,6 +210,27 @@ def test_verify_emit_matrices(capsys):
     code, report, _ = run_json(capsys, "verify", DIAMOND, "--emit-matrices")
     assert code == 0
     assert set(report["matrices"]) == {"L"}
+
+
+def test_verify_emit_matrices_builds_d_and_l_once(capsys, monkeypatch):
+    # the matrices come from the analysis the suite built them in
+    from mwtrees import closedforms, operators
+
+    counts = {"tree_distance_data": 0, "laplacian_data": 0}
+    for module in (closedforms, operators):
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    code, report, _ = run_json(capsys, "verify", PATH4, "--emit-matrices")
+    assert code == 0
+    assert counts == {"tree_distance_data": 1, "laplacian_data": 1}
+    g = path4_block2()
+    assert report["matrices"] == {
+        "D": distance_matrix(g).data.tolist(),
+        "L": laplacian(g).data.tolist(),
+    }
 
 
 def test_verify_seed_changes_reports_deterministically(capsys):

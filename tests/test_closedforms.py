@@ -53,18 +53,18 @@ from mwtrees.linalg import (
     Inertia,
     inverse,
     numerical_rank,
-    svd_pseudo_inverse,
 )
 from mwtrees.operators import (
     LaplacianMode,
+    _subtree_runs,
     block_laplacian,
     distance_matrix,
     laplacian,
+    tree_pseudo_inverse_data,
     weight_stack,
-    weights_are_spd,
 )
 
-from conftest import grounded_inverse_oracle
+from conftest import graded_spd, grounded_inverse_oracle
 
 
 def complete_graph(n: int) -> MatrixWeightedGraph:
@@ -334,6 +334,15 @@ def test_interlacing_single_edge():
     assert np.allclose(report.triples, [[-1.0, -1.0, 1.0]], atol=1e-12)
 
 
+def test_inertia_is_skipped_on_a_single_vertex():
+    # D is the s x s zero block, outside the statement's n >= 2
+    reports = {r.name: r for r in verification_suite(path_graph(1, 2),
+                                                     "spectrum")}
+    assert reports["inertia"].status == SKIPPED
+    assert reports["inertia"].detail == "needs n >= 2"
+    assert reports["interlacing"].status == PASS
+
+
 def test_interlacing_single_vertex_is_trivial():
     report = interlacing_check(MatrixWeightedGraph(1, 2, []))
     assert report.passed and report.triples.shape == (0, 3)
@@ -492,13 +501,6 @@ def _topology(shape: str, size: int, rng) -> tuple[int, list[tuple[int, int]]]:
                   for v in range(u + 1, size + 1)]
 
 
-def _spd_weight(s: int, ratio: float, rng) -> np.ndarray:
-    """An SPD weight with eigenvalues log-evenly from 1 down to ``ratio``,
-    scaled by a random power of ten in [0.1, 10]."""
-    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
-    return (q * np.geomspace(1.0, ratio, s)) @ q.T * 10.0 ** rng.uniform(-1, 1)
-
-
 SPD_SHAPES = st.tuples(
     st.sampled_from(["tree", "path", "grid", "complete"]),
     st.integers(2, 10),
@@ -516,7 +518,7 @@ def _spd_graph(shape, size, s, ratio, seed) -> MatrixWeightedGraph:
     rng = np.random.default_rng(seed)
     n, edges = _topology(shape, size, rng)
     return MatrixWeightedGraph(
-        n, s, [(u, v, _spd_weight(s, ratio, rng)) for u, v in edges]
+        n, s, [(u, v, graded_spd(s, ratio, rng)) for u, v in edges]
     )
 
 
@@ -530,7 +532,7 @@ def test_one_svd_gives_rank_pinv_ginverses_and_spectrum(case):
     a = _Analysis(g)
     lap, p = a.laplacian, a.laplacian_pinv
     assert a.spd
-    lam = a.laplacian_svd[0]
+    lam = a.laplacian_singular_values
     for rel_tol in (1e-9, 3e-7, 3e-5, 3e-3):   # off the weight ratios
         rank = numerical_rank(lap, rel_tol)
         assert np.count_nonzero(lam > rel_tol * lam.max()) == rank
@@ -541,10 +543,15 @@ def test_one_svd_gives_rank_pinv_ginverses_and_spectrum(case):
     assert np.allclose(lam, symmetric_eigenvalues(lap), rtol=0.0,
                        atol=1e-12 * np.abs(lam).max())
 
-    # np.linalg.pinv's pseudo-inverse, bit for bit, and the Penrose
-    # conditions to round-off times the condition number of L on its range
-    assert np.array_equal(p, np.linalg.pinv(lap, rcond=1e-9))
-    kept = lam[lam > 1e-9 * lam.max()]
+    # off trees np.linalg.pinv's pseudo-inverse, bit for bit, with its
+    # cutoff; on trees the closed form, which cuts nothing.  Both meet the
+    # Penrose conditions to round-off times the condition number of L on
+    # the range of the pseudo-inverse.
+    if a.tree:
+        kept = lam[:(g.n - 1) * g.s]
+    else:
+        assert np.array_equal(p, np.linalg.pinv(lap, rcond=1e-9))
+        kept = lam[lam > 1e-9 * lam.max()]
     rtol = max(1e-9, 1e-12 * kept.max() / kept.min())
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(p)
     assert np.linalg.norm(lap @ p @ lap - lap) <= rtol * norm_l
@@ -591,6 +598,18 @@ def test_ill_conditioned_spd_weights_get_reports_not_errors(cond, skew):
         reports = verification_suite(g, suite)
         assert reports and all(r.status != SKIPPED for r in reports)
     assert interlacing_check(g).passed
+
+
+def test_graded_tree_ginverse_records_pass_where_pinv_cut_the_range():
+    # weights of eigenvalue ratio 1e-6: pinv's 1e-9 cutoff drops nonzero
+    # singular values of L, and g-inverses built on it failed both records
+    # with residual / tolerance about 3e5 and 6e5; L^+ in closed form cuts
+    # nothing
+    g = _probe_tree("path", 24, 2, True, 108, ratio=1e-6)
+    assert numerical_rank(laplacian(g).data) < (g.n - 1) * g.s
+    reports = {r.name: r for r in verification_suite(g, "ginverse")}
+    assert reports["ginverse_invariance"].status == PASS
+    assert reports["ginverse_recovery"].status == PASS
 
 
 def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:
@@ -654,10 +673,11 @@ def test_bridge_search_handles_a_deep_path():
 # --- certified tree ranks ----------------------------------------------------
 
 
-def _probe_tree(shape: str, n: int, s: int, spd: bool,
-                seed: int) -> MatrixWeightedGraph:
-    """A path, a star (both relabelled at random) or a uniform Pruefer tree
-    on n vertices, with SPD or random nonsingular weights."""
+def _probe_tree(shape: str, n: int, s: int, spd: bool, seed: int,
+                ratio: float = 1e-2) -> MatrixWeightedGraph:
+    """A path, a star, a random recursive tree (all relabelled at random)
+    or a uniform Pruefer tree on n vertices, with random nonsingular
+    weights or SPD ones of eigenvalue ratio ``ratio``."""
     rng = np.random.default_rng(seed)
     if shape == "prufer" and n > 1:
         topo = random_tree(GenConfig(n_range=(n, n), s_range=(1, 1),
@@ -665,9 +685,11 @@ def _probe_tree(shape: str, n: int, s: int, spd: bool,
         edges = [(e.u, e.v) for e in topo.edges]
     else:
         label = rng.permutation(n) + 1
-        hub = (lambda v: 1) if shape == "star" else (lambda v: v - 1)
+        hub = {"star": lambda v: 1,   # a path, or no edge (prufer, n = 1)
+               "recursive": lambda v: int(rng.integers(1, v)),
+               }.get(shape, lambda v: v - 1)
         edges = [(label[hub(v) - 1], label[v - 1]) for v in range(2, n + 1)]
-    weights = (_spd_weight(s, 1e-2, rng) if spd
+    weights = (graded_spd(s, ratio, rng) if spd
                else random_nonsingular(s, 1e4, rng) for _ in edges)
     return MatrixWeightedGraph(
         n, s, [(u, v, w) for (u, v), w in zip(edges, weights)]
@@ -692,6 +714,7 @@ TREE_PROBES = st.tuples(
 @example(("path", 2, 2, False, 0.25, -16.0, 2))   # SVD noise above rel_tol
 @example(("prufer", 9, 8, False, 12.0, -12.0, 3))
 @example(("path", 7, 2, True, 4.0, -1.0, 4))
+@example(("path", 6, 5, True, 4.0, -16.0, 0))   # a full SVD counts 26, not 25
 def test_rank_probe_reports_the_svd_ranks(case):
     # whether a rank is certified or computed, it is the rank the SVD of the
     # assembled Laplacian gives, at every tolerance and conditioning
@@ -719,11 +742,7 @@ def _svd_probe_ranks(g: MatrixWeightedGraph, trials: int, seed: int,
         laps.append(laplacian(MatrixWeightedGraph(
             g.n, g.s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
         )).data)
-    ranks = [numerical_rank(lap, rel_tol) for lap in laps]
-    if weights_are_spd(g):   # the probe counts this one on the SVD of L^+
-        sv = svd_pseudo_inverse(laps[0])[0]
-        ranks[0] = int(np.count_nonzero(sv > rel_tol * sv.max()))
-    return tuple(ranks)
+    return tuple(numerical_rank(lap, rel_tol) for lap in laps)
 
 
 @pytest.mark.parametrize("spd, scale", [(True, 1e300), (False, 1e306)])
@@ -733,7 +752,7 @@ def test_rank_probe_survives_huge_weights(spd, scale):
     # inf, 0 or NaN and the SVD decides
     rng = np.random.default_rng(11)
     g = MatrixWeightedGraph(200, 2, [
-        (v, v + 1, scale * (_spd_weight(2, 1e-2, rng) if spd
+        (v, v + 1, scale * (graded_spd(2, 1e-2, rng) if spd
                             else random_nonsingular(2, 1e4, rng)))
         for v in range(1, 200)
     ])
@@ -786,8 +805,7 @@ def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
     others = [random_nonsingular(s, 1e4, rng) for _ in g.edges]
     for blocks in (np.array([inverse(w) for w in weights]),
                    np.array([inverse(w) for w in others])):
-        ours = closedforms._tree_bounds(g, closedforms._rooted(g), weights,
-                                        blocks)
+        ours = closedforms._tree_bounds(g, _subtree_runs(g), weights, blocks)
         dense = _dense_bounds(g, weights, blocks)
         top, norm_k, norm_g, residual, null, frobenius = dense
         for i in (0, 1, 2, 5):   # ||L||, ||K||, ||G||, ||L||_F
@@ -817,7 +835,7 @@ def test_rank_certificate_falls_back_to_the_svd_only_when_undecided(
                         svds.append(np.shape(a)[-2:] == (size, size))
                         or real(a, *args, **kwargs))
     probe = rank_characterization_probe(g, trials=4, rel_tol=rel_tol)
-    # with SPD weights the first rank is counted on the SVD of L
+    # with SPD weights the first rank is counted on the values-only SVD of L
     assert sum(svds) == (not certified) * (4 + (not spd)) + spd
     if certified:
         assert probe.passed
@@ -894,15 +912,15 @@ def test_report_status_fail_is_reachable():
     assert statuses["dinv_minus_l"] == FAIL
 
 
-def test_suite_builds_one_analysis_per_graph(monkeypatch):
+def _suite_decompositions(monkeypatch, g: MatrixWeightedGraph):
+    """Run the whole suite on ``g``; return its reports, the builds of D
+    and L, the decompositions of L itself (an SVD with or without vectors,
+    pinv, eigh, eigvalsh) and the number of eigh calls on anything."""
     from mwtrees import closedforms
 
-    g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
-                              seed=3))
     lap = laplacian(g).data
     calls = {"D": 0, "L": 0}
-    # decompositions of L itself, and every eigh (of L or of the weights)
-    of_l = {"eigh": 0, "eigvalsh": 0, "svd": 0, "pinv": 0}
+    of_l = {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0, "eigvalsh": 0}
     eigh_calls = 0
 
     def counted(key, fn):
@@ -916,7 +934,9 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
             nonlocal eigh_calls
             eigh_calls += name == "eigh"
             a = np.asarray(a)
-            of_l[name] += a.shape[-2:] == lap.shape and any(
+            key = ("svd_values" if name == "svd"
+                   and not kwargs.get("compute_uv", True) else name)
+            of_l[key] += a.shape[-2:] == lap.shape and any(
                 np.array_equal(x, lap) for x in a.reshape(-1, *lap.shape))
             return fn(a, *args, **kwargs)
         return wrapper
@@ -925,14 +945,36 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
                         counted("D", closedforms.tree_distance_data))
     monkeypatch.setattr(closedforms, "laplacian_data",
                         counted("L", closedforms.laplacian_data))
-    for name in of_l:
+    for name in ("svd", "pinv", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
                             decomposition(name, getattr(np.linalg, name)))
     reports = verification_suite(g, "all")
+    return reports, calls, of_l, eigh_calls
+
+
+def test_suite_builds_one_analysis_per_graph(monkeypatch):
+    # an SPD tree: L^+ in closed form, so the one decomposition of L is
+    # the values-only SVD behind the probe's first rank and interlacing
+    g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
+                              seed=3))
+    reports, calls, of_l, eigh_calls = _suite_decompositions(monkeypatch, g)
     assert all(r.status == PASS for r in reports)
     assert calls == {"D": 1, "L": 1}
-    assert of_l == {"eigh": 0, "eigvalsh": 0, "svd": 1, "pinv": 0}
+    assert of_l == {"svd": 0, "svd_values": 1, "pinv": 0, "eigh": 0,
+                    "eigvalsh": 0}
     assert eigh_calls == 1   # the weights' SPD test and roots
+
+
+def test_spd_non_tree_takes_one_full_svd_of_its_laplacian(monkeypatch):
+    # off trees L^+ is still np.linalg.pinv's, from one full SVD
+    g = random_connected_nontree(GenConfig(n_range=(7, 7), s_range=(2, 2),
+                                           kind=WeightKind.SPD, seed=3))
+    reports, calls, of_l, eigh_calls = _suite_decompositions(monkeypatch, g)
+    assert all(r.status in (PASS, SKIPPED) for r in reports)
+    assert calls == {"D": 0, "L": 1}
+    assert of_l == {"svd": 1, "svd_values": 0, "pinv": 0, "eigh": 0,
+                    "eigvalsh": 0}
+    assert eigh_calls == 1
 
 
 @pytest.mark.parametrize("kind", [WeightKind.SPD, WeightKind.NONSINGULAR])
@@ -1037,23 +1079,25 @@ def test_suite_frees_its_analysis_without_the_cycle_collector(monkeypatch, make)
 def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
     # the benchmark's trees op: every call after loads_graph reads the
     # violation list and the analysis that the graph keeps
-    from mwtrees import closedforms, graphs
+    from mwtrees import closedforms, graphs, operators
     from mwtrees.formats import dumps_graph, loads_graph
 
     text = dumps_graph(random_tree(GenConfig(
         n_range=(12, 12), s_range=(3, 3), kind=WeightKind.SPD, seed=4)))
     counts = {}
     _count_calls(monkeypatch, graphs, "_violations", counts)
-    for name in ("tree_distance_data", "laplacian_data"):
+    for name in ("tree_distance_data", "laplacian_data", "_subtree_runs"):
         _count_calls(monkeypatch, closedforms, name, counts)
+    _count_calls(monkeypatch, operators, "_subtree_runs", counts)
     made = _recorded_analyses(monkeypatch)
     g = loads_graph(text)
     reports = verification_suite(g, "all")
     distance_determinant_sign_log(g)
     distance_inverse(g)
     assert all(r.status == PASS for r in reports)
+    # one preorder layout serves D, L^+ and the rank certificate
     assert counts == {"_violations": 1, "tree_distance_data": 1,
-                      "laplacian_data": 1}
+                      "laplacian_data": 1, "_subtree_runs": 1}
     assert len(made) == 1
 
 

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,11 +31,12 @@ from mwtrees.operators import (
     distance_matrix,
     incidence_matrix,
     laplacian,
+    tree_pseudo_inverse_data,
     weight_stack,
     weights_are_spd,
 )
 
-from conftest import conditioned_matrix, grounded_inverse_oracle
+from conftest import conditioned_matrix, graded_spd, grounded_inverse_oracle
 
 # Golden matrices for the order-4 path with 2x2 weights diag(2, 1),
 # [[0, 2], [1, 0]], diag(1, 2).  Worked out by hand from the path sums and
@@ -272,6 +274,8 @@ def _adversarial_topology(shape: str, n: int, rng) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(1, n)]
     if shape == "star":
         return [(1, i) for i in range(2, n + 1)]
+    if shape == "recursive":
+        return [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
     if shape == "caterpillar":
         spine = max(1, n // 3)
         legs = [(1 + int(rng.integers(spine)), v) for v in range(spine + 1, n + 1)]
@@ -350,3 +354,98 @@ def test_grounded_tree_inverse_is_the_path_sum_form(shape, n, s, spd, seed):
         size = (n - 1) * s
         assert np.linalg.norm(k @ inv - np.eye(size)) <= (
             1e-13 * size * np.linalg.norm(k) * np.linalg.norm(inv))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["path", "star", "recursive", "pruefer"]),
+    st.integers(1, 40),
+    st.integers(1, 8),
+    # SPD weights down to nearly singular; None: not symmetric
+    st.sampled_from([1.0, 1e-2, 1e-4, 1e-6, None]),
+    st.integers(0, 10**6),
+)
+def test_tree_pseudo_inverse_meets_the_penrose_conditions(
+    shape, n, s, ratio, seed
+):
+    # to round-off times the condition number of L on its range, the bound
+    # test_one_svd_gives_rank_pinv_ginverses_and_spectrum sets for pinv
+    rng = np.random.default_rng(seed)
+    topo = _adversarial_topology(shape, n, rng) if n > 1 else []
+    label = rng.permutation(n) + 1
+    g = MatrixWeightedGraph(n, s, [
+        (int(label[u - 1]), int(label[v - 1]),
+         graded_spd(s, ratio, rng) if ratio else conditioned_matrix(s, 1e-2, rng))
+        for u, v in topo
+    ])
+    lap = laplacian(g).data
+    p = tree_pseudo_inverse_data(g)
+    sv = np.linalg.svd(lap, compute_uv=False)[:(n - 1) * s]
+    rtol = max(1e-9, 1e-12 * sv.max(initial=1.0) / sv.min(initial=1.0))
+    norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(p)
+    assert np.linalg.norm(lap @ p @ lap - lap) <= rtol * norm_l
+    assert np.linalg.norm(p @ lap @ p - p) <= rtol * norm_p
+    for prod in (lap @ p, p @ lap):
+        assert np.linalg.norm(prod - prod.T) <= rtol * norm_l * norm_p
+
+
+def _exact_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse over the rationals of a nonsingular matrix."""
+    size = len(rows)
+    work = [[*row, *(Fraction(int(i == j)) for j in range(size))]
+            for i, row in enumerate(rows)]
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if work[r][c])
+        work[c], work[pivot] = work[pivot], work[c]
+        work[c] = [x / work[c][c] for x in work[c]]
+        for r in range(size):
+            if r != c and work[r][c]:
+                f = work[r][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return [row[size:] for row in work]
+
+
+def _integer_tree(seed: int) -> MatrixWeightedGraph:
+    """A random recursive tree, n <= 5, s <= 3, with nonsingular integer
+    weights: SPD ones ``a a^T + I`` for even seeds, any for odd ones."""
+    rng = np.random.default_rng(seed)
+    n, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    weights = []
+    while len(weights) < n - 1:
+        a = rng.integers(-3, 4, size=(s, s))
+        w = a @ a.T + np.eye(s, dtype=int) if seed % 2 == 0 else a
+        if abs(np.linalg.det(w)) > 0.5:   # an integer, so nonzero
+            weights.append(w.astype(float))
+    return MatrixWeightedGraph(n, s, [
+        (int(rng.integers(1, v)), v, w) for v, w in zip(range(2, n + 1), weights)
+    ])
+
+
+@pytest.mark.parametrize("make", [path4_block2,
+                                  *(lambda k=k: _integer_tree(k)
+                                    for k in range(10))])
+def test_tree_pseudo_inverse_matches_exact_rational_arithmetic(make):
+    # L^+ = (L + J/n kron I)^-1 - J/n kron I, all in fractions
+    g = make()
+    n, s = g.n, g.s
+    lap = [[Fraction(0)] * (n * s) for _ in range(n * s)]
+    for e in g.edges:
+        block = _exact_inverse([[Fraction(int(x)) for x in row]
+                                for row in e.weight])
+        for a in range(s):
+            for b in range(s):
+                for i, j, sign in ((e.u, e.u, 1), (e.v, e.v, 1),
+                                   (e.u, e.v, -1), (e.v, e.u, -1)):
+                    lap[(i - 1) * s + a][(j - 1) * s + b] += sign * block[a][b]
+    mean = Fraction(1, n)
+    shift = [[mean * (a % s == b % s) for b in range(n * s)]
+             for a in range(n * s)]
+    shifted = [[x + y for x, y in zip(r, t)] for r, t in zip(lap, shift)]
+    exact = np.array([[float(x - y) for x, y in zip(r, t)]
+                      for r, t in zip(_exact_inverse(shifted), shift)])
+    assert np.allclose(laplacian(g).data,
+                       np.array([[float(x) for x in r] for r in lap]),
+                       rtol=0.0, atol=1e-14)
+    got = tree_pseudo_inverse_data(g)
+    scale = sum(np.abs(e.weight).sum() for e in g.edges)
+    assert np.abs(got - exact).max() <= 1e-15 * max(1.0, scale)

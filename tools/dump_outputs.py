@@ -9,8 +9,10 @@ The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
 every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
 benchmark op, it hashes the suite records, the rank probe, D, the
-determinant, D^{-1}, L and the rank-deficient weighting; an output that
-raises is hashed as its exception type and message.  Floats are hashed by
+determinant, D^{-1}, L, the rank-deficient weighting, and the L^+ and the
+singular values of L that the suite's g-inverse and spectrum checks read
+from the graph's analysis; an output that raises is hashed as its
+exception type and message.  Floats are hashed by
 their bits, so two runs, or two commits, that print the same lines gave
 the same bytes.  Comparing the output of a parent commit with that of a
 change shows whether the change moved any result.
@@ -27,6 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import mwtrees as mw  # noqa: E402
+from mwtrees.closedforms import _analysis  # noqa: E402
 from mwtrees.generators import GenConfig, WeightKind  # noqa: E402
 
 
@@ -77,6 +80,8 @@ def outputs(g):
     yield "D", lambda: mw.distance_matrix(g)
     yield "L", lambda: mw.laplacian(g)
     yield "witness", lambda: mw.rank_deficient_weighting(g)
+    yield "L_pinv", lambda: _analysis(g).laplacian_pinv
+    yield "L_singular_values", lambda: _analysis(g).laplacian_singular_values
 
 
 def main() -> None:
