@@ -18,13 +18,17 @@ rank, determinant and inverse of each weight, the reweightings of the rank
 probe) come from one stacked call per graph, not one call per edge.
 
 On a tree, L = A B A^T with A = Inc kron I_s of full column rank and B =
-diag(W_k^-1), and L^+ has a closed form in the edge weights (see
-:func:`~mwtrees.operators.tree_pseudo_inverse_data`): the g-inverse checks
-sample around it with no decomposition of L, and the one (n s) x (n s)
+diag(W_k^-1), and both L^+ and the grounded inverse G_r (L with vertex r's
+block row and column deleted, inverted, padded with zeros) have closed
+forms in the edge weights (see :func:`~mwtrees.operators.tree_g_inverse_data`).
+The g-inverse checks of a tree compare L^+ with samples G_r + Z U + V Z^T,
+Z = 1_n kron I_s / sqrt(n), at roots r drawn from the seeds: no
+decomposition of L and no (n s)^3 product.  The one (n s) x (n s)
 decomposition of an SPD tree's suite is a values-only SVD of L, which gives
 the rank probe's first rank and the interlacing spectrum.  On other graphs
-L^+ is ``np.linalg.pinv``'s, to the bit.  One preorder layout of the tree
-serves D, L^+ and the rank certificate.
+L^+ is ``np.linalg.pinv``'s, to the bit, and the g-inverse samples are
+:func:`~mwtrees.linalg.random_g_inverse`'s, around it.  One preorder layout
+of the tree serves D, L^+, G_r and the rank certificate.
 
 The rank probe of a tree decides each Laplacian rank without an SVD where
 it can: the Laplacian grounded at vertex 1 has an inverse in closed form,
@@ -92,7 +96,7 @@ from .operators import (
     inverse_weights,
     laplacian_data,
     tree_distance_data,
-    tree_pseudo_inverse_data,
+    tree_g_inverse_data,
     weight_stack,
 )
 
@@ -160,10 +164,11 @@ class _Analysis:
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  One ``eigh`` of the weights
-    decides SPD and gives Q.  On a tree one preorder layout serves D, L^+
-    and the rank certificate, L^+ is built in closed form and one
-    values-only SVD of L gives its rank and spectrum; on other graphs L^+
-    comes from the SVD that ``np.linalg.pinv`` takes.
+    decides SPD and gives Q.  On a tree one preorder layout serves D, L^+,
+    the grounded g-inverses and the rank certificate, L^+ and the
+    g-inverses are built in closed form and one values-only SVD of L gives
+    its rank and spectrum; on other graphs L^+ comes from the SVD that
+    ``np.linalg.pinv`` takes.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -239,22 +244,41 @@ class _Analysis:
         (bit for bit) on other graphs.  A singular weight raises, as for L."""
         lap = self.laplacian
         if self.tree:
-            return _read_only(tree_pseudo_inverse_data(self.g, self.layout))
+            return _read_only(tree_g_inverse_data(self.g, self.layout))
         return _read_only(pseudo_inverse(lap))
 
     @cached_property
     def g_inverse_projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``I - L^+ L`` and ``I - L L^+``, shared by every sample."""
+        """``I - L^+ L`` and ``I - L L^+``, shared by every sample of a
+        graph that is not a tree."""
         left, right = g_inverse_projectors(self.laplacian, self.laplacian_pinv)
         return _read_only(left), _read_only(right)
 
     def g_inverse(self, seed: int) -> BlockMatrix:
-        """The ``random_g_inverse`` sample of L for ``seed``."""
-        return BlockMatrix(
-            g_inverse_sample(self.laplacian_pinv, *self.g_inverse_projectors,
-                             seed),
-            self.g.s,
-        )
+        """The g-inverse sample of L for ``seed``.
+
+        On a tree, ``G_r + Z U + V Z^T``: G_r grounded at the root r of
+        :func:`_seeded_root`, ``Z = 1_n kron I_s / sqrt(n)``, so ``Z Z^T =
+        I - L^+ L = I - L L^+``, and U (s x n s), V (n s x s) drawn
+        uniform(-1, 1) after r; the null terms are added as tilings.
+        Elsewhere, the ``random_g_inverse`` sample, from L^+ and the cached
+        projectors.
+        """
+        g = self.g
+        if not self.tree:
+            return BlockMatrix(
+                g_inverse_sample(self.laplacian_pinv,
+                                 *self.g_inverse_projectors, seed),
+                g.s,
+            )
+        n, s = g.n, g.s
+        root, rng = _seeded_root(n, seed)
+        u = rng.uniform(-1.0, 1.0, size=(s, n * s)) / math.sqrt(n)
+        v = rng.uniform(-1.0, 1.0, size=(n * s, s)) / math.sqrt(n)
+        data = tree_g_inverse_data(g, self.layout, root)
+        data.reshape(n, s, n * s)[:] += u
+        data.reshape(n * s, n, s)[:] += v[:, None, :]
+        return BlockMatrix(data, s)
 
     @cached_property
     def invertibility(self) -> InvertibilityResult:
@@ -290,6 +314,14 @@ class _Analysis:
             trees_with_edge=with_edge,
             trees_without_edge=without_edge,
         )
+
+
+def _seeded_root(n: int, seed: int) -> tuple[int, np.random.Generator]:
+    """The root, from 1 to n, of a tree's g-inverse sample for ``seed``:
+    the first draw of numpy's PCG64 stream for ``seed``, returned with
+    the stream."""
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(1, n + 1)), rng
 
 
 def _analysis(g: MatrixWeightedGraph) -> _Analysis:
@@ -508,11 +540,16 @@ def ginverse_invariance_check(
 ) -> VerificationReport:
     """Check that Laplacian pair contractions ignore the g-inverse choice.
 
-    Samples one generalized inverse of the inverse-weighted Laplacian per
-    seed and compares ``H_ii + H_jj - H_ij - H_ji`` across samples for every
-    vertex pair.  For a connected graph with SPD weights the contraction is
-    a class function of the g-inverse family, so the deviation is pure
-    round-off; tolerance is ``rel_tol`` times the pseudo-inverse norm.
+    Compares ``H_ii + H_jj - H_ij - H_ji`` of generalized inverses H of the
+    inverse-weighted Laplacian L for every vertex pair.  On a tree each
+    seed's sample (L grounded at a root drawn from the seed, inverted in
+    closed form, plus null terms; see :meth:`_Analysis.g_inverse`) is
+    compared with L^+ in closed form.  On other graphs the
+    :func:`~mwtrees.linalg.random_g_inverse` samples of the seeds are
+    compared with the first.  For a connected graph with SPD weights the
+    contraction is a class function of the g-inverse family, so the
+    deviation is pure round-off; tolerance is ``rel_tol`` times the
+    pseudo-inverse norm.
     """
     a = _analysis(g)
     if not is_connected(g):
@@ -520,13 +557,19 @@ def ginverse_invariance_check(
     a.require_spd()
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
-    base, *others = (a.g_inverse(seed).pair_contractions() for seed in seeds)
+    seeds = tuple(seeds)
+    samples = [a.g_inverse(seed) for seed in seeds]
+    if a.tree:
+        samples.insert(0, BlockMatrix(a.laplacian_pinv, g.s))
+        roots = tuple(_seeded_root(g.n, seed)[0] for seed in seeds)
+        detail = (f"L^+ against g-inverses grounded at roots {roots}, "
+                  f"seeds {seeds}")
+    else:
+        detail = f"{len(seeds)} g-inverse samples, seeds {seeds}"
+    base, *others = (h.pair_contractions() for h in samples)
     worst = max(_worst_pair(other - base) for other in others)
     scale = float(np.linalg.norm(a.laplacian_pinv))
-    return _report(
-        "ginverse_invariance", worst, rel_tol * scale, g,
-        f"{len(seeds)} g-inverse samples, seeds {tuple(seeds)}",
-    )
+    return _report("ginverse_invariance", worst, rel_tol * scale, g, detail)
 
 
 def ginverse_distance_recovery(
@@ -536,7 +579,10 @@ def ginverse_distance_recovery(
 
     On a tree with SPD weights, ``H_ii + H_jj - H_ij - H_ji`` of any
     generalized inverse H of the Laplacian equals distance block (i, j).
-    Tolerance is ``rel_tol`` times the distance-matrix norm.
+    H is the sample for ``seed`` of :meth:`_Analysis.g_inverse`: the
+    Laplacian grounded at a root drawn from the seed, inverted in closed
+    form, plus random null terms.  Tolerance is ``rel_tol`` times the
+    distance-matrix norm.
     """
     a = _analysis(g)
     require_tree(g)
@@ -545,9 +591,10 @@ def ginverse_distance_recovery(
     blocks = dist.reshape(g.n, g.s, g.n, g.s).transpose(0, 2, 1, 3)
     worst = _worst_pair(a.g_inverse(seed).pair_contractions() - blocks)
     scale = float(np.linalg.norm(dist))
+    root = _seeded_root(g.n, seed)[0]
     return _report(
         "ginverse_recovery", worst, rel_tol * scale, g,
-        f"g-inverse sample for seed {seed}",
+        f"g-inverse grounded at root {root}, seed {seed}",
     )
 
 

@@ -4,7 +4,8 @@ Three operators: the tree distance matrix D, the block Laplacian L (raw or
 inverse-weighted), and the scaled incidence matrix Q with L = Q Q^T for SPD
 weights.  All are returned as :class:`~mwtrees.linalg.BlockMatrix` with the
 graph's block size.  The arrays behind D and, on a tree, behind the
-pseudo-inverse of L are built from one preorder :class:`TreeLayout`.
+pseudo-inverse and the grounded inverses of L are built from one preorder
+:class:`TreeLayout`.
 """
 
 from __future__ import annotations
@@ -71,30 +72,37 @@ def tree_distance_data(g: MatrixWeightedGraph,
     return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
 
 
-def tree_pseudo_inverse_data(g: MatrixWeightedGraph,
-                             layout: TreeLayout | None = None) -> np.ndarray:
-    """The Moore-Penrose inverse of the inverse-weighted Laplacian L of a
-    tree with nonsingular weights, in closed form, for a tree already
-    checked; ``layout`` is its :func:`_subtree_runs` (computed when None).
+def tree_g_inverse_data(g: MatrixWeightedGraph,
+                        layout: TreeLayout | None = None,
+                        root: int | None = None) -> np.ndarray:
+    """A g-inverse of the inverse-weighted Laplacian L of a tree with
+    nonsingular weights, in closed form, for a tree already checked:
+    L^+ when ``root`` is None, else G_root, L grounded at vertex ``root``
+    (its block row and column deleted), inverted and padded with zeros.
+    ``layout`` is the tree's :func:`_subtree_runs` (computed when None).
 
-    With t_k the 0/1 indicator of the vertices below edge k, seen from
-    vertex 1, ``G = sum_k t_k t_k^T kron W_k`` is L grounded at vertex 1,
-    inverted and padded with zeros, so ``L G L = L`` and ``G L G = G``.
-    The block rows and columns of L sum to zero and its null space is
-    ``1_n kron R^s``, so ``P = (I - J/n) kron I_s`` projects onto the
-    ranges of L and L^T, and ``P G P`` is the g-inverse with those ranges:
-    L^+, also for weights that are not symmetric.  Since ``P t_k = c_k =
-    t_k - (|t_k| / n) 1_n``, ``L^+ = sum_k c_k c_k^T kron W_k``: one product
-    of the (n, m) matrix of the c_k with the stack of ``c_k^T kron W_k``,
-    with no factorization and no inversion.
+    Both are ``sum_k v_k v_k^T kron W_k`` over one vector v_k per edge: one
+    product of the (n, m) matrix of the v_k with the stack of ``v_k^T kron
+    W_k``, with no factorization and no inversion.  For G_r, v_k is the 0/1
+    indicator t_k of the side of edge k away from r; block (i, j) is then
+    the path sum of the weights from r to where the paths to i and j part,
+    so ``L G_r L = L`` and ``G_r L G_r = G_r``.  The block rows and columns
+    of L sum to zero and its null space is ``1_n kron R^s``, so ``P = (I -
+    J/n) kron I_s`` projects onto the ranges of L and L^T, and ``P G_r P``
+    is the g-inverse with those ranges: L^+, also for weights that are not
+    symmetric.  ``P t_k = c_k = t_k - (|t_k| / n) 1_n``, which moving r
+    across edge k only negates, so v_k = c_k gives L^+.
     """
     n, s, m = g.n, g.s, g.m
     if layout is None:
         layout = _subtree_runs(g)
     below = layout.below[layout.at]   # [i, k]: vertex i is below edge k
-    centred = below - below.mean(axis=0)
-    terms = centred.T[:, None, :, None] * weight_stack(g)[:, :, None, :]
-    return (centred @ terms.reshape(m, s * n * s)).reshape(n * s, n * s)
+    if root is None:
+        sides = below - below.mean(axis=0)
+    else:   # flip the edges on the path from vertex 1 to the root
+        sides = np.abs(below - below[root - 1])
+    terms = sides.T[:, None, :, None] * weight_stack(g)[:, :, None, :]
+    return (sides @ terms.reshape(m, s * n * s)).reshape(n * s, n * s)
 
 
 class TreeLayout:

@@ -233,11 +233,27 @@ def test_verify_emit_matrices_builds_d_and_l_once(capsys, monkeypatch):
     }
 
 
-def test_verify_seed_changes_reports_deterministically(capsys):
-    code1, rep1, _ = run_json(capsys, "verify", DIAMOND, "--suite", "ginverse")
-    code2, rep2, _ = run_json(capsys, "verify", DIAMOND, "--suite", "ginverse")
+def _spd_path4(tmp_path) -> str:
+    """path4_block2 with its asymmetric middle weight made SPD, so the
+    g-inverse checks run on the tree route instead of being skipped."""
+    g = MatrixWeightedGraph(4, 2, [
+        (e.u, e.v, [[2.0, 1.0], [1.0, 2.0]] if k == 1 else e.weight)
+        for k, e in enumerate(path4_block2().edges)
+    ])
+    path = tmp_path / "spd_path4.json"
+    path.write_text(dumps_graph(g))
+    return str(path)
+
+
+# seeds 0 and 5 draw different roots on the tree: (4, 2) and (3, 2)
+@pytest.mark.parametrize("fixture", ["diamond4", "spd_path4"])
+def test_verify_seed_changes_reports_deterministically(capsys, tmp_path,
+                                                      fixture):
+    path = DIAMOND if fixture == "diamond4" else _spd_path4(tmp_path)
+    code1, rep1, _ = run_json(capsys, "verify", path, "--suite", "ginverse")
+    code2, rep2, _ = run_json(capsys, "verify", path, "--suite", "ginverse")
     assert rep1["checks"] == rep2["checks"]
-    code3, rep3, _ = run_json(capsys, "verify", DIAMOND, "--suite", "ginverse",
+    code3, rep3, _ = run_json(capsys, "verify", path, "--suite", "ginverse",
                               "--seed", "5")
     assert rep3["checks"][0]["residual"] != rep1["checks"][0]["residual"]
 

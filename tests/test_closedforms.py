@@ -60,7 +60,7 @@ from mwtrees.operators import (
     block_laplacian,
     distance_matrix,
     laplacian,
-    tree_pseudo_inverse_data,
+    tree_g_inverse_data,
     weight_stack,
 )
 
@@ -285,6 +285,15 @@ def test_ginverse_recovery_scalar_path3():
     report = ginverse_distance_recovery(path_graph(3))
     assert report.status == PASS
     assert report.residual < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [1, 3])
+def test_ginverse_records_pass_on_the_smallest_trees(n, s):
+    # one vertex: no edge, an empty layout, and G_r the s x s zero block
+    reports = verification_suite(path_graph(n, s), "ginverse")
+    assert [(r.name, r.status) for r in reports] == [
+        ("ginverse_invariance", PASS), ("ginverse_recovery", PASS)]
 
 
 def test_ginverse_recovery_needs_tree_and_spd():
@@ -610,6 +619,66 @@ def test_graded_tree_ginverse_records_pass_where_pinv_cut_the_range():
     reports = {r.name: r for r in verification_suite(g, "ginverse")}
     assert reports["ginverse_invariance"].status == PASS
     assert reports["ginverse_recovery"].status == PASS
+
+
+def _perturbed(g: MatrixWeightedGraph, name: str) -> MatrixWeightedGraph:
+    """``g`` with 1e-6 times the Frobenius norm of its analysis's ``name``
+    array added to every entry of block (1, n) of that array."""
+    from mwtrees.closedforms import _analysis, _read_only
+
+    a = _analysis(g)
+    data = getattr(a, name).copy()
+    s, n = g.s, g.n
+    data[:s, (n - 1) * s:] += 1e-6 * np.linalg.norm(data)
+    a.__dict__[name] = _read_only(data)
+    return g
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "prufer"])
+def test_ginverse_records_detect_a_one_block_error(shape):
+    # ten times the tolerance in one block of L^+ or of D: the record that
+    # reads it fails
+    for seed in range(8):
+        n, s = 3 + 2 * seed, 1 + seed % 4
+
+        def tree():
+            return _probe_tree(shape, n, s, True, 400 + seed)
+
+        reports = {r.name: r.status for r in verification_suite(tree(),
+                                                                "ginverse")}
+        assert reports == {"ginverse_invariance": PASS,
+                           "ginverse_recovery": PASS}
+        g = _perturbed(tree(), "laplacian_pinv")
+        assert ginverse_invariance_check(g).status == FAIL
+        g = _perturbed(tree(), "distance")
+        assert ginverse_distance_recovery(g, seed=2).status == FAIL
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e-4, 1e-6])
+def test_graded_spd_trees_pass_the_ginverse_records(ratio):
+    for shape in ("path", "star", "recursive", "prufer"):
+        for seed in range(20):
+            g = _probe_tree(shape, 3 + seed, 1 + seed % 4, True, 500 + seed,
+                            ratio=ratio)
+            for r in verification_suite(g, "ginverse"):
+                assert r.status == PASS, (shape, seed, r)
+
+
+def test_tree_ginverse_checks_take_no_projectors(monkeypatch):
+    # a tree's g-inverses are grounded inverses in closed form; the
+    # projector route is the non-trees' alone
+    from mwtrees import closedforms
+
+    counts = {}
+    for name in ("g_inverse_projectors", "g_inverse_sample"):
+        _count_calls(monkeypatch, closedforms, name, counts)
+    g = _probe_tree("prufer", 12, 3, True, 4)
+    reports = verification_suite(g, "ginverse")
+    assert all(r.status == PASS for r in reports)
+    assert counts == {}
+    assert "g_inverse_projectors" not in closedforms._analysis(g).__dict__
+    verification_suite(diamond4(), "ginverse")
+    assert counts == {"g_inverse_projectors": 1, "g_inverse_sample": 2}
 
 
 def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:

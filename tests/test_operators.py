@@ -31,7 +31,7 @@ from mwtrees.operators import (
     distance_matrix,
     incidence_matrix,
     laplacian,
-    tree_pseudo_inverse_data,
+    tree_g_inverse_data,
     weight_stack,
     weights_are_spd,
 )
@@ -356,6 +356,45 @@ def test_grounded_tree_inverse_is_the_path_sum_form(shape, n, s, spd, seed):
             1e-13 * size * np.linalg.norm(k) * np.linalg.norm(inv))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["path", "star", "caterpillar", "pruefer"]),
+    st.integers(1, 30),
+    st.sampled_from([1, 2, 8]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_tree_grounded_inverse_at_any_root(shape, n, s, spd, seed):
+    # G_r has block (i, j) = (D_ir + D_rj - D_ij) / 2, zero in block row and
+    # column r; it inverts L grounded at r, and centring it gives L^+
+    rng = np.random.default_rng(seed)
+    topo = _adversarial_topology(shape, n, rng) if n > 1 else []
+    label = rng.permutation(n) + 1
+    g = MatrixWeightedGraph(n, s, [
+        (int(label[u - 1]), int(label[v - 1]),
+         random_spd(s, seed=rng) if spd else rng.standard_normal((s, s)))
+        for u, v in topo
+    ])
+    r = int(rng.integers(1, n + 1))
+    got = tree_g_inverse_data(g, root=r)
+    d = distance_oracle(g).data.reshape(n, s, n, s)
+    expected = 0.5 * (d[:, :, r - 1, :][:, :, None, :] + d[r - 1][None] - d)
+    scale = sum(np.abs(e.weight).sum() for e in g.edges)
+    assert np.allclose(got, expected.reshape(n * s, n * s), rtol=0.0,
+                       atol=1e-13 * n * scale)
+    centre = np.kron(np.eye(n) - 1.0 / n, np.eye(s))
+    assert np.allclose(centre @ got @ centre, tree_g_inverse_data(g),
+                       rtol=0.0, atol=1e-13 * n * scale)
+    if spd and n > 1:
+        keep = np.ones(n * s, dtype=bool)
+        keep[(r - 1) * s:r * s] = False
+        lap = laplacian(g).data
+        k, inv = lap[np.ix_(keep, keep)], got[np.ix_(keep, keep)]
+        size = (n - 1) * s
+        assert np.linalg.norm(k @ inv - np.eye(size)) <= (
+            1e-13 * size * np.linalg.norm(k) * np.linalg.norm(inv))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["path", "star", "recursive", "pruefer"]),
@@ -379,7 +418,7 @@ def test_tree_pseudo_inverse_meets_the_penrose_conditions(
         for u, v in topo
     ])
     lap = laplacian(g).data
-    p = tree_pseudo_inverse_data(g)
+    p = tree_g_inverse_data(g)
     sv = np.linalg.svd(lap, compute_uv=False)[:(n - 1) * s]
     rtol = max(1e-9, 1e-12 * sv.max(initial=1.0) / sv.min(initial=1.0))
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(p)
@@ -446,6 +485,6 @@ def test_tree_pseudo_inverse_matches_exact_rational_arithmetic(make):
     assert np.allclose(laplacian(g).data,
                        np.array([[float(x) for x in r] for r in lap]),
                        rtol=0.0, atol=1e-14)
-    got = tree_pseudo_inverse_data(g)
+    got = tree_g_inverse_data(g)
     scale = sum(np.abs(e.weight).sum() for e in g.edges)
     assert np.abs(got - exact).max() <= 1e-15 * max(1.0, scale)

@@ -8,14 +8,15 @@ Usage, from the root of a source checkout (the package is imported from
 The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
 every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
-benchmark op, it hashes the suite records, the rank probe, D, the
-determinant, D^{-1}, L, the rank-deficient weighting, and the L^+ and the
-singular values of L that the suite's g-inverse and spectrum checks read
-from the graph's analysis; an output that raises is hashed as its
-exception type and message.  Floats are hashed by
-their bits, so two runs, or two commits, that print the same lines gave
-the same bytes.  Comparing the output of a parent commit with that of a
-change shows whether the change moved any result.
+benchmark op, it hashes each suite record on its own line (labelled
+``suite/<record name>``), the rank probe, D, the determinant, D^{-1}, L,
+the rank-deficient weighting, and the L^+ and the singular values of L
+that the suite's g-inverse and spectrum checks read from the graph's
+analysis; an output that raises is hashed as its exception type and
+message, on one line.  Floats are hashed by their bits, so two runs, or
+two commits, that print the same lines gave the same bytes.  Comparing
+the output of a parent commit with that of a change shows whether the
+change moved any result, and which records it moved.
 """
 
 from __future__ import annotations
@@ -84,14 +85,24 @@ def outputs(g):
     yield "L_singular_values", lambda: _analysis(g).laplacian_singular_values
 
 
+def canonical_lines(label: str, value) -> list[tuple[str, bytes]]:
+    """``(label, bytes)`` for each line of one output: one per record of a
+    suite, one for any other output."""
+    if label == "suite":
+        return [(f"suite/{r.name}", canonical(r)) for r in value]
+    return [(label, canonical(value))]
+
+
 def main() -> None:
     for name, g in corpus():
         for label, compute in outputs(g):
             try:
-                data = canonical(compute())
+                lines = canonical_lines(label, compute())
             except Exception as exc:  # a refusal is an output too
-                data = f"raised {type(exc).__name__}: {exc}".encode()
-            print(name, label, hashlib.sha256(data).hexdigest())
+                lines = [(label,
+                          f"raised {type(exc).__name__}: {exc}".encode())]
+            for line_label, data in lines:
+                print(name, line_label, hashlib.sha256(data).hexdigest())
 
 
 if __name__ == "__main__":
