@@ -27,7 +27,6 @@ from .closedforms import (
     distance_determinant,
     distance_determinant_sign_log,
     distance_inverse,
-    distance_inverse_factored,
     ginverse_distance_recovery,
     ginverse_invariance_check,
     inertia_check,
@@ -45,6 +44,7 @@ from .errors import (
     IsATreeError,
     MWTreesError,
     NoBridgelessEdgeError,
+    NonFiniteError,
     NotATreeError,
     NotConnectedError,
     NotInvertibleError,

@@ -9,13 +9,18 @@ inverse properties that hold alongside them.
 
 Every public function works on the one :class:`_Analysis` that its graph
 object keeps, built on the first call: the structure is validated once, and
-D, L, L^+, the weight sum, the SPD flag, the default-tolerance
+D, L, L^+, the weight sum R and R^-1, the SPD flag, the default-tolerance
 invertibility and the rank-deficient weighting are each built at most
-once, on first use, and shared read-only.  So :func:`verification_suite`,
+once, on first use, and shared read-only.  A D or R that overflows float
+range raises NonFiniteError, and the suite reports SKIPPED for the checks
+that need it.  So :func:`verification_suite`,
 then :func:`distance_determinant_sign_log` and :func:`distance_inverse` on
 the same graph build D and L once between them.  The per-edge facts (the
 rank, determinant and inverse of each weight, the reweightings of the rank
 probe) come from one stacked call per graph, not one call per edge.
+
+The identity checks form two (n s)^3 products, L D and D L, and check the
+other identities on seeded Gaussian probes (see :func:`verify_identities`).
 
 On a tree, L = A B A^T with A = Inc kron I_s of full column rank and B =
 diag(W_k^-1), and both L^+ and the grounded inverse G_r (L with vertex r's
@@ -54,10 +59,13 @@ from .errors import (
     IsATreeError,
     MWTreesError,
     NoBridgelessEdgeError,
+    NonFiniteError,
     NotATreeError,
     NotConnectedError,
     NotInvertibleError,
     NotSPDError,
+    SingularMatrixError,
+    SingularWeightError,
 )
 from .graphs import (
     MatrixWeightedGraph,
@@ -79,7 +87,6 @@ from .linalg import (
     g_inverse_sample,
     inertia_of,
     inverse,
-    kronecker,
     numerical_rank,
     numerical_ranks,
     pseudo_inverse,
@@ -108,6 +115,10 @@ SKIPPED = "SKIPPED"
 IDENTITY_NAMES = ("ld", "dl", "ldl", "dinv_minus_l", "qdq")
 
 SUITES = ("identities", "ginverse", "spectrum", "rank", "all")
+
+#: Gaussian probe columns of the ``ldl``, ``dinv_minus_l`` and ``qdq``
+#: estimates of :func:`verify_identities`.
+_PROBES = 8
 
 #: The rank certificate of a tree Laplacian of order N allows this many
 #: times ``N eps sigma_1`` for the error of the singular values LAPACK
@@ -156,6 +167,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(build, what: str) -> np.ndarray:
+    """The array ``build()`` returns, read-only; NonFiniteError naming
+    ``what`` if it holds inf or NaN, which sums of the weights reach when
+    they overflow (quietly: the error reports it)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = build()
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} has non-finite entries: sums of the "
+                             f"weights overflow float range")
+    return _read_only(a)
+
+
 class _Analysis:
     """What the checks of one graph share, each piece built at most once.
 
@@ -164,7 +187,8 @@ class _Analysis:
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  One ``eigh`` of the weights
-    decides SPD and gives Q.  On a tree one preorder layout serves D, L^+,
+    decides SPD and gives Q; the rank tests that invert the weights for L
+    and R for R^-1 decide invertibility.  On a tree one preorder layout serves D, L^+,
     the grounded g-inverses and the rank certificate, L^+ and the
     g-inverses are built in closed form and one values-only SVD of L gives
     its rank and spectrum; on other graphs L^+ comes from the SVD that
@@ -209,7 +233,15 @@ class _Analysis:
 
     @cached_property
     def weight_sum(self) -> np.ndarray:
-        return _read_only(weight_sum(self.g))
+        """R, the sum of the weights; NonFiniteError if it overflows."""
+        return _finite(lambda: weight_sum(self.g),
+                       "the sum of the edge weights")
+
+    @cached_property
+    def weight_sum_inverse(self) -> np.ndarray:
+        """R^-1; SingularMatrixError if R is singular at the default
+        tolerance."""
+        return _read_only(inverse(self.weight_sum))
 
     @cached_property
     def layout(self) -> TreeLayout:
@@ -219,7 +251,9 @@ class _Analysis:
 
     @cached_property
     def distance(self) -> np.ndarray:
-        return _read_only(tree_distance_data(self.g, self.layout))
+        """D; NonFiniteError if a path sum overflows."""
+        return _finite(lambda: tree_distance_data(self.g, self.layout),
+                       "the distance matrix")
 
     @cached_property
     def distance_eigenvalues(self) -> np.ndarray:
@@ -244,7 +278,8 @@ class _Analysis:
         (bit for bit) on other graphs.  A singular weight raises, as for L."""
         lap = self.laplacian
         if self.tree:
-            return _read_only(tree_g_inverse_data(self.g, self.layout))
+            return _finite(lambda: tree_g_inverse_data(self.g, self.layout),
+                           "L^+")
         return _read_only(pseudo_inverse(lap))
 
     @cached_property
@@ -282,8 +317,19 @@ class _Analysis:
 
     @cached_property
     def invertibility(self) -> InvertibilityResult:
-        """:func:`invertibility_check` at the default tolerance."""
-        return invertibility_check(self.g)
+        """:func:`invertibility_check` at the default tolerance, from the
+        rank tests that invert the weights for L and R for R^-1, so that
+        each is rank-tested once per graph."""
+        require_tree(self.g)
+        try:
+            self.laplacian
+            self.weight_sum_inverse
+        except SingularWeightError as exc:
+            return InvertibilityResult(False, _singular_edge(self.g,
+                                                             exc.edge_index))
+        except SingularMatrixError:
+            return InvertibilityResult(False, _SINGULAR_SUM)
+        return InvertibilityResult(True)
 
     @cached_property
     def deficient_weighting(self) -> DeficientWeighting:
@@ -404,14 +450,18 @@ def invertibility_check(
     require_tree(g)
     singular = np.flatnonzero(numerical_ranks(weight_stack(g), rel_tol) < g.s)
     if singular.size:
-        k = int(singular[0])
-        e = g.edges[k]
-        return InvertibilityResult(
-            False, f"edge {k} ({e.u}, {e.v}) weight is singular"
-        )
+        return InvertibilityResult(False, _singular_edge(g, int(singular[0])))
     if numerical_rank(a.weight_sum, rel_tol) < g.s:
-        return InvertibilityResult(False, "sum of edge weights is singular")
+        return InvertibilityResult(False, _SINGULAR_SUM)
     return InvertibilityResult(True)
+
+
+_SINGULAR_SUM = "sum of edge weights is singular"
+
+
+def _singular_edge(g: MatrixWeightedGraph, k: int) -> str:
+    e = g.edges[k]
+    return f"edge {k} ({e.u}, {e.v}) weight is singular"
 
 
 def _require_invertible(a: _Analysis) -> None:
@@ -429,7 +479,8 @@ def distance_inverse(g: MatrixWeightedGraph) -> BlockMatrix:
     Built as ``-L/2 + (delta delta^T kron R^{-1}) / 2`` where L is the
     inverse-weighted Laplacian, delta holds ``2 - degree`` per vertex and R
     is the sum of the edge weights.  Raises NotInvertibleError (carrying the
-    reason) when :func:`invertibility_check` fails.
+    reason) when :func:`invertibility_check` fails, and NonFiniteError when
+    R overflows.
     """
     a = _analysis(g)
     _require_invertible(a)
@@ -437,32 +488,21 @@ def distance_inverse(g: MatrixWeightedGraph) -> BlockMatrix:
 
 
 def _inverse_data(a: _Analysis) -> np.ndarray:
-    delta = delta_vector(a.g).astype(float)
-    r_inv = inverse(a.weight_sum)
-    return -0.5 * a.laplacian + 0.5 * kronecker(np.outer(delta, delta), r_inv)
-
-
-def distance_inverse_factored(g: MatrixWeightedGraph) -> BlockMatrix:
-    """The SPD-weight form of :func:`distance_inverse`.
-
-    Uses the factorization ``-L/2 + (Delta R^{-1} Delta^T) / 2`` with
-    ``Delta = delta kron I``; algebraically identical to
-    :func:`distance_inverse` and kept as an independent route for
-    cross-checking.  Requires every weight SPD.
-    """
-    a = _analysis(g)
-    require_tree(g)
-    if not a.spd:
-        raise NotSPDError("every edge weight must be SPD for the factored form")
+    """The array of :func:`distance_inverse`: ``0.5 delta_i delta_j R^-1``
+    added to each block of ``-0.5 L``, the float operations of adding the
+    Kronecker product."""
+    g = a.g
+    n, s = g.n, g.s
     delta = delta_vector(g).astype(float)
-    big_delta = kronecker(delta[:, None], np.eye(g.s))
-    r_inv = inverse(a.weight_sum)
-    data = -0.5 * a.laplacian + 0.5 * (big_delta @ r_inv @ big_delta.T)
-    return BlockMatrix(data, g.s)
+    products = np.outer(delta, delta)[:, None, :, None]
+    data = -0.5 * a.laplacian
+    data.reshape(n, s, n, s)[:] += 0.5 * (products
+                                         * a.weight_sum_inverse[:, None, :])
+    return data
 
 
 def verify_identities(
-    g: MatrixWeightedGraph, rel_tol: float = 1e-8
+    g: MatrixWeightedGraph, rel_tol: float = 1e-8, seed: int = 0
 ) -> list[VerificationReport]:
     """Check the five product identities tying D, L and Q together.
 
@@ -476,61 +516,87 @@ def verify_identities(
       i.e. the shifted inverse has its own closed form
     - ``qdq``:  Q^T D Q equals -2 I (needs SPD weights; SKIPPED otherwise)
 
-    Requires an invertible tree distance matrix (NotInvertibleError if not).
+    ``ld`` and ``dl`` are exact: the two (n s)^3 products, less their
+    right-hand sides on the diagonals of the blocks.  The other three are
+    estimates ``||M X||_F / sqrt(k)`` of ``||M||_F`` for the residual
+    matrix M (Freivalds 1977, Hutchinson 1989), X of k = 8 standard
+    Gaussian columns drawn from ``seed``, each factor applied to X in
+    O((n s)^2 k): ``ldl`` as ``(L D)(L X) + 2 L X`` through the exact L D,
+    whose rows of L cancel with less rounding than ``D X`` would;
+    ``dinv_minus_l`` with D^{-1} and ``J kron R`` applied by their factors;
+    ``qdq`` on k columns of length (n - 1) s drawn after X.
+
+    Requires an invertible tree distance matrix (NotInvertibleError if not)
+    whose D and R are finite (NonFiniteError if not).
     """
     a = _analysis(g)
     _require_invertible(a)
     n, s = g.n, g.s
     tol = rel_tol * n * s
-    dist = a.distance
-    lap = a.laplacian
+    dist, lap = a.distance, a.laplacian
     delta = delta_vector(g).astype(float)
-    ones = np.ones(n)
-    eye_ns = np.eye(n * s)
-    eye_s = np.eye(s)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n * s, _PROBES))
+    probes = f"; {_PROBES} Gaussian probes, seed {seed}"
 
-    reports = []
+    shift = delta[:, None] - 2.0 * np.eye(n)   # [i, j]: delta_i - 2 [i = j]
+    # D L first, so that one (n s)^2 product is alive at a time
+    dl = _minus_block_diagonals(dist @ lap, shift.T)
     ld = lap @ dist
-    rhs = kronecker(np.outer(delta, ones), eye_s) - 2.0 * eye_ns
-    reports.append(_report(
-        "ld", float(np.linalg.norm(ld - rhs)), tol, g,
-        "Laplacian times distance matrix against its rank-one-plus-shift form",
-    ))
+    lx = lap @ x
+    ldl = _probe_norm(ld @ lx + 2.0 * lx)   # before ld changes in place
+    reports = [
+        _report("ld", _minus_block_diagonals(ld, shift), tol, g,
+                "Laplacian times distance matrix against its "
+                "rank-one-plus-shift form"),
+        _report("dl", dl, tol, g, "distance matrix times Laplacian against "
+                "its rank-one-plus-shift form"),
+        _report("ldl", ldl, tol, g,
+                "three-factor product collapsing back to the Laplacian"
+                + probes),
+    ]
+    del ld   # before Q, as large as L D
 
-    lhs = dist @ lap
-    rhs = kronecker(np.outer(ones, delta), eye_s) - 2.0 * eye_ns
+    # (D/3 + (J kron R)/3) X, then D^{-1} - L = -3/2 L + (delta delta^T
+    # kron R^{-1}) / 2 on it
+    closed = ((dist @ x).reshape(n, s, _PROBES)
+              + a.weight_sum @ x.reshape(n, s, _PROBES).sum(axis=0)) / 3.0
+    corner = a.weight_sum_inverse @ np.tensordot(delta, closed, 1)
+    shifted = (-1.5 * (lap @ closed.reshape(n * s, _PROBES))
+               + 0.5 * (delta[:, None, None] * corner).reshape(n * s, _PROBES))
     reports.append(_report(
-        "dl", float(np.linalg.norm(lhs - rhs)), tol, g,
-        "distance matrix times Laplacian against its rank-one-plus-shift form",
-    ))
-
-    lhs = ld @ lap   # the (L @ D) @ L that lap @ dist @ lap evaluates
-    del ld   # free it before the larger temporaries of the checks below
-    reports.append(_report(
-        "ldl", float(np.linalg.norm(lhs + 2.0 * lap)), tol, g,
-        "three-factor product collapsing back to the Laplacian",
-    ))
-
-    shifted = _inverse_data(a) - lap
-    closed = dist / 3.0 + kronecker(np.ones((n, n)), a.weight_sum) / 3.0
-    reports.append(_report(
-        "dinv_minus_l", float(np.linalg.norm(shifted @ closed - eye_ns)), tol, g,
-        "product check of the closed form for (D^{-1} - L)^{-1}",
+        "dinv_minus_l", _probe_norm(shifted - x), tol, g,
+        "product check of the closed form for (D^{-1} - L)^{-1}" + probes,
     ))
 
     if a.spd:
         q = block_incidence(g, a.weight_roots)
-        lhs = q.T @ dist @ q
-        rhs = -2.0 * np.eye((n - 1) * s)
+        y = rng.standard_normal((q.shape[1], _PROBES))
         reports.append(_report(
-            "qdq", float(np.linalg.norm(lhs - rhs)), tol, g,
-            "incidence matrix compresses the distance matrix to -2 I",
+            "qdq", _probe_norm(q.T @ (dist @ (q @ y)) + 2.0 * y), tol, g,
+            "incidence matrix compresses the distance matrix to -2 I"
+            + probes,
         ))
     else:
         reports.append(_skipped(
             "qdq", "weights are not all symmetric positive definite", g
         ))
     return reports
+
+
+def _minus_block_diagonals(a: np.ndarray, shift: np.ndarray) -> float:
+    """``||a - shift kron I_s||_F``, subtracted in place in ``a``: the bits
+    of the norm of the difference with the Kronecker product built."""
+    n = len(shift)
+    s = a.shape[0] // n
+    d = np.arange(s)
+    a.reshape(n, s, n, s)[:, d, :, d] -= shift   # [k, i, j]: a[i, k, j, k]
+    return float(np.linalg.norm(a))
+
+
+def _probe_norm(mx: np.ndarray) -> float:
+    """The estimate ``||M X||_F / sqrt(k)`` of ``||M||_F`` from ``M X``."""
+    return float(np.linalg.norm(mx)) / math.sqrt(mx.shape[1])
 
 
 def ginverse_invariance_check(
@@ -558,9 +624,9 @@ def ginverse_invariance_check(
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
     seeds = tuple(seeds)
-    samples = [a.g_inverse(seed) for seed in seeds]
+    samples = [BlockMatrix(a.laplacian_pinv, g.s)] if a.tree else []
+    samples += [a.g_inverse(seed) for seed in seeds]
     if a.tree:
-        samples.insert(0, BlockMatrix(a.laplacian_pinv, g.s))
         roots = tuple(_seeded_root(g.n, seed)[0] for seed in seeds)
         detail = (f"L^+ against g-inverses grounded at roots {roots}, "
                   f"seeds {seeds}")
@@ -927,9 +993,11 @@ def verification_suite(
     """Run the named check suite and return one report per check.
 
     A check whose hypotheses the graph does not satisfy (not a tree, weights
-    not SPD, distance matrix not invertible) is reported as SKIPPED with the
-    reason, never silently dropped, so a suite run always has the same shape
-    for a given suite name.
+    not SPD, distance matrix not invertible, a matrix it reads overflows) is
+    reported as SKIPPED with the reason, never silently dropped, so a suite
+    run always has the same shape for a given suite name.  ``seed`` draws
+    the identity probes and the g-inverse samples (``seed``, ``seed + 1``
+    and ``seed + 2``) and seeds the rank probe.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
@@ -937,8 +1005,8 @@ def verification_suite(
 
     if suite in ("identities", "all"):
         try:
-            reports.extend(verify_identities(g, rel_tol))
-        except (NotATreeError, NotInvertibleError) as exc:
+            reports.extend(verify_identities(g, rel_tol, seed))
+        except (NotATreeError, NotInvertibleError, NonFiniteError) as exc:
             reports.extend(
                 _skipped(name, str(exc), g) for name in IDENTITY_NAMES
             )
@@ -948,12 +1016,12 @@ def verification_suite(
             reports.append(ginverse_invariance_check(
                 g, (seed, seed + 1), ginverse_rel_tol
             ))
-        except (NotConnectedError, NotSPDError) as exc:
+        except (NotConnectedError, NotSPDError, NonFiniteError) as exc:
             reports.append(_skipped("ginverse_invariance", str(exc), g))
         try:
             reports.append(ginverse_distance_recovery(g, seed + 2,
                                                       ginverse_rel_tol))
-        except (NotATreeError, NotSPDError) as exc:
+        except (NotATreeError, NotSPDError, NonFiniteError) as exc:
             reports.append(_skipped("ginverse_recovery", str(exc), g))
 
     if suite in ("spectrum", "all"):
@@ -972,7 +1040,7 @@ def verification_suite(
                     f"(pos, neg, zero) = {found.as_tuple()}, "
                     f"expected {expected.as_tuple()}",
                 ))
-            except (NotATreeError, NotSPDError) as exc:
+            except (NotATreeError, NotSPDError, NonFiniteError) as exc:
                 reports.append(_skipped("inertia", str(exc), g))
         try:
             inter = interlacing_check(g, slack_tol)
@@ -980,7 +1048,7 @@ def verification_suite(
                 "interlacing", inter.worst_violation, inter.slack, g,
                 f"{inter.triples.shape[0]} eigenvalue triples",
             ))
-        except (NotATreeError, NotSPDError) as exc:
+        except (NotATreeError, NotSPDError, NonFiniteError) as exc:
             reports.append(_skipped("interlacing", str(exc), g))
 
     if suite in ("rank", "all"):

@@ -21,6 +21,11 @@ class SingularMatrixError(MWTreesError):
         self.index = index
 
 
+class NonFiniteError(MWTreesError, ValueError):
+    """A matrix holds inf or NaN, as when sums of huge weights overflow
+    float range.  Also a ValueError, which it was before it was typed."""
+
+
 class NotSymmetricError(MWTreesError):
     """A routine that requires a symmetric matrix got an asymmetric one."""
 

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSPDError, NotSymmetricError, SingularMatrixError
+from .errors import (
+    NonFiniteError,
+    NotSPDError,
+    NotSymmetricError,
+    SingularMatrixError,
+)
 
 # Relative cutoff (times the largest singular value) below which a direction
 # counts as numerically zero.
@@ -35,12 +40,12 @@ DEFAULT_SPD_EIG_TOL = 1e-12
 
 def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     """Coerce ``a`` to a float64 array of ``ndim`` axes (3 for a stack of
-    matrices), rejecting non-finite entries."""
+    matrices), rejecting non-finite entries with NonFiniteError."""
     m = np.asarray(a, dtype=float)
     if m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 

@@ -39,11 +39,14 @@ def distance_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
     in ascending edge-index order; diagonal blocks are zero.  Blocks (i, j)
     and (j, i) are the same matrix, so the full array is symmetric exactly
     when every path sum is.  See :func:`tree_distance_data` for how it is
-    built and why it matches ``distance_oracle`` bit for bit.
+    built and why it matches ``distance_oracle`` bit for bit.  A path sum
+    beyond float range raises NonFiniteError.
     """
     check_structure(g)
     require_tree(g)
-    return BlockMatrix(tree_distance_data(g), g.s)
+    # quietly: BlockMatrix rejects what overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        return BlockMatrix(tree_distance_data(g), g.s)
 
 
 def tree_distance_data(g: MatrixWeightedGraph,

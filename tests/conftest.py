@@ -56,3 +56,67 @@ def grounded_inverse_oracle(g, weights: np.ndarray) -> np.ndarray:
             + np.arange(s * s).reshape(1, s, 1, s))
     rooted = below @ np.reshape(weights, (g.m, s * s))   # [p]: path sum to p
     return rooted.ravel()[take.reshape((n - 1) * s, (n - 1) * s)]
+
+
+def distance_inverse_factored(g):
+    """The SPD-weight form of ``distance_inverse``, an independent route
+    for cross-checking it: ``-L/2 + (Delta R^{-1} Delta^T) / 2`` with
+    ``Delta = delta kron I``.  Requires every weight SPD."""
+    from mwtrees import BlockMatrix, NotSPDError, delta_vector, inverse
+    from mwtrees.closedforms import _analysis
+    from mwtrees.graphs import require_tree
+
+    a = _analysis(g)
+    require_tree(g)
+    if not a.spd:
+        raise NotSPDError("every edge weight must be SPD for the factored form")
+    delta = delta_vector(g).astype(float)
+    big_delta = np.kron(delta[:, None], np.eye(g.s))
+    data = -0.5 * a.laplacian + 0.5 * (big_delta @ inverse(a.weight_sum)
+                                       @ big_delta.T)
+    return BlockMatrix(data, g.s)
+
+
+def dense_identity_reports(g, rel_tol: float = 1e-8) -> list:
+    """The records of ``verify_identities`` from dense residual matrices:
+    every product formed in full and every right-hand side built with
+    ``np.kron``, from the arrays of the graph's analysis.  The oracle for
+    the library's exact and probe residuals."""
+    from mwtrees.closedforms import (
+        _analysis,
+        _inverse_data,
+        _report,
+        _require_invertible,
+        _skipped,
+    )
+    from mwtrees.graphs import delta_vector
+    from mwtrees.operators import block_incidence
+
+    a = _analysis(g)
+    _require_invertible(a)
+    n, s = g.n, g.s
+    tol = rel_tol * n * s
+    dist, lap = a.distance, a.laplacian
+    delta = delta_vector(g).astype(float)
+    ones, eye_s, eye_ns = np.ones(n), np.eye(s), np.eye(n * s)
+    ld = lap @ dist
+    reports = [
+        _report("ld", float(np.linalg.norm(
+            ld - (np.kron(np.outer(delta, ones), eye_s) - 2.0 * eye_ns))),
+            tol, g),
+        _report("dl", float(np.linalg.norm(
+            dist @ lap - (np.kron(np.outer(ones, delta), eye_s)
+                          - 2.0 * eye_ns))), tol, g),
+        _report("ldl", float(np.linalg.norm(ld @ lap + 2.0 * lap)), tol, g),
+    ]
+    closed = dist / 3.0 + np.kron(np.ones((n, n)), a.weight_sum) / 3.0
+    shifted = _inverse_data(a) - lap
+    reports.append(_report("dinv_minus_l", float(np.linalg.norm(
+        shifted @ closed - eye_ns)), tol, g))
+    if a.spd:
+        q = block_incidence(g, a.weight_roots)
+        reports.append(_report("qdq", float(np.linalg.norm(
+            q.T @ dist @ q + 2.0 * np.eye(q.shape[1]))), tol, g))
+    else:
+        reports.append(_skipped("qdq", "weights are not all SPD", g))
+    return reports

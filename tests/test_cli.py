@@ -172,6 +172,24 @@ def test_det_singular_case(capsys, tmp_path):
     assert statuses["determinant_logmag"] == "SKIPPED"
 
 
+def test_overflowed_path_sums_exit_with_typed_errors(capsys, tmp_path):
+    # the path sums and R overflow: verify SKIPs what needs D or R; det,
+    # invert and build D refuse with a package error, not an internal one
+    g = MatrixWeightedGraph(30, 2, [(v, v + 1, 1e307 * np.diag([1.0, 2.0]))
+                                    for v in range(1, 30)])
+    path = tmp_path / "overflow.json"
+    path.write_text(dumps_graph(g))
+    code, report, _ = run_json(capsys, "verify", str(path))
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses.pop("rank_characterization") == "PASS"
+    assert set(statuses.values()) == {"SKIPPED"}
+    for argv in (["det"], ["invert"], ["build", "--which", "D"]):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 3 and out == ""
+        assert "NonFiniteError" in err and "Traceback" not in err
+
+
 def test_verify_all_fixtures_exit_zero(capsys):
     for path in (PATH4, CYCLE4, DIAMOND):
         code, report, _ = run_json(capsys, "verify", path)

@@ -14,7 +14,6 @@ from mwtrees.closedforms import (
     distance_determinant,
     distance_determinant_sign_log,
     distance_inverse,
-    distance_inverse_factored,
     ginverse_distance_recovery,
     ginverse_invariance_check,
     inertia_check,
@@ -29,6 +28,7 @@ from mwtrees.closedforms import (
 from mwtrees.errors import (
     BadConfigError,
     IsATreeError,
+    NonFiniteError,
     NotATreeError,
     NotInvertibleError,
     NotSPDError,
@@ -64,7 +64,13 @@ from mwtrees.operators import (
     weight_stack,
 )
 
-from conftest import graded_spd, grounded_inverse_oracle
+from conftest import (
+    conditioned_matrix,
+    dense_identity_reports,
+    distance_inverse_factored,
+    graded_spd,
+    grounded_inverse_oracle,
+)
 
 
 def complete_graph(n: int) -> MatrixWeightedGraph:
@@ -157,6 +163,12 @@ def test_invertibility_check_paths():
     cancelling = MatrixWeightedGraph(3, 1, [(1, 2, [[1.0]]), (2, 3, [[-1.0]])])
     result = invertibility_check(cancelling)
     assert not result.invertible and "sum" in result.reason
+    # the analysis decides from the rank tests of L and R^-1, with the
+    # same verdict and reason
+    from mwtrees.closedforms import _Analysis
+
+    for g in (path4_block2(), singular_edge, cancelling):
+        assert _Analysis(g).invertibility == invertibility_check(g)
 
 
 def test_distance_inverse_single_edge_hand_value():
@@ -252,6 +264,115 @@ def test_identities_hold_on_random_nonsingular_trees(seed):
         assert r.status in (PASS, SKIPPED)
         if r.status == PASS:
             assert r.residual <= r.tolerance
+
+
+def _oracle_tree(n: int, s: int, spd: bool, ratio: float,
+                 seed: int) -> MatrixWeightedGraph:
+    """A random recursive tree with SPD weights, or nonsingular ones, of
+    eigenvalue (singular value) ratio ``ratio``."""
+    rng = np.random.default_rng(seed)
+    draw = graded_spd if spd else conditioned_matrix
+    return MatrixWeightedGraph(n, s, [(int(rng.integers(1, v)), v,
+                                       draw(s, ratio, rng))
+                                      for v in range(2, n + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.booleans(),
+       st.sampled_from([1.0, 1e-1, 1e-2]), st.integers(0, 2**32 - 1))
+def test_identities_agree_with_the_dense_oracle(n, s, spd, ratio, seed):
+    # ld and dl are the dense residuals to the bit; the probe estimates of
+    # ldl, dinv_minus_l and qdq give the dense statuses
+    g = _oracle_tree(n, s, spd, ratio, seed)
+    assume(invertibility_check(g).invertible)
+    got, want = verify_identities(g, seed=seed), dense_identity_reports(g)
+    assert [r.status for r in got] == [r.status for r in want]
+    assert got[0].residual == want[0].residual
+    assert got[1].residual == want[1].residual
+
+
+def test_identity_probes_are_drawn_from_the_seed():
+    def records(seed):
+        g = _probe_tree("prufer", 12, 3, True, 7)   # a fresh analysis
+        return {r.name: r for r in verification_suite(g, "identities",
+                                                      seed=seed)}
+
+    first, again, other = records(0), records(0), records(5)
+    assert first == again
+    for name in ("ld", "dl"):
+        assert other[name] == first[name]
+    assert other["ldl"].residual != first["ldl"].residual
+    for name in ("ldl", "dinv_minus_l", "qdq"):
+        assert "8 Gaussian probes, seed 5" in other[name].detail
+
+
+#: The identity records that read each array of the analysis.
+IDENTITY_READS = {
+    "distance": set(IDENTITY_NAMES),
+    "laplacian": {"ld", "dl", "ldl", "dinv_minus_l"},
+    "weight_sum": {"dinv_minus_l"},
+}
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "prufer"])
+@pytest.mark.parametrize("name", sorted(IDENTITY_READS))
+def test_identity_records_detect_a_one_block_error(shape, name):
+    # 1e-6 times the norm of D or L (over s) on every entry of one block,
+    # or of R on every entry of R: each record that reads the array FAILs,
+    # under the probes as under the dense oracle, and the others PASS
+    from mwtrees.closedforms import _analysis, _read_only
+
+    for seed in range(8):
+        n, s = 3 + 2 * seed, 1 + seed % 4
+        g = _probe_tree(shape, n, s, True, 600 + seed)
+        a = _analysis(g)
+        assert all(r.status == PASS for r in verify_identities(g))
+        data = getattr(a, name).copy()   # the rest stays as it was built
+        if name == "weight_sum":
+            data += 1e-6 * np.linalg.norm(data) / s
+        else:
+            i, j = np.random.default_rng(seed).choice(n, 2, replace=False)
+            data[i * s:(i + 1) * s, j * s:(j + 1) * s] += (
+                1e-6 * np.linalg.norm(data) / s)
+        a.__dict__[name] = _read_only(data)
+        for reports in (verify_identities(g), dense_identity_reports(g)):
+            failed = {r.name for r in reports if r.status == FAIL}
+            assert failed == IDENTITY_READS[name], (seed, reports)
+
+
+def test_distance_inverse_keeps_the_bits_of_the_kronecker_form():
+    from mwtrees.graphs import delta_vector, weight_sum
+
+    for seed in range(6):
+        g = _oracle_tree(2 + 3 * seed, 1 + seed % 4, seed % 2 == 0, 1e-2,
+                         seed)
+        delta = delta_vector(g).astype(float)
+        kron = -0.5 * laplacian(g).data + 0.5 * np.kron(
+            np.outer(delta, delta), inverse(weight_sum(g)))
+        assert np.array_equal(distance_inverse(g).data, kron)
+
+
+def test_weight_sum_is_rank_tested_and_inverted_once_per_graph(monkeypatch):
+    # the suite's invertibility, its probes and distance_inverse share the
+    # rank tests that invert the weights for L and R for R^-1
+    from mwtrees import closedforms, linalg
+    from mwtrees.graphs import weight_sum
+
+    g = _probe_tree("prufer", 10, 3, True, 5)
+    stacks = {"weights": weight_stack(g), "R": weight_sum(g)[None]}
+    ranked = dict.fromkeys(stacks, 0)
+    real = linalg.numerical_ranks
+
+    def counted(a, *args, **kwargs):
+        for key, stack in stacks.items():
+            ranked[key] += np.array_equal(a, stack)
+        return real(a, *args, **kwargs)
+
+    for module in (closedforms, linalg):
+        monkeypatch.setattr(module, "numerical_ranks", counted)
+    verification_suite(g, "identities")
+    distance_inverse(g)
+    assert ranked == {"weights": 1, "R": 1}
 
 
 # --- g-inverse checks -------------------------------------------------------
@@ -973,6 +1094,30 @@ def test_suite_skips_the_spd_checks_when_squared_norms_overflow():
                  "inertia", "interlacing"):
         assert reports[name].status == SKIPPED
     assert reports["rank_characterization"].status == PASS
+
+
+def _overflowing_path() -> MatrixWeightedGraph:
+    """A path whose path sums and weight sum overflow float range, while
+    every weight and every inverse weight is finite."""
+    return path_graph(30, 2, [1e307 * np.diag([1.0, 2.0])] * 29)
+
+
+def test_overflowed_path_sums_get_typed_outcomes():
+    g = _overflowing_path()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = {r.name: r for r in verification_suite(g, "all")}
+        for call in (distance_inverse, distance_determinant_sign_log,
+                     invertibility_check):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                call(g)
+    assert reports["rank_characterization"].status == PASS
+    for name in set(reports) - {"rank_characterization"}:
+        assert reports[name].status == SKIPPED
+        assert "overflow" in reports[name].detail
+    for suite in ("identities", "ginverse", "spectrum"):
+        for r in verification_suite(_overflowing_path(), suite):
+            assert r.status == SKIPPED
 
 
 def test_report_status_fail_is_reachable():

@@ -9,14 +9,16 @@ The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
 every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
 benchmark op, it hashes each suite record on its own line (labelled
-``suite/<record name>``), the rank probe, D, the determinant, D^{-1}, L,
+``suite/<record name>``, with the record's status before the hash), the
+rank probe, D, the determinant, D^{-1}, L,
 the rank-deficient weighting, and the L^+ and the singular values of L
 that the suite's g-inverse and spectrum checks read from the graph's
 analysis; an output that raises is hashed as its exception type and
 message, on one line.  Floats are hashed by their bits, so two runs, or
 two commits, that print the same lines gave the same bytes.  Comparing
 the output of a parent commit with that of a change shows whether the
-change moved any result, and which records it moved.
+change moved any result, which records it moved, and which of them
+changed status.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def outputs(g):
 
 def canonical_lines(label: str, value) -> list[tuple[str, bytes]]:
     """``(label, bytes)`` for each line of one output: one per record of a
-    suite, one for any other output."""
+    suite, labelled with its name and status, one for any other output."""
     if label == "suite":
-        return [(f"suite/{r.name}", canonical(r)) for r in value]
+        return [(f"suite/{r.name} {r.status}", canonical(r)) for r in value]
     return [(label, canonical(value))]
 
 
