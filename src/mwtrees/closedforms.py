@@ -28,22 +28,22 @@ block row and column deleted, inverted, padded with zeros) have closed
 forms in the edge weights (see :func:`~mwtrees.operators.tree_g_inverse_data`).
 The g-inverse checks of a tree compare L^+ with samples G_r + Z U + V Z^T,
 Z = 1_n kron I_s / sqrt(n), at roots r drawn from the seeds: no
-decomposition of L and no (n s)^3 product.  The one (n s) x (n s)
-decomposition of an SPD tree's suite is a values-only SVD of L, which gives
-the rank probe's first rank and the interlacing spectrum.  On other graphs
-L^+ is ``np.linalg.pinv``'s, to the bit, and the g-inverse samples are
-:func:`~mwtrees.linalg.random_g_inverse`'s, around it.  One preorder layout
-of the tree serves D, L^+, G_r and the rank certificate.
+decomposition of L and no (n s)^3 product.  The two (n s) x (n s)
+decompositions of an SPD tree's suite are ``eigvalsh`` of D, for inertia
+and interlacing, and of the symmetric part of L, for interlacing.  On
+other graphs L^+ is ``np.linalg.pinv``'s, to the bit, and the g-inverse
+samples are :func:`~mwtrees.linalg.random_g_inverse`'s, around it.  One
+preorder layout of the tree serves D, L^+, G_r and the rank certificate.
 
-The rank probe of a tree decides each Laplacian rank without an SVD where
-it can: the Laplacian grounded at vertex 1 has an inverse in closed form,
-whose residual bounds the smallest nonzero singular value from below, and
-the block row sums bound the null ones from above.  Both, and the norms
-they need, come from the m edge blocks in O(m s^3) plus prefix sums down
-the tree; no (n s) x (n s) matrix is built.  When the bounds clear the
-tolerance with a margin for rounding and LAPACK's own error, the rank is
-certified; otherwise the SVD computes it.  Either way it is the rank the
-SVD gives.
+The rank probe of a tree decides each Laplacian rank, that of L included,
+without an SVD where it can: the Laplacian grounded at vertex 1 has an
+inverse in closed form, whose residual bounds the smallest nonzero
+singular value from below, and the block row sums bound the null ones
+from above.  Both, and the norms they need, come from the m edge blocks
+in O(m s^3) plus prefix sums down the tree; no (n s) x (n s) matrix is
+built.  When the bounds clear the tolerance with a margin for rounding and
+LAPACK's own error, the rank is certified; otherwise the SVD computes it.
+Either way it is the rank the SVD gives.
 """
 
 from __future__ import annotations
@@ -95,13 +95,11 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .operators import (
-    LaplacianMode,
     TreeLayout,
     _subtree_runs,
     block_incidence,
     block_laplacian,
     inverse_weights,
-    laplacian_data,
     tree_distance_data,
     tree_g_inverse_data,
     weight_stack,
@@ -187,12 +185,12 @@ class _Analysis:
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  One ``eigh`` of the weights
-    decides SPD and gives Q; the rank tests that invert the weights for L
-    and R for R^-1 decide invertibility.  On a tree one preorder layout serves D, L^+,
-    the grounded g-inverses and the rank certificate, L^+ and the
-    g-inverses are built in closed form and one values-only SVD of L gives
-    its rank and spectrum; on other graphs L^+ comes from the SVD that
-    ``np.linalg.pinv`` takes.
+    decides SPD and gives Q; the rank tests that invert the weights, for L
+    and the rank probe, and R for R^-1 decide invertibility.  On a tree one
+    preorder layout serves D, L^+, the grounded g-inverses and the rank
+    certificate, L^+ and the g-inverses are built in closed form and
+    ``eigvalsh`` gives the spectrum of L; on other graphs L^+ comes from
+    the SVD that ``np.linalg.pinv`` takes.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -260,17 +258,26 @@ class _Analysis:
         return _read_only(symmetric_eigenvalues(self.distance))
 
     @cached_property
-    def laplacian(self) -> np.ndarray:
-        """The inverse-weighted Laplacian."""
-        return _read_only(laplacian_data(self.g, LaplacianMode.INVERTED))
+    def weight_inverses(self) -> np.ndarray:
+        """The blocks of L, the inverse weights, from one batched rank test;
+        SingularWeightError names the first singular weight."""
+        return _read_only(inverse_weights(self.g, weight_stack(self.g)))
 
     @cached_property
-    def laplacian_singular_values(self) -> np.ndarray:
-        """The singular values of L, descending, from one values-only SVD:
-        the one :func:`~mwtrees.linalg.numerical_rank` takes, so a rank
-        counted on them is its rank.  With SPD weights L is symmetric
-        positive semidefinite, so they are its eigenvalues."""
-        return _read_only(np.linalg.svd(self.laplacian, compute_uv=False))
+    def laplacian(self) -> np.ndarray:
+        """The inverse-weighted Laplacian."""
+        return _read_only(block_laplacian(self.g, self.weight_inverses))
+
+    @cached_property
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of L, descending, from one ``eigvalsh`` of its
+        symmetric part: where inversion left L slightly asymmetric, they
+        are its own to second order in the asymmetry, where one triangle
+        would shift them to first order.  NotSPDError unless the weights
+        are SPD."""
+        self.require_spd()
+        lap = self.laplacian
+        return _read_only(np.linalg.eigvalsh(0.5 * (lap + lap.T))[::-1])
 
     @cached_property
     def laplacian_pinv(self) -> np.ndarray:
@@ -322,7 +329,7 @@ class _Analysis:
         each is rank-tested once per graph."""
         require_tree(self.g)
         try:
-            self.laplacian
+            self.weight_inverses
             self.weight_sum_inverse
         except SingularWeightError as exc:
             return InvertibilityResult(False, _singular_edge(self.g,
@@ -707,14 +714,16 @@ def interlacing_check(
 
     With both spectra sorted descending and k = (n-1) s, the chain is
     ``mu[s+i] <= -2/lam[i] <= mu[i]`` for i = 0..k-1.  Slack is
-    ``slack_tol`` times the largest eigenvalue magnitude present.
+    ``slack_tol`` times the largest eigenvalue magnitude present.  mu and
+    lam come from one ``eigvalsh`` each, of D and of the symmetric part of
+    L (:attr:`_Analysis.laplacian_eigenvalues`), kept on the analysis.
     """
     a = _analysis(g)
     require_tree(g)
     a.require_spd()
     n, s = g.n, g.s
     mu = a.distance_eigenvalues
-    lam = a.laplacian_singular_values
+    lam = a.laplacian_eigenvalues
     k = (n - 1) * s
     if k == 0:
         return InterlacingReport(mu, lam, np.zeros((0, 3)), 0.0, 0.0, True, n, s)
@@ -831,29 +840,29 @@ def rank_characterization_probe(
     certified without an SVD when the closed-form bounds of the module
     docstring decide it, and computed by one when they do not, as with a
     ``rel_tol`` near machine precision or near the smallest nonzero
-    singular value.  With SPD weights the first rank is counted on the
-    singular values that the spectrum checks read.
+    singular value.  The first, that of L, reads the inverse weights L was
+    built from.  A draw of condition number at most ``condition_cap``
+    has every singular value above ``DEFAULT_RANK_TOL`` times the largest
+    when ``condition_cap * DEFAULT_RANK_TOL < 0.5``, so the draws of such
+    a cap are inverted without a second rank test.
     """
     from .generators import random_nonsingular_stack
 
     a = _analysis(g)
     if a.tree:
         full = (g.n - 1) * g.s
-        if a.spd:   # count on the singular values interlacing reads
-            sv = a.laplacian_singular_values
-            ranks = [int(np.count_nonzero(sv > rel_tol * sv.max()))]
-            sets = []
-        else:   # L is certified like the reweightings, with g's weights
-            weights = weight_stack(g)
-            ranks, sets = [], [(weights, inverse_weights(g, weights))]
+        sets = [(weight_stack(g), a.weight_inverses)]   # L itself
         # trial t, edge k gets the (t m + k)-th random_nonsingular draw
         draws = random_nonsingular_stack(
             trials * g.m, g.s, condition_cap, np.random.default_rng(seed)
         ).reshape(trials, g.m, g.s, g.s)
-        blocks = inverse_weights(g, draws.reshape(-1, g.s, g.s))
+        flat = draws.reshape(-1, g.s, g.s)
+        blocks = (np.linalg.inv(flat)
+                  if condition_cap * DEFAULT_RANK_TOL < 0.5
+                  else inverse_weights(g, flat))
         sets += zip(draws, blocks.reshape(draws.shape))
         tree = a.layout if g.n > 1 else None
-        ranks += [_tree_rank(g, tree, w, b, rel_tol) for w, b in sets]
+        ranks = [_tree_rank(g, tree, w, b, rel_tol) for w, b in sets]
         return RankProbe(
             branch="tree",
             full_rank=full,

@@ -60,17 +60,18 @@ def tree_distance_data(g: MatrixWeightedGraph,
     block pair, so each block starts at zero and receives its path weights
     in ascending edge order: the same float additions, in the same order,
     as the pairwise definition, hence the same bits.  Vertices are laid out
-    in the preorder of the layout, so each cut is four slice additions.
+    in the preorder of the layout, so each cut is two slice additions to
+    the blocks below the diagonal; adding the zero blocks above it to
+    their mirrors copies them there, bit for bit.
     """
     n, s = g.n, g.s
     if layout is None:
         layout = _subtree_runs(g)
-    blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p and q
+    blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p > q
     for lo, hi, e in zip(layout.lo.tolist(), layout.hi.tolist(), g.edges):
         blocks[lo:hi, :lo] += e.weight
-        blocks[lo:hi, hi:] += e.weight
-        blocks[:lo, lo:hi] += e.weight
         blocks[hi:, lo:hi] += e.weight
+    blocks += blocks.transpose(1, 0, 2, 3)
     blocks = blocks[np.ix_(layout.at, layout.at)]   # back to vertex order
     return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
 

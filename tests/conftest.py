@@ -120,3 +120,21 @@ def dense_identity_reports(g, rel_tol: float = 1e-8) -> list:
     else:
         reports.append(_skipped("qdq", "weights are not all SPD", g))
     return reports
+
+
+def svd_interlacing_status(g, slack_tol: float = 1e-8) -> str:
+    """The status of the ``interlacing`` record of the SPD tree ``g`` (n >=
+    2) with the spectrum of L from a dense SVD of L, in place of the
+    ``eigvalsh`` of its symmetric part that the library reads: the oracle
+    for that spectrum."""
+    from mwtrees import FAIL, PASS, distance_matrix, laplacian
+
+    n, s = g.n, g.s
+    k = (n - 1) * s
+    mu = np.linalg.eigvalsh(distance_matrix(g).data)[::-1]
+    lam = np.linalg.svd(laplacian(g).data, compute_uv=False)
+    mid = -2.0 / lam[:k]
+    worst = max(0.0, float(np.max(np.maximum(mu[s:s + k] - mid,
+                                             mid - mu[:k]))))
+    slack = slack_tol * max(float(np.max(np.abs(mu))), float(lam.max()))
+    return PASS if worst <= slack else FAIL

@@ -234,7 +234,8 @@ def test_verify_emit_matrices_builds_d_and_l_once(capsys, monkeypatch):
     # the matrices come from the analysis the suite built them in
     from mwtrees import closedforms, operators
 
-    counts = {"tree_distance_data": 0, "laplacian_data": 0}
+    counts = {"tree_distance_data": 0, "block_laplacian": 0,
+              "inverse_weights": 0}
     for module in (closedforms, operators):
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -243,7 +244,9 @@ def test_verify_emit_matrices_builds_d_and_l_once(capsys, monkeypatch):
             monkeypatch.setattr(module, name, counted)
     code, report, _ = run_json(capsys, "verify", PATH4, "--emit-matrices")
     assert code == 0
-    assert counts == {"tree_distance_data": 1, "laplacian_data": 1}
+    # L once, from weights inverted once
+    assert counts == {"tree_distance_data": 1, "block_laplacian": 1,
+                      "inverse_weights": 1}
     g = path4_block2()
     assert report["matrices"] == {
         "D": distance_matrix(g).data.tolist(),

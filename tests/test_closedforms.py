@@ -70,6 +70,7 @@ from conftest import (
     distance_inverse_factored,
     graded_spd,
     grounded_inverse_oracle,
+    svd_interlacing_status,
 )
 
 
@@ -499,11 +500,37 @@ def test_rank_probe_tree_branch():
     assert probe.passed
 
 
-@pytest.mark.parametrize("s, cap", [(2, 1e4), (3, 20.0), (8, 1e4)])
+def _svd_members(monkeypatch) -> dict:
+    """The number of values-only SVDs, from here on, of each member of a
+    stack passed to ``np.linalg.svd`` or (for its 2-norm) ``cond``, keyed
+    by the member's bytes."""
+    from collections import Counter
+
+    seen = Counter()
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.ndim == 3:
+                seen.update(x.tobytes() for x in a)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "cond"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return seen
+
+
+@pytest.mark.parametrize("s, cap", [(2, 1e4), (3, 20.0), (8, 1e4),
+                                    (9, 1e10)])
 def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
     monkeypatch, s, cap
 ):
+    # L's own blocks, the inverse weights, first; then the draws, each
+    # given one SVD by its acceptance test, and a second by the rank test
+    # of inverse_weights only where the cap does not imply it
     from mwtrees import closedforms
+    from mwtrees.linalg import DEFAULT_RANK_TOL
 
     g = random_tree(GenConfig(n_range=(7, 7), s_range=(s, s), seed=s))
     used = []
@@ -512,21 +539,29 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
                         lambda graph, tree, weights, blocks, tol:
                         used.append((weights, blocks))
                         or real(graph, tree, weights, blocks, tol))
+    counter = _svd_members(monkeypatch)
     probe = rank_characterization_probe(g, trials=4, seed=9,
                                         condition_cap=cap)
+    svds = dict(counter)   # before the draws are made again below
 
     rng = np.random.default_rng(9)
+    weights, blocks = used[0]
+    assert weights.tobytes() == weight_stack(g).tobytes()
+    assert blocks.tobytes() == np.array(
+        [inverse(e.weight) for e in g.edges]).tobytes()
     old_ranks = [numerical_rank(laplacian(g).data)]
-    for weights, blocks in used:
+    per_draw = 1 + (cap * DEFAULT_RANK_TOL >= 0.5)
+    for weights, blocks in used[1:]:
         draws = [random_nonsingular(s, cap, rng) for _ in g.edges]
         assert weights.tobytes() == np.array(draws).tobytes()
         expected = np.array([inverse(w) for w in draws])
         assert blocks.tobytes() == expected.tobytes()
+        assert [svds.get(w.tobytes()) for w in draws] == [per_draw] * g.m
         reweighted = MatrixWeightedGraph(
             g.n, s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
         )
         old_ranks.append(numerical_rank(laplacian(reweighted).data))
-    assert len(used) == 4
+    assert len(used) == 5
     assert probe.observed_ranks == tuple(old_ranks)
 
 
@@ -654,24 +689,23 @@ def _spd_graph(shape, size, s, ratio, seed) -> MatrixWeightedGraph:
 
 @settings(max_examples=60, deadline=None)
 @given(SPD_SHAPES)
-def test_one_svd_gives_rank_pinv_ginverses_and_spectrum(case):
+def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
+    # the eigenvalues interlacing reads are the singular values of L to
+    # rounding, the probe's first rank is its SVD rank, and L^+ and the
+    # g-inverse samples meet the Penrose conditions
     from mwtrees.closedforms import _Analysis
-    from mwtrees.linalg import symmetric_eigenvalues
 
     g = _spd_graph(*case)
     a = _Analysis(g)
     lap, p = a.laplacian, a.laplacian_pinv
     assert a.spd
-    lam = a.laplacian_singular_values
-    for rel_tol in (1e-9, 3e-7, 3e-5, 3e-3):   # off the weight ratios
-        rank = numerical_rank(lap, rel_tol)
-        assert np.count_nonzero(lam > rel_tol * lam.max()) == rank
-        if a.tree:   # the probe's first rank is counted on lam
+    lam = np.linalg.svd(lap, compute_uv=False)
+    assert np.allclose(a.laplacian_eigenvalues, lam, rtol=0.0,
+                       atol=1e-12 * lam.max())
+    if a.tree:   # certified or computed, the probe's first rank
+        for rel_tol in (1e-9, 3e-7, 3e-5, 3e-3):   # off the weight ratios
             probe = rank_characterization_probe(g, trials=0, rel_tol=rel_tol)
-            assert probe.observed_ranks == (rank,)
-
-    assert np.allclose(lam, symmetric_eigenvalues(lap), rtol=0.0,
-                       atol=1e-12 * np.abs(lam).max())
+            assert probe.observed_ranks == (numerical_rank(lap, rel_tol),)
 
     # off trees np.linalg.pinv's pseudo-inverse, bit for bit, with its
     # cutoff; on trees the closed form, which cuts nothing.  Both meet the
@@ -1025,10 +1059,41 @@ def test_rank_certificate_falls_back_to_the_svd_only_when_undecided(
                         svds.append(np.shape(a)[-2:] == (size, size))
                         or real(a, *args, **kwargs))
     probe = rank_characterization_probe(g, trials=4, rel_tol=rel_tol)
-    # with SPD weights the first rank is counted on the values-only SVD of L
-    assert sum(svds) == (not certified) * (4 + (not spd)) + spd
+    # L and its four reweightings, SPD or not
+    assert sum(svds) == (not certified) * (4 + 1)
     if certified:
         assert probe.passed
+
+
+def test_graded_spd_trees_keep_the_svd_spectrum_and_ranks(monkeypatch):
+    # weights of eigenvalue ratio down to 1e-8: the eigvalsh spectrum gives
+    # the interlacing status a dense SVD of L gives, and the probe's first
+    # rank is the SVD rank of L, also where the certificate cannot decide
+    # it (from ratio 1e-6 on, most of these trees) and the SVD counts it
+    from mwtrees import closedforms
+
+    computed = {}
+    _count_calls(monkeypatch, closedforms, "numerical_rank", computed)
+    for ratio in (1.0, 1e-4, 1e-6, 1e-8):
+        computed.clear()
+        for shape in ("path", "star", "recursive", "prufer"):
+            for seed in range(8):
+                n = 3 + (13 * seed + 5) % 38   # 3 to 40
+                s = 1 + (3 * seed + len(shape)) % 8
+                g = _probe_tree(shape, n, s, True, 800 + seed, ratio=ratio)
+                status = {r.name: r.status
+                          for r in verification_suite(g, "spectrum")}
+                assert status["interlacing"] == svd_interlacing_status(g), (
+                    shape, seed, ratio)
+                probe = rank_characterization_probe(g, trials=0)
+                assert probe.observed_ranks == (
+                    numerical_rank(laplacian(g).data),)
+        assert bool(computed) == (ratio <= 1e-6)
+    # a cap whose acceptance test does not imply the draws' rank test
+    g = _probe_tree("prufer", 12, 9, True, 9, ratio=1e-4)
+    probe = rank_characterization_probe(g, trials=3, seed=2,
+                                        condition_cap=1e9)
+    assert probe.observed_ranks == _svd_probe_ranks(g, 3, 2, 1e-9, 1e9)
 
 
 # --- suite orchestration ----------------------------------------------------
@@ -1128,19 +1193,25 @@ def test_report_status_fail_is_reachable():
 
 def _suite_decompositions(monkeypatch, g: MatrixWeightedGraph):
     """Run the whole suite on ``g``; return its reports, the builds of D
-    and L, the decompositions of L itself (an SVD with or without vectors,
-    pinv, eigh, eigvalsh) and the number of eigh calls on anything."""
+    and of L and the rank tests that invert the weights, the
+    decompositions (an SVD with or without vectors, pinv, eigh, eigvalsh)
+    of L itself or its symmetric part and those of D, and the number of
+    eigh calls on anything."""
     from mwtrees import closedforms
 
     lap = laplacian(g).data
-    calls = {"D": 0, "L": 0}
-    of_l = {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0, "eigvalsh": 0}
+    dist = (distance_matrix(g).data,) if g.m == g.n - 1 else ()
+    targets = {"L": (lap, 0.5 * (lap + lap.T)), "D": dist}
+    calls = {"D": 0, "L": 0, "inverted": 0}
+    found = {key: {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
+                   "eigvalsh": 0} for key in targets}
     eigh_calls = 0
 
-    def counted(key, fn):
+    def counted(key, fn, built=None):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            calls[key] += built is None or np.array_equal(out, built)
+            return out
         return wrapper
 
     def decomposition(name, fn):
@@ -1150,42 +1221,59 @@ def _suite_decompositions(monkeypatch, g: MatrixWeightedGraph):
             a = np.asarray(a)
             key = ("svd_values" if name == "svd"
                    and not kwargs.get("compute_uv", True) else name)
-            of_l[key] += a.shape[-2:] == lap.shape and any(
-                np.array_equal(x, lap) for x in a.reshape(-1, *lap.shape))
+            for target, arrays in targets.items():
+                found[target][key] += a.shape[-2:] == lap.shape and any(
+                    np.array_equal(x, y) for x in a.reshape(-1, *lap.shape)
+                    for y in arrays)
             return fn(a, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(closedforms, "tree_distance_data",
                         counted("D", closedforms.tree_distance_data))
-    monkeypatch.setattr(closedforms, "laplacian_data",
-                        counted("L", closedforms.laplacian_data))
+    monkeypatch.setattr(closedforms, "block_laplacian",
+                        counted("L", closedforms.block_laplacian, lap))
+    monkeypatch.setattr(closedforms, "inverse_weights",
+                        counted("inverted", closedforms.inverse_weights))
     for name in ("svd", "pinv", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
                             decomposition(name, getattr(np.linalg, name)))
     reports = verification_suite(g, "all")
-    return reports, calls, of_l, eigh_calls
+    return reports, calls, found["L"], found["D"], eigh_calls
 
 
 def test_suite_builds_one_analysis_per_graph(monkeypatch):
-    # an SPD tree: L^+ in closed form, so the one decomposition of L is
-    # the values-only SVD behind the probe's first rank and interlacing
+    # an SPD tree: L^+ in closed form and every probe rank certified, so
+    # the decompositions of D and L are one eigvalsh each, for inertia and
+    # interlacing, and each reweighting draw gets only the SVD of its
+    # acceptance test
+    from mwtrees.generators import random_nonsingular_stack
+
     g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
                               seed=3))
-    reports, calls, of_l, eigh_calls = _suite_decompositions(monkeypatch, g)
+    counter = _svd_members(monkeypatch)
+    reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
+        monkeypatch, g)
+    svds = dict(counter)
     assert all(r.status == PASS for r in reports)
-    assert calls == {"D": 1, "L": 1}
-    assert of_l == {"svd": 0, "svd_values": 1, "pinv": 0, "eigh": 0,
-                    "eigvalsh": 0}
+    assert calls == {"D": 1, "L": 1, "inverted": 1}
+    assert of_l == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
+                    "eigvalsh": 1}
+    assert of_d == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
+                    "eigvalsh": 1}
     assert eigh_calls == 1   # the weights' SPD test and roots
+    draws = random_nonsingular_stack(5 * g.m, g.s, 1e4,
+                                     np.random.default_rng(0))
+    assert [svds.get(w.tobytes()) for w in draws] == [1] * len(draws)
 
 
 def test_spd_non_tree_takes_one_full_svd_of_its_laplacian(monkeypatch):
     # off trees L^+ is still np.linalg.pinv's, from one full SVD
     g = random_connected_nontree(GenConfig(n_range=(7, 7), s_range=(2, 2),
                                            kind=WeightKind.SPD, seed=3))
-    reports, calls, of_l, eigh_calls = _suite_decompositions(monkeypatch, g)
+    reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
+        monkeypatch, g)
     assert all(r.status in (PASS, SKIPPED) for r in reports)
-    assert calls == {"D": 0, "L": 1}
+    assert calls == {"D": 0, "L": 1, "inverted": 1}
     assert of_l == {"svd": 1, "svd_values": 0, "pinv": 0, "eigh": 0,
                     "eigvalsh": 0}
     assert eigh_calls == 1
@@ -1193,8 +1281,8 @@ def test_spd_non_tree_takes_one_full_svd_of_its_laplacian(monkeypatch):
 
 @pytest.mark.parametrize("kind", [WeightKind.SPD, WeightKind.NONSINGULAR])
 def test_suite_certifies_reweighted_ranks_without_an_svd(monkeypatch, kind):
-    # the rank probe's reweighted Laplacians are certified, not decomposed:
-    # the one (n s) x (n s) SVD left is that of L, and only with SPD weights
+    # the rank probe's Laplacians, L and its reweightings, are certified,
+    # not decomposed, and interlacing reads eigvalsh: no (n s) x (n s) SVD
     g = random_tree(GenConfig(n_range=(12, 12), s_range=(3, 3), kind=kind,
                               seed=4))
     size = g.n * g.s
@@ -1205,7 +1293,7 @@ def test_suite_certifies_reweighted_ranks_without_an_svd(monkeypatch, kind):
                         or real(a, *args, **kwargs))
     reports = {r.name: r for r in verification_suite(g, "all")}
     assert reports["rank_characterization"].status == PASS
-    assert sum(full_size) == (kind is WeightKind.SPD)
+    assert sum(full_size) == 0
 
 
 def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):
@@ -1300,7 +1388,8 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
         n_range=(12, 12), s_range=(3, 3), kind=WeightKind.SPD, seed=4)))
     counts = {}
     _count_calls(monkeypatch, graphs, "_violations", counts)
-    for name in ("tree_distance_data", "laplacian_data", "_subtree_runs"):
+    for name in ("tree_distance_data", "block_laplacian", "inverse_weights",
+                 "_subtree_runs"):
         _count_calls(monkeypatch, closedforms, name, counts)
     _count_calls(monkeypatch, operators, "_subtree_runs", counts)
     made = _recorded_analyses(monkeypatch)
@@ -1309,9 +1398,11 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
     distance_determinant_sign_log(g)
     distance_inverse(g)
     assert all(r.status == PASS for r in reports)
-    # one preorder layout serves D, L^+ and the rank certificate
+    # one preorder layout serves D, L^+ and the rank certificate; L is
+    # built once, from weights inverted once
     assert counts == {"_violations": 1, "tree_distance_data": 1,
-                      "laplacian_data": 1, "_subtree_runs": 1}
+                      "block_laplacian": 1, "inverse_weights": 1,
+                      "_subtree_runs": 1}
     assert len(made) == 1
 
 

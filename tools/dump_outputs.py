@@ -11,10 +11,11 @@ every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
 benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 rank probe, D, the determinant, D^{-1}, L,
-the rank-deficient weighting, and the L^+ and the singular values of L
-that the suite's g-inverse and spectrum checks read from the graph's
-analysis; an output that raises is hashed as its exception type and
-message, on one line.  Floats are hashed by their bits, so two runs, or
+the rank-deficient weighting, and the L^+ and the eigenvalues of L that
+the suite's g-inverse and spectrum checks read from the graph's analysis
+(graphs whose weights are not all SPD have no such eigenvalues and hash
+their NotSPDError); an output that raises is hashed as its exception type
+and message, on one line.  Floats are hashed by their bits, so two runs, or
 two commits, that print the same lines gave the same bytes.  Comparing
 the output of a parent commit with that of a change shows whether the
 change moved any result, which records it moved, and which of them
@@ -84,7 +85,7 @@ def outputs(g):
     yield "L", lambda: mw.laplacian(g)
     yield "witness", lambda: mw.rank_deficient_weighting(g)
     yield "L_pinv", lambda: _analysis(g).laplacian_pinv
-    yield "L_singular_values", lambda: _analysis(g).laplacian_singular_values
+    yield "L_eigenvalues", lambda: _analysis(g).laplacian_eigenvalues
 
 
 def canonical_lines(label: str, value) -> list[tuple[str, bytes]]:
