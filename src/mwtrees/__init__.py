@@ -22,16 +22,20 @@ from .closedforms import (
     DeficientWeighting,
     InterlacingReport,
     InvertibilityResult,
+    LaplacianMode,
     RankProbe,
     VerificationReport,
     distance_determinant,
     distance_determinant_sign_log,
     distance_inverse,
+    distance_matrix,
     ginverse_distance_recovery,
     ginverse_invariance_check,
+    incidence_matrix,
     inertia_check,
     interlacing_check,
     invertibility_check,
+    laplacian,
     rank_characterization_probe,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
@@ -53,7 +57,6 @@ from .errors import (
     SameVertexError,
     SingularMatrixError,
     SingularWeightError,
-    TooLargeError,
 )
 from .formats import (
     GRAPH_SCHEMA,
@@ -82,7 +85,6 @@ from .generators import (
     random_nonsingular,
     random_spd,
     random_tree,
-    spanning_tree_oracle,
 )
 from .graphs import (
     Edge,
@@ -99,25 +101,13 @@ from .graphs import (
 from .linalg import (
     BlockMatrix,
     Inertia,
-    determinant,
     inertia_of,
     inverse,
-    is_spd,
-    is_symmetric,
-    kronecker,
     numerical_rank,
     pseudo_inverse,
     random_g_inverse,
     sign_log_determinant,
-    spd_inverse_sqrt,
     symmetric_eigenvalues,
-)
-from .operators import (
-    LaplacianMode,
-    distance_matrix,
-    incidence_matrix,
-    laplacian,
-    weights_are_spd,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

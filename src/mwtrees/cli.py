@@ -6,8 +6,9 @@ cross-checks, run the verification suites, emit random instances, and find
 rank-deficient weightings of non-tree graphs.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 the input
-could not be read, parsed or validated (or ``random`` could not write its
-output), 3 precondition failure (not a tree, not SPD, ...), 4 matrix not
+could not be read, parsed or validated, the arguments were malformed (a
+negative ``--trials`` or ``--count``, say) or ``random`` could not write its
+output, 3 precondition failure (not a tree, not SPD, ...), 4 matrix not
 invertible, 5 internal error: an exception that is not a package error
 escaped a command's computation; it is a bug, and its traceback goes to
 stderr.
@@ -24,11 +25,14 @@ import numpy as np
 
 from .closedforms import (
     SUITES,
-    _analysis,
+    LaplacianMode,
     _report,
     _skipped,
     distance_determinant_sign_log,
     distance_inverse,
+    distance_matrix,
+    incidence_matrix,
+    laplacian,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
     verification_suite,
@@ -48,7 +52,6 @@ from .formats import (
 from .generators import GenConfig, WeightKind, random_connected_nontree, random_tree
 from .graphs import MatrixWeightedGraph
 from .linalg import numerical_rank, sign_log_determinant
-from .operators import LaplacianMode, distance_matrix, incidence_matrix, laplacian
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -191,15 +194,11 @@ def cmd_verify(args) -> int:
     matrices = None
     if args.emit_matrices:   # the analysis builds each at most once
         matrices = {}
-        analysis = _analysis(g)
-        try:
-            matrices["D"] = analysis.distance
-        except MWTreesError:
-            pass
-        try:
-            matrices["L"] = analysis.laplacian
-        except MWTreesError:
-            pass
+        for name, build in (("D", distance_matrix), ("L", laplacian)):
+            try:
+                matrices[name] = build(g).data
+            except MWTreesError:
+                pass
     extras = {"suite": args.suite, "seed": args.seed, "n": g.n, "s": g.s}
     report = make_report("verify", digest, checks, extras, matrices)
     _emit(report, args.format)
@@ -270,6 +269,14 @@ def cmd_deficient(args) -> int:
     return _exit_from_checks(checks)
 
 
+def _count(text: str) -> int:
+    """A whole number of at least 0, for ``--trials`` and ``--count``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwtrees",
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5,
+    p.add_argument("--trials", type=_count, default=5,
                    help="reweighting trials in the rank suite")
     p.add_argument("--tolerance", type=float, default=1e-8,
                    help="relative tolerance for the identity residuals")
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="spd")
     p.add_argument("--topology", choices=("tree", "nontree"), default="tree")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--condition-cap", type=float, default=1e4)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_random)

@@ -9,15 +9,18 @@ inverse properties that hold alongside them.
 
 Every public function works on the one :class:`_Analysis` that its graph
 object keeps, built on the first call: the structure is validated once, and
-D, L, L^+, the weight sum R and R^-1, the SPD flag, the default-tolerance
-invertibility and the rank-deficient weighting are each built at most
-once, on first use, and shared read-only.  A D or R that overflows float
-range raises NonFiniteError, and the suite reports SKIPPED for the checks
-that need it.  So :func:`verification_suite`,
-then :func:`distance_determinant_sign_log` and :func:`distance_inverse` on
-the same graph build D and L once between them.  The per-edge facts (the
-rank, determinant and inverse of each weight, the reweightings of the rank
-probe) come from one stacked call per graph, not one call per edge.
+D, L, L^+, the weight sum R and R^-1, the SPD flag and Q's inverse square
+roots, the invertibility and the rank-deficient weighting are each built
+at most once, on first use, and shared read-only.  The builders
+:func:`distance_matrix`, :func:`laplacian` and :func:`incidence_matrix`
+return those arrays as read-only views (``.data.copy()`` gives a writable
+one).  A D or R that overflows float range raises NonFiniteError, and the
+suite reports SKIPPED for the checks that need it.  So
+:func:`verification_suite`, then :func:`distance_determinant_sign_log`,
+:func:`distance_inverse` and the builders on the same graph build D and L
+once between them.  The per-edge facts (the rank, determinant and inverse
+of each weight, the reweightings of the rank probe) come from one stacked
+call per graph, not one call per edge.
 
 The identity checks form two (n s)^3 products, L D and D L, and check the
 other identities on seeded Gaussian probes (see :func:`verify_identities`).
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -88,7 +92,6 @@ from .linalg import (
     inertia_of,
     inverse,
     numerical_rank,
-    numerical_ranks,
     pseudo_inverse,
     sign_log_determinant,
     spd_inverse_sqrts,
@@ -218,16 +221,24 @@ class _Analysis:
             raise NotSPDError("every edge weight must be SPD")
 
     @cached_property
-    def weight_roots(self) -> np.ndarray | None:
-        """The inverse square roots of the weights; None unless all are SPD."""
+    def weight_roots(self) -> np.ndarray:
+        """The inverse square roots of the weights; NotSPDError names the
+        first weight that is not SPD."""
         try:
             return _read_only(spd_inverse_sqrts(weight_stack(self.g)))
-        except NotSPDError:
-            return None
+        except NotSPDError as exc:
+            e = self.g.edges[exc.index]
+            raise NotSPDError(f"edge {exc.index} ({e.u}, {e.v}): {exc}",
+                              edge_index=exc.index) from None
 
-    @property
+    @cached_property
     def spd(self) -> bool:
-        return self.weight_roots is not None
+        """Whether every weight is SPD, by :attr:`weight_roots`'s test."""
+        try:
+            self.weight_roots
+        except NotSPDError:
+            return False
+        return True
 
     @cached_property
     def weight_sum(self) -> np.ndarray:
@@ -324,9 +335,9 @@ class _Analysis:
 
     @cached_property
     def invertibility(self) -> InvertibilityResult:
-        """:func:`invertibility_check` at the default tolerance, from the
-        rank tests that invert the weights for L and R for R^-1, so that
-        each is rank-tested once per graph."""
+        """:func:`invertibility_check`, from the rank tests that invert the
+        weights for L and R for R^-1, so that each is rank-tested once per
+        graph."""
         require_tree(self.g)
         try:
             self.weight_inverses
@@ -389,6 +400,59 @@ def _analysis(g: MatrixWeightedGraph) -> _Analysis:
     return a
 
 
+class LaplacianMode(Enum):
+    """Which matrix sits in the off-diagonal Laplacian blocks."""
+
+    RAW = "raw"          # blocks use the edge weights themselves
+    INVERTED = "inverted"  # blocks use the inverses of the edge weights
+
+
+def distance_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
+    """Block distance matrix of a matrix-weighted tree, read-only.
+
+    Block (i, j) is the sum of the weights on the unique i-to-j path, taken
+    in ascending edge-index order; diagonal blocks are zero.  Blocks (i, j)
+    and (j, i) are the same matrix, so the full array is symmetric exactly
+    when every path sum is.  See :func:`~mwtrees.operators.tree_distance_data`
+    for how it is built and why it matches ``distance_oracle`` bit for bit.
+    NotATreeError on other graphs; a path sum beyond float range raises
+    NonFiniteError.
+    """
+    return BlockMatrix(_analysis(g).distance, g.s)
+
+
+def laplacian(
+    g: MatrixWeightedGraph, mode: LaplacianMode = LaplacianMode.INVERTED
+) -> BlockMatrix:
+    """Block Laplacian of a matrix-weighted graph, read-only.
+
+    Off-diagonal block (i, j) is minus the (possibly inverted) weight of the
+    edge {i, j}; diagonal block (i, i) is the sum of those matrices over the
+    edges at vertex i, accumulated in ascending edge order.  Block rows and
+    columns sum to zero by construction.  INVERTED mode is the analysis's L:
+    a singular edge weight raises SingularWeightError naming the edge.
+    """
+    a = _analysis(g)
+    if mode is LaplacianMode.RAW:
+        return BlockMatrix(_read_only(block_laplacian(g, weight_stack(g))),
+                           g.s)
+    return BlockMatrix(a.laplacian, g.s)
+
+
+def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
+    """Scaled incidence matrix Q of a graph with SPD weights, read-only.
+
+    Column block k (one per edge, (n s) x (m s) overall) carries
+    ``+inverse_sqrt(W_k)`` at the smaller endpoint and the negated copy at
+    the larger one, so that ``Q @ Q.T`` equals the inverse-weighted
+    Laplacian and block rows of Q sum to zero.  The inverse square roots
+    are the analysis's, from one batched SPD test and eigendecomposition;
+    the first non-SPD weight raises NotSPDError naming its edge.
+    """
+    roots = _analysis(g).weight_roots
+    return BlockMatrix(_read_only(block_incidence(g, roots)), g.s)
+
+
 def _worst_pair(dev: np.ndarray) -> float:
     """Largest Frobenius norm of a block ``dev[i, j]``, i < j, of an
     (n, n, s, s) array; 0.0 when there is no pair."""
@@ -444,23 +508,15 @@ class InvertibilityResult:
     reason: str = ""
 
 
-def invertibility_check(
-    g: MatrixWeightedGraph, rel_tol: float = DEFAULT_RANK_TOL
-) -> InvertibilityResult:
+def invertibility_check(g: MatrixWeightedGraph) -> InvertibilityResult:
     """Decide invertibility of the tree distance matrix from the weights.
 
     The matrix is invertible exactly when every edge weight and the sum of
     all edge weights are invertible, so no (n s)-sized factorization is
-    needed.
+    needed.  The rank tests are those that invert the weights for L and R
+    for R^-1, made at most once per graph.
     """
-    a = _analysis(g)
-    require_tree(g)
-    singular = np.flatnonzero(numerical_ranks(weight_stack(g), rel_tol) < g.s)
-    if singular.size:
-        return InvertibilityResult(False, _singular_edge(g, int(singular[0])))
-    if numerical_rank(a.weight_sum, rel_tol) < g.s:
-        return InvertibilityResult(False, _SINGULAR_SUM)
-    return InvertibilityResult(True)
+    return _analysis(g).invertibility
 
 
 _SINGULAR_SUM = "sum of edge weights is singular"
@@ -833,8 +889,9 @@ def rank_characterization_probe(
 
     Trees keep full Laplacian rank (n-1) s under every nonsingular
     weighting, so the probe reweights a tree ``trials`` times with random
-    nonsingular matrices and checks each rank.  A connected non-tree always
-    admits a scalar weighting with deficient rank, which the probe exhibits.
+    nonsingular matrices and checks each rank (ValueError for ``trials <
+    0``).  A connected non-tree always admits a scalar weighting with
+    deficient rank, which the probe exhibits.
 
     The ranks are the SVD ranks at ``rel_tol``.  On a tree each is
     certified without an SVD when the closed-form bounds of the module
@@ -848,6 +905,8 @@ def rank_characterization_probe(
     """
     from .generators import random_nonsingular_stack
 
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     a = _analysis(g)
     if a.tree:
         full = (g.n - 1) * g.s

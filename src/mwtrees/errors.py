@@ -81,10 +81,6 @@ class BadConfigError(MWTreesError):
     """A generator configuration is out of its documented domain."""
 
 
-class TooLargeError(MWTreesError):
-    """A brute-force oracle was asked for an instance beyond its size cap."""
-
-
 class GraphFileError(MWTreesError):
     """A graph file could not be read or written, or failed to parse or
     validate."""

@@ -1,9 +1,9 @@
-"""Seeded random instances and small brute-force oracles.
+"""Seeded random instances and a brute-force distance oracle.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
-fixed seed reproduces the same instance on any platform.  The oracles
-recompute quantities by definition (path sums, spanning-tree enumeration)
-and are deliberately independent of the fast routes they cross-check.
+fixed seed reproduces the same instance on any platform.  The oracle
+recomputes D by definition, one path sum at a time, and is deliberately
+independent of the fast route it cross-checks.
 """
 
 from __future__ import annotations
@@ -12,18 +12,15 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
-from .errors import BadConfigError, TooLargeError
+from .errors import BadConfigError
 from .graphs import MatrixWeightedGraph, check_structure, tree_path
 from .linalg import BlockMatrix
 
 # Redraws allowed while rejecting ill-conditioned or singular weight sums.
 _MAX_REDRAWS = 1000
-# Spanning-tree enumeration refuses above this many edge subsets.
-_MAX_SUBSETS = 5_000_000
 
 
 class WeightKind(Enum):
@@ -237,52 +234,6 @@ def random_connected_nontree(config: GenConfig) -> MatrixWeightedGraph:
     return MatrixWeightedGraph(
         n, s, [(u, v, w) for (u, v), w in zip(topo, weights)]
     )
-
-
-def spanning_tree_oracle(
-    g: MatrixWeightedGraph, marked_edge: int
-) -> tuple[int, int]:
-    """Count spanning trees containing and avoiding one edge, by brute force.
-
-    Enumerates every (n-1)-subset of the edges and tests it for being a
-    spanning tree with a union-find; refuses graphs with more than 9
-    vertices or too many subsets.  Returns (with_marked, without_marked).
-    """
-    check_structure(g)
-    if g.n > 9:
-        raise TooLargeError(f"spanning-tree oracle is capped at 9 vertices, got {g.n}")
-    if not 0 <= marked_edge < g.m:
-        raise ValueError(f"edge index {marked_edge} out of range 0..{g.m - 1}")
-    if g.n >= 2 and math.comb(g.m, g.n - 1) > _MAX_SUBSETS:
-        raise TooLargeError(
-            f"{math.comb(g.m, g.n - 1)} edge subsets exceed the oracle cap"
-        )
-    with_marked = 0
-    without_marked = 0
-    for subset in combinations(range(g.m), g.n - 1):
-        parent = list(range(g.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for k in subset:
-            e = g.edges[k]
-            ru, rv = find(e.u), find(e.v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if not acyclic:
-            continue
-        if marked_edge in subset:
-            with_marked += 1
-        else:
-            without_marked += 1
-    return with_marked, without_marked
 
 
 def distance_oracle(g: MatrixWeightedGraph) -> BlockMatrix:

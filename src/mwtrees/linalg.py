@@ -8,11 +8,13 @@ overridden per call.  A square matrix is singular exactly when its
 invertibility check use that one test.
 
 The per-edge tests come in stacked form: :func:`numerical_ranks`,
-:func:`inverses`, :func:`spd_flags` and :func:`spd_inverse_sqrts` take an
-``(m, r, c)`` stack and make one batched LAPACK call for all of it.  numpy's
-linalg routines factor each member of a stack on its own, so every member
-gets the bits a call on it alone would give.  The 2-D functions are stacks
-of one over the same code.
+:func:`inverses` and :func:`spd_inverse_sqrts` take an ``(m, r, c)`` stack
+and make one batched LAPACK call for all of it.  numpy's linalg routines
+factor each member of a stack on its own, so every member gets the bits a
+call on it alone would give.  :func:`inverse` and :func:`numerical_rank`
+are stacks of one over the same code.  Symmetry is not a test of its own:
+:func:`symmetric_eigenvalues` and :func:`spd_inverse_sqrts` reject an
+asymmetric input.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
-def is_symmetric(a, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
-    """True when the relative asymmetry of ``a`` is within ``sym_tol``."""
-    m = as_matrix(a)
-    _require_square(m)
-    return bool(_asymmetries(m[None], sym_tol)[1][0])
-
-
 def _asymmetries(m: np.ndarray, sym_tol: float):
     """Largest entry of ``|a - a.T|`` for each member ``a`` of a square
     stack, and whether it is within ``sym_tol`` times the Frobenius norm."""
@@ -75,11 +70,6 @@ def _asymmetries(m: np.ndarray, sym_tol: float):
     scale = np.abs(m[big]).max(axis=(1, 2), keepdims=True)
     norms[big] = scale.ravel() * np.linalg.norm(m[big] / scale, axis=(1, 2))
     return asym, asym <= sym_tol * np.maximum(1e-300, norms)
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
 def inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -114,18 +104,11 @@ def inverses(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     )
 
 
-def determinant(a) -> float:
-    """Determinant via LU factorization."""
-    m = as_matrix(a)
-    _require_square(m)
-    return float(np.linalg.det(m))
-
-
 def sign_log_determinant(a) -> tuple[float, float]:
     """Return ``(sign, log|det|)``; sign is 0.0 when the input is singular.
 
     Safe for determinants far beyond float range, e.g. large block matrices
-    whose determinant overflows ``determinant``.
+    whose determinant overflows ``np.linalg.det``.
     """
     m = as_matrix(a)
     _require_square(m)
@@ -209,67 +192,28 @@ def g_inverse_sample(p: np.ndarray, left: np.ndarray, right: np.ndarray,
     return p + left @ u + v @ right
 
 
-def _spd_eigendecompositions(m: np.ndarray, eig_tol: float, sym_tol: float):
-    """``eigh`` of each member of a square stack, a mask of the SPD members
-    (symmetric within ``sym_tol``, smallest eigenvalue above ``eig_tol``
-    times the largest, which is positive) and the reason and position of the
-    first member that is not (None when all are)."""
+def spd_inverse_sqrts(w, eig_tol: float = DEFAULT_SPD_EIG_TOL,
+                      sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
+    """Symmetric ``m`` with ``m @ m == inv(w)`` for each SPD member ``w`` of
+    an ``(m, s, s)`` stack, from one batched eigendecomposition.
+
+    A member is SPD when it is symmetric within ``sym_tol`` and its smallest
+    eigenvalue is above ``eig_tol`` times its largest, which is positive.
+    The first member that is not raises NotSPDError with its position in
+    ``index``.
+    """
+    m = as_matrix(w, "stack", 3)
     _require_square(m)
     asym, symmetric = _asymmetries(m, sym_tol)
     lam, vec = np.linalg.eigh(m)
     spd = symmetric & (lam[:, -1] > 0.0) & (lam[:, 0] > eig_tol * lam[:, -1])
-    if spd.all():
-        return lam, vec, spd, None
-    k = int(np.argmin(spd))
-    if not symmetric[k]:
-        reason = f"matrix is not symmetric: max |a - a.T| entry {asym[k]:.3e}"
-    else:
-        reason = (f"matrix is not positive definite: eigenvalue range "
-                  f"[{lam[k, 0]:.3e}, {lam[k, -1]:.3e}]")
-    return lam, vec, spd, (reason, k)
-
-
-def is_spd(
-    a,
-    eig_tol: float = DEFAULT_SPD_EIG_TOL,
-    sym_tol: float = DEFAULT_SYMMETRY_TOL,
-) -> bool:
-    """True when ``a`` is symmetric positive definite to working precision."""
-    return bool(spd_flags(as_matrix(a)[None], eig_tol, sym_tol)[0])
-
-
-def spd_flags(a, eig_tol: float = DEFAULT_SPD_EIG_TOL,
-              sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
-    """:func:`is_spd` of each member of an ``(m, s, s)`` stack."""
-    m = as_matrix(a, "stack", 3)
-    return _spd_eigendecompositions(m, eig_tol, sym_tol)[2]
-
-
-def spd_inverse_sqrt(
-    w,
-    eig_tol: float = DEFAULT_SPD_EIG_TOL,
-    sym_tol: float = DEFAULT_SYMMETRY_TOL,
-) -> np.ndarray:
-    """Symmetric ``m`` with ``m @ m == inv(w)`` for SPD ``w``.
-
-    Computed from the eigendecomposition; raises NotSPDError when ``w`` is
-    asymmetric or has an eigenvalue at or below ``eig_tol`` times its largest.
-    """
-    return spd_inverse_sqrts(as_matrix(w)[None], eig_tol, sym_tol)[0]
-
-
-def spd_inverse_sqrts(w, eig_tol: float = DEFAULT_SPD_EIG_TOL,
-                      sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
-    """:func:`spd_inverse_sqrt` of each member of an ``(m, s, s)`` stack.
-
-    The first member that is not SPD raises NotSPDError with its position
-    in ``index``.
-    """
-    m = as_matrix(w, "stack", 3)
-    lam, vec, _, failure = _spd_eigendecompositions(m, eig_tol, sym_tol)
-    if failure is not None:
-        # fresh: raising a stored exception ties its traceback's frames in a cycle
-        raise NotSPDError(failure[0], index=failure[1])
+    if not spd.all():
+        k = int(np.argmin(spd))
+        if not symmetric[k]:
+            raise NotSPDError(f"matrix is not symmetric: max |a - a.T| entry "
+                              f"{asym[k]:.3e}", index=k)
+        raise NotSPDError(f"matrix is not positive definite: eigenvalue range "
+                          f"[{lam[k, 0]:.3e}, {lam[k, -1]:.3e}]", index=k)
     root = (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
     # eigh round-off can leave a ~1e-16 asymmetry; return exactly
     # symmetric factors

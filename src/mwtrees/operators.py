@@ -1,57 +1,28 @@
-"""Block matrices attached to a matrix-weighted graph.
+"""Stateless kernels that assemble the arrays of a matrix-weighted graph's
+block operators, for a graph the caller has already checked.
 
-Three operators: the tree distance matrix D, the block Laplacian L (raw or
-inverse-weighted), and the scaled incidence matrix Q with L = Q Q^T for SPD
-weights.  All are returned as :class:`~mwtrees.linalg.BlockMatrix` with the
-graph's block size.  The arrays behind D and, on a tree, behind the
-pseudo-inverse and the grounded inverses of L are built from one preorder
-:class:`TreeLayout`.
+They build the tree distance matrix D, the block Laplacian L of any stack
+of edge blocks, the scaled incidence matrix Q (L = Q Q^T for SPD weights)
+and, on a tree, the pseudo-inverse and the grounded inverses of L from one
+preorder :class:`TreeLayout`.  Nothing here is cached: the public builders,
+which serve each graph's arrays from its analysis, are in
+:mod:`mwtrees.closedforms`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NotSPDError, SingularMatrixError, SingularWeightError
-from .graphs import (
-    MatrixWeightedGraph,
-    _depth_first,
-    check_structure,
-    require_tree,
-)
-from .linalg import BlockMatrix, inverses, spd_flags, spd_inverse_sqrts
-
-
-class LaplacianMode(Enum):
-    """Which matrix sits in the off-diagonal Laplacian blocks."""
-
-    RAW = "raw"          # blocks use the edge weights themselves
-    INVERTED = "inverted"  # blocks use the inverses of the edge weights
-
-
-def distance_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
-    """Block distance matrix of a matrix-weighted tree.
-
-    Block (i, j) is the sum of the weights on the unique i-to-j path, taken
-    in ascending edge-index order; diagonal blocks are zero.  Blocks (i, j)
-    and (j, i) are the same matrix, so the full array is symmetric exactly
-    when every path sum is.  See :func:`tree_distance_data` for how it is
-    built and why it matches ``distance_oracle`` bit for bit.  A path sum
-    beyond float range raises NonFiniteError.
-    """
-    check_structure(g)
-    require_tree(g)
-    # quietly: BlockMatrix rejects what overflowed
-    with np.errstate(over="ignore", invalid="ignore"):
-        return BlockMatrix(tree_distance_data(g), g.s)
+from .errors import SingularMatrixError, SingularWeightError
+from .graphs import MatrixWeightedGraph, _depth_first
+from .linalg import inverses
 
 
 def tree_distance_data(g: MatrixWeightedGraph,
                        layout: TreeLayout | None = None) -> np.ndarray:
-    """The array of :func:`distance_matrix`, for a tree already checked;
+    """The array of the distance matrix D of a tree already checked;
     ``layout`` is its :func:`_subtree_runs` (computed when None).
 
     Built by cut accumulation: removing edge k splits the tree in two, and
@@ -158,40 +129,6 @@ def _subtree_runs(g: MatrixWeightedGraph) -> TreeLayout:
                       np.array([pos[parent[c]] for c in child], dtype=int))
 
 
-def laplacian(
-    g: MatrixWeightedGraph, mode: LaplacianMode = LaplacianMode.INVERTED
-) -> BlockMatrix:
-    """Block Laplacian of a matrix-weighted graph.
-
-    Off-diagonal block (i, j) is minus the (possibly inverted) weight of the
-    edge {i, j}; diagonal block (i, i) is the sum of those matrices over the
-    edges at vertex i, accumulated in ascending edge order.  Block rows and
-    columns sum to zero by construction.  In INVERTED mode a singular edge
-    weight raises SingularWeightError naming the edge.
-    """
-    check_structure(g)
-    return BlockMatrix(laplacian_data(g, mode), g.s)
-
-
-def laplacian_data(
-    g: MatrixWeightedGraph,
-    mode: LaplacianMode = LaplacianMode.INVERTED,
-) -> np.ndarray:
-    """The array of :func:`laplacian`, for a graph already checked.
-
-    In INVERTED mode every weight is rank-tested and inverted at once, by
-    :func:`inverse_weights`.  The blocks are then placed by
-    :func:`block_laplacian`.  One batched call per graph in place of one
-    call per edge took the traced benchmark's ``operators.laplacian_s``
-    from 3.5 to 0.8 ms on an SPD path (n=72, s=2) and from 5.1 to 1.5 ms on
-    a Pruefer tree (n=64, s=4), on a 2-vCPU VM, with the same bits.
-    """
-    weights = weight_stack(g)
-    if mode is LaplacianMode.INVERTED:
-        weights = inverse_weights(g, weights)
-    return block_laplacian(g, weights)
-
-
 def weight_stack(g: MatrixWeightedGraph) -> np.ndarray:
     """The edge weights as one (m, s, s) array, in edge order."""
     return np.array([e.weight for e in g.edges]).reshape(g.m, g.s, g.s)
@@ -202,6 +139,10 @@ def inverse_weights(g: MatrixWeightedGraph, weights: np.ndarray) -> np.ndarray:
     for the edges of ``g``, from one batched rank test and inversion.
 
     The first singular weight raises SingularWeightError naming its edge.
+    One batched call per graph in place of one call per edge took the
+    traced benchmark's ``operators.laplacian_s`` from 3.5 to 0.8 ms on an
+    SPD path (n=72, s=2) and from 5.1 to 1.5 ms on a Pruefer tree (n=64,
+    s=4), on a 2-vCPU VM, with the same bits.
     """
     try:
         return inverses(weights)
@@ -237,39 +178,13 @@ def block_laplacian(g: MatrixWeightedGraph, blocks: np.ndarray) -> np.ndarray:
     return data.reshape(n * s, n * s)
 
 
-def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
-    """Scaled incidence matrix Q of a graph with SPD weights.
-
-    Column block k (one per edge, (n s) x (m s) overall) carries
-    ``+inverse_sqrt(W_k)`` at the smaller endpoint and the negated copy at
-    the larger one, so that ``Q @ Q.T`` equals the inverse-weighted
-    Laplacian and block rows of Q sum to zero.  The inverse square roots of
-    all weights come from one batched SPD test and eigendecomposition; the
-    first non-SPD weight raises NotSPDError naming its edge.
-    """
-    check_structure(g)
-    try:
-        roots = spd_inverse_sqrts(weight_stack(g))
-    except NotSPDError as exc:
-        k = exc.index
-        e = g.edges[k]
-        raise NotSPDError(
-            f"edge {k} ({e.u}, {e.v}): {exc}", edge_index=k
-        ) from None
-    return BlockMatrix(block_incidence(g, roots), g.s)
-
-
 def block_incidence(g: MatrixWeightedGraph, roots: np.ndarray) -> np.ndarray:
-    """The array of :func:`incidence_matrix` for ``g`` with ``roots[k]`` at
-    the smaller endpoint of edge k and ``-roots[k]`` at the larger one."""
+    """The incidence array of ``g``, (n s) x (m s), with ``roots[k]`` at the
+    smaller endpoint of edge k and ``-roots[k]`` at the larger one: with
+    the inverse square roots of the weights, Q."""
     n, s = g.n, roots.shape[-1]
     data = np.zeros((n, s, g.m, s))   # [i, :, k, :]: block (i, k)
     k = np.arange(g.m)
     data[[e.u - 1 for e in g.edges], :, k, :] = roots
     data[[e.v - 1 for e in g.edges], :, k, :] = -roots
     return data.reshape(n * s, g.m * s)
-
-
-def weights_are_spd(g: MatrixWeightedGraph) -> bool:
-    """True when every edge weight is symmetric positive definite."""
-    return bool(spd_flags(weight_stack(g)).all())

@@ -1,4 +1,6 @@
+import math
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +8,10 @@ import pytest
 _FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "fixtures")
 )
+
+
+# Spanning-tree enumeration refuses above this many edge subsets.
+_MAX_SUBSETS = 5_000_000
 
 
 def fixture_path(name: str) -> str:
@@ -138,3 +144,51 @@ def svd_interlacing_status(g, slack_tol: float = 1e-8) -> str:
                                              mid - mu[:k]))))
     slack = slack_tol * max(float(np.max(np.abs(mu))), float(lam.max()))
     return PASS if worst <= slack else FAIL
+
+
+def spanning_tree_oracle(g, marked_edge: int) -> tuple[int, int]:
+    """Count spanning trees containing and avoiding one edge, by brute force.
+
+    Enumerates every (n-1)-subset of the edges and tests it for being a
+    spanning tree with a union-find; refuses (ValueError) graphs with more
+    than 9 vertices or too many subsets.  Returns (with_marked,
+    without_marked).
+    """
+    from mwtrees.graphs import check_structure
+
+    check_structure(g)
+    if g.n > 9:
+        raise ValueError(f"spanning-tree oracle is capped at 9 vertices, "
+                         f"got {g.n}")
+    if not 0 <= marked_edge < g.m:
+        raise ValueError(f"edge index {marked_edge} out of range 0..{g.m - 1}")
+    if g.n >= 2 and math.comb(g.m, g.n - 1) > _MAX_SUBSETS:
+        raise ValueError(
+            f"{math.comb(g.m, g.n - 1)} edge subsets exceed the oracle cap"
+        )
+    with_marked = 0
+    without_marked = 0
+    for subset in combinations(range(g.m), g.n - 1):
+        parent = list(range(g.n + 1))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for k in subset:
+            e = g.edges[k]
+            ru, rv = find(e.u), find(e.v)
+            if ru == rv:
+                acyclic = False
+                break
+            parent[ru] = rv
+        if not acyclic:
+            continue
+        if marked_edge in subset:
+            with_marked += 1
+        else:
+            without_marked += 1
+    return with_marked, without_marked

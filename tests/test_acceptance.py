@@ -16,13 +16,17 @@ import numpy as np
 from mwtrees.closedforms import (
     PASS,
     SKIPPED,
+    LaplacianMode,
     distance_determinant,
     distance_determinant_sign_log,
     distance_inverse,
+    distance_matrix,
     ginverse_distance_recovery,
     ginverse_invariance_check,
+    incidence_matrix,
     inertia_check,
     interlacing_check,
+    laplacian,
     rank_characterization_probe,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
@@ -34,12 +38,10 @@ from mwtrees.generators import (
     WeightKind,
     random_connected_nontree,
     random_tree,
-    spanning_tree_oracle,
 )
 from mwtrees.linalg import numerical_rank, symmetric_eigenvalues
-from mwtrees.operators import LaplacianMode, distance_matrix, incidence_matrix, laplacian
 
-from conftest import fixture_path
+from conftest import fixture_path, spanning_tree_oracle
 
 
 def _criterion(number: int, name: str, ok: bool, notes=()):

@@ -12,7 +12,7 @@ from mwtrees.cli import main
 from mwtrees.formats import dumps_graph, input_digest, load_graph
 from mwtrees.gallery import path4_block2
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
-from mwtrees.operators import distance_matrix, laplacian
+from mwtrees.closedforms import distance_matrix, laplacian
 
 from conftest import fixture_path
 
@@ -347,6 +347,22 @@ def test_random_unwritable_output_exits_two(capsys, tmp_path):
                              "--out", str(taken))
     assert code == 2 and out == ""
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", PATH4, "--trials", "-1"],
+    ["random", "--n", "4", "--s", "1", "--count", "-1"],
+])
+def test_negative_counts_are_rejected_when_parsed(capsys, tmp_path, argv):
+    # refused at parsing (exit 2), not run as zero trials or files
+    out_dir = tmp_path / "out"
+    if argv[0] == "random":
+        argv = [*argv, "--out", str(out_dir)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_untyped_error_after_parsing_is_an_internal_error(capsys,

@@ -11,14 +11,17 @@ from mwtrees.closedforms import (
     IDENTITY_NAMES,
     PASS,
     SKIPPED,
+    LaplacianMode,
     distance_determinant,
     distance_determinant_sign_log,
     distance_inverse,
+    distance_matrix,
     ginverse_distance_recovery,
     ginverse_invariance_check,
     inertia_check,
     interlacing_check,
     invertibility_check,
+    laplacian,
     rank_characterization_probe,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
@@ -46,7 +49,6 @@ from mwtrees.generators import (
     random_connected_nontree,
     random_nonsingular,
     random_tree,
-    spanning_tree_oracle,
 )
 from mwtrees.graphs import MatrixWeightedGraph
 from mwtrees.linalg import (
@@ -55,11 +57,8 @@ from mwtrees.linalg import (
     numerical_rank,
 )
 from mwtrees.operators import (
-    LaplacianMode,
     _subtree_runs,
     block_laplacian,
-    distance_matrix,
-    laplacian,
     tree_g_inverse_data,
     weight_stack,
 )
@@ -70,6 +69,7 @@ from conftest import (
     distance_inverse_factored,
     graded_spd,
     grounded_inverse_oracle,
+    spanning_tree_oracle,
     svd_interlacing_status,
 )
 
@@ -236,7 +236,7 @@ def test_identities_need_invertible_distance_matrix():
 def test_incidence_compression_hand_value():
     # path on 3 vertices: Q = [[1, 0], [-1, 1], [0, -1]],
     # Q^T D Q = [[-2, 0], [0, -2]]
-    from mwtrees.operators import incidence_matrix
+    from mwtrees.closedforms import incidence_matrix
 
     g = path_graph(3)
     q = incidence_matrix(g).data
@@ -354,9 +354,10 @@ def test_distance_inverse_keeps_the_bits_of_the_kronecker_form():
 
 
 def test_weight_sum_is_rank_tested_and_inverted_once_per_graph(monkeypatch):
-    # the suite's invertibility, its probes and distance_inverse share the
-    # rank tests that invert the weights for L and R for R^-1
-    from mwtrees import closedforms, linalg
+    # the suite's invertibility, its probes, distance_inverse and the
+    # builders share the rank tests that invert the weights for L and R for
+    # R^-1
+    from mwtrees import linalg
     from mwtrees.graphs import weight_sum
 
     g = _probe_tree("prufer", 10, 3, True, 5)
@@ -369,10 +370,11 @@ def test_weight_sum_is_rank_tested_and_inverted_once_per_graph(monkeypatch):
             ranked[key] += np.array_equal(a, stack)
         return real(a, *args, **kwargs)
 
-    for module in (closedforms, linalg):
-        monkeypatch.setattr(module, "numerical_ranks", counted)
+    monkeypatch.setattr(linalg, "numerical_ranks", counted)
     verification_suite(g, "identities")
     distance_inverse(g)
+    invertibility_check(g)
+    laplacian(g)
     assert ranked == {"weights": 1, "R": 1}
 
 
@@ -565,6 +567,14 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
     assert probe.observed_ranks == tuple(old_ranks)
 
 
+def test_rank_probe_rejects_a_negative_trial_count():
+    # no reweighting at all would pass on L's rank alone
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        rank_characterization_probe(path4_block2(), trials=-2)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        verification_suite(path4_block2(), "rank", trials=-1)
+
+
 def test_rank_probe_condition_cap_below_one_gives_up():
     g = path4_block2()
     with pytest.raises(BadConfigError, match="well-conditioned 2x2"):
@@ -755,9 +765,9 @@ def test_ill_conditioned_spd_weights_get_reports_not_errors(cond, skew):
     # inverting a weight scales its admitted asymmetry by its condition
     # number; no check may then reject L as asymmetric or skip the graph
     g = _ill_conditioned_tree(cond, skew)
-    from mwtrees.linalg import is_spd
+    from mwtrees.closedforms import _Analysis
 
-    assert all(is_spd(e.weight) for e in g.edges)
+    assert _Analysis(g).spd
     for suite in ("ginverse", "spectrum", "rank"):
         reports = verification_suite(g, suite)
         assert reports and all(r.status != SKIPPED for r in reports)
@@ -1196,11 +1206,16 @@ def _suite_decompositions(monkeypatch, g: MatrixWeightedGraph):
     and of L and the rank tests that invert the weights, the
     decompositions (an SVD with or without vectors, pinv, eigh, eigvalsh)
     of L itself or its symmetric part and those of D, and the number of
-    eigh calls on anything."""
+    eigh calls on anything.  The reference D and L come from a pickle copy
+    of ``g``, whose analysis starts empty, so the suite still builds its
+    own."""
+    import pickle
+
     from mwtrees import closedforms
 
-    lap = laplacian(g).data
-    dist = (distance_matrix(g).data,) if g.m == g.n - 1 else ()
+    copy = pickle.loads(pickle.dumps(g))
+    lap = laplacian(copy).data
+    dist = (distance_matrix(copy).data,) if g.m == g.n - 1 else ()
     targets = {"L": (lap, 0.5 * (lap + lap.T)), "D": dist}
     calls = {"D": 0, "L": 0, "inverted": 0}
     found = {key: {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
@@ -1380,8 +1395,9 @@ def test_suite_frees_its_analysis_without_the_cycle_collector(monkeypatch, make)
 
 def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
     # the benchmark's trees op: every call after loads_graph reads the
-    # violation list and the analysis that the graph keeps
-    from mwtrees import closedforms, graphs, operators
+    # violation list and the analysis that the graph keeps, and so do the
+    # builders and invertibility_check after it
+    from mwtrees import closedforms, graphs, linalg, operators
     from mwtrees.formats import dumps_graph, loads_graph
 
     text = dumps_graph(random_tree(GenConfig(
@@ -1392,17 +1408,22 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
                  "_subtree_runs"):
         _count_calls(monkeypatch, closedforms, name, counts)
     _count_calls(monkeypatch, operators, "_subtree_runs", counts)
+    _count_calls(monkeypatch, linalg, "numerical_ranks", counts)
     made = _recorded_analyses(monkeypatch)
     g = loads_graph(text)
     reports = verification_suite(g, "all")
     distance_determinant_sign_log(g)
     distance_inverse(g)
+    distance_matrix(g)
+    laplacian(g)
+    invertibility_check(g)
     assert all(r.status == PASS for r in reports)
     # one preorder layout serves D, L^+ and the rank certificate; L is
-    # built once, from weights inverted once
+    # built once, from weights inverted once; the weights and R are each
+    # rank-tested once
     assert counts == {"_violations": 1, "tree_distance_data": 1,
                       "block_laplacian": 1, "inverse_weights": 1,
-                      "_subtree_runs": 1}
+                      "_subtree_runs": 1, "numerical_ranks": 2}
     assert len(made) == 1
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwtrees.errors import BadConfigError, TooLargeError
+from mwtrees.closedforms import _Analysis, distance_matrix
+from mwtrees.errors import BadConfigError
 from mwtrees.gallery import diamond4, path_graph
 from mwtrees.generators import (
     GenConfig,
@@ -17,11 +18,11 @@ from mwtrees.generators import (
     random_nonsingular_stack,
     random_spd,
     random_tree,
-    spanning_tree_oracle,
 )
 from mwtrees.graphs import is_connected, is_tree, validate, weight_sum
-from mwtrees.linalg import is_spd
-from mwtrees.operators import distance_matrix
+from mwtrees.linalg import spd_inverse_sqrts
+
+from conftest import spanning_tree_oracle
 
 
 def test_gen_config_validation():
@@ -65,7 +66,7 @@ def test_random_tree_is_a_valid_tree_in_range(seed):
 def test_random_tree_spd_weights_are_spd():
     g = random_tree(GenConfig(n_range=(6, 6), s_range=(3, 3),
                               kind=WeightKind.SPD, seed=77))
-    assert all(is_spd(e.weight) for e in g.edges)
+    assert _Analysis(g).spd
 
 
 def test_random_tree_scalar_kinds():
@@ -108,7 +109,7 @@ def test_random_tree_topology_is_uniform():
 
 def test_random_spd_properties():
     w = random_spd(3, condition_cap=100.0, seed=1)
-    assert is_spd(w)
+    spd_inverse_sqrts(w[None])   # NotSPDError unless w is SPD
     eigs = np.linalg.eigvalsh(w)
     assert eigs[-1] / eigs[0] <= 100.0 * (1 + 1e-9)
     assert np.array_equal(w, random_spd(3, condition_cap=100.0, seed=1))
@@ -233,7 +234,7 @@ def test_spanning_tree_oracle_known_counts():
 
 
 def test_spanning_tree_oracle_caps_size():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="capped at 9 vertices"):
         spanning_tree_oracle(path_graph(10), 0)
     with pytest.raises(ValueError):
         spanning_tree_oracle(diamond4(), 9)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwtrees.closedforms import invertibility_check
+from mwtrees.closedforms import (
+    LaplacianMode,
+    _Analysis,
+    distance_matrix,
+    incidence_matrix,
+    invertibility_check,
+    laplacian,
+)
 from mwtrees.errors import NotATreeError, NotSPDError, SingularWeightError
 from mwtrees.gallery import (
     cycle4_block2,
@@ -25,16 +32,7 @@ from mwtrees.generators import (
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph
-from mwtrees.operators import (
-    LaplacianMode,
-    block_laplacian,
-    distance_matrix,
-    incidence_matrix,
-    laplacian,
-    tree_g_inverse_data,
-    weight_stack,
-    weights_are_spd,
-)
+from mwtrees.operators import block_laplacian, tree_g_inverse_data, weight_stack
 
 from conftest import conditioned_matrix, graded_spd, grounded_inverse_oracle
 
@@ -248,10 +246,26 @@ def test_incidence_rejects_non_spd_weights():
 
 
 def test_weights_are_spd():
-    assert weights_are_spd(path_graph(4, s=2))
-    assert not weights_are_spd(path4_block2())
-    assert not weights_are_spd(cycle4_block2())
-    assert weights_are_spd(diamond4())
+    assert _Analysis(path_graph(4, s=2)).spd
+    assert not _Analysis(path4_block2()).spd
+    assert not _Analysis(cycle4_block2()).spd
+    assert _Analysis(diamond4()).spd
+
+
+@pytest.mark.parametrize("make", [path4_block2, lambda: path_graph(4, s=2)])
+def test_builders_return_read_only_views_of_the_analysis(make):
+    g = make()
+    built = [distance_matrix(g), laplacian(g),
+             laplacian(g, LaplacianMode.RAW)]
+    if _Analysis(g).spd:
+        built.append(incidence_matrix(g))
+    for block in built:
+        assert not block.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block.data[0, 0] = 1.0
+        block.data.copy()[0, 0] = 1.0   # a copy is writable
+    assert distance_matrix(g).data is built[0].data
+    assert laplacian(g).data is built[1].data
 
 
 def test_operators_reject_malformed_graphs():

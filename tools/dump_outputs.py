@@ -10,7 +10,7 @@ generators of :mod:`mwtrees.generators`: trees and connected non-trees of
 every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
 benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
-rank probe, D, the determinant, D^{-1}, L,
+determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
 the rank-deficient weighting, and the L^+ and the eigenvalues of L that
 the suite's g-inverse and spectrum checks read from the graph's analysis
 (graphs whose weights are not all SPD have no such eigenvalues and hash
@@ -83,6 +83,8 @@ def outputs(g):
     yield "probe", lambda: mw.rank_characterization_probe(g)
     yield "D", lambda: mw.distance_matrix(g)
     yield "L", lambda: mw.laplacian(g)
+    yield "Q", lambda: mw.incidence_matrix(g)
+    yield "invertibility", lambda: mw.invertibility_check(g)
     yield "witness", lambda: mw.rank_deficient_weighting(g)
     yield "L_pinv", lambda: _analysis(g).laplacian_pinv
     yield "L_eigenvalues", lambda: _analysis(g).laplacian_eigenvalues
