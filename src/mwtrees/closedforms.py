@@ -64,7 +64,6 @@ from .errors import (
     MWTreesError,
     NoBridgelessEdgeError,
     NonFiniteError,
-    NotATreeError,
     NotConnectedError,
     NotInvertibleError,
     NotSPDError,
@@ -125,6 +124,17 @@ _PROBES = 8
 #: times ``N eps sigma_1`` for the error of the singular values LAPACK
 #: computes and for the rounding of its own residual product.
 _CERTIFICATE_SAFETY = 64.0
+
+#: Tolerance of both g-inverse checks, times the norm of L^+ or of D.
+_GINVERSE_REL_TOL = 1e-7
+
+#: Slack of the interlacing check, times the largest eigenvalue magnitude.
+_INTERLACING_SLACK = 1e-8
+
+#: Largest condition number of the rank probe's random nonsingular draws:
+#: far below 1 / DEFAULT_RANK_TOL, so each draw is inverted without a rank
+#: test.
+_PROBE_CONDITION_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -198,14 +208,12 @@ class _Analysis:
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
     only strong link: dropping the graph frees D, L and L^+ by reference
-    counting, without the cycle collector.  An analysis built directly, as
-    ``_Analysis(g)``, keeps its graph alive until a graph adopts it.
+    counting, without the cycle collector.
     """
 
     def __init__(self, g: MatrixWeightedGraph):
         check_structure(g)
         self._graph = weakref.ref(g)
-        self._owner = g   # cleared by _analysis
 
     @property
     def g(self) -> MatrixWeightedGraph:
@@ -394,9 +402,7 @@ def _analysis(g: MatrixWeightedGraph) -> _Analysis:
     it."""
     a = g.__dict__.get("_analysis")
     if a is None:
-        a = _Analysis(g)
-        a._owner = None   # the graph owns its analysis, not the reverse
-        g.__dict__["_analysis"] = a
+        a = g.__dict__["_analysis"] = _Analysis(g)
     return a
 
 
@@ -663,9 +669,7 @@ def _probe_norm(mx: np.ndarray) -> float:
 
 
 def ginverse_invariance_check(
-    g: MatrixWeightedGraph,
-    seeds: tuple[int, ...] = (0, 1),
-    rel_tol: float = 1e-7,
+    g: MatrixWeightedGraph, seeds: tuple[int, ...] = (0, 1)
 ) -> VerificationReport:
     """Check that Laplacian pair contractions ignore the g-inverse choice.
 
@@ -677,8 +681,8 @@ def ginverse_invariance_check(
     :func:`~mwtrees.linalg.random_g_inverse` samples of the seeds are
     compared with the first.  For a connected graph with SPD weights the
     contraction is a class function of the g-inverse family, so the
-    deviation is pure round-off; tolerance is ``rel_tol`` times the
-    pseudo-inverse norm.
+    deviation is pure round-off; tolerance is ``_GINVERSE_REL_TOL`` times
+    the pseudo-inverse norm.
     """
     a = _analysis(g)
     if not is_connected(g):
@@ -698,11 +702,12 @@ def ginverse_invariance_check(
     base, *others = (h.pair_contractions() for h in samples)
     worst = max(_worst_pair(other - base) for other in others)
     scale = float(np.linalg.norm(a.laplacian_pinv))
-    return _report("ginverse_invariance", worst, rel_tol * scale, g, detail)
+    return _report("ginverse_invariance", worst, _GINVERSE_REL_TOL * scale,
+                   g, detail)
 
 
 def ginverse_distance_recovery(
-    g: MatrixWeightedGraph, seed: int = 0, rel_tol: float = 1e-7
+    g: MatrixWeightedGraph, seed: int = 0
 ) -> VerificationReport:
     """Check that Laplacian g-inverse contractions rebuild tree distances.
 
@@ -710,8 +715,8 @@ def ginverse_distance_recovery(
     generalized inverse H of the Laplacian equals distance block (i, j).
     H is the sample for ``seed`` of :meth:`_Analysis.g_inverse`: the
     Laplacian grounded at a root drawn from the seed, inverted in closed
-    form, plus random null terms.  Tolerance is ``rel_tol`` times the
-    distance-matrix norm.
+    form, plus random null terms.  Tolerance is ``_GINVERSE_REL_TOL`` times
+    the distance-matrix norm.
     """
     a = _analysis(g)
     require_tree(g)
@@ -722,15 +727,14 @@ def ginverse_distance_recovery(
     scale = float(np.linalg.norm(dist))
     root = _seeded_root(g.n, seed)[0]
     return _report(
-        "ginverse_recovery", worst, rel_tol * scale, g,
+        "ginverse_recovery", worst, _GINVERSE_REL_TOL * scale, g,
         f"g-inverse grounded at root {root}, seed {seed}",
     )
 
 
-def inertia_check(
-    g: MatrixWeightedGraph, zero_tol: float = 1e-9
-) -> Inertia:
-    """Eigenvalue sign counts of the distance matrix of an SPD-weighted tree.
+def inertia_check(g: MatrixWeightedGraph) -> Inertia:
+    """Eigenvalue sign counts of the distance matrix of an SPD-weighted tree,
+    at :func:`~mwtrees.linalg.inertia_of`'s cutoff for zero.
 
     For n >= 2 the expected value is (s, (n-1) s, 0): block size many
     positive eigenvalues, all the rest negative, none zero.  A single
@@ -739,7 +743,7 @@ def inertia_check(
     a = _analysis(g)
     require_tree(g)
     a.require_spd()
-    return inertia_of(a.distance_eigenvalues, zero_tol)
+    return inertia_of(a.distance_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -762,17 +766,16 @@ class InterlacingReport:
     s: int
 
 
-def interlacing_check(
-    g: MatrixWeightedGraph, slack_tol: float = 1e-8
-) -> InterlacingReport:
+def interlacing_check(g: MatrixWeightedGraph) -> InterlacingReport:
     """Check that -2 over each nonzero Laplacian eigenvalue sits between the
     matching pair of distance-matrix eigenvalues.
 
     With both spectra sorted descending and k = (n-1) s, the chain is
     ``mu[s+i] <= -2/lam[i] <= mu[i]`` for i = 0..k-1.  Slack is
-    ``slack_tol`` times the largest eigenvalue magnitude present.  mu and
-    lam come from one ``eigvalsh`` each, of D and of the symmetric part of
-    L (:attr:`_Analysis.laplacian_eigenvalues`), kept on the analysis.
+    ``_INTERLACING_SLACK`` times the largest eigenvalue magnitude present.
+    mu and lam come from one ``eigvalsh`` each, of D and of the symmetric
+    part of L (:attr:`_Analysis.laplacian_eigenvalues`), kept on the
+    analysis.
     """
     a = _analysis(g)
     require_tree(g)
@@ -788,7 +791,7 @@ def interlacing_check(
     mid = -2.0 / lam[:k]
     triples = np.column_stack([lower, mid, upper])
     scale = max(float(np.max(np.abs(mu))), float(np.max(np.abs(lam))))
-    slack = slack_tol * scale
+    slack = _INTERLACING_SLACK * scale
     overshoot = np.maximum(lower - mid, mid - upper)
     worst = max(0.0, float(np.max(overshoot)))
     return InterlacingReport(mu, lam, triples, slack, worst, worst <= slack, n, s)
@@ -883,7 +886,6 @@ def rank_characterization_probe(
     trials: int = 5,
     seed: int = 0,
     rel_tol: float = DEFAULT_RANK_TOL,
-    condition_cap: float = 1e4,
 ) -> RankProbe:
     """Probe the rank dichotomy between trees and graphs with cycles.
 
@@ -898,10 +900,8 @@ def rank_characterization_probe(
     docstring decide it, and computed by one when they do not, as with a
     ``rel_tol`` near machine precision or near the smallest nonzero
     singular value.  The first, that of L, reads the inverse weights L was
-    built from.  A draw of condition number at most ``condition_cap``
-    has every singular value above ``DEFAULT_RANK_TOL`` times the largest
-    when ``condition_cap * DEFAULT_RANK_TOL < 0.5``, so the draws of such
-    a cap are inverted without a second rank test.
+    built from; the draws, of condition number at most
+    ``_PROBE_CONDITION_CAP``, are inverted without a rank test.
     """
     from .generators import random_nonsingular_stack
 
@@ -913,13 +913,10 @@ def rank_characterization_probe(
         sets = [(weight_stack(g), a.weight_inverses)]   # L itself
         # trial t, edge k gets the (t m + k)-th random_nonsingular draw
         draws = random_nonsingular_stack(
-            trials * g.m, g.s, condition_cap, np.random.default_rng(seed)
+            trials * g.m, g.s, _PROBE_CONDITION_CAP,
+            np.random.default_rng(seed)
         ).reshape(trials, g.m, g.s, g.s)
-        flat = draws.reshape(-1, g.s, g.s)
-        blocks = (np.linalg.inv(flat)
-                  if condition_cap * DEFAULT_RANK_TOL < 0.5
-                  else inverse_weights(g, flat))
-        sets += zip(draws, blocks.reshape(draws.shape))
+        sets += zip(draws, np.linalg.inv(draws))
         tree = a.layout if g.n > 1 else None
         ranks = [_tree_rank(g, tree, w, b, rel_tol) for w, b in sets]
         return RankProbe(
@@ -1047,6 +1044,36 @@ def _norm_bound(sums: np.ndarray) -> np.floating:
     return np.sqrt(sums[:, 0].max(initial=0.0) * sums[:, 1].max(initial=0.0))
 
 
+def _inertia_record(g: MatrixWeightedGraph) -> VerificationReport:
+    if g.n < 2:   # one vertex: D is the s x s zero block
+        return _skipped("inertia", "needs n >= 2", g)
+    found = inertia_check(g).as_tuple()
+    expected = (g.s, (g.n - 1) * g.s, 0)
+    mismatch = sum(abs(x - y) for x, y in zip(found, expected))
+    return _report("inertia", float(mismatch), 0.0, g,
+                   f"(pos, neg, zero) = {found}, expected {expected}")
+
+
+def _interlacing_record(g: MatrixWeightedGraph) -> VerificationReport:
+    inter = interlacing_check(g)
+    return _report("interlacing", inter.worst_violation, inter.slack, g,
+                   f"{inter.triples.shape[0]} eigenvalue triples")
+
+
+def _rank_record(g: MatrixWeightedGraph, trials: int,
+                 seed: int) -> VerificationReport:
+    probe = rank_characterization_probe(g, trials, seed)
+    ranks, full = probe.observed_ranks, probe.full_rank
+    if probe.branch == "tree":
+        return _report("rank_characterization",
+                       float(max(abs(r - full) for r in ranks)), 0.0, g,
+                       f"tree branch: ranks {ranks} vs full rank {full}")
+    w = probe.witness
+    return _report("rank_characterization", float(ranks[0]), float(full - 1),
+                   g, f"witness branch: weight {w.w:g} on edge {w.endpoints} "
+                   f"gives rank {ranks[0]} < {full}")
+
+
 def verification_suite(
     g: MatrixWeightedGraph,
     suite: str = "all",
@@ -1054,94 +1081,38 @@ def verification_suite(
     seed: int = 0,
     trials: int = 5,
     rel_tol: float = 1e-8,
-    ginverse_rel_tol: float = 1e-7,
-    zero_tol: float = 1e-9,
-    slack_tol: float = 1e-8,
 ) -> list[VerificationReport]:
     """Run the named check suite and return one report per check.
 
-    A check whose hypotheses the graph does not satisfy (not a tree, weights
-    not SPD, distance matrix not invertible, a matrix it reads overflows) is
-    reported as SKIPPED with the reason, never silently dropped, so a suite
-    run always has the same shape for a given suite name.  ``seed`` draws
-    the identity probes and the g-inverse samples (``seed``, ``seed + 1``
-    and ``seed + 2``) and seeds the rank probe.
+    The suite is a table of checks, each with its family, the names of the
+    records it returns and its runner.  A runner that raises a package
+    error (MWTreesError) has found a hypothesis the graph does not satisfy
+    (not a tree, weights not SPD or singular, distance matrix not
+    invertible, a matrix it reads overflows, ...): its records are SKIPPED
+    with the error's message as the reason, so a suite run always has the
+    same shape for a given suite name.  Any other exception propagates.
+    ``seed`` draws the identity probes and the g-inverse samples (``seed``,
+    ``seed + 1`` and ``seed + 2``) and seeds the rank probe.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    checks = (
+        ("identities", IDENTITY_NAMES,
+         lambda: verify_identities(g, rel_tol, seed)),
+        ("ginverse", ("ginverse_invariance",),
+         lambda: [ginverse_invariance_check(g, (seed, seed + 1))]),
+        ("ginverse", ("ginverse_recovery",),
+         lambda: [ginverse_distance_recovery(g, seed + 2)]),
+        ("spectrum", ("inertia",), lambda: [_inertia_record(g)]),
+        ("spectrum", ("interlacing",), lambda: [_interlacing_record(g)]),
+        ("rank", ("rank_characterization",),
+         lambda: [_rank_record(g, trials, seed)]),
+    )
     reports: list[VerificationReport] = []
-
-    if suite in ("identities", "all"):
-        try:
-            reports.extend(verify_identities(g, rel_tol, seed))
-        except (NotATreeError, NotInvertibleError, NonFiniteError) as exc:
-            reports.extend(
-                _skipped(name, str(exc), g) for name in IDENTITY_NAMES
-            )
-
-    if suite in ("ginverse", "all"):
-        try:
-            reports.append(ginverse_invariance_check(
-                g, (seed, seed + 1), ginverse_rel_tol
-            ))
-        except (NotConnectedError, NotSPDError, NonFiniteError) as exc:
-            reports.append(_skipped("ginverse_invariance", str(exc), g))
-        try:
-            reports.append(ginverse_distance_recovery(g, seed + 2,
-                                                      ginverse_rel_tol))
-        except (NotATreeError, NotSPDError, NonFiniteError) as exc:
-            reports.append(_skipped("ginverse_recovery", str(exc), g))
-
-    if suite in ("spectrum", "all"):
-        if g.n < 2:   # one vertex: D is the s x s zero block
-            reports.append(_skipped("inertia", "needs n >= 2", g))
-        else:
+    for family, names, run in checks:
+        if suite in (family, "all"):
             try:
-                found = inertia_check(g, zero_tol)
-                expected = Inertia(g.s, (g.n - 1) * g.s, 0)
-                mismatch = sum(
-                    abs(x - y)
-                    for x, y in zip(found.as_tuple(), expected.as_tuple())
-                )
-                reports.append(_report(
-                    "inertia", float(mismatch), 0.0, g,
-                    f"(pos, neg, zero) = {found.as_tuple()}, "
-                    f"expected {expected.as_tuple()}",
-                ))
-            except (NotATreeError, NotSPDError, NonFiniteError) as exc:
-                reports.append(_skipped("inertia", str(exc), g))
-        try:
-            inter = interlacing_check(g, slack_tol)
-            reports.append(_report(
-                "interlacing", inter.worst_violation, inter.slack, g,
-                f"{inter.triples.shape[0]} eigenvalue triples",
-            ))
-        except (NotATreeError, NotSPDError, NonFiniteError) as exc:
-            reports.append(_skipped("interlacing", str(exc), g))
-
-    if suite in ("rank", "all"):
-        try:
-            probe = rank_characterization_probe(g, trials, seed)
-            if probe.branch == "tree":
-                residual = float(
-                    max(abs(r - probe.full_rank) for r in probe.observed_ranks)
-                )
-                tolerance = 0.0
-                detail = (
-                    f"tree branch: ranks {probe.observed_ranks} vs "
-                    f"full rank {probe.full_rank}"
-                )
-            else:
-                residual = float(probe.observed_ranks[0])
-                tolerance = float(probe.full_rank - 1)
-                w = probe.witness
-                detail = (
-                    f"witness branch: weight {w.w:g} on edge {w.endpoints} "
-                    f"gives rank {probe.observed_ranks[0]} < {probe.full_rank}"
-                )
-            reports.append(_report("rank_characterization", residual,
-                                   tolerance, g, detail))
-        except MWTreesError as exc:
-            reports.append(_skipped("rank_characterization", str(exc), g))
-
+                reports += run()
+            except MWTreesError as exc:
+                reports += [_skipped(name, str(exc), g) for name in names]
     return reports

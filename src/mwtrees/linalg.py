@@ -30,14 +30,12 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Relative cutoff (times the largest singular value) below which a direction
-# counts as numerically zero.
+# Relative cutoff (times the largest singular value, or eigenvalue of an SPD
+# matrix) below which a direction counts as numerically zero.
 DEFAULT_RANK_TOL = 1e-9
 # Relative asymmetry (times the Frobenius norm) tolerated before a matrix is
 # rejected as non-symmetric.
 DEFAULT_SYMMETRY_TOL = 1e-9
-# Relative eigenvalue floor (times the largest eigenvalue) for SPD checks.
-DEFAULT_SPD_EIG_TOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -151,13 +149,8 @@ def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the same rank cutoff as
-    :func:`numerical_rank`, from one SVD.  It is formed as
-    ``np.linalg.pinv`` forms it, so it is the same to the bit."""
-    m = as_matrix(a)
-    u, sv, vt = np.linalg.svd(m, full_matrices=False)
-    large = sv > rel_tol * sv.max(initial=0.0)
-    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
-    return vt.T @ (inv_sv[:, None] * u.T)
+    :func:`numerical_rank`: ``np.linalg.pinv``'s, from one SVD."""
+    return np.linalg.pinv(as_matrix(a), rcond=rel_tol)
 
 
 def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -192,21 +185,23 @@ def g_inverse_sample(p: np.ndarray, left: np.ndarray, right: np.ndarray,
     return p + left @ u + v @ right
 
 
-def spd_inverse_sqrts(w, eig_tol: float = DEFAULT_SPD_EIG_TOL,
-                      sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
+def spd_inverse_sqrts(w, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
     """Symmetric ``m`` with ``m @ m == inv(w)`` for each SPD member ``w`` of
     an ``(m, s, s)`` stack, from one batched eigendecomposition.
 
     A member is SPD when it is symmetric within ``sym_tol`` and its smallest
-    eigenvalue is above ``eig_tol`` times its largest, which is positive.
-    The first member that is not raises NotSPDError with its position in
-    ``index``.
+    eigenvalue is above ``DEFAULT_RANK_TOL`` times its largest, which is
+    positive: the cutoff of :func:`numerical_rank`, so an SPD member is a
+    nonsingular one, but where the ratio is within rounding of the cutoff
+    and ``eigh`` and the SVD round to different sides.  The first member
+    that is not raises NotSPDError with its position in ``index``.
     """
     m = as_matrix(w, "stack", 3)
     _require_square(m)
     asym, symmetric = _asymmetries(m, sym_tol)
     lam, vec = np.linalg.eigh(m)
-    spd = symmetric & (lam[:, -1] > 0.0) & (lam[:, 0] > eig_tol * lam[:, -1])
+    spd = (symmetric & (lam[:, -1] > 0.0)
+           & (lam[:, 0] > DEFAULT_RANK_TOL * lam[:, -1]))
     if not spd.all():
         k = int(np.argmin(spd))
         if not symmetric[k]:

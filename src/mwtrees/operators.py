@@ -20,10 +20,9 @@ from .graphs import MatrixWeightedGraph, _depth_first
 from .linalg import inverses
 
 
-def tree_distance_data(g: MatrixWeightedGraph,
-                       layout: TreeLayout | None = None) -> np.ndarray:
+def tree_distance_data(g: MatrixWeightedGraph, layout: TreeLayout) -> np.ndarray:
     """The array of the distance matrix D of a tree already checked;
-    ``layout`` is its :func:`_subtree_runs` (computed when None).
+    ``layout`` is its :func:`_subtree_runs`.
 
     Built by cut accumulation: removing edge k splits the tree in two, and
     W_k lies on the path of exactly the vertex pairs it separates.  Edges
@@ -36,8 +35,6 @@ def tree_distance_data(g: MatrixWeightedGraph,
     their mirrors copies them there, bit for bit.
     """
     n, s = g.n, g.s
-    if layout is None:
-        layout = _subtree_runs(g)
     blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p > q
     for lo, hi, e in zip(layout.lo.tolist(), layout.hi.tolist(), g.edges):
         blocks[lo:hi, :lo] += e.weight
@@ -47,14 +44,13 @@ def tree_distance_data(g: MatrixWeightedGraph,
     return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
 
 
-def tree_g_inverse_data(g: MatrixWeightedGraph,
-                        layout: TreeLayout | None = None,
+def tree_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
                         root: int | None = None) -> np.ndarray:
     """A g-inverse of the inverse-weighted Laplacian L of a tree with
     nonsingular weights, in closed form, for a tree already checked:
     L^+ when ``root`` is None, else G_root, L grounded at vertex ``root``
     (its block row and column deleted), inverted and padded with zeros.
-    ``layout`` is the tree's :func:`_subtree_runs` (computed when None).
+    ``layout`` is the tree's :func:`_subtree_runs`.
 
     Both are ``sum_k v_k v_k^T kron W_k`` over one vector v_k per edge: one
     product of the (n, m) matrix of the v_k with the stack of ``v_k^T kron
@@ -69,8 +65,6 @@ def tree_g_inverse_data(g: MatrixWeightedGraph,
     across edge k only negates, so v_k = c_k gives L^+.
     """
     n, s, m = g.n, g.s, g.m
-    if layout is None:
-        layout = _subtree_runs(g)
     below = layout.below[layout.at]   # [i, k]: vertex i is below edge k
     if root is None:
         sides = below - below.mean(axis=0)

@@ -190,7 +190,7 @@ def test_criterion_09_interlacing_100():
     if not report.passed or abs(lower - mid) > 1e-9:
         failures.append("path-3 equality case failed")
     for i, g in enumerate(_trees(100, 73_000, WeightKind.SPD)):
-        rep = interlacing_check(g, slack_tol=1e-8)
+        rep = interlacing_check(g)
         if not rep.passed:
             failures.append(f"tree {i}: violation {rep.worst_violation:.3e}")
     _criterion(9, "interlacing-100", not failures, failures[:5])

@@ -119,6 +119,25 @@ def test_near_singular_weight_rejected_by_build_and_invert(capsys, tmp_path):
     assert "not invertible" in err
 
 
+@pytest.mark.parametrize("n", [3, 4])   # a path, a cycle
+def test_weight_below_the_rank_cutoff_is_reported_and_not_spd(capsys,
+                                                              tmp_path, n):
+    # diag(1, 1e-10) is symmetric with positive eigenvalues, but their
+    # ratio is below the 1e-9 rank cutoff: it is singular, so not SPD
+    edges = [(v, v + 1, np.eye(2)) for v in range(1, n)]
+    edges[0] = (1, 2, np.diag([1.0, 1e-10]))
+    if n == 4:
+        edges.append((1, 4, np.eye(2)))
+    path = tmp_path / "nearly_singular.json"
+    path.write_text(dumps_graph(MatrixWeightedGraph(n, 2, edges)))
+    code, report, _ = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert len(report["checks"]) == 10
+    code, out, err = run_cli(capsys, "build", str(path), "--which", "Q")
+    assert code == 3 and out == ""
+    assert "NotSPDError" in err and "edge 0" in err
+
+
 def _run_python(*argv):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     env = dict(os.environ)

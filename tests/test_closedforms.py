@@ -48,6 +48,7 @@ from mwtrees.generators import (
     WeightKind,
     random_connected_nontree,
     random_nonsingular,
+    random_nonsingular_stack,
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph
@@ -164,12 +165,11 @@ def test_invertibility_check_paths():
     cancelling = MatrixWeightedGraph(3, 1, [(1, 2, [[1.0]]), (2, 3, [[-1.0]])])
     result = invertibility_check(cancelling)
     assert not result.invertible and "sum" in result.reason
-    # the analysis decides from the rank tests of L and R^-1, with the
-    # same verdict and reason
-    from mwtrees.closedforms import _Analysis
+    # the verdict is the analysis's, from the rank tests of L and R^-1
+    from mwtrees.closedforms import _analysis
 
     for g in (path4_block2(), singular_edge, cancelling):
-        assert _Analysis(g).invertibility == invertibility_check(g)
+        assert invertibility_check(g) is _analysis(g).invertibility
 
 
 def test_distance_inverse_single_edge_hand_value():
@@ -523,17 +523,15 @@ def _svd_members(monkeypatch) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("s, cap", [(2, 1e4), (3, 20.0), (8, 1e4),
-                                    (9, 1e10)])
+@pytest.mark.parametrize("s", [2, 3, 8, 9])
 def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
-    monkeypatch, s, cap
+    monkeypatch, s
 ):
     # L's own blocks, the inverse weights, first; then the draws, each
-    # given one SVD by its acceptance test, and a second by the rank test
-    # of inverse_weights only where the cap does not imply it
+    # given one SVD, by its acceptance test, and inverted without a second
     from mwtrees import closedforms
-    from mwtrees.linalg import DEFAULT_RANK_TOL
 
+    cap = closedforms._PROBE_CONDITION_CAP
     g = random_tree(GenConfig(n_range=(7, 7), s_range=(s, s), seed=s))
     used = []
     real = closedforms._tree_rank
@@ -542,8 +540,7 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
                         used.append((weights, blocks))
                         or real(graph, tree, weights, blocks, tol))
     counter = _svd_members(monkeypatch)
-    probe = rank_characterization_probe(g, trials=4, seed=9,
-                                        condition_cap=cap)
+    probe = rank_characterization_probe(g, trials=4, seed=9)
     svds = dict(counter)   # before the draws are made again below
 
     rng = np.random.default_rng(9)
@@ -552,13 +549,12 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
     assert blocks.tobytes() == np.array(
         [inverse(e.weight) for e in g.edges]).tobytes()
     old_ranks = [numerical_rank(laplacian(g).data)]
-    per_draw = 1 + (cap * DEFAULT_RANK_TOL >= 0.5)
     for weights, blocks in used[1:]:
         draws = [random_nonsingular(s, cap, rng) for _ in g.edges]
         assert weights.tobytes() == np.array(draws).tobytes()
         expected = np.array([inverse(w) for w in draws])
         assert blocks.tobytes() == expected.tobytes()
-        assert [svds.get(w.tobytes()) for w in draws] == [per_draw] * g.m
+        assert [svds.get(w.tobytes()) for w in draws] == [1] * g.m
         reweighted = MatrixWeightedGraph(
             g.n, s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
         )
@@ -573,12 +569,6 @@ def test_rank_probe_rejects_a_negative_trial_count():
         rank_characterization_probe(path4_block2(), trials=-2)
     with pytest.raises(ValueError, match="trials must be >= 0"):
         verification_suite(path4_block2(), "rank", trials=-1)
-
-
-def test_rank_probe_condition_cap_below_one_gives_up():
-    g = path4_block2()
-    with pytest.raises(BadConfigError, match="well-conditioned 2x2"):
-        rank_characterization_probe(g, trials=2, condition_cap=0.5)
 
 
 def test_rank_probe_witness_branch_diamond():
@@ -703,10 +693,10 @@ def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
     # the eigenvalues interlacing reads are the singular values of L to
     # rounding, the probe's first rank is its SVD rank, and L^+ and the
     # g-inverse samples meet the Penrose conditions
-    from mwtrees.closedforms import _Analysis
+    from mwtrees.closedforms import _analysis
 
     g = _spd_graph(*case)
-    a = _Analysis(g)
+    a = _analysis(g)
     lap, p = a.laplacian, a.laplacian_pinv
     assert a.spd
     lam = np.linalg.svd(lap, compute_uv=False)
@@ -765,9 +755,9 @@ def test_ill_conditioned_spd_weights_get_reports_not_errors(cond, skew):
     # inverting a weight scales its admitted asymmetry by its condition
     # number; no check may then reject L as asymmetric or skip the graph
     g = _ill_conditioned_tree(cond, skew)
-    from mwtrees.closedforms import _Analysis
+    from mwtrees.closedforms import _analysis
 
-    assert _Analysis(g).spd
+    assert _analysis(g).spd
     for suite in ("ginverse", "spectrum", "rank"):
         reports = verification_suite(g, suite)
         assert reports and all(r.status != SKIPPED for r in reports)
@@ -949,34 +939,50 @@ TREE_PROBES = st.tuples(
 @example(("prufer", 9, 8, False, 12.0, -12.0, 3))
 @example(("path", 7, 2, True, 4.0, -1.0, 4))
 @example(("path", 6, 5, True, 4.0, -16.0, 0))   # a full SVD counts 26, not 25
+# s = 9, beyond the strategy's block sizes, at caps 1e9 and 1e10
+@example(("prufer", 12, 9, True, 9.0, -9.0, 2))
+@example(("prufer", 7, 9, False, 10.0, -9.0, 9))
 def test_rank_probe_reports_the_svd_ranks(case):
     # whether a rank is certified or computed, it is the rank the SVD of the
-    # assembled Laplacian gives, at every tolerance and conditioning
+    # assembled Laplacian gives, at every tolerance and conditioning: of L,
+    # and with random_nonsingular draws of each cap as the weights and
+    # their inverses as the blocks, or the other way round
+    from mwtrees import closedforms
+
     shape, n, s, spd, log_cap, log_tol, seed = case
     g = _probe_tree(shape, n, s, spd, seed)
     rel_tol, cap = 10.0 ** log_tol, 10.0 ** log_cap
     try:
-        probe = rank_characterization_probe(
-            g, trials=3, seed=seed, rel_tol=rel_tol, condition_cap=cap,
-        )
+        draws = random_nonsingular_stack(3 * g.m, s, cap,
+                                         np.random.default_rng(seed))
     except BadConfigError:   # no s x s draw this well conditioned
         assume(False)
-    assert probe.branch == "tree"
-    assert probe.observed_ranks == _svd_probe_ranks(g, 3, seed, rel_tol, cap)
+    tree = _subtree_runs(g) if n > 1 else None
+    sets = [(weight_stack(g), np.linalg.inv(weight_stack(g)))]
+    for weights in draws.reshape(3, g.m, s, s):
+        sets += [(weights, np.linalg.inv(weights)),
+                 (np.linalg.inv(weights), weights)]
+    for weights, blocks in sets:
+        assert closedforms._tree_rank(g, tree, weights, blocks, rel_tol) == (
+            numerical_rank(block_laplacian(g, blocks), rel_tol))
 
 
-def _svd_probe_ranks(g: MatrixWeightedGraph, trials: int, seed: int,
-                     rel_tol: float, cap: float) -> tuple[int, ...]:
+def _svd_probe_ranks(g: MatrixWeightedGraph, trials: int,
+                     seed: int) -> tuple[int, ...]:
     """The SVD ranks of L and of ``trials`` reweighted Laplacians of a tree,
-    each edge taking the next ``random_nonsingular`` draw of ``seed``."""
+    each edge taking the next ``random_nonsingular`` draw of ``seed``, at
+    the default cutoff."""
+    from mwtrees.closedforms import _PROBE_CONDITION_CAP
+
     rng = np.random.default_rng(seed)
     laps = [laplacian(g).data]
     for _ in range(trials):
-        draws = [random_nonsingular(g.s, cap, rng) for _ in g.edges]
+        draws = [random_nonsingular(g.s, _PROBE_CONDITION_CAP, rng)
+                 for _ in g.edges]
         laps.append(laplacian(MatrixWeightedGraph(
             g.n, g.s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
         )).data)
-    return tuple(numerical_rank(lap, rel_tol) for lap in laps)
+    return tuple(numerical_rank(lap) for lap in laps)
 
 
 @pytest.mark.parametrize("spd, scale", [(True, 1e300), (False, 1e306)])
@@ -994,7 +1000,7 @@ def test_rank_probe_survives_huge_weights(spd, scale):
         warnings.simplefilter("error")
         probe = rank_characterization_probe(g, trials=2, seed=3)
     assert probe.passed
-    assert probe.observed_ranks == _svd_probe_ranks(g, 2, 3, 1e-9, 1e4)
+    assert probe.observed_ranks == _svd_probe_ranks(g, 2, 3)
 
 
 def _dense_bounds(g: MatrixWeightedGraph, weights: np.ndarray,
@@ -1099,11 +1105,6 @@ def test_graded_spd_trees_keep_the_svd_spectrum_and_ranks(monkeypatch):
                 assert probe.observed_ranks == (
                     numerical_rank(laplacian(g).data),)
         assert bool(computed) == (ratio <= 1e-6)
-    # a cap whose acceptance test does not imply the draws' rank test
-    g = _probe_tree("prufer", 12, 9, True, 9, ratio=1e-4)
-    probe = rank_characterization_probe(g, trials=3, seed=2,
-                                        condition_cap=1e9)
-    assert probe.observed_ranks == _svd_probe_ranks(g, 3, 2, 1e-9, 1e9)
 
 
 # --- suite orchestration ----------------------------------------------------
@@ -1158,6 +1159,71 @@ def test_verification_suite_reports_are_consistent():
             assert r.detail
         else:
             assert (r.residual <= r.tolerance) == (r.status == PASS)
+
+
+SUITE_NAMES = [*IDENTITY_NAMES, "ginverse_invariance", "ginverse_recovery",
+               "inertia", "interlacing", "rank_characterization"]
+
+
+def _nearly_singular_spd(make, ratio: float) -> MatrixWeightedGraph:
+    """A path on 3 or a cycle on 4 vertices, s = 2, identity weights but
+    for diag(1, ratio) on edge 0."""
+    n = 3 if make is path_graph else 4
+    return make(n, 2, [np.diag([1.0, ratio])] + [np.eye(2)] * (n - 1))
+
+
+@pytest.mark.parametrize("ratio", [1e-10, 1e-13])
+@pytest.mark.parametrize("make", [path_graph, cycle_graph])
+def test_suite_skips_spd_checks_below_the_rank_cutoff(make, ratio):
+    # an SPD weight is a nonsingular one: diag(1, ratio) is neither, so the
+    # g-inverse and spectrum checks are SKIPPED as not SPD, and no check
+    # raises on the singular weight
+    g = _nearly_singular_spd(make, ratio)
+    reports = {r.name: r for r in verification_suite(g)}
+    assert list(reports) == SUITE_NAMES
+    spd_only = (["ginverse_invariance", "ginverse_recovery", "inertia",
+                 "interlacing"] if make is path_graph
+                else ["ginverse_invariance"])
+    for name in spd_only:
+        assert reports[name].status == SKIPPED
+        assert reports[name].detail == "every edge weight must be SPD"
+    if make is path_graph:   # L needs the inverse of every weight
+        assert "singular" in reports["rank_characterization"].detail
+        assert {r.status for r in reports.values()} == {SKIPPED}
+    else:
+        assert reports["rank_characterization"].status == PASS
+
+
+def test_suite_skips_exactly_the_records_of_a_runner_that_raises(
+    monkeypatch
+):
+    from mwtrees import closedforms
+    from mwtrees.errors import NotConnectedError
+
+    g = path_graph(4, s=2)
+    before = verification_suite(g)
+
+    def refuse(*args):
+        raise NotConnectedError("refused")
+
+    monkeypatch.setattr(closedforms, "ginverse_distance_recovery", refuse)
+    after = verification_suite(g)
+    assert [r.name for r in after] == SUITE_NAMES
+    for old, new in zip(before, after):
+        if new.name == "ginverse_recovery":
+            assert (new.status, new.detail) == (SKIPPED, "refused")
+        else:
+            assert new == old
+    monkeypatch.setattr(closedforms, "verify_identities", refuse)
+    assert [r.status for r in verification_suite(g, "identities")] == (
+        [SKIPPED] * len(IDENTITY_NAMES))
+
+    def crash(*args):
+        raise ValueError("a bug, not a hypothesis")
+
+    monkeypatch.setattr(closedforms, "_interlacing_record", crash)
+    with pytest.raises(ValueError, match="a bug"):
+        verification_suite(g, "spectrum")
 
 
 def test_suite_skips_the_spd_checks_when_squared_norms_overflow():
@@ -1261,8 +1327,6 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
     # the decompositions of D and L are one eigvalsh each, for inertia and
     # interlacing, and each reweighting draw gets only the SVD of its
     # acceptance test
-    from mwtrees.generators import random_nonsingular_stack
-
     g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
                               seed=3))
     counter = _svd_members(monkeypatch)
@@ -1282,14 +1346,15 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
 
 
 def test_spd_non_tree_takes_one_full_svd_of_its_laplacian(monkeypatch):
-    # off trees L^+ is still np.linalg.pinv's, from one full SVD
+    # off trees L^+ is np.linalg.pinv's: one call, whose full SVD is the
+    # one decomposition of L
     g = random_connected_nontree(GenConfig(n_range=(7, 7), s_range=(2, 2),
                                            kind=WeightKind.SPD, seed=3))
     reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
         monkeypatch, g)
     assert all(r.status in (PASS, SKIPPED) for r in reports)
     assert calls == {"D": 0, "L": 1, "inverted": 1}
-    assert of_l == {"svd": 1, "svd_values": 0, "pinv": 0, "eigh": 0,
+    assert of_l == {"svd": 0, "svd_values": 0, "pinv": 1, "eigh": 0,
                     "eigvalsh": 0}
     assert eigh_calls == 1
 
@@ -1336,9 +1401,10 @@ def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):
 
 
 def test_analysis_shares_read_only_arrays():
-    from mwtrees.closedforms import _Analysis
+    from mwtrees.closedforms import _analysis
 
-    a = _Analysis(path_graph(4, s=2))
+    g = path_graph(4, s=2)
+    a = _analysis(g)
     for arr in (a.distance, a.laplacian, a.laplacian_pinv, a.weight_sum,
                 a.distance_eigenvalues):
         assert not arr.flags.writeable

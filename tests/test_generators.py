@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwtrees.closedforms import _Analysis, distance_matrix
+from mwtrees.closedforms import _analysis, distance_matrix
 from mwtrees.errors import BadConfigError
 from mwtrees.gallery import diamond4, path_graph
 from mwtrees.generators import (
@@ -66,7 +66,7 @@ def test_random_tree_is_a_valid_tree_in_range(seed):
 def test_random_tree_spd_weights_are_spd():
     g = random_tree(GenConfig(n_range=(6, 6), s_range=(3, 3),
                               kind=WeightKind.SPD, seed=77))
-    assert _Analysis(g).spd
+    assert _analysis(g).spd
 
 
 def test_random_tree_scalar_kinds():

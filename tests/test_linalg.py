@@ -3,13 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwtrees.errors import NotSPDError, NotSymmetricError, SingularMatrixError
 from mwtrees.linalg import (
     DEFAULT_RANK_TOL,
-    DEFAULT_SPD_EIG_TOL,
     DEFAULT_SYMMETRY_TOL,
     BlockMatrix,
     Inertia,
@@ -144,16 +143,26 @@ def test_pseudo_inverse_of_path3_laplacian():
     assert np.allclose(pseudo_inverse(PATH3_L), expected, atol=1e-12)
 
 
+#: Allowance, in units of eps times the norms of its factors, for the
+#: rounding of a Penrose product: the worst of the seeds 0 to 10^6 needs 52.
+PENROSE_SLACK = 1e3
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
+@example(9746)   # singular values 2.5, 1.9, 3.7e-4: ||p m p - p|| = 2.6e-10
 def test_pseudo_inverse_penrose_conditions(seed):
+    # each residual is rounding of the size eps ||p||^a ||m||^b of the
+    # product it bounds, a and b counting its factors p and m
     rng = np.random.default_rng(seed)
     m = rng.uniform(-1.0, 1.0, size=(4, 3)) @ rng.uniform(-1.0, 1.0, size=(3, 4))
     p = pseudo_inverse(m)
-    assert np.linalg.norm(m @ p @ m - m) < 1e-10
-    assert np.linalg.norm(p @ m @ p - p) < 1e-10
-    assert np.linalg.norm((m @ p) - (m @ p).T) < 1e-10
-    assert np.linalg.norm((p @ m) - (p @ m).T) < 1e-10
+    unit = PENROSE_SLACK * np.finfo(float).eps
+    norm_m, norm_p = np.linalg.norm(m), np.linalg.norm(p)
+    assert np.linalg.norm(m @ p @ m - m) <= unit * norm_p * norm_m ** 2
+    assert np.linalg.norm(p @ m @ p - p) <= unit * norm_p ** 2 * norm_m
+    assert np.linalg.norm((m @ p) - (m @ p).T) <= unit * norm_p * norm_m
+    assert np.linalg.norm((p @ m) - (p @ m).T) <= unit * norm_p * norm_m
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,7 +218,9 @@ def test_spd_inverse_sqrt_squares_to_inverse():
 def test_spd_inverse_sqrt_rejects_non_spd():
     for w, reason in ((np.array([[0.0, 1.0], [1.0, 0.0]]), "definite"),
                       (np.array([[1.0, 1.0], [0.0, 1.0]]), "symmetric"),
-                      (np.diag([1.0, 0.0]), "definite")):   # singular
+                      (np.diag([1.0, 0.0]), "definite"),   # singular
+                      # SPD only above the rank cutoff: nonsingular too
+                      (np.diag([1.0, 1e-10]), "definite")):
         with pytest.raises(NotSPDError, match=reason):
             spd_inverse_sqrts(w[None])
 
@@ -323,7 +334,7 @@ def _spd_reference(w: np.ndarray) -> bool:
     if asym > DEFAULT_SYMMETRY_TOL * max(1e-300, float(np.linalg.norm(w))):
         return False
     lam = np.linalg.eigh(w)[0]
-    return bool(lam[-1] > 0.0 and lam[0] > DEFAULT_SPD_EIG_TOL * lam[-1])
+    return bool(lam[-1] > 0.0 and lam[0] > DEFAULT_RANK_TOL * lam[-1])
 
 
 def _inverse_sqrt_reference(w: np.ndarray) -> np.ndarray:

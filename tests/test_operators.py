@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mwtrees.closedforms import (
     LaplacianMode,
-    _Analysis,
+    _analysis,
     distance_matrix,
     incidence_matrix,
     invertibility_check,
@@ -32,7 +32,12 @@ from mwtrees.generators import (
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph
-from mwtrees.operators import block_laplacian, tree_g_inverse_data, weight_stack
+from mwtrees.operators import (
+    _subtree_runs,
+    block_laplacian,
+    tree_g_inverse_data,
+    weight_stack,
+)
 
 from conftest import conditioned_matrix, graded_spd, grounded_inverse_oracle
 
@@ -246,10 +251,8 @@ def test_incidence_rejects_non_spd_weights():
 
 
 def test_weights_are_spd():
-    assert _Analysis(path_graph(4, s=2)).spd
-    assert not _Analysis(path4_block2()).spd
-    assert not _Analysis(cycle4_block2()).spd
-    assert _Analysis(diamond4()).spd
+    graphs = [path_graph(4, s=2), path4_block2(), cycle4_block2(), diamond4()]
+    assert [_analysis(g).spd for g in graphs] == [True, False, False, True]
 
 
 @pytest.mark.parametrize("make", [path4_block2, lambda: path_graph(4, s=2)])
@@ -257,7 +260,7 @@ def test_builders_return_read_only_views_of_the_analysis(make):
     g = make()
     built = [distance_matrix(g), laplacian(g),
              laplacian(g, LaplacianMode.RAW)]
-    if _Analysis(g).spd:
+    if _analysis(g).spd:
         built.append(incidence_matrix(g))
     for block in built:
         assert not block.data.flags.writeable
@@ -390,14 +393,15 @@ def test_tree_grounded_inverse_at_any_root(shape, n, s, spd, seed):
         for u, v in topo
     ])
     r = int(rng.integers(1, n + 1))
-    got = tree_g_inverse_data(g, root=r)
+    layout = _subtree_runs(g)
+    got = tree_g_inverse_data(g, layout, r)
     d = distance_oracle(g).data.reshape(n, s, n, s)
     expected = 0.5 * (d[:, :, r - 1, :][:, :, None, :] + d[r - 1][None] - d)
     scale = sum(np.abs(e.weight).sum() for e in g.edges)
     assert np.allclose(got, expected.reshape(n * s, n * s), rtol=0.0,
                        atol=1e-13 * n * scale)
     centre = np.kron(np.eye(n) - 1.0 / n, np.eye(s))
-    assert np.allclose(centre @ got @ centre, tree_g_inverse_data(g),
+    assert np.allclose(centre @ got @ centre, tree_g_inverse_data(g, layout),
                        rtol=0.0, atol=1e-13 * n * scale)
     if spd and n > 1:
         keep = np.ones(n * s, dtype=bool)
@@ -432,7 +436,7 @@ def test_tree_pseudo_inverse_meets_the_penrose_conditions(
         for u, v in topo
     ])
     lap = laplacian(g).data
-    p = tree_g_inverse_data(g)
+    p = tree_g_inverse_data(g, _subtree_runs(g))
     sv = np.linalg.svd(lap, compute_uv=False)[:(n - 1) * s]
     rtol = max(1e-9, 1e-12 * sv.max(initial=1.0) / sv.min(initial=1.0))
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(p)
@@ -499,6 +503,6 @@ def test_tree_pseudo_inverse_matches_exact_rational_arithmetic(make):
     assert np.allclose(laplacian(g).data,
                        np.array([[float(x) for x in r] for r in lap]),
                        rtol=0.0, atol=1e-14)
-    got = tree_g_inverse_data(g)
+    got = tree_g_inverse_data(g, _subtree_runs(g))
     scale = sum(np.abs(e.weight).sum() for e in g.edges)
     assert np.abs(got - exact).max() <= 1e-15 * max(1.0, scale)

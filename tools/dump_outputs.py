@@ -7,7 +7,9 @@ Usage, from the root of a source checkout (the package is imported from
 
 The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
-every weight kind, n <= 40, s <= 8.  For each graph, in the order of one
+every weight kind, n <= 40, s <= 8, and a path and a cycle with one
+weight diag(1, r): r = 1e-10, symmetric with positive eigenvalues but
+below the 1e-9 rank cutoff, and r = 1e-13.  For each graph, in the order of one
 benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
@@ -48,6 +50,12 @@ def corpus():
         yield f"star_{n}_{s}", mw.star_graph(n, s)
     for n, s in ((3, 1), (5, 2), (16, 3)):
         yield f"cycle_{n}_{s}", mw.cycle_graph(n, s)
+    for ratio in (1e-10, 1e-13):
+        weight = np.diag([1.0, ratio])
+        yield (f"path_3_2_ratio_{ratio:g}",
+               mw.path_graph(3, 2, [weight, np.eye(2)]))
+        yield (f"cycle_4_2_ratio_{ratio:g}",
+               mw.cycle_graph(4, 2, [weight] + [np.eye(2)] * 3))
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
