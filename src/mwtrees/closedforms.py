@@ -14,8 +14,8 @@ roots, the invertibility and the rank-deficient weighting are each built
 at most once, on first use, and shared read-only.  The builders
 :func:`distance_matrix`, :func:`laplacian` and :func:`incidence_matrix`
 return those arrays as read-only views (``.data.copy()`` gives a writable
-one).  A D or R that overflows float range raises NonFiniteError, and the
-suite reports SKIPPED for the checks that need it.  So
+one).  A D, R, L, inverse weight or g-inverse beyond float range raises
+NonFiniteError, and the suite SKIPs the checks that need it.  So
 :func:`verification_suite`, then :func:`distance_determinant_sign_log`,
 :func:`distance_inverse` and the builders on the same graph build D and L
 once between them.  The per-edge facts (the rank, determinant and inverse
@@ -34,9 +34,11 @@ Z = 1_n kron I_s / sqrt(n), at roots r drawn from the seeds: no
 decomposition of L and no (n s)^3 product.  The two (n s) x (n s)
 decompositions of an SPD tree's suite are ``eigvalsh`` of D, for inertia
 and interlacing, and of the symmetric part of L, for interlacing.  On
-other graphs L^+ is ``np.linalg.pinv``'s, to the bit, and the g-inverse
-samples are :func:`~mwtrees.linalg.random_g_inverse`'s, around it.  One
-preorder layout of the tree serves D, L^+, G_r and the rank certificate.
+other graphs G_r is one LU inverse of the grounded L per seed, and the
+samples are compared with each other: no SVD, projector or (n s)^3
+product either (L^+ is ``np.linalg.pinv``'s there, read by no check).
+One preorder layout of the tree serves D, L^+, G_r and the rank
+certificate.
 
 The rank probe of a tree decides each Laplacian rank, that of L included,
 without an SVD where it can: the Laplacian grounded at vertex 1 has an
@@ -86,8 +88,6 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
-    g_inverse_projectors,
-    g_inverse_sample,
     inertia_of,
     inverse,
     numerical_rank,
@@ -178,15 +178,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _finite(build, what: str) -> np.ndarray:
+def _finite(build, what: str,
+            cause: str = "sums of the weights overflow") -> np.ndarray:
     """The array ``build()`` returns, read-only; NonFiniteError naming
-    ``what`` if it holds inf or NaN, which sums of the weights reach when
-    they overflow (quietly: the error reports it)."""
+    ``what`` and the ``cause`` if it holds inf or NaN, which the weights'
+    sums or inverses reach on overflow (quietly: the error reports it)."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = build()
     if not np.isfinite(a).all():
-        raise NonFiniteError(f"{what} has non-finite entries: sums of the "
-                             f"weights overflow float range")
+        raise NonFiniteError(f"{what} has non-finite entries: {cause} "
+                             f"float range")
     return _read_only(a)
 
 
@@ -198,12 +199,12 @@ class _Analysis:
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  One ``eigh`` of the weights
-    decides SPD and gives Q; the rank tests that invert the weights, for L
-    and the rank probe, and R for R^-1 decide invertibility.  On a tree one
-    preorder layout serves D, L^+, the grounded g-inverses and the rank
-    certificate, L^+ and the g-inverses are built in closed form and
-    ``eigvalsh`` gives the spectrum of L; on other graphs L^+ comes from
-    the SVD that ``np.linalg.pinv`` takes.
+    gives Q and, with the rank test that inverts them for L and the rank
+    probe, decides SPD; that test and R's, for R^-1, decide invertibility.
+    On a tree one preorder layout serves D, L^+, the grounded g-inverses
+    and the rank certificate, L^+ and the g-inverses are built in closed
+    form and ``eigvalsh`` gives the spectrum of L; on other graphs each
+    g-inverse is an LU inverse of L grounded, and L^+ ``np.linalg.pinv``'s.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -241,10 +242,12 @@ class _Analysis:
 
     @cached_property
     def spd(self) -> bool:
-        """Whether every weight is SPD, by :attr:`weight_roots`'s test."""
+        """Whether every weight is SPD, by :attr:`weight_roots`, and passes
+        the rank test of :attr:`weight_inverses`, which ``eigh`` can miss."""
         try:
             self.weight_roots
-        except NotSPDError:
+            self.weight_inverses
+        except (NotSPDError, SingularWeightError):
             return False
         return True
 
@@ -280,12 +283,16 @@ class _Analysis:
     def weight_inverses(self) -> np.ndarray:
         """The blocks of L, the inverse weights, from one batched rank test;
         SingularWeightError names the first singular weight."""
-        return _read_only(inverse_weights(self.g, weight_stack(self.g)))
+        return _finite(lambda: inverse_weights(self.g, weight_stack(self.g)),
+                       "an inverse edge weight",
+                       "inverting the weights overflows")
 
     @cached_property
     def laplacian(self) -> np.ndarray:
         """The inverse-weighted Laplacian."""
-        return _read_only(block_laplacian(self.g, self.weight_inverses))
+        return _finite(lambda: block_laplacian(self.g, self.weight_inverses),
+                       "the Laplacian",
+                       "sums of the inverse weights overflow")
 
     @cached_property
     def laplacian_eigenvalues(self) -> np.ndarray:
@@ -308,38 +315,42 @@ class _Analysis:
                            "L^+")
         return _read_only(pseudo_inverse(lap))
 
-    @cached_property
-    def g_inverse_projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``I - L^+ L`` and ``I - L L^+``, shared by every sample of a
-        graph that is not a tree."""
-        left, right = g_inverse_projectors(self.laplacian, self.laplacian_pinv)
-        return _read_only(left), _read_only(right)
-
     def g_inverse(self, seed: int) -> BlockMatrix:
-        """The g-inverse sample of L for ``seed``.
+        """The g-inverse sample of L for ``seed``: ``G_r + Z U + V Z^T``.
 
-        On a tree, ``G_r + Z U + V Z^T``: G_r grounded at the root r of
-        :func:`_seeded_root`, ``Z = 1_n kron I_s / sqrt(n)``, so ``Z Z^T =
-        I - L^+ L = I - L L^+``, and U (s x n s), V (n s x s) drawn
-        uniform(-1, 1) after r; the null terms are added as tilings.
-        Elsewhere, the ``random_g_inverse`` sample, from L^+ and the cached
-        projectors.
+        G_r is L grounded at the root r of :func:`_seeded_root`, inverted
+        and padded with zeros, so ``L G_r L = L``: on a tree in closed form,
+        elsewhere by :meth:`_grounded_inverse`.  ``Z = 1_n kron I_s /
+        sqrt(n)``, so ``Z Z^T = I - L^+ L = I - L L^+``, and U (s x n s), V
+        (n s x s) are drawn uniform(-1, 1) after r and added as tilings.
         """
         g = self.g
-        if not self.tree:
-            return BlockMatrix(
-                g_inverse_sample(self.laplacian_pinv,
-                                 *self.g_inverse_projectors, seed),
-                g.s,
-            )
         n, s = g.n, g.s
         root, rng = _seeded_root(n, seed)
         u = rng.uniform(-1.0, 1.0, size=(s, n * s)) / math.sqrt(n)
         v = rng.uniform(-1.0, 1.0, size=(n * s, s)) / math.sqrt(n)
-        data = tree_g_inverse_data(g, self.layout, root)
+        data = (tree_g_inverse_data(g, self.layout, root) if self.tree
+                else self._grounded_inverse(root))
         data.reshape(n, s, n * s)[:] += u
         data.reshape(n * s, n, s)[:] += v[:, None, :]
         return BlockMatrix(data, s)
+
+    def _grounded_inverse(self, root: int) -> np.ndarray:
+        """G_root off trees, from one LU inverse of the grounded L with no
+        rank test, which would cost more: connected SPD weights make it SPD.
+        SingularMatrixError on a zero pivot, NonFiniteError on overflow."""
+        n, s = self.g.n, self.g.s
+        keep = np.r_[:(root - 1) * s, root * s:n * s]
+        grid = np.ix_(keep, keep)
+        data = np.zeros((n * s, n * s))
+        try:
+            data[grid] = _finite(lambda: np.linalg.inv(self.laplacian[grid]),
+                                 "the grounded inverse of L",
+                                 "inverting the grounded Laplacian overflows")
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("the grounded Laplacian is singular to "
+                                      "working precision") from None
+        return data
 
     @cached_property
     def invertibility(self) -> InvertibilityResult:
@@ -389,7 +400,7 @@ class _Analysis:
 
 
 def _seeded_root(n: int, seed: int) -> tuple[int, np.random.Generator]:
-    """The root, from 1 to n, of a tree's g-inverse sample for ``seed``:
+    """The root, from 1 to n, of the g-inverse sample for ``seed``:
     the first draw of numpy's PCG64 stream for ``seed``, returned with
     the stream."""
     rng = np.random.default_rng(seed)
@@ -674,15 +685,15 @@ def ginverse_invariance_check(
     """Check that Laplacian pair contractions ignore the g-inverse choice.
 
     Compares ``H_ii + H_jj - H_ij - H_ji`` of generalized inverses H of the
-    inverse-weighted Laplacian L for every vertex pair.  On a tree each
-    seed's sample (L grounded at a root drawn from the seed, inverted in
-    closed form, plus null terms; see :meth:`_Analysis.g_inverse`) is
-    compared with L^+ in closed form.  On other graphs the
-    :func:`~mwtrees.linalg.random_g_inverse` samples of the seeds are
-    compared with the first.  For a connected graph with SPD weights the
-    contraction is a class function of the g-inverse family, so the
-    deviation is pure round-off; tolerance is ``_GINVERSE_REL_TOL`` times
-    the pseudo-inverse norm.
+    inverse-weighted Laplacian L for every vertex pair.  Each seed's sample
+    is L grounded at a root drawn from the seed, inverted, plus null terms
+    (see :meth:`_Analysis.g_inverse`).  On a tree each is compared with L^+
+    in closed form; on other graphs, where each is one LU factorization,
+    those of the other seeds are compared with the first.  For a connected
+    graph with SPD weights the contraction is a class function of the
+    g-inverse family, so the deviation is pure round-off; tolerance is
+    ``_GINVERSE_REL_TOL`` times ``||L^+||_F``, off trees ``||P H P||_F`` of
+    the first sample H, ``P = (I - J/n) kron I_s``.
     """
     a = _analysis(g)
     if not is_connected(g):
@@ -691,17 +702,19 @@ def ginverse_invariance_check(
     if len(seeds) < 2:
         raise ValueError("need at least two seeds to compare")
     seeds = tuple(seeds)
+    roots = tuple(_seeded_root(g.n, seed)[0] for seed in seeds)
     samples = [BlockMatrix(a.laplacian_pinv, g.s)] if a.tree else []
     samples += [a.g_inverse(seed) for seed in seeds]
     if a.tree:
-        roots = tuple(_seeded_root(g.n, seed)[0] for seed in seeds)
-        detail = (f"L^+ against g-inverses grounded at roots {roots}, "
-                  f"seeds {seeds}")
-    else:
-        detail = f"{len(seeds)} g-inverse samples, seeds {seeds}"
+        pinv, detail = a.laplacian_pinv, "L^+ against g-inverses"
+    else:   # P H P = L^+: the mean block row, then column, subtracted
+        x = samples[0].data.reshape(g.n, g.s, g.n, g.s)
+        x = x - x.mean(axis=0)
+        pinv, detail = x - x.mean(axis=2, keepdims=True), "g-inverses"
+    detail += f" grounded at roots {roots}, seeds {seeds}"
     base, *others = (h.pair_contractions() for h in samples)
     worst = max(_worst_pair(other - base) for other in others)
-    scale = float(np.linalg.norm(a.laplacian_pinv))
+    scale = float(np.linalg.norm(pinv))
     return _report("ginverse_invariance", worst, _GINVERSE_REL_TOL * scale,
                    g, detail)
 

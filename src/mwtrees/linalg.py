@@ -164,24 +164,10 @@ def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndar
     """
     m = as_matrix(a)
     p = pseudo_inverse(m, rel_tol)
-    return g_inverse_sample(p, *g_inverse_projectors(m, p), seed)
-
-
-def g_inverse_projectors(m: np.ndarray,
-                         p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``I - P m`` and ``I - m P`` for ``m`` with pseudo-inverse ``p``: the
-    factors of the random terms of a :func:`random_g_inverse` sample.  They
-    do not depend on the seed, so several samples can share them."""
-    return np.eye(p.shape[0]) - p @ m, np.eye(m.shape[0]) - m @ p
-
-
-def g_inverse_sample(p: np.ndarray, left: np.ndarray, right: np.ndarray,
-                     seed: int) -> np.ndarray:
-    """The :func:`random_g_inverse` sample for ``seed``, given the
-    pseudo-inverse ``p`` and the :func:`g_inverse_projectors`."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, size=p.shape)
     v = rng.uniform(-1.0, 1.0, size=p.shape)
+    left, right = np.eye(p.shape[0]) - p @ m, np.eye(m.shape[0]) - m @ p
     return p + left @ u + v @ right
 
 

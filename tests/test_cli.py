@@ -10,7 +10,7 @@ import pytest
 
 from mwtrees.cli import main
 from mwtrees.formats import dumps_graph, input_digest, load_graph
-from mwtrees.gallery import path4_block2
+from mwtrees.gallery import path4_block2, path_graph
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
 from mwtrees.closedforms import distance_matrix, laplacian
 
@@ -204,6 +204,27 @@ def test_overflowed_path_sums_exit_with_typed_errors(capsys, tmp_path):
     assert statuses.pop("rank_characterization") == "PASS"
     assert set(statuses.values()) == {"SKIPPED"}
     for argv in (["det"], ["invert"], ["build", "--which", "D"]):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 3 and out == ""
+        assert "NonFiniteError" in err and "Traceback" not in err
+
+
+def test_inverse_weights_beyond_float_range_exit_with_typed_errors(
+    capsys, tmp_path
+):
+    # subnormal weights 1e-310 I, which validate accepts, whose inverses
+    # overflow: verify exited 5 on a LinAlgError from eigvalsh of an inf
+    # L.  It SKIPs every record with the NonFiniteError's reason, and
+    # build L and invert refuse with it
+    path = tmp_path / "subnormal.json"
+    path.write_text(dumps_graph(path_graph(5, 2, [1e-310 * np.eye(2)] * 4)))
+    code, report, _ = run_json(capsys, "verify", str(path))
+    assert code == 0
+    for check in report["checks"]:
+        assert check["status"] == "SKIPPED"
+        assert check["detail"].startswith("an inverse edge weight has "
+                                          "non-finite entries")
+    for argv in (["build", "--which", "L"], ["invert"]):
         code, out, err = run_cli(capsys, *argv, str(path))
         assert code == 3 and out == ""
         assert "NonFiniteError" in err and "Traceback" not in err

@@ -820,20 +820,159 @@ def test_graded_spd_trees_pass_the_ginverse_records(ratio):
 
 
 def test_tree_ginverse_checks_take_no_projectors(monkeypatch):
-    # a tree's g-inverses are grounded inverses in closed form; the
-    # projector route is the non-trees' alone
-    from mwtrees import closedforms
+    # a tree's g-inverses are grounded inverses in closed form; a
+    # non-tree's take one LU inverse of L grounded at each seed's root.
+    # Neither takes pinv, a projector or another (n s)-sized inverse.
+    calls = []
+    for name in ("inv", "pinv"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _name=name, _real=real, **kw:
+                            calls.append((_name, np.shape(a)))
+                            or _real(a, *args, **kw))
 
-    counts = {}
-    for name in ("g_inverse_projectors", "g_inverse_sample"):
-        _count_calls(monkeypatch, closedforms, name, counts)
+    def large():   # the weight stacks are 3-D, the grounded L is 2-D
+        return [call for call in calls if len(call[1]) == 2]
+
     g = _probe_tree("prufer", 12, 3, True, 4)
     reports = verification_suite(g, "ginverse")
     assert all(r.status == PASS for r in reports)
-    assert counts == {}
-    assert "g_inverse_projectors" not in closedforms._analysis(g).__dict__
-    verification_suite(diamond4(), "ginverse")
-    assert counts == {"g_inverse_projectors": 1, "g_inverse_sample": 2}
+    assert large() == []
+    g = diamond4()
+    calls.clear()
+    assert verification_suite(g, "ginverse", seed=5)[0].status == PASS
+    grounded = ("inv", ((g.n - 1) * g.s, (g.n - 1) * g.s))
+    assert large() == [grounded, grounded]   # seeds 5 and 6
+
+
+def _non_tree(shape: str, size: int, s: int, ratio: float,
+              seed: int) -> MatrixWeightedGraph:
+    """A cycle on ``size`` vertices, a grid of side min(size, 4), K_n with
+    n = min(size, 7), or a random recursive tree plus 1, 2 or 3 edges it
+    lacks ("tree+k"), with :func:`graded_spd` weights."""
+    rng = np.random.default_rng(seed)
+    if shape == "cycle":
+        n, edges = size, [(v - 1, v) for v in range(2, size + 1)] + [(1, size)]
+    elif shape in ("grid", "complete"):
+        n, edges = _topology(shape, min(size, 4 if shape == "grid" else 7),
+                             rng)
+    else:
+        n, edges = _topology("tree", size, rng)
+        missing = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                   if (u, v) not in edges]
+        picks = rng.choice(len(missing), min(int(shape[-1]), len(missing)),
+                           replace=False)
+        edges += [missing[i] for i in picks]
+    return MatrixWeightedGraph(
+        n, s, [(u, v, graded_spd(s, ratio, rng)) for u, v in edges]
+    )
+
+
+NON_TREE_SHAPES = st.tuples(
+    st.sampled_from(["cycle", "grid", "complete", "tree+1", "tree+2",
+                     "tree+3"]),
+    st.integers(3, 8),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 1e-2, 1e-4]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(NON_TREE_SHAPES)
+def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
+    # each sample H is a g-inverse, L H L = L, and P H P = L^+ for P = (I -
+    # J/n) kron I_s, both to the rounding of the LU inverse of the grounded
+    # L and of the products and sums: N eps ||L||^2 ||H|| and N eps
+    # (cond(L) ||L^+|| + ||H||), the null terms of H being O(1) whatever
+    # the scale of L.  G_r vanishes on the block row and column of its root.
+    from mwtrees.closedforms import _analysis, _seeded_root
+
+    g = _non_tree(*case)
+    a = _analysis(g)
+    assert a.spd and not a.tree
+    size = g.n * g.s
+    centring = np.kron(np.eye(g.n) - 1.0 / g.n, np.eye(g.s))
+    lap = a.laplacian
+    pinv = np.linalg.pinv(lap)
+    sv = np.linalg.svd(lap, compute_uv=False)
+    cond = sv[0] / sv[size - g.s - 1]
+    eps = np.finfo(float).eps
+    norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
+    for seed in range(3):
+        root = _seeded_root(g.n, seed)[0] - 1
+        grounded = a._grounded_inverse(root + 1).reshape(g.n, g.s, g.n, g.s)
+        assert not grounded[root].any() and not grounded[:, :, root].any()
+        h = a.g_inverse(seed).data
+        norm_h = np.linalg.norm(h)
+        assert np.linalg.norm(lap @ h @ lap - lap) <= (
+            8 * size * eps * norm_l ** 2 * norm_h)
+        centred = centring @ h @ centring
+        assert np.linalg.norm(centred - pinv) <= (
+            8 * size * eps * (cond * norm_p + norm_h))
+
+
+@pytest.mark.parametrize("make", [
+    diamond4,
+    lambda: cycle_graph(7, 3, [graded_spd(3, 1e-2, np.random.default_rng(k))
+                               for k in range(7)]),
+    lambda: random_connected_nontree(GenConfig(
+        n_range=(12, 12), s_range=(2, 2), kind=WeightKind.SPD, seed=8)),
+], ids=["diamond4", "cycle7", "nontree12"])
+def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
+    monkeypatch, make
+):
+    # ten times the tolerance, 1e-6 ||L^+||_F, added to block (1, n) of the
+    # first seed's grounded inverse alone: the samples no longer share an
+    # L^+, so the record that compares them fails
+    from mwtrees import closedforms
+
+    g = make()
+    assert ginverse_invariance_check(g).status == PASS
+    n, s = g.n, g.s
+    shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
+    real = closedforms._Analysis._grounded_inverse
+    made = []
+
+    def perturbed(self, root):
+        data = real(self, root)
+        if not made:
+            data[:s, (n - 1) * s:] += shift
+        made.append(root)
+        return data
+
+    monkeypatch.setattr(closedforms._Analysis, "_grounded_inverse", perturbed)
+    report = ginverse_invariance_check(g)
+    assert report.status == FAIL
+    roots = tuple(made)
+    assert roots == tuple(closedforms._seeded_root(n, seed)[0]
+                          for seed in (0, 1))
+    assert f"grounded at roots {roots}, seeds (0, 1)" in report.detail
+
+
+def test_an_exactly_singular_grounded_laplacian_raises_a_typed_error():
+    # inverse weights 1, 1 and -1/2 on a triangle: every spanning-tree sum,
+    # the determinant of every grounded L, is 0; the suite never gets here
+    # (the weights are not SPD), but the factorization maps LinAlgError
+    from mwtrees.closedforms import _analysis
+    from mwtrees.errors import SingularMatrixError
+
+    g = MatrixWeightedGraph(3, 1, [(1, 2, [[1.0]]), (2, 3, [[1.0]]),
+                                   (1, 3, [[-2.0]])])
+    with pytest.raises(SingularMatrixError, match="grounded Laplacian"):
+        _analysis(g).g_inverse(0)
+
+
+def test_an_overflowing_grounded_inverse_skips_the_invariance_record():
+    # weights 5e307 on a 30-cycle: the resistances, the entries of G_r,
+    # reach 7.5 times the weight and overflow float range
+    g = cycle_graph(30, 1, [[[5e307]]] * 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verification_suite(g, "ginverse")[0]
+    assert report.status == SKIPPED
+    assert report.detail.startswith("the grounded inverse of L has "
+                                    "non-finite entries")
 
 
 def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:
@@ -1194,6 +1333,26 @@ def test_suite_skips_spd_checks_below_the_rank_cutoff(make, ratio):
         assert reports["rank_characterization"].status == PASS
 
 
+@pytest.mark.parametrize("make", [path_graph, cycle_graph])
+def test_a_weight_spd_by_eigh_but_singular_by_the_svd_is_not_spd(make):
+    # eigh puts this weight's eigenvalue ratio just above the 1e-9 cutoff,
+    # the SVD its singular value ratio just below it.  Singular by the one
+    # rank test, it is not SPD either, and the suite treats it as it treats
+    # diag(1, 1e-10); on the path, inertia FAILed with (2, 3, 1)
+    from mwtrees.closedforms import _analysis
+
+    w = np.array([[0.540706287931328, -0.49834024286982687],
+                  [-0.49834024286982687, 0.4592937130686719]])
+    n = 3 if make is path_graph else 4
+    g = make(n, 2, [w] + [np.eye(2)] * (n - 1))
+    assert not _analysis(g).spd
+
+    def outcome(g):
+        return [(r.name, r.status, r.detail) for r in verification_suite(g)]
+
+    assert outcome(g) == outcome(_nearly_singular_spd(make, 1e-10))
+
+
 def test_suite_skips_exactly_the_records_of_a_runner_that_raises(
     monkeypatch
 ):
@@ -1259,6 +1418,21 @@ def test_overflowed_path_sums_get_typed_outcomes():
     for suite in ("identities", "ginverse", "spectrum"):
         for r in verification_suite(_overflowing_path(), suite):
             assert r.status == SKIPPED
+
+
+def test_inverse_weight_sums_beyond_float_range_raise_non_finite():
+    # inverse weights 1e308 I are finite; their sum at the middle vertex
+    # is not.  The Laplacian is refused with a typed error, and the
+    # records that read it are SKIPPED: interlacing raised LinAlgError
+    # from eigvalsh of the inf L
+    g = path_graph(3, 2, [1e-308 * np.eye(2)] * 2)
+    with pytest.raises(NonFiniteError, match="sums of the inverse"):
+        laplacian(g)
+    with np.errstate(over="ignore"):   # the rank probe's own L
+        reports = {r.name: r for r in verification_suite(g)}
+    for name in (*IDENTITY_NAMES, "ginverse_invariance", "interlacing"):
+        assert reports[name].status == SKIPPED
+        assert reports[name].detail.startswith("the Laplacian has non-finite")
 
 
 def test_report_status_fail_is_reachable():
@@ -1345,18 +1519,24 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
     assert [svds.get(w.tobytes()) for w in draws] == [1] * len(draws)
 
 
-def test_spd_non_tree_takes_one_full_svd_of_its_laplacian(monkeypatch):
-    # off trees L^+ is np.linalg.pinv's: one call, whose full SVD is the
-    # one decomposition of L
+def test_spd_non_tree_suite_takes_no_svd_of_its_laplacian(monkeypatch):
+    # off trees the g-inverse samples come from one LU inverse of L
+    # grounded at each seed's root: no pinv and no other decomposition of L
     g = random_connected_nontree(GenConfig(n_range=(7, 7), s_range=(2, 2),
                                            kind=WeightKind.SPD, seed=3))
+    grounded = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: grounded.append(
+        np.shape(a) == ((g.n - 1) * g.s,) * 2) or real(a))
     reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
         monkeypatch, g)
-    assert all(r.status in (PASS, SKIPPED) for r in reports)
+    assert {r.name for r in reports if r.status == PASS} == {
+        "ginverse_invariance", "rank_characterization"}
     assert calls == {"D": 0, "L": 1, "inverted": 1}
-    assert of_l == {"svd": 0, "svd_values": 0, "pinv": 1, "eigh": 0,
+    assert of_l == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
                     "eigvalsh": 0}
     assert eigh_calls == 1
+    assert sum(grounded) == 2   # seeds 0 and 1
 
 
 @pytest.mark.parametrize("kind", [WeightKind.SPD, WeightKind.NONSINGULAR])
