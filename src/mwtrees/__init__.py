@@ -25,7 +25,6 @@ from .closedforms import (
     LaplacianMode,
     RankProbe,
     VerificationReport,
-    distance_determinant,
     distance_determinant_sign_log,
     distance_inverse,
     distance_matrix,
@@ -105,7 +104,6 @@ from .linalg import (
     inverse,
     numerical_rank,
     pseudo_inverse,
-    random_g_inverse,
     sign_log_determinant,
     symmetric_eigenvalues,
 )

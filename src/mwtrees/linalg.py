@@ -2,8 +2,8 @@
 
 Everything here works on plain float64 numpy arrays, with numpy as the only
 backend.  Rank, symmetry and definiteness decisions are made with relative
-thresholds so they behave the same across scales; the defaults below can be
-overridden per call.  A square matrix is singular exactly when its
+thresholds so they behave the same across scales.  The rank cutoff below
+can be overridden per call; the symmetry and zero cutoffs are fixed.  A square matrix is singular exactly when its
 :func:`numerical_rank` falls short of its order: :func:`inverse` and every
 invertibility check use that one test.
 
@@ -54,9 +54,10 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
-def _asymmetries(m: np.ndarray, sym_tol: float):
+def _asymmetries(m: np.ndarray):
     """Largest entry of ``|a - a.T|`` for each member ``a`` of a square
-    stack, and whether it is within ``sym_tol`` times the Frobenius norm."""
+    stack, and whether it is within ``DEFAULT_SYMMETRY_TOL`` times the
+    Frobenius norm."""
     if m.shape[-1] == 0:
         return np.zeros(len(m)), np.ones(len(m), dtype=bool)
     asym = np.max(np.abs(m - m.transpose(0, 2, 1)), axis=(1, 2))
@@ -67,7 +68,7 @@ def _asymmetries(m: np.ndarray, sym_tol: float):
     big = ~np.isfinite(norms)   # squares beyond float range: scale first
     scale = np.abs(m[big]).max(axis=(1, 2), keepdims=True)
     norms[big] = scale.ravel() * np.linalg.norm(m[big] / scale, axis=(1, 2))
-    return asym, asym <= sym_tol * np.maximum(1e-300, norms)
+    return asym, asym <= DEFAULT_SYMMETRY_TOL * np.maximum(1e-300, norms)
 
 
 def inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -114,7 +115,7 @@ def sign_log_determinant(a) -> tuple[float, float]:
     return float(sign), float(logabs)
 
 
-def symmetric_eigenvalues(a, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
+def symmetric_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted in descending order.
 
     Raises NotSymmetricError instead of quietly symmetrizing, so that an
@@ -122,7 +123,7 @@ def symmetric_eigenvalues(a, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarra
     """
     m = as_matrix(a)
     _require_square(m)
-    asym, symmetric = _asymmetries(m[None], sym_tol)
+    asym, symmetric = _asymmetries(m[None])
     if not symmetric[0]:
         raise NotSymmetricError(
             f"matrix is not symmetric: max |a - a.T| entry {asym[0]:.3e}"
@@ -153,38 +154,20 @@ def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return np.linalg.pinv(as_matrix(a), rcond=rel_tol)
 
 
-def random_g_inverse(a, seed: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Seeded sample from the family of generalized inverses of ``a``.
-
-    Returns ``P + (I - P a) U + V (I - a P)`` where ``P`` is the
-    pseudo-inverse and ``U``, ``V`` are drawn uniform(-1, 1) from numpy's
-    PCG64 stream for ``seed`` (``U`` first, then ``V``).  Every sample ``H``
-    satisfies ``a @ H @ a == a`` up to rounding; for invertible ``a`` the
-    correction terms vanish and the sample is the plain inverse.
-    """
-    m = as_matrix(a)
-    p = pseudo_inverse(m, rel_tol)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, size=p.shape)
-    v = rng.uniform(-1.0, 1.0, size=p.shape)
-    left, right = np.eye(p.shape[0]) - p @ m, np.eye(m.shape[0]) - m @ p
-    return p + left @ u + v @ right
-
-
-def spd_inverse_sqrts(w, sym_tol: float = DEFAULT_SYMMETRY_TOL) -> np.ndarray:
+def spd_inverse_sqrts(w) -> np.ndarray:
     """Symmetric ``m`` with ``m @ m == inv(w)`` for each SPD member ``w`` of
     an ``(m, s, s)`` stack, from one batched eigendecomposition.
 
-    A member is SPD when it is symmetric within ``sym_tol`` and its smallest
-    eigenvalue is above ``DEFAULT_RANK_TOL`` times its largest, which is
-    positive: the cutoff of :func:`numerical_rank`, so an SPD member is a
-    nonsingular one, but where the ratio is within rounding of the cutoff
-    and ``eigh`` and the SVD round to different sides.  The first member
+    A member is SPD when it is symmetric within ``DEFAULT_SYMMETRY_TOL``
+    and its smallest eigenvalue is above ``DEFAULT_RANK_TOL`` times its
+    largest, which is positive: the cutoff of :func:`numerical_rank`, so an
+    SPD member is a nonsingular one, but where the ratio is within rounding
+    of the cutoff and ``eigh`` and the SVD round to different sides.  The first member
     that is not raises NotSPDError with its position in ``index``.
     """
     m = as_matrix(w, "stack", 3)
     _require_square(m)
-    asym, symmetric = _asymmetries(m, sym_tol)
+    asym, symmetric = _asymmetries(m)
     lam, vec = np.linalg.eigh(m)
     spd = (symmetric & (lam[:, -1] > 0.0)
            & (lam[:, 0] > DEFAULT_RANK_TOL * lam[:, -1]))
@@ -214,13 +197,13 @@ class Inertia:
         return (self.positive, self.negative, self.zero)
 
 
-def inertia_of(eigenvalues, zero_tol: float = DEFAULT_RANK_TOL) -> Inertia:
-    """Count eigenvalues above, below, and within ``zero_tol * max|lam|`` of
-    zero."""
+def inertia_of(eigenvalues) -> Inertia:
+    """Count eigenvalues above, below, and within ``DEFAULT_RANK_TOL *
+    max|lam|`` of zero."""
     lam = np.asarray(eigenvalues, dtype=float).ravel()
     if lam.size == 0:
         return Inertia(0, 0, 0)
-    cut = zero_tol * float(np.max(np.abs(lam)))
+    cut = DEFAULT_RANK_TOL * float(np.max(np.abs(lam)))
     positive = int(np.count_nonzero(lam > cut))
     negative = int(np.count_nonzero(lam < -cut))
     return Inertia(positive, negative, lam.size - positive - negative)

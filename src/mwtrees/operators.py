@@ -3,8 +3,8 @@ block operators, for a graph the caller has already checked.
 
 They build the tree distance matrix D, the block Laplacian L of any stack
 of edge blocks, the scaled incidence matrix Q (L = Q Q^T for SPD weights)
-and, on a tree, the pseudo-inverse and the grounded inverses of L from one
-preorder :class:`TreeLayout`.  Nothing here is cached: the public builders,
+and, on a tree, the grounded inverses of L from one preorder
+:class:`TreeLayout`.  Nothing here is cached: the public builders,
 which serve each graph's arrays from its analysis, are in
 :mod:`mwtrees.closedforms`.
 """
@@ -45,31 +45,22 @@ def tree_distance_data(g: MatrixWeightedGraph, layout: TreeLayout) -> np.ndarray
 
 
 def tree_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
-                        root: int | None = None) -> np.ndarray:
-    """A g-inverse of the inverse-weighted Laplacian L of a tree with
-    nonsingular weights, in closed form, for a tree already checked:
-    L^+ when ``root`` is None, else G_root, L grounded at vertex ``root``
-    (its block row and column deleted), inverted and padded with zeros.
-    ``layout`` is the tree's :func:`_subtree_runs`.
+                        root: int) -> np.ndarray:
+    """G_root, the inverse-weighted Laplacian L of a tree with nonsingular
+    weights grounded at vertex ``root`` (its block row and column deleted),
+    inverted and padded with zeros, in closed form, for a tree already
+    checked; ``layout`` is the tree's :func:`_subtree_runs`.
 
-    Both are ``sum_k v_k v_k^T kron W_k`` over one vector v_k per edge: one
-    product of the (n, m) matrix of the v_k with the stack of ``v_k^T kron
-    W_k``, with no factorization and no inversion.  For G_r, v_k is the 0/1
-    indicator t_k of the side of edge k away from r; block (i, j) is then
-    the path sum of the weights from r to where the paths to i and j part,
-    so ``L G_r L = L`` and ``G_r L G_r = G_r``.  The block rows and columns
-    of L sum to zero and its null space is ``1_n kron R^s``, so ``P = (I -
-    J/n) kron I_s`` projects onto the ranges of L and L^T, and ``P G_r P``
-    is the g-inverse with those ranges: L^+, also for weights that are not
-    symmetric.  ``P t_k = c_k = t_k - (|t_k| / n) 1_n``, which moving r
-    across edge k only negates, so v_k = c_k gives L^+.
+    G_r is ``sum_k t_k t_k^T kron W_k`` over the 0/1 indicator t_k of the
+    side of edge k away from r: one product of the (n, m) matrix of the
+    t_k with the stack of ``t_k^T kron W_k``, with no factorization and no
+    inversion.  Block (i, j) is the path sum of the weights from r to where
+    the paths to i and j part, so ``L G_r L = L`` and ``G_r L G_r = G_r``.
     """
     n, s, m = g.n, g.s, g.m
     below = layout.below[layout.at]   # [i, k]: vertex i is below edge k
-    if root is None:
-        sides = below - below.mean(axis=0)
-    else:   # flip the edges on the path from vertex 1 to the root
-        sides = np.abs(below - below[root - 1])
+    # flip the edges on the path from vertex 1 to the root
+    sides = np.abs(below - below[root - 1])
     terms = sides.T[:, None, :, None] * weight_stack(g)[:, :, None, :]
     return (sides @ terms.reshape(m, s * n * s)).reshape(n * s, n * s)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,30 @@ def test_det_singular_case(capsys, tmp_path):
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["determinant_sign"] == "PASS"
     assert statuses["determinant_logmag"] == "SKIPPED"
+
+
+def test_det_of_an_underflowing_factorization_skips_the_magnitude(
+    capsys, tmp_path
+):
+    # weights 1e-310 I: the closed form's log|det| is finite, slogdet of D
+    # underflows to -inf.  The magnitude record is SKIPPED with the cause,
+    # numpy stays silent and stdout is strict JSON (no NaN residual)
+    g = path_graph(5, 2, [1e-310 * np.eye(2)] * 4)
+    path = tmp_path / "tiny.json"
+    path.write_text(dumps_graph(g))
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "det", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=refuse)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["determinant_sign"]["status"] == "PASS"
+    assert checks["determinant_logmag"]["status"] == "SKIPPED"
+    assert "underflow" in checks["determinant_logmag"]["detail"]
 
 
 def test_overflowed_path_sums_exit_with_typed_errors(capsys, tmp_path):

@@ -18,7 +18,6 @@ from mwtrees.linalg import (
     numerical_rank,
     numerical_ranks,
     pseudo_inverse,
-    random_g_inverse,
     sign_log_determinant,
     spd_inverse_sqrts,
     symmetric_eigenvalues,
@@ -180,27 +179,6 @@ def test_pseudo_inverse_is_numpys_pinv_bit_for_bit(rows, cols, deficit,
 def test_pseudo_inverse_of_invertible_is_inverse():
     m = np.array([[2.0, 1.0], [1.0, 3.0]])
     assert np.allclose(pseudo_inverse(m), inverse(m), atol=1e-12)
-
-
-def test_random_g_inverse_is_deterministic_per_seed():
-    h1 = random_g_inverse(PATH3_L, seed=42)
-    h2 = random_g_inverse(PATH3_L, seed=42)
-    h3 = random_g_inverse(PATH3_L, seed=43)
-    assert np.array_equal(h1, h2)
-    assert not np.array_equal(h1, h3)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_random_g_inverse_satisfies_defining_equation(seed):
-    h = random_g_inverse(PATH3_L, seed=seed)
-    residual = np.linalg.norm(PATH3_L @ h @ PATH3_L - PATH3_L)
-    assert residual < 1e-9 * np.linalg.norm(PATH3_L)
-
-
-def test_random_g_inverse_of_invertible_is_the_inverse():
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert np.allclose(random_g_inverse(m, seed=5), inverse(m), atol=1e-10)
 
 
 def test_spd_inverse_sqrt_frozen_diagonal():

@@ -13,11 +13,11 @@ below the 1e-9 rank cutoff, and r = 1e-13.  For each graph, in the order of one
 benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
-the rank-deficient weighting, and the L^+ and the eigenvalues of L that
-the suite's g-inverse and spectrum checks read from the graph's analysis
-(graphs whose weights are not all SPD have no such eigenvalues and hash
-their NotSPDError); an output that raises is hashed as its exception type
-and message, on one line.  Floats are hashed by their bits, so two runs, or
+the rank-deficient weighting, and the eigenvalues of L that the suite's
+spectrum checks read from the graph's analysis (graphs whose weights are
+not all SPD have no such eigenvalues and hash their NotSPDError); an
+output that raises is hashed as its exception type and message, on one
+line.  Floats are hashed by their bits, so two runs, or
 two commits, that print the same lines gave the same bytes.  Comparing
 the output of a parent commit with that of a change shows whether the
 change moved any result, which records it moved, and which of them
@@ -94,7 +94,6 @@ def outputs(g):
     yield "Q", lambda: mw.incidence_matrix(g)
     yield "invertibility", lambda: mw.invertibility_check(g)
     yield "witness", lambda: mw.rank_deficient_weighting(g)
-    yield "L_pinv", lambda: _analysis(g).laplacian_pinv
     yield "L_eigenvalues", lambda: _analysis(g).laplacian_eigenvalues
 
 
