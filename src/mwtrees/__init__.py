@@ -9,8 +9,6 @@ verifies the identities, rank, inertia and interlacing facts that come with
 them, both as a library and through the ``mwtrees`` command line tool.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .closedforms import (

@@ -177,7 +177,12 @@ def cmd_det(args) -> int:
             "log-magnitudes",
         ))
     checks = [check_record(r) for r in reports]
-    value = 0.0 if sign_cf == 0.0 else sign_cf * float(np.exp(log_cf))
+    # det D may leave float range where log|det D| does not: it is null
+    # then, and the sign and the log carry it
+    with np.errstate(over="ignore"):
+        value = sign_cf * float(np.exp(log_cf))
+    if sign_cf != 0.0 and not 0.0 < abs(value) < math.inf:
+        value = None
     extras = {
         "n": g.n,
         "s": g.s,

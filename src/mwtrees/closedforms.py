@@ -25,13 +25,15 @@ call per graph, not one call per edge.
 The identity checks form two (n s)^3 products, L D and D L, and check the
 other identities on seeded Gaussian probes (see :func:`verify_identities`).
 
-The g-inverse checks read samples G_r + Z U + V Z^T, Z = 1_n kron I_s /
-sqrt(n), of the g-inverses of L, where G_r is L with the block row and
-column of a root r drawn from the seed deleted, inverted and padded with
-zeros.  On a tree G_r has a closed form in the edge weights (see
+The g-inverse checks read grounded inverses G_r of L: L with the block
+row and column of a root r drawn from the seed deleted, inverted and
+padded with zeros.  Every g-inverse of L is G_r + Z U + V Z^T, Z = 1_n
+kron I_s / sqrt(n), and the pair contractions the checks compare cancel
+the null terms Z U + V Z^T exactly, so G_r stands for the whole family.
+On a tree G_r has a closed form in the edge weights (see
 :func:`~mwtrees.operators.tree_g_inverse_data`); on other graphs it is one
-LU inverse of the grounded L.  The invariance check compares the samples
-of two seeds on every graph: no SVD, projector or (n s)^3 product.  The
+LU inverse of the grounded L.  The invariance check compares G_r at two
+roots on every graph: no SVD, projector or (n s)^3 product.  The
 two (n s) x (n s) decompositions of an SPD tree's suite are ``eigvalsh``
 of D, for inertia and interlacing, and of the symmetric part of L, for
 interlacing.  One preorder layout of the tree serves D, G_r and the rank
@@ -301,34 +303,19 @@ class _Analysis:
         lap = self.laplacian
         return _read_only(np.linalg.eigvalsh(0.5 * (lap + lap.T))[::-1])
 
-    def g_inverse(self, seed: int) -> BlockMatrix:
-        """The g-inverse sample of L for ``seed``: ``G_r + Z U + V Z^T``.
-
-        G_r is L grounded at the root r of :func:`_seeded_root`, inverted
-        and padded with zeros, so ``L G_r L = L``: on a tree in closed form,
-        elsewhere by :meth:`_grounded_inverse`.  ``Z = 1_n kron I_s /
-        sqrt(n)``, so ``Z Z^T = I - L^+ L = I - L L^+``, and U (s x n s), V
-        (n s x s) are drawn uniform(-1, 1) after r and added as tilings.
+    def g_inverse(self, root: int) -> BlockMatrix:
+        """G_root: L grounded at ``root`` (its block row and column
+        deleted), inverted and padded with zeros, so ``L G_root L = L``: on
+        a tree in closed form, elsewhere by :meth:`_grounded_inverse`.
         Both routes read L first, so an L beyond float range raises its
-        NonFiniteError; a sample beyond it raises one of its own.
+        NonFiniteError; a G_root beyond it raises one of its own.
         """
-        g = self.g
-        n, s = g.n, g.s
         self.laplacian
-        root, rng = _seeded_root(n, seed)
-        u = rng.uniform(-1.0, 1.0, size=(s, n * s)) / math.sqrt(n)
-        v = rng.uniform(-1.0, 1.0, size=(n * s, s)) / math.sqrt(n)
-
-        def sample() -> np.ndarray:
-            data = (tree_g_inverse_data(g, self.layout, root) if self.tree
-                    else self._grounded_inverse(root))
-            data.reshape(n, s, n * s)[:] += u
-            data.reshape(n * s, n, s)[:] += v[:, None, :]
-            return data
-
-        return BlockMatrix(_finite(sample, "the grounded inverse of L",
-                                   "inverting the grounded Laplacian "
-                                   "overflows"), s)
+        return BlockMatrix(_finite(
+            lambda: (tree_g_inverse_data(self.g, self.layout, root)
+                     if self.tree else self._grounded_inverse(root)),
+            "the grounded inverse of L",
+            "inverting the grounded Laplacian overflows"), self.g.s)
 
     def _grounded_inverse(self, root: int) -> np.ndarray:
         """G_root off trees, from one LU inverse of the grounded L with no
@@ -392,12 +379,10 @@ class _Analysis:
         )
 
 
-def _seeded_root(n: int, seed: int) -> tuple[int, np.random.Generator]:
-    """The root, from 1 to n, of the g-inverse sample for ``seed``:
-    the first draw of numpy's PCG64 stream for ``seed``, returned with
-    the stream."""
-    rng = np.random.default_rng(seed)
-    return int(rng.integers(1, n + 1)), rng
+def _seeded_root(n: int, seed: int) -> int:
+    """The g-inverse root, from 1 to n, for ``seed``: the first draw of
+    numpy's PCG64 stream for ``seed``."""
+    return int(np.random.default_rng(seed).integers(1, n + 1))
 
 
 def _analysis(g: MatrixWeightedGraph) -> _Analysis:
@@ -666,21 +651,24 @@ def ginverse_invariance_check(
     """Check that Laplacian pair contractions ignore the g-inverse choice.
 
     Compares ``H_ii + H_jj - H_ij - H_ji`` of two generalized inverses H of
-    the inverse-weighted Laplacian L, the samples for ``seed`` and ``seed +
-    1``, for every vertex pair.  Each is L grounded at a root drawn from
-    its seed, inverted, plus null terms (see :meth:`_Analysis.g_inverse`).
-    For a connected graph with SPD weights the contraction is a class
-    function of the g-inverse family, so the deviation is pure round-off;
-    tolerance is ``_GINVERSE_REL_TOL`` times ``||P H P||_F = ||L^+||_F`` of
-    the first sample H, ``P = (I - J/n) kron I_s``.
+    the inverse-weighted Laplacian L, for every vertex pair: L grounded at
+    the roots that ``seed`` and ``seed + 1`` draw, inverted (see
+    :meth:`_Analysis.g_inverse`), the second root moved to the next vertex
+    ``r % n + 1`` when it repeats the first.  For a connected graph with
+    SPD weights the contraction cancels the null terms that tell the other
+    g-inverses apart, so the deviation is pure round-off; tolerance is
+    ``_GINVERSE_REL_TOL`` times ``||P H P||_F = ||L^+||_F`` of the first H,
+    ``P = (I - J/n) kron I_s``.
     """
     a = _analysis(g)
     if not is_connected(g):
         raise NotConnectedError(f"graph on {g.n} vertices is not connected")
     a.require_spd()
     seeds = (seed, seed + 1)
-    roots = tuple(_seeded_root(g.n, k)[0] for k in seeds)
-    first, second = (a.g_inverse(k) for k in seeds)
+    roots = [_seeded_root(g.n, k) for k in seeds]
+    if roots[1] == roots[0]:
+        roots[1] = roots[0] % g.n + 1
+    first, second = (a.g_inverse(r) for r in roots)
     # P H P: the mean block row, then column, subtracted
     x = first.data.reshape(g.n, g.s, g.n, g.s)
     x = x - x.mean(axis=0)
@@ -688,7 +676,8 @@ def ginverse_invariance_check(
     worst = _worst_pair(second.pair_contractions() - first.pair_contractions())
     return _report("ginverse_invariance", worst,
                    _GINVERSE_REL_TOL * float(np.linalg.norm(pinv)), g,
-                   f"g-inverses grounded at roots {roots}, seeds {seeds}")
+                   f"g-inverses grounded at roots {tuple(roots)}, "
+                   f"seeds {seeds}")
 
 
 def ginverse_distance_recovery(
@@ -698,19 +687,18 @@ def ginverse_distance_recovery(
 
     On a tree with SPD weights, ``H_ii + H_jj - H_ij - H_ji`` of any
     generalized inverse H of the Laplacian equals distance block (i, j).
-    H is the sample for ``seed`` of :meth:`_Analysis.g_inverse`: the
-    Laplacian grounded at a root drawn from the seed, inverted in closed
-    form, plus random null terms.  Tolerance is ``_GINVERSE_REL_TOL`` times
-    the distance-matrix norm.
+    H is the Laplacian grounded at the root ``seed`` draws, inverted in
+    closed form (see :meth:`_Analysis.g_inverse`).  Tolerance is
+    ``_GINVERSE_REL_TOL`` times the distance-matrix norm.
     """
     a = _analysis(g)
     require_tree(g)
     a.require_spd()
     dist = a.distance
     blocks = dist.reshape(g.n, g.s, g.n, g.s).transpose(0, 2, 1, 3)
-    worst = _worst_pair(a.g_inverse(seed).pair_contractions() - blocks)
+    root = _seeded_root(g.n, seed)
+    worst = _worst_pair(a.g_inverse(root).pair_contractions() - blocks)
     scale = float(np.linalg.norm(dist))
-    root = _seeded_root(g.n, seed)[0]
     return _report(
         "ginverse_recovery", worst, _GINVERSE_REL_TOL * scale, g,
         f"g-inverse grounded at root {root}, seed {seed}",
@@ -1079,8 +1067,9 @@ def verification_suite(
     invertible, a matrix it reads overflows, ...): its records are SKIPPED
     with the error's message as the reason, so a suite run always has the
     same shape for a given suite name.  Any other exception propagates.
-    ``seed`` draws the identity probes and the g-inverse samples (``seed``,
-    ``seed + 1`` and ``seed + 2``) and seeds the rank probe.
+    ``seed`` draws the identity probes, the roots of the g-inverses
+    (``seed`` and ``seed + 1`` for invariance, ``seed + 2`` for recovery)
+    and seeds the rank probe.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")

@@ -159,6 +159,16 @@ def test_import_loads_no_scipy():
     assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
 
+def test_package_exports_no_future_feature():
+    import __future__
+
+    import mwtrees
+
+    assert "annotations" not in mwtrees.__all__
+    assert not [name for name in mwtrees.__all__
+                if isinstance(getattr(mwtrees, name), __future__._Feature)]
+
+
 def test_cli_process_imports_no_scipy():
     done = _run_python("-X", "importtime", "-m", "mwtrees", "det", PATH4)
     assert done.returncode == 0, done.stderr
@@ -214,6 +224,26 @@ def test_det_of_an_underflowing_factorization_skips_the_magnitude(
     assert checks["determinant_sign"]["status"] == "PASS"
     assert checks["determinant_logmag"]["status"] == "SKIPPED"
     assert "underflow" in checks["determinant_logmag"]["detail"]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-310])
+def test_det_beyond_float_range_is_null(capsys, tmp_path, scale):
+    # det D is about 1e3003 or 1e-3097: no double holds it, so the report
+    # gives null, quietly, and the sign and log|det D| carry the value
+    g = path_graph(5, 2, [scale * np.eye(2)] * 4)
+    path = tmp_path / "beyond.json"
+    path.write_text(dumps_graph(g))
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "det", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=refuse)
+    assert report["determinant"] is None and report["sign"] == 1.0
+    assert abs(report["log_abs_determinant"]) > np.log(np.finfo(float).max)
 
 
 def test_overflowed_path_sums_exit_with_typed_errors(capsys, tmp_path):
@@ -331,7 +361,7 @@ def _spd_path4(tmp_path) -> str:
     return str(path)
 
 
-# seeds 0 and 5 draw different roots on the tree: (4, 2) and (3, 2)
+# seeds 0 and 1 draw roots 4 and 2 of 4, seeds 5 and 6 roots 3 and 2
 @pytest.mark.parametrize("fixture", ["diamond4", "spd_path4"])
 def test_verify_seed_changes_reports_deterministically(capsys, tmp_path,
                                                       fixture):
@@ -341,7 +371,11 @@ def test_verify_seed_changes_reports_deterministically(capsys, tmp_path,
     assert rep1["checks"] == rep2["checks"]
     code3, rep3, _ = run_json(capsys, "verify", path, "--suite", "ginverse",
                               "--seed", "5")
-    assert rep3["checks"][0]["residual"] != rep1["checks"][0]["residual"]
+    code4, rep4, _ = run_json(capsys, "verify", path, "--suite", "ginverse",
+                              "--seed", "5")
+    assert rep3["checks"] == rep4["checks"]
+    assert "roots (4, 2), seeds (0, 1)" in rep1["checks"][0]["detail"]
+    assert "roots (3, 2), seeds (5, 6)" in rep3["checks"][0]["detail"]
 
 
 def test_stdin_input(capsys, monkeypatch):

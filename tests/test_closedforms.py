@@ -689,9 +689,9 @@ def _spd_graph(shape, size, s, ratio, seed) -> MatrixWeightedGraph:
 @given(SPD_SHAPES)
 def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
     # the eigenvalues interlacing reads are the singular values of L to
-    # rounding, the probe's first rank is its SVD rank, and the g-inverse
-    # samples meet the defining equation L H L = L
-    from mwtrees.closedforms import _analysis
+    # rounding, the probe's first rank is its SVD rank, and the grounded
+    # inverses meet the defining equation L H L = L
+    from mwtrees.closedforms import _analysis, _seeded_root
 
     g = _spd_graph(*case)
     a = _analysis(g)
@@ -715,7 +715,7 @@ def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
     rtol = max(1e-9, 1e-12 * kept.max() / kept.min())
     norm_l, norm_p = np.linalg.norm(lap), math.sqrt(np.sum(kept ** -2.0))
     for seed in (0, 1, 2):
-        h = a.g_inverse(seed).data
+        h = a.g_inverse(_seeded_root(g.n, seed)).data
         assert np.linalg.norm(lap @ h @ lap - lap) <= (
             rtol * norm_l * max(norm_p * norm_l, np.linalg.norm(h) * norm_l))
 
@@ -782,7 +782,7 @@ def _perturbed(g: MatrixWeightedGraph, name: str) -> MatrixWeightedGraph:
 
 @pytest.mark.parametrize("shape", ["path", "star", "prufer"])
 def test_ginverse_records_detect_a_one_block_error(monkeypatch, shape):
-    # ten times the tolerance in one block of the second g-inverse sample,
+    # ten times the tolerance in one block of the second grounded inverse,
     # 1e-6 ||L^+||_F, or of D, 1e-6 ||D||_F: the record that reads it fails
     from mwtrees import closedforms
 
@@ -797,17 +797,18 @@ def test_ginverse_records_detect_a_one_block_error(monkeypatch, shape):
                                                                 "ginverse")}
         assert reports == {"ginverse_invariance": PASS,
                            "ginverse_recovery": PASS}
-        # two seeds whose samples are grounded at different roots
+        # two seeds that draw different roots
         first = next(k for k in range(100)
-                     if closedforms._seeded_root(n, k)[0]
-                     != closedforms._seeded_root(n, k + 1)[0])
+                     if closedforms._seeded_root(n, k)
+                     != closedforms._seeded_root(n, k + 1))
+        second = closedforms._seeded_root(n, first + 1)
         g = tree()
         assert ginverse_invariance_check(g, first).status == PASS
         shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
 
-        def perturbed(self, k):
-            h = real(self, k)
-            if k != first + 1:
+        def perturbed(self, root):
+            h = real(self, root)
+            if root != second:
                 return h
             data = h.data.copy()
             data[:s, (n - 1) * s:] += shift
@@ -892,11 +893,11 @@ NON_TREE_SHAPES = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(NON_TREE_SHAPES)
 def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
-    # each sample H is a g-inverse, L H L = L, and P H P = L^+ for P = (I -
-    # J/n) kron I_s, both to the rounding of the LU inverse of the grounded
-    # L and of the products and sums: N eps ||L||^2 ||H|| and N eps
-    # (cond(L) ||L^+|| + ||H||), the null terms of H being O(1) whatever
-    # the scale of L.  G_r vanishes on the block row and column of its root.
+    # each grounded inverse H is a g-inverse, L H L = L, and P H P = L^+ for
+    # P = (I - J/n) kron I_s, both to the rounding of the LU inverse of the
+    # grounded L and of the products and sums: N eps ||L||^2 ||H|| and N eps
+    # (cond(L) ||L^+|| + ||H||).  G_r vanishes on the block row and column
+    # of its root.
     from mwtrees.closedforms import _analysis, _seeded_root
 
     g = _non_tree(*case)
@@ -911,10 +912,11 @@ def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
     eps = np.finfo(float).eps
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
     for seed in range(3):
-        root = _seeded_root(g.n, seed)[0] - 1
-        grounded = a._grounded_inverse(root + 1).reshape(g.n, g.s, g.n, g.s)
-        assert not grounded[root].any() and not grounded[:, :, root].any()
-        h = a.g_inverse(seed).data
+        root = _seeded_root(g.n, seed)
+        h = a.g_inverse(root).data
+        grounded = h.reshape(g.n, g.s, g.n, g.s)
+        assert not grounded[root - 1].any()
+        assert not grounded[:, :, root - 1].any()
         norm_h = np.linalg.norm(h)
         assert np.linalg.norm(lap @ h @ lap - lap) <= (
             8 * size * eps * norm_l ** 2 * norm_h)
@@ -956,9 +958,56 @@ def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
     report = ginverse_invariance_check(g)
     assert report.status == FAIL
     roots = tuple(made)
-    assert roots == tuple(closedforms._seeded_root(n, seed)[0]
+    assert roots == tuple(closedforms._seeded_root(n, seed)
                           for seed in (0, 1))
     assert f"grounded at roots {roots}, seeds (0, 1)" in report.detail
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+@pytest.mark.parametrize("c", [1e-9, 1e-12, 1e-15])
+def test_ginverse_records_pass_on_small_weights(shape, c):
+    # weights c diag(1, 2) on a 5-cycle and a 5-path: grounded inverses
+    # scale like 1 / c, their residuals with them, so the ||L^+||-scaled
+    # tolerance holds at every c (null terms of scale 1 failed here)
+    w = c * np.diag([1.0, 2.0])
+    g = cycle_graph(5, 2, [w] * 5) if shape == "cycle" else path_graph(
+        5, 2, [w] * 4)
+    reports = verification_suite(g, "ginverse")
+    ran = [r for r in reports if r.status != SKIPPED]
+    assert len(ran) == (1 if shape == "cycle" else 2)
+    for r in ran:
+        assert r.status == PASS and r.residual < 1e-6 * r.tolerance, r
+
+
+@pytest.mark.parametrize("make", [diamond4, lambda: path_graph(4, 2)],
+                         ids=["diamond4", "path4"])
+def test_invariance_takes_the_next_root_when_two_seeds_draw_the_same(
+    monkeypatch, make
+):
+    # seeds 2 and 3 both draw root 4 of 4, so the second root is the next
+    # vertex, 4 % 4 + 1 = 1; ten times the tolerance, 1e-6 ||L^+||_F, in
+    # block (1, n) of that root's grounded inverse fails the record
+    from mwtrees import closedforms
+
+    assert closedforms._seeded_root(4, 2) == closedforms._seeded_root(4, 3)
+    g = make()
+    report = ginverse_invariance_check(g, seed=2)
+    assert report.status == PASS
+    assert "grounded at roots (4, 1), seeds (2, 3)" in report.detail
+    n, s = g.n, g.s
+    shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
+    real = closedforms._Analysis.g_inverse
+
+    def perturbed(self, root):
+        h = real(self, root)
+        if root != 1:
+            return h
+        data = h.data.copy()
+        data[:s, (n - 1) * s:] += shift
+        return BlockMatrix(data, s)
+
+    monkeypatch.setattr(closedforms._Analysis, "g_inverse", perturbed)
+    assert ginverse_invariance_check(g, seed=2).status == FAIL
 
 
 def test_an_exactly_singular_grounded_laplacian_raises_a_typed_error():
@@ -971,7 +1020,7 @@ def test_an_exactly_singular_grounded_laplacian_raises_a_typed_error():
     g = MatrixWeightedGraph(3, 1, [(1, 2, [[1.0]]), (2, 3, [[1.0]]),
                                    (1, 3, [[-2.0]])])
     with pytest.raises(SingularMatrixError, match="grounded Laplacian"):
-        _analysis(g).g_inverse(0)
+        _analysis(g).g_inverse(1)
 
 
 def test_an_overflowing_grounded_inverse_skips_the_invariance_record():

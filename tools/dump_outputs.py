@@ -7,9 +7,11 @@ Usage, from the root of a source checkout (the package is imported from
 
 The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
-every weight kind, n <= 40, s <= 8, and a path and a cycle with one
-weight diag(1, r): r = 1e-10, symmetric with positive eigenvalues but
-below the 1e-9 rank cutoff, and r = 1e-13.  For each graph, in the order of one
+every weight kind, n <= 40, s <= 8, a path and a cycle with one weight
+diag(1, r): r = 1e-10, symmetric with positive eigenvalues but below the
+1e-9 rank cutoff, and r = 1e-13, and a 5-path and a 5-cycle with every
+weight c diag(1, 2), c = 1e-9 and 1e-12, whose g-inverse records once
+failed on rounding of a fixed scale.  For each graph, in the order of one
 benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
@@ -56,6 +58,10 @@ def corpus():
                mw.path_graph(3, 2, [weight, np.eye(2)]))
         yield (f"cycle_4_2_ratio_{ratio:g}",
                mw.cycle_graph(4, 2, [weight] + [np.eye(2)] * 3))
+    for c in (1e-9, 1e-12):
+        weight = c * np.diag([1.0, 2.0])
+        yield f"path_5_2_scale_{c:g}", mw.path_graph(5, 2, [weight] * 4)
+        yield f"cycle_5_2_scale_{c:g}", mw.cycle_graph(5, 2, [weight] * 5)
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
