@@ -87,6 +87,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
+    frobenius_norms,
     inertia_of,
     inverse,
     numerical_rank,
@@ -448,15 +449,6 @@ def incidence_matrix(g: MatrixWeightedGraph) -> BlockMatrix:
     return BlockMatrix(_read_only(block_incidence(g, roots)), g.s)
 
 
-def _worst_pair(dev: np.ndarray) -> float:
-    """Largest Frobenius norm of a block ``dev[i, j]``, i < j, of an
-    (n, n, s, s) array; 0.0 when there is no pair."""
-    rows = dev[np.triu_indices(dev.shape[0], 1)].reshape(-1, 1, dev[0, 0].size)
-    # one dot product per block, the one np.linalg.norm takes of one block
-    norms = np.sqrt(rows @ rows.transpose(0, 2, 1))
-    return float(norms.max(initial=0.0))
-
-
 def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]:
     """``(sign, log|det|)`` of the tree distance matrix, in closed form.
 
@@ -637,12 +629,12 @@ def _minus_block_diagonals(a: np.ndarray, shift: np.ndarray) -> float:
     s = a.shape[0] // n
     d = np.arange(s)
     a.reshape(n, s, n, s)[:, d, :, d] -= shift   # [k, i, j]: a[i, k, j, k]
-    return float(np.linalg.norm(a))
+    return float(frobenius_norms(a[None])[0])
 
 
 def _probe_norm(mx: np.ndarray) -> float:
     """The estimate ``||M X||_F / sqrt(k)`` of ``||M||_F`` from ``M X``."""
-    return float(np.linalg.norm(mx)) / math.sqrt(mx.shape[1])
+    return float(frobenius_norms(mx[None])[0]) / math.sqrt(mx.shape[1])
 
 
 def ginverse_invariance_check(
@@ -673,9 +665,11 @@ def ginverse_invariance_check(
     x = first.data.reshape(g.n, g.s, g.n, g.s)
     x = x - x.mean(axis=0)
     pinv = x - x.mean(axis=2, keepdims=True)
-    worst = _worst_pair(second.pair_contractions() - first.pair_contractions())
-    return _report("ginverse_invariance", worst,
-                   _GINVERSE_REL_TOL * float(np.linalg.norm(pinv)), g,
+    # the largest block norm over the pairs i < j, 0.0 when there is none
+    dev = second.pair_contractions() - first.pair_contractions()
+    worst = frobenius_norms(dev[np.triu_indices(g.n, 1)]).max(initial=0.0)
+    tol = _GINVERSE_REL_TOL * float(frobenius_norms(pinv[None])[0])
+    return _report("ginverse_invariance", worst, tol, g,
                    f"g-inverses grounded at roots {tuple(roots)}, "
                    f"seeds {seeds}")
 
@@ -697,12 +691,11 @@ def ginverse_distance_recovery(
     dist = a.distance
     blocks = dist.reshape(g.n, g.s, g.n, g.s).transpose(0, 2, 1, 3)
     root = _seeded_root(g.n, seed)
-    worst = _worst_pair(a.g_inverse(root).pair_contractions() - blocks)
-    scale = float(np.linalg.norm(dist))
-    return _report(
-        "ginverse_recovery", worst, _GINVERSE_REL_TOL * scale, g,
-        f"g-inverse grounded at root {root}, seed {seed}",
-    )
+    dev = a.g_inverse(root).pair_contractions() - blocks
+    worst = frobenius_norms(dev[np.triu_indices(g.n, 1)]).max(initial=0.0)
+    tol = _GINVERSE_REL_TOL * float(frobenius_norms(dist[None])[0])
+    return _report("ginverse_recovery", worst, tol, g,
+                   f"g-inverse grounded at root {root}, seed {seed}")
 
 
 def inertia_check(g: MatrixWeightedGraph) -> Inertia:

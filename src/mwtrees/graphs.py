@@ -60,8 +60,8 @@ class MatrixWeightedGraph:
     Because it cannot change, a graph caches what is computed from it in
     private slots of its ``__dict__``: the violation list of
     :func:`validate`, and the analysis that the functions of
-    :mod:`mwtrees.closedforms` share (D, L, L^+, the weight sum, the SPD
-    flag and the results built from them).  Those arrays live as long as the
+    :mod:`mwtrees.closedforms` share (D, L, the weight sum, the SPD flag
+    and the results built from them).  Those arrays live as long as the
     graph does.  Pickling or copying a graph rebuilds it through the
     constructor, so the copy starts with an empty cache.
     """

@@ -19,6 +19,7 @@ asymmetric input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +55,27 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a stack, at any scale: one dot
+    product per member (numpy's ``norm``'s) of the member times the
+    power of two that brings its largest ``|entry|`` into [1/2, 1), scaled
+    back, all exact; or, with numpy's bits and no copy, of the member
+    itself if that entry is within 2^±480: its sum of squares is in range."""
+    rows = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    fast = np.asfortranarray(rows)   # the members along the fast axis
+    top = np.maximum(fast.max(1, initial=0.0), -fast.min(1, initial=0.0))
+    power = np.frexp(top)[1]
+    power[abs(power) < 480] = 0
+    rows = (np.ldexp(rows, -power[:, None]) if power.any() else rows)[:, None]
+    return np.ldexp(np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel(), power)
+
+
 def _asymmetries(m: np.ndarray):
     """Largest entry of ``|a - a.T|`` for each member ``a`` of a square
     stack, and whether it is within ``DEFAULT_SYMMETRY_TOL`` times the
     Frobenius norm."""
-    if m.shape[-1] == 0:
-        return np.zeros(len(m)), np.ones(len(m), dtype=bool)
-    asym = np.max(np.abs(m - m.transpose(0, 2, 1)), axis=(1, 2))
-    # one dot product per member, the one np.linalg.norm takes of a matrix
-    rows = m.reshape(len(m), 1, m.shape[1] * m.shape[2])
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(m))
-    big = ~np.isfinite(norms)   # squares beyond float range: scale first
-    scale = np.abs(m[big]).max(axis=(1, 2), keepdims=True)
-    norms[big] = scale.ravel() * np.linalg.norm(m[big] / scale, axis=(1, 2))
-    return asym, asym <= DEFAULT_SYMMETRY_TOL * np.maximum(1e-300, norms)
+    asym = np.max(np.abs(m - m.transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
+    return asym, asym <= DEFAULT_SYMMETRY_TOL * frobenius_norms(m)
 
 
 def inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -139,6 +139,17 @@ def test_weight_below_the_rank_cutoff_is_reported_and_not_spd(capsys,
     assert "NotSPDError" in err and "edge 0" in err
 
 
+def test_subnormal_asymmetric_weight_is_not_spd(capsys, tmp_path):
+    # the asymmetry of 2^-1060 [[1, 2], [-0.5, 1]] is subnormal; a 1e-300
+    # floor under the norm it is compared with made the weight SPD
+    tiny = np.ldexp(np.array([[1.0, 2.0], [-0.5, 1.0]]), -1060)
+    path = tmp_path / "subnormal_asymmetric.json"
+    path.write_text(dumps_graph(path_graph(3, 2, [tiny, np.eye(2)])))
+    code, out, err = run_cli(capsys, "build", str(path), "--which", "Q")
+    assert code == 3 and out == ""
+    assert "NotSPDError" in err and "not symmetric" in err
+
+
 def _run_python(*argv):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     env = dict(os.environ)
@@ -283,6 +294,28 @@ def test_inverse_weights_beyond_float_range_exit_with_typed_errors(
         code, out, err = run_cli(capsys, *argv, str(path))
         assert code == 3 and out == ""
         assert "NonFiniteError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k, exit_code", [(600, 0), (-600, 1)])
+def test_verify_far_from_unit_scale_prints_strict_json(capsys, tmp_path, k,
+                                                       exit_code):
+    # weights 2^k diag(1, 2): the g-inverse norms once squared the entries
+    # unscaled and printed a tolerance Infinity, with numpy's overflow
+    # warning.  At 2^-600 ldl's absolute tolerance still FAILs
+    g = path_graph(5, 2, [np.ldexp(np.diag([1.0, 2.0]), k)] * 4)
+    path = tmp_path / "scaled.json"
+    path.write_text(dumps_graph(g))
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == exit_code and err == ""
+    report = json.loads(out, parse_constant=refuse)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "FAIL"}
+    assert failed == (set() if k > 0 else {"ldl"})
 
 
 def test_verify_all_fixtures_exit_zero(capsys):

@@ -1752,13 +1752,39 @@ def test_deficient_weighting_reuses_the_suite_witness(monkeypatch):
         "rank_characterization"].detail
 
 
+def _ginverse_records(g):
+    return [r for r in verification_suite(g, "ginverse")
+            if r.status != SKIPPED]
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("make", [path_graph, cycle_graph])
+def test_ginverse_records_are_exactly_scale_equivariant(make, k):
+    # weights 2^k diag(1, 2) scale every g-inverse and D by exactly 2^k,
+    # and so the residuals and tolerances: norms that squared the entries
+    # unscaled made both 0.0 (a vacuous PASS) at k = -600 and the
+    # tolerance inf (a FAIL) at k = 600
+    weight = np.diag([1.0, 2.0])
+    count = 4 if make is path_graph else 5
+    base = _ginverse_records(make(5, 2, [weight] * count))
+    scaled = _ginverse_records(make(5, 2, [np.ldexp(weight, k)] * count))
+    assert [r.name for r in scaled] == [r.name for r in base] != []
+    for r, b in zip(scaled, base):
+        assert r.status == b.status == PASS
+        assert r.residual == math.ldexp(b.residual, k)
+        assert r.tolerance == math.ldexp(b.tolerance, k)
+
+
 def test_overflowed_ginverse_records_fail():
-    # weights near 1e200: the g-inverse norms overflow, and inf <= inf must
-    # not read as a pass
-    g = path_graph(3, 2, [1e200 * np.diag([1.0, 2.0]),
-                          1e200 * np.diag([3.0, 1.0])])
+    # weights 2^1020 diag(1, 2): ||D||_F is beyond float range, and so is
+    # the probe product of dinv_minus_l, whose residual is NaN; a
+    # non-finite residual or tolerance must not read as a pass
+    g = path_graph(5, 2, [np.ldexp(np.diag([1.0, 2.0]), 1020)] * 4)
     with np.errstate(over="ignore", invalid="ignore"):
         reports = {r.name: r for r in verification_suite(g, "all")}
+    assert math.isnan(reports["dinv_minus_l"].residual)
+    assert reports["dinv_minus_l"].status == FAIL
+    assert reports["ginverse_recovery"].tolerance == math.inf
     assert reports["ginverse_recovery"].status == FAIL
     assert reports["ginverse_invariance"].status == FAIL
     for r in reports.values():

@@ -12,6 +12,7 @@ from mwtrees.linalg import (
     DEFAULT_SYMMETRY_TOL,
     BlockMatrix,
     Inertia,
+    frobenius_norms,
     inertia_of,
     inverse,
     inverses,
@@ -228,6 +229,36 @@ def test_symmetry_test_survives_entries_whose_squares_overflow():
         with pytest.raises(NotSPDError, match="not symmetric") as info:
             spd_inverse_sqrts(stack)
         assert info.value.index == 2
+
+
+def test_symmetry_test_sees_a_subnormal_asymmetry():
+    # the asymmetry 2.5 2^-1060 is subnormal and so is 1e-9 times the norm;
+    # a 1e-300 floor under the norm swamped it and made the weight SPD
+    tiny = np.ldexp(np.array([[1.0, 2.0], [-0.5, 1.0]]), -1060)
+    with pytest.raises(NotSPDError, match="not symmetric"):
+        spd_inverse_sqrts(tiny[None])
+    with pytest.raises(NotSymmetricError):
+        symmetric_eigenvalues(tiny)
+    spd_inverse_sqrts(np.ldexp(np.eye(2), -1060)[None])
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -470, 470, 600, 1000])
+def test_frobenius_norms_scale_exactly_and_match_numpy_in_range(k):
+    # members beyond 2^+-480 are scaled, those within it are not
+    rng = np.random.default_rng(5)
+    stack = np.concatenate([rng.standard_normal((6, 3, 4)),
+                            np.zeros((1, 3, 4))])
+    norms = frobenius_norms(stack)
+    assert np.array_equal(norms, [np.linalg.norm(a) for a in stack])
+    assert np.array_equal(frobenius_norms(np.ldexp(stack, k)),
+                          np.ldexp(norms, k))
+
+
+def test_frobenius_norms_at_the_ends_of_float_range():
+    ends = np.array([np.full((2, 2), 2.0 ** -1074),
+                     np.full((2, 2), 2.0 ** 1021)])
+    assert frobenius_norms(ends).tolist() == [2.0 ** -1073, 2.0 ** 1022]
+    assert frobenius_norms(np.zeros((0, 2, 2))).shape == (0,)
 
 
 def test_inertia_of_frozen():

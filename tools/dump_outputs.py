@@ -9,21 +9,23 @@ The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
 every weight kind, n <= 40, s <= 8, a path and a cycle with one weight
 diag(1, r): r = 1e-10, symmetric with positive eigenvalues but below the
-1e-9 rank cutoff, and r = 1e-13, and a 5-path and a 5-cycle with every
+1e-9 rank cutoff, and r = 1e-13, a 5-path and a 5-cycle with every
 weight c diag(1, 2), c = 1e-9 and 1e-12, whose g-inverse records once
-failed on rounding of a fixed scale.  For each graph, in the order of one
-benchmark op, it hashes each suite record on its own line (labelled
-``suite/<record name>``, with the record's status before the hash), the
-determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
-the rank-deficient weighting, and the eigenvalues of L that the suite's
-spectrum checks read from the graph's analysis (graphs whose weights are
-not all SPD have no such eigenvalues and hash their NotSPDError); an
-output that raises is hashed as its exception type and message, on one
-line.  Floats are hashed by their bits, so two runs, or
-two commits, that print the same lines gave the same bytes.  Comparing
-the output of a parent commit with that of a change shows whether the
-change moved any result, which records it moved, and which of them
-changed status.
+failed on rounding of a fixed scale, and c = 2^600 and 2^-600, whose
+g-inverse norms once overflowed or underflowed, and a 3-path with the
+weight 2^-1060 [[1, 2], [-0.5, 1]], whose asymmetry is subnormal.  For
+each graph, in the order of one benchmark op, it hashes each suite
+record on its own line (labelled ``suite/<record name>``, with the
+record's status before the hash), the determinant, D^{-1}, the rank
+probe, D, L, Q, the invertibility verdict, the rank-deficient weighting,
+and the eigenvalues of L that the suite's spectrum checks read from the
+graph's analysis (graphs whose weights are not all SPD have no such
+eigenvalues and hash their NotSPDError); an output that raises is hashed
+as its exception type and message, on one line.  Floats are hashed by
+their bits, so two runs, or two commits, that print the same lines gave
+the same bytes.  Comparing the output of a parent commit with that of a
+change shows whether the change moved any result, which records it
+moved, and which of them changed status.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ def corpus():
                mw.path_graph(3, 2, [weight, np.eye(2)]))
         yield (f"cycle_4_2_ratio_{ratio:g}",
                mw.cycle_graph(4, 2, [weight] + [np.eye(2)] * 3))
-    for c in (1e-9, 1e-12):
+    for c in (1e-9, 1e-12, 2.0 ** 600, 2.0 ** -600):
         weight = c * np.diag([1.0, 2.0])
         yield f"path_5_2_scale_{c:g}", mw.path_graph(5, 2, [weight] * 4)
         yield f"cycle_5_2_scale_{c:g}", mw.cycle_graph(5, 2, [weight] * 5)
+    asymmetric = np.ldexp(np.array([[1.0, 2.0], [-0.5, 1.0]]), -1060)
+    yield ("path_3_2_subnormal_asymmetric",
+           mw.path_graph(3, 2, [asymmetric, np.eye(2)]))
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
