@@ -31,9 +31,10 @@ padded with zeros.  Every g-inverse of L is G_r + Z U + V Z^T, Z = 1_n
 kron I_s / sqrt(n), and the pair contractions the checks compare cancel
 the null terms Z U + V Z^T exactly, so G_r stands for the whole family.
 On a tree G_r has a closed form in the edge weights (see
-:func:`~mwtrees.operators.tree_g_inverse_data`); on other graphs it is one
-LU inverse of the grounded L.  The invariance check compares G_r at two
-roots on every graph: no SVD, projector or (n s)^3 product.  The
+:func:`~mwtrees.operators.tree_g_inverse_data`); on other graphs it comes
+from one Cholesky factorization of the grounded L (see
+:meth:`_Analysis._grounded_inverse`).  The invariance check compares G_r
+at two roots on every graph: no SVD, projector or LU inverse.  The
 two (n s) x (n s) decompositions of an SPD tree's suite are ``eigvalsh``
 of D, for inertia and interlacing, and of the symmetric part of L, for
 interlacing.  One preorder layout of the tree serves D, G_r and the rank
@@ -92,6 +93,8 @@ from .linalg import (
     inverse,
     numerical_rank,
     sign_log_determinant,
+    sign_log_determinants,
+    spd_inverse,
     spd_inverse_sqrts,
     symmetric_eigenvalues,
 )
@@ -203,7 +206,7 @@ class _Analysis:
     On a tree one preorder layout serves D, the grounded g-inverses and
     the rank certificate, the g-inverses are built in closed form and
     ``eigvalsh`` gives the spectrum of L; on other graphs each g-inverse is
-    an LU inverse of L grounded.
+    the Cholesky inverse of L grounded.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -319,18 +322,30 @@ class _Analysis:
             "inverting the grounded Laplacian overflows"), self.g.s)
 
     def _grounded_inverse(self, root: int) -> np.ndarray:
-        """G_root off trees, from one LU inverse of the grounded L with no
-        rank test, which would cost more: connected SPD weights make it SPD.
-        SingularMatrixError on a zero pivot."""
-        n, s = self.g.n, self.g.s
-        keep = np.r_[:(root - 1) * s, root * s:n * s]
-        grid = np.ix_(keep, keep)
-        data = np.zeros((n * s, n * s))
+        """G_root off trees: :func:`~mwtrees.linalg.spd_inverse` of the
+        symmetric part of L with the root's block row and column zeroed
+        and I_s on its diagonal block, zeroed again after.  The zeros stay
+        exact through the factorization and the products, so no other
+        index is gathered or scattered.  The symmetric part, not one
+        triangle: L and L^T differ by the asymmetry of the inverse weights,
+        so one triangle's block row sums are that far from zero, and
+        cond(L) amplifies it in G_root.  No rank test, which would cost
+        more: connected SPD weights make the grounded L SPD.
+        SingularMatrixError on a pivot that is not positive to working
+        precision."""
+        s = self.g.s
+        block = slice((root - 1) * s, root * s)
+        lap = self.laplacian
+        grounded = 0.5 * (lap + lap.T)
+        grounded[block] = 0.0
+        grounded[:, block] = 0.0
+        grounded[block, block] = np.eye(s)
         try:
-            data[grid] = np.linalg.inv(self.laplacian[grid])
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError("the grounded Laplacian is singular to "
-                                      "working precision") from None
+            data = spd_inverse(grounded)
+        except SingularMatrixError:
+            raise SingularMatrixError("the grounded Laplacian is not positive "
+                                      "definite to working precision") from None
+        data[block, block] = 0.0
         return data
 
     @cached_property
@@ -456,13 +471,15 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     of the edge-weight determinants times the determinant of the weight sum,
     so it costs one small determinant per edge instead of an (n s)^3
     factorization; those of the edge weights come from one batched
-    ``slogdet``.  Sign 0.0 means the distance matrix is singular.
+    ``slogdet``, of each weight scaled into range where it is subnormal or
+    huge (see :func:`~mwtrees.linalg.sign_log_determinants`).  Sign 0.0
+    means the distance matrix is singular.
     """
     a = _analysis(g)
     require_tree(g)
     sign = -1.0 if ((g.n - 1) * g.s) % 2 else 1.0
     log_abs = (g.n - 2) * g.s * math.log(2.0)
-    signs, logs = np.linalg.slogdet(weight_stack(g))
+    signs, logs = sign_log_determinants(weight_stack(g))
     # accumulated in edge order, then R, as one edge at a time would
     factors = [*zip(signs.tolist(), logs.tolist()),
                sign_log_determinant(a.weight_sum)]

@@ -5,16 +5,19 @@ backend.  Rank, symmetry and definiteness decisions are made with relative
 thresholds so they behave the same across scales.  The rank cutoff below
 can be overridden per call; the symmetry and zero cutoffs are fixed.  A square matrix is singular exactly when its
 :func:`numerical_rank` falls short of its order: :func:`inverse` and every
-invertibility check use that one test.
+invertibility check use that one test.  :func:`spd_inverse`, for a matrix
+positive definite by construction, takes no rank test: a Cholesky pivot
+within rounding of zero raises instead.
 
 The per-edge tests come in stacked form: :func:`numerical_ranks`,
-:func:`inverses` and :func:`spd_inverse_sqrts` take an ``(m, r, c)`` stack
-and make one batched LAPACK call for all of it.  numpy's linalg routines
-factor each member of a stack on its own, so every member gets the bits a
-call on it alone would give.  :func:`inverse` and :func:`numerical_rank`
-are stacks of one over the same code.  Symmetry is not a test of its own:
-:func:`symmetric_eigenvalues` and :func:`spd_inverse_sqrts` reject an
-asymmetric input.
+:func:`inverses`, :func:`sign_log_determinants` and
+:func:`spd_inverse_sqrts` take an ``(m, r, c)`` stack and make one
+batched LAPACK call for all of it.  numpy's linalg routines factor each
+member of a stack on its own, so every member gets the bits a call on it
+alone would give.  :func:`inverse`, :func:`numerical_rank` and
+:func:`sign_log_determinant` are stacks of one over the same code.
+Symmetry is not a test of its own: :func:`symmetric_eigenvalues` and
+:func:`spd_inverse_sqrts` reject an asymmetric input.
 """
 
 from __future__ import annotations
@@ -55,18 +58,29 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
-def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a stack, at any scale: one dot
-    product per member (numpy's ``norm``'s) of the member times the
-    power of two that brings its largest ``|entry|`` into [1/2, 1), scaled
-    back, all exact; or, with numpy's bits and no copy, of the member
-    itself if that entry is within 2^±480: its sum of squares is in range."""
+def _binade_scaled(stack: np.ndarray):
+    """``(scaled, power)``: each member of a stack times ``2^-power``, the
+    power of two that brings its largest ``|entry|`` into [1/2, 1), which
+    is exact; but with ``power`` 0 where that entry is within 2^±480, and
+    with the stack itself, no copy, where every member's is."""
     rows = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     fast = np.asfortranarray(rows)   # the members along the fast axis
     top = np.maximum(fast.max(1, initial=0.0), -fast.min(1, initial=0.0))
     power = np.frexp(top)[1]
     power[abs(power) < 480] = 0
-    rows = (np.ldexp(rows, -power[:, None]) if power.any() else rows)[:, None]
+    if power.any():
+        stack = np.ldexp(stack, -power.reshape(-1, *[1] * (stack.ndim - 1)))
+    return stack, power
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a stack, at any scale: one dot
+    product per member (numpy's ``norm``'s) of the member as
+    :func:`_binade_scaled` scales it, so that its sum of squares is in
+    range, scaled back; numpy's bits, with no copy, where no member is
+    scaled."""
+    scaled, power = _binade_scaled(stack)
+    rows = scaled.reshape(len(stack), math.prod(stack.shape[1:]))[:, None]
     return np.ldexp(np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel(), power)
 
 
@@ -110,6 +124,54 @@ def inverses(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     )
 
 
+def spd_inverse(a) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, as LAPACK's
+    ``xPOTRI`` forms it, in about half the flops of an LU inverse: the
+    Cholesky factor C of the lower triangle, Y = C^-1 by
+    :func:`_lower_inverse`, then ``Y.T @ Y``, which numpy computes as a
+    ``syrk``, so the result is exactly symmetric.  The upper triangle is
+    not read.  A pivot that is not positive, or that is within the
+    factorization's rounding of zero, raises SingularMatrixError; no rank
+    test is made.
+    """
+    m = as_matrix(a)
+    _require_square(m)
+    try:
+        factor = np.linalg.cholesky(m)
+        # the factor's backward error moves a_jj by up to about N eps a_jj,
+        # so a smaller pivot c_jj^2 could as well be zero
+        positive = (np.diagonal(factor) ** 2
+                    > len(m) * np.finfo(float).eps * np.diagonal(m)).all()
+    except np.linalg.LinAlgError:
+        positive = False
+    if not positive:
+        raise SingularMatrixError("matrix is not positive definite to "
+                                  "working precision")
+    y = _lower_inverse(factor)
+    return y.T @ y
+
+
+#: Order up to which :func:`_lower_inverse` takes numpy's LU inverse.
+_TRIANGLE_LEAF = 64
+
+
+def _lower_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower triangle, by splitting it in two:
+    ``[[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]]``, so every
+    product is a GEMM; up to order ``_TRIANGLE_LEAF``, the lower triangle
+    of ``np.linalg.inv``'s inverse, whose row swaps leave rounding above
+    the diagonal."""
+    n = len(c)
+    if n <= _TRIANGLE_LEAF:
+        return np.tril(np.linalg.inv(c))
+    k = n // 2
+    y = np.zeros_like(c)
+    top = y[:k, :k] = _lower_inverse(c[:k, :k])
+    bottom = y[k:, k:] = _lower_inverse(c[k:, k:])
+    np.negative(bottom @ (c[k:, :k] @ top), out=y[k:, :k])
+    return y
+
+
 def sign_log_determinant(a) -> tuple[float, float]:
     """Return ``(sign, log|det|)``; sign is 0.0 when the input is singular.
 
@@ -118,8 +180,19 @@ def sign_log_determinant(a) -> tuple[float, float]:
     """
     m = as_matrix(a)
     _require_square(m)
-    sign, logabs = np.linalg.slogdet(m)
-    return float(sign), float(logabs)
+    signs, logs = sign_log_determinants(m[None])
+    return float(signs[0]), float(logs[0])
+
+
+def sign_log_determinants(stack: np.ndarray):
+    """``(signs, log|det|s)`` of each member of a square stack, from one
+    batched ``slogdet`` of the stack as :func:`_binade_scaled` scales it,
+    with each member's ``N power ln 2`` added back: LU pivots of subnormal
+    or huge entries lose bits or leave float range, those of the scaled
+    member do not.  Members within 2^±480 get ``slogdet``'s bits."""
+    m, power = _binade_scaled(stack)
+    signs, logs = np.linalg.slogdet(m)
+    return signs, logs + m.shape[-1] * power * math.log(2.0)
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:

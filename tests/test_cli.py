@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from mwtrees.cli import main
 from mwtrees.formats import dumps_graph, input_digest, load_graph
-from mwtrees.gallery import path4_block2, path_graph
+from mwtrees.gallery import path4_block2, path_graph, star_graph
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
 from mwtrees.closedforms import distance_matrix, laplacian
 
@@ -213,13 +214,22 @@ def test_det_singular_case(capsys, tmp_path):
     assert statuses["determinant_logmag"] == "SKIPPED"
 
 
-def test_det_of_an_underflowing_factorization_skips_the_magnitude(
-    capsys, tmp_path
+@pytest.mark.parametrize("shape", ["path-1e-310", "star-2^-1060"])
+def test_det_of_subnormal_weights_compares_the_magnitude(
+    capsys, tmp_path, shape
 ):
-    # weights 1e-310 I: the closed form's log|det| is finite, slogdet of D
-    # underflows to -inf.  The magnitude record is SKIPPED with the cause,
-    # numpy stays silent and stdout is strict JSON (no NaN residual)
-    g = path_graph(5, 2, [1e-310 * np.eye(2)] * 4)
+    # a 5-path with weights 1e-310 I, log|det D| = 10 ln(2e-310), and a
+    # 5-star with weights 2^-1060 [[1, 2], [-0.5, 1]], log|det D| =
+    # -10585 ln 2: D's LU pivots underflowed, until the factorization took
+    # D scaled by a power of two.  Both records pass against the exact
+    # value, numpy stays silent and stdout is strict JSON
+    if shape.startswith("path"):
+        g = path_graph(5, 2, [1e-310 * np.eye(2)] * 4)
+        exact = 10 * math.log(2e-310)
+    else:
+        w = np.ldexp(np.array([[1.0, 2.0], [-0.5, 1.0]]), -1060)
+        g = star_graph(5, 2, [w] * 4)
+        exact = -10585 * math.log(2.0)
     path = tmp_path / "tiny.json"
     path.write_text(dumps_graph(g))
 
@@ -231,10 +241,11 @@ def test_det_of_an_underflowing_factorization_skips_the_magnitude(
         code, out, err = run_cli(capsys, "det", str(path))
     assert code == 0 and err == ""
     report = json.loads(out, parse_constant=refuse)
-    checks = {c["name"]: c for c in report["checks"]}
-    assert checks["determinant_sign"]["status"] == "PASS"
-    assert checks["determinant_logmag"]["status"] == "SKIPPED"
-    assert "underflow" in checks["determinant_logmag"]["detail"]
+    assert report["sign"] == 1.0
+    assert report["log_abs_determinant"] == pytest.approx(exact, rel=1e-14)
+    checks = {c["name"]: c["status"] for c in report["checks"]}
+    assert checks == {"determinant_sign": "PASS",
+                      "determinant_logmag": "PASS"}
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-310])

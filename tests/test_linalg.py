@@ -20,11 +20,13 @@ from mwtrees.linalg import (
     numerical_ranks,
     pseudo_inverse,
     sign_log_determinant,
+    sign_log_determinants,
+    spd_inverse,
     spd_inverse_sqrts,
     symmetric_eigenvalues,
 )
 
-from conftest import conditioned_matrix
+from conftest import conditioned_matrix, graded_spd
 
 # Scalar path on 3 vertices: distance matrix and Laplacian worked out by hand.
 PATH3_D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -97,6 +99,54 @@ def test_sign_log_determinant_matches_determinant():
     sign, log_abs = sign_log_determinant(m)
     assert sign * math.exp(log_abs) == pytest.approx(np.linalg.det(m),
                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-1060, -600, 600, 1000])
+def test_sign_log_determinants_scale_members_beyond_range(k):
+    # 2^k M has log|det| = log|det M| + 3 k ln 2; slogdet of the subnormal
+    # or huge member itself loses bits or leaves float range.  The
+    # members within 2^+-480 keep slogdet's bits.
+    rng = np.random.default_rng(6)
+    scaled = rng.standard_normal((4, 3, 3))
+    scaled[1:3] = np.ldexp(scaled[1:3], k)
+    # 2^-k times the (rounded) scaled members is exact
+    signs, logs = np.linalg.slogdet(
+        np.ldexp(scaled, np.array([0, -k, -k, 0])[:, None, None]))
+    got_signs, got_logs = sign_log_determinants(scaled)
+    assert np.array_equal(got_signs, signs)
+    assert got_logs[[0, 3]].tolist() == logs[[0, 3]].tolist()
+    assert got_logs[1:3] == pytest.approx(logs[1:3] + 3 * k * math.log(2.0),
+                                          rel=1e-14)
+    assert sign_log_determinant(scaled[1]) == (got_signs[1], got_logs[1])
+
+
+@pytest.mark.parametrize("order", [1, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("ratio", [1.0, 1e-4, 1e-8])
+def test_spd_inverse_matches_the_lu_inverse(order, ratio):
+    # on either side of the order at which the triangle's halves stop
+    # splitting, within N eps cond of the LU inverse, exactly symmetric;
+    # the upper triangle is not read
+    eps = np.finfo(float).eps
+    a = graded_spd(order, ratio, np.random.default_rng(order))
+    h = spd_inverse(a)
+    lu = np.linalg.inv(a)
+    cond = np.linalg.cond(a)
+    assert np.linalg.norm(h - lu) <= order * eps * cond * np.linalg.norm(lu)
+    assert np.array_equal(h, h.T)
+    rubbish = np.triu(np.random.default_rng(0).standard_normal(a.shape), 1)
+    assert np.array_equal(spd_inverse(np.tril(a) + rubbish), h)
+
+
+def test_spd_inverse_rejects_what_is_not_positive_definite():
+    # indefinite, singular, and a pivot c_jj^2 = eps a_jj that is pure
+    # rounding: the grounded Laplacian of a triangle with inverse weights
+    # 1, 1 and -1/2, whose determinant is 0
+    for a in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 2)),
+              np.array([[2.0, -1.0], [-1.0, 0.5]])):
+        with pytest.raises(SingularMatrixError, match="positive definite"):
+            spd_inverse(a)
+    with pytest.raises(ValueError):
+        spd_inverse(np.ones((2, 3)))
 
 
 def test_symmetric_eigenvalues_path3():

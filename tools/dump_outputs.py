@@ -3,7 +3,10 @@
 Usage, from the root of a source checkout (the package is imported from
 ``src`` next to this file)::
 
-    python3 tools/dump_outputs.py > outputs.txt
+    python3 -W error::RuntimeWarning tools/dump_outputs.py > outputs.txt
+
+With ``-W error``, a numpy warning that escapes the library stops the
+dump with its traceback; without it, the warning goes to stderr.
 
 The corpus is about 300 graphs from :mod:`mwtrees.gallery` and the seeded
 generators of :mod:`mwtrees.generators`: trees and connected non-trees of
@@ -12,20 +15,21 @@ diag(1, r): r = 1e-10, symmetric with positive eigenvalues but below the
 1e-9 rank cutoff, and r = 1e-13, a 5-path and a 5-cycle with every
 weight c diag(1, 2), c = 1e-9 and 1e-12, whose g-inverse records once
 failed on rounding of a fixed scale, and c = 2^600 and 2^-600, whose
-g-inverse norms once overflowed or underflowed, and a 3-path with the
-weight 2^-1060 [[1, 2], [-0.5, 1]], whose asymmetry is subnormal.  For
-each graph, in the order of one benchmark op, it hashes each suite
-record on its own line (labelled ``suite/<record name>``, with the
-record's status before the hash), the determinant, D^{-1}, the rank
-probe, D, L, Q, the invertibility verdict, the rank-deficient weighting,
-and the eigenvalues of L that the suite's spectrum checks read from the
-graph's analysis (graphs whose weights are not all SPD have no such
-eigenvalues and hash their NotSPDError); an output that raises is hashed
-as its exception type and message, on one line.  Floats are hashed by
-their bits, so two runs, or two commits, that print the same lines gave
-the same bytes.  Comparing the output of a parent commit with that of a
-change shows whether the change moved any result, which records it
-moved, and which of them changed status.
+g-inverse norms once overflowed or underflowed, a 3-path with the weight
+2^-1060 [[1, 2], [-0.5, 1]], whose asymmetry is subnormal, and a 5-star
+with that weight on every edge, whose determinant once lost a factor 2
+on each subnormal weight.  For each graph, in the order of one benchmark
+op, it hashes each suite record on its own line (labelled
+``suite/<record name>``, with the record's status before the hash), the
+determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
+the rank-deficient weighting, and the eigenvalues of L that the suite's
+spectrum checks read from the graph's analysis (graphs whose weights are
+not all SPD have no such eigenvalues and hash their NotSPDError); an
+output that raises is hashed as its exception type and message, on one
+line.  Floats are hashed by their bits, so two runs, or two commits, that
+print the same lines gave the same bytes.  Comparing the output of a
+parent commit with that of a change shows whether the change moved any
+result, which records it moved, and which of them changed status.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ def corpus():
     asymmetric = np.ldexp(np.array([[1.0, 2.0], [-0.5, 1.0]]), -1060)
     yield ("path_3_2_subnormal_asymmetric",
            mw.path_graph(3, 2, [asymmetric, np.eye(2)]))
+    yield "star_5_2_subnormal_asymmetric", mw.star_graph(5, 2, [asymmetric] * 4)
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
@@ -121,6 +126,8 @@ def main() -> None:
         for label, compute in outputs(g):
             try:
                 lines = canonical_lines(label, compute())
+            except Warning:   # raised under -W error: a fault, not an output
+                raise
             except Exception as exc:  # a refusal is an output too
                 lines = [(label,
                           f"raised {type(exc).__name__}: {exc}".encode())]
@@ -129,5 +136,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    with np.errstate(all="ignore"):
-        main()
+    main()
