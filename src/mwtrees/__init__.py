@@ -44,7 +44,6 @@ from .errors import (
     GraphFileError,
     IsATreeError,
     MWTreesError,
-    NoBridgelessEdgeError,
     NonFiniteError,
     NotATreeError,
     NotConnectedError,

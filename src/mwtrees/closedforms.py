@@ -7,48 +7,16 @@ Laplacian.  This module computes those expressions, checks the identities
 numerically, and probes the rank, inertia, interlacing and generalized-
 inverse properties that hold alongside them.
 
-Every public function works on the one :class:`_Analysis` that its graph
-object keeps, built on the first call: the structure is validated once, and
-D, L, the weight sum R and R^-1, the SPD flag and Q's inverse square roots,
-the invertibility and the rank-deficient weighting are each built at most
-once, on first use, and shared read-only.  The builders
-:func:`distance_matrix`, :func:`laplacian` and :func:`incidence_matrix`
-return those arrays as read-only views (``.data.copy()`` gives a writable
-one).  A D, R, L, inverse weight or g-inverse beyond float range raises
-NonFiniteError, and the suite SKIPs the checks that need it.  So
-:func:`verification_suite`, then :func:`distance_determinant_sign_log`,
-:func:`distance_inverse` and the builders on the same graph build D and L
-once between them.  The per-edge facts (the rank, determinant and inverse
-of each weight, the reweightings of the rank probe) come from one stacked
-call per graph, not one call per edge.
-
-The identity checks form two (n s)^3 products, L D and D L, and check the
-other identities on seeded Gaussian probes (see :func:`verify_identities`).
-
-The g-inverse checks read grounded inverses G_r of L: L with the block
-row and column of a root r drawn from the seed deleted, inverted and
-padded with zeros.  Every g-inverse of L is G_r + Z U + V Z^T, Z = 1_n
-kron I_s / sqrt(n), and the pair contractions the checks compare cancel
-the null terms Z U + V Z^T exactly, so G_r stands for the whole family.
-On a tree G_r has a closed form in the edge weights (see
-:func:`~mwtrees.operators.tree_g_inverse_data`); on other graphs it comes
-from one Cholesky factorization of the grounded L (see
-:meth:`_Analysis._grounded_inverse`).  The invariance check compares G_r
-at two roots on every graph: no SVD, projector or LU inverse.  The
-two (n s) x (n s) decompositions of an SPD tree's suite are ``eigvalsh``
-of D, for inertia and interlacing, and of the symmetric part of L, for
-interlacing.  One preorder layout of the tree serves D, G_r and the rank
-certificate.
-
-The rank probe of a tree decides each Laplacian rank, that of L included,
-without an SVD where it can: the Laplacian grounded at vertex 1 has an
-inverse in closed form, whose residual bounds the smallest nonzero
-singular value from below, and the block row sums bound the null ones
-from above.  Both, and the norms they need, come from the m edge blocks
-in O(m s^3) plus prefix sums down the tree; no (n s) x (n s) matrix is
-built.  When the bounds clear the tolerance with a margin for rounding and
-LAPACK's own error, the rank is certified; otherwise the SVD computes it.
-Either way it is the rank the SVD gives.
+Every public function reads the one :class:`_Analysis` that its graph
+object keeps: D, L and the other arrays the checks share are built at most
+once, read-only, and the per-edge facts from one stacked call per graph.  A
+matrix beyond float range raises NonFiniteError, and the suite SKIPs the
+checks that need it.  :func:`verify_identities` forms L D and D L and
+estimates the other identities on seeded Gaussian probes, the g-inverse
+checks read grounded inverses (:meth:`_Analysis.g_inverse`), and the rank
+probe certifies a tree's Laplacian ranks from its edge blocks where it can
+(:func:`_tree_rank`).  The Architecture section of the README shows how
+these fit together.
 """
 
 from __future__ import annotations
@@ -64,7 +32,6 @@ import numpy as np
 from .errors import (
     IsATreeError,
     MWTreesError,
-    NoBridgelessEdgeError,
     NonFiniteError,
     NotConnectedError,
     NotInvertibleError,
@@ -92,7 +59,6 @@ from .linalg import (
     inertia_of,
     inverse,
     numerical_rank,
-    sign_log_determinant,
     sign_log_determinants,
     spd_inverse,
     spd_inverse_sqrts,
@@ -133,9 +99,9 @@ _GINVERSE_REL_TOL = 1e-7
 #: Slack of the interlacing check, times the largest eigenvalue magnitude.
 _INTERLACING_SLACK = 1e-8
 
-#: Largest condition number of the rank probe's random nonsingular draws:
-#: far below 1 / DEFAULT_RANK_TOL, so each draw is inverted without a rank
-#: test.
+#: Bound on the condition number of the rank probe's reweightings, built
+#: with their singular values in [cap^-1/2, cap^1/2]: far below
+#: 1 / DEFAULT_RANK_TOL, so each is nonsingular at the rank cutoff.
 _PROBE_CONDITION_CAP = 1e4
 
 
@@ -374,8 +340,6 @@ class _Analysis:
             )
         bridges = _bridge_indices(g)
         candidates = [k for k in range(g.m) if k not in bridges]
-        if not candidates:
-            raise NoBridgelessEdgeError("every edge is a bridge")
         deg = degrees(g)
         best = max(
             candidates,
@@ -479,11 +443,10 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     require_tree(g)
     sign = -1.0 if ((g.n - 1) * g.s) % 2 else 1.0
     log_abs = (g.n - 2) * g.s * math.log(2.0)
-    signs, logs = sign_log_determinants(weight_stack(g))
-    # accumulated in edge order, then R, as one edge at a time would
-    factors = [*zip(signs.tolist(), logs.tolist()),
-               sign_log_determinant(a.weight_sum)]
-    for es, el in factors:
+    # the weights in edge order, then R, each member factored on its own
+    signs, logs = sign_log_determinants(
+        np.concatenate([weight_stack(g), a.weight_sum[None]]))
+    for es, el in zip(signs.tolist(), logs.tolist()):
         sign *= es
         log_abs += el
     if sign == 0.0:
@@ -767,8 +730,6 @@ def interlacing_check(g: MatrixWeightedGraph) -> InterlacingReport:
     mu = a.distance_eigenvalues
     lam = a.laplacian_eigenvalues
     k = (n - 1) * s
-    if k == 0:
-        return InterlacingReport(mu, lam, np.zeros((0, 3)), 0.0, 0.0, True, n, s)
     lower = mu[s : s + k]
     upper = mu[:k]
     mid = -2.0 / lam[:k]
@@ -776,7 +737,7 @@ def interlacing_check(g: MatrixWeightedGraph) -> InterlacingReport:
     scale = max(float(np.max(np.abs(mu))), float(np.max(np.abs(lam))))
     slack = _INTERLACING_SLACK * scale
     overshoot = np.maximum(lower - mid, mid - upper)
-    worst = max(0.0, float(np.max(overshoot)))
+    worst = float(np.max(overshoot, initial=0.0))
     return InterlacingReport(mu, lam, triples, slack, worst, worst <= slack, n, s)
 
 
@@ -878,30 +839,37 @@ def rank_characterization_probe(
     0``).  A connected non-tree always admits a scalar weighting with
     deficient rank, which the probe exhibits.
 
-    The ranks are the SVD ranks at ``rel_tol``.  On a tree each is
-    certified without an SVD when the closed-form bounds of the module
-    docstring decide it, and computed by one when they do not, as with a
-    ``rel_tol`` near machine precision or near the smallest nonzero
-    singular value.  The first, that of L, reads the inverse weights L was
-    built from; the draws, of condition number at most
-    ``_PROBE_CONDITION_CAP``, are inverted without a rank test.
-    """
-    from .generators import random_nonsingular_stack
+    Reweighting t gives edge k the draw ``W = U diag(sigma) V^T`` and the
+    Laplacian block ``V diag(1 / sigma) U^T = W^-1``: from
+    ``default_rng(seed)``, U and V are the Q factors of two ``(trials, m,
+    s, s)`` standard normal stacks, drawn in that order, and sigma is
+    log-uniform on ``[cap^-1/2, cap^1/2]``, cap =
+    ``_PROBE_CONDITION_CAP``, as :func:`~mwtrees.generators.random_spd`
+    draws its spectrum.  So every draw is nonsingular with cond(W) <= cap
+    by construction, and none is rejected, decomposed or inverted.
 
+    The ranks are the SVD ranks at ``rel_tol``: each certified without an
+    SVD when the closed-form bounds of :func:`_tree_rank` decide it, as they
+    do at the default tolerance, and computed by one when they do not, as
+    with a ``rel_tol`` near machine precision or near the smallest nonzero
+    singular value.  The first, that of L, reads the inverse weights L was
+    built from.
+    """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     a = _analysis(g)
     if a.tree:
         full = (g.n - 1) * g.s
-        sets = [(weight_stack(g), a.weight_inverses)]   # L itself
-        # trial t, edge k gets the (t m + k)-th random_nonsingular draw
-        draws = random_nonsingular_stack(
-            trials * g.m, g.s, _PROBE_CONDITION_CAP,
-            np.random.default_rng(seed)
-        ).reshape(trials, g.m, g.s, g.s)
-        sets += zip(draws, np.linalg.inv(draws))
-        tree = a.layout if g.n > 1 else None
-        ranks = [_tree_rank(g, tree, w, b, rel_tol) for w, b in sets]
+        rng = np.random.default_rng(seed)
+        shape = (trials, g.m, g.s, g.s)
+        u = np.linalg.qr(rng.standard_normal(shape))[0]
+        v = np.linalg.qr(rng.standard_normal(shape))[0]
+        half = 0.5 * math.log(_PROBE_CONDITION_CAP)
+        sigma = np.exp(rng.uniform(-half, half, size=shape[:-1]))[..., None, :]
+        draws = (u * sigma) @ v.swapaxes(-1, -2)
+        blocks = (v / sigma) @ u.swapaxes(-1, -2)
+        sets = [(weight_stack(g), a.weight_inverses), *zip(draws, blocks)]
+        ranks = [_tree_rank(g, a.layout, w, b, rel_tol) for w, b in sets]
         return RankProbe(
             branch="tree",
             full_rank=full,
@@ -921,12 +889,12 @@ def rank_characterization_probe(
     )
 
 
-def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout | None,
+def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout,
                weights: np.ndarray, blocks: np.ndarray, rel_tol: float) -> int:
     """``numerical_rank(block_laplacian(g, blocks), rel_tol)`` for a tree g
     whose blocks invert its ``weights``, certified from the m edge blocks
     where it can be, computed by one SVD where it cannot (NonFiniteError
-    if that L overflows); ``tree`` is the layout of g, None when n = 1.
+    if that L overflows); ``tree`` is the layout of g.
 
     With N = n s, L = ``block_laplacian(g, blocks)``, K its block grounded
     at vertex 1 and ``||X||`` the bound ``sqrt(||X||_1 ||X||_inf)`` on the
@@ -956,10 +924,11 @@ def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout | None,
     C_x err by at most (s + 2) eps times entries of |K| |G|.  Both stay far
     inside ``_CERTIFICATE_SAFETY N eps ||K|| ||G||``, as does LAPACK's
     error.  Path sums that overflow give inf or NaN bounds: the SVD decides.
+    One vertex has no K and a zero L, so every bound is 0 and the rank
+    certified is 0, the SVD's.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if tree and _certifies(g, _tree_bounds(g, tree, weights, blocks),
-                               rel_tol):
+        if _certifies(g, _tree_bounds(g, tree, weights, blocks), rel_tol):
             return (g.n - 1) * g.s
     return numerical_rank(_finite(lambda: block_laplacian(g, blocks),
                                   "the Laplacian",

@@ -73,10 +73,6 @@ class NotInvertibleError(MWTreesError):
         self.reason = reason or message
 
 
-class NoBridgelessEdgeError(MWTreesError):
-    """Every edge of the graph is a bridge, so no cycle edge can be marked."""
-
-
 class BadConfigError(MWTreesError):
     """A generator configuration is out of its documented domain."""
 

@@ -87,42 +87,18 @@ def random_nonsingular(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray
     """Random s x s invertible matrix, generally asymmetric.
 
     Entries are uniform(-1, 1); draws with tiny determinant or condition
-    number above ``condition_cap`` are rejected and retried.
+    number above ``condition_cap`` are rejected and retried, up to
+    ``_MAX_REDRAWS`` draws in all (BadConfigError after that).
     """
-    return random_nonsingular_stack(1, s, condition_cap, _as_rng(seed))[0]
-
-
-def random_nonsingular_stack(count: int, s: int, condition_cap: float,
-                             rng: np.random.Generator) -> np.ndarray:
-    """``count`` draws of :func:`random_nonsingular` from ``rng``, made and
-    tested in batches.
-
-    A candidate is redrawn while it is rejected; after ``_MAX_REDRAWS``
-    rejections in a row it raises BadConfigError.  Each batch holds as many
-    candidates as matrices are still missing, so the result, the error and
-    the final state of ``rng`` are those of ``count`` successive calls.
-    """
-    out, misses = [], 0
-    while len(out) < count:
-        batch = rng.uniform(-1.0, 1.0, size=(count - len(out), s, s))
-        for w, ok in zip(batch, _well_conditioned(batch, condition_cap)):
-            if ok:
-                out.append(w)
-                misses = 0
-            else:
-                misses += 1
-                if misses == _MAX_REDRAWS:
-                    raise BadConfigError(
-                        f"could not draw a well-conditioned {s}x{s} matrix "
-                        f"(cap {condition_cap:g})"
-                    )
-    return np.array(out).reshape(count, s, s)
-
-
-def _well_conditioned(w: np.ndarray, condition_cap: float) -> np.ndarray:
-    """Which members of a stack :func:`random_nonsingular` accepts."""
-    return ((np.abs(np.linalg.det(w)) >= 0.05)
-            & (np.linalg.cond(w) <= condition_cap))
+    rng = _as_rng(seed)
+    for _ in range(_MAX_REDRAWS):
+        w = rng.uniform(-1.0, 1.0, size=(s, s))
+        if abs(np.linalg.det(w)) >= 0.05 and np.linalg.cond(w) <= condition_cap:
+            return w
+    raise BadConfigError(
+        f"could not draw a well-conditioned {s}x{s} matrix "
+        f"(cap {condition_cap:g})"
+    )
 
 
 def _random_weight(kind: WeightKind, s: int, cap: float,

@@ -38,6 +38,27 @@ def graded_spd(s: int, ratio: float, rng) -> np.ndarray:
     return (q * np.geomspace(1.0, ratio, s)) @ q.T * 10.0 ** rng.uniform(-1, 1)
 
 
+def probe_reweightings(m: int, s: int, trials: int,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws W = U diag(sigma) V^T of the rank probe's reweightings and
+    their blocks V diag(1 / sigma) U^T, each of shape ``(trials, m, s, s)``,
+    built one draw at a time: from ``default_rng(seed)``, the normals of
+    every U, then those of every V, then every sigma, log-uniform on
+    [cap^-1/2, cap^1/2] for the probe's condition cap."""
+    from mwtrees.closedforms import _PROBE_CONDITION_CAP
+
+    rng = np.random.default_rng(seed)
+    count = trials * m
+    us = [np.linalg.qr(rng.standard_normal((s, s)))[0] for _ in range(count)]
+    vs = [np.linalg.qr(rng.standard_normal((s, s)))[0] for _ in range(count)]
+    half = 0.5 * math.log(_PROBE_CONDITION_CAP)
+    sigmas = [np.exp(rng.uniform(-half, half, size=s)) for _ in range(count)]
+    draws = [(u * sigma) @ v.T for u, v, sigma in zip(us, vs, sigmas)]
+    blocks = [(v / sigma) @ u.T for u, v, sigma in zip(us, vs, sigmas)]
+    shape = (trials, m, s, s)
+    return np.reshape(draws, shape), np.reshape(blocks, shape)
+
+
 def grounded_inverse_oracle(g, weights: np.ndarray) -> np.ndarray:
     """The dense inverse, in exact arithmetic, of the Laplacian of the tree
     ``g`` with blocks ``inv(weights[k])``, grounded at vertex 1.

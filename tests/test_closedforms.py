@@ -48,7 +48,6 @@ from mwtrees.generators import (
     WeightKind,
     random_connected_nontree,
     random_nonsingular,
-    random_nonsingular_stack,
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph
@@ -70,6 +69,7 @@ from conftest import (
     distance_inverse_factored,
     graded_spd,
     grounded_inverse_oracle,
+    probe_reweightings,
     spanning_tree_oracle,
     svd_interlacing_status,
 )
@@ -512,65 +512,101 @@ def test_rank_probe_tree_branch():
     assert probe.passed
 
 
-def _svd_members(monkeypatch) -> dict:
-    """The number of values-only SVDs, from here on, of each member of a
-    stack passed to ``np.linalg.svd`` or (for its 2-norm) ``cond``, keyed
-    by the member's bytes."""
-    from collections import Counter
+def _decomposed_members(monkeypatch) -> set:
+    """The bytes of every matrix, from here on, passed to ``np.linalg.svd``,
+    ``cond``, ``det`` or ``inv`` on its own or as a member of a stack."""
+    seen = set()
 
-    seen = Counter()
-
-    def counted(fn):
+    def recorded(fn):
         def wrapper(a, *args, **kwargs):
             a = np.asarray(a)
-            if a.ndim == 3:
-                seen.update(x.tobytes() for x in a)
+            seen.update(x.tobytes() for x in a.reshape(-1, *a.shape[-2:]))
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("svd", "cond"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    for name in ("svd", "cond", "det", "inv"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
     return seen
 
 
-@pytest.mark.parametrize("s", [2, 3, 8, 9])
-def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
-    monkeypatch, s
-):
-    # L's own blocks, the inverse weights, first; then the draws, each
-    # given one SVD, by its acceptance test, and inverted without a second
+def _check_reweightings(draws: np.ndarray, blocks: np.ndarray) -> None:
+    """Every draw has condition number at most the probe's cap, and its
+    block inverts it to within s eps cap."""
+    from mwtrees.closedforms import _PROBE_CONDITION_CAP as cap
+
+    s = draws.shape[-1]
+    for w, b in zip(draws.reshape(-1, s, s), blocks.reshape(-1, s, s)):
+        assert np.linalg.cond(w) <= cap * (1 + 1e-12)
+        assert np.linalg.norm(b @ w - np.eye(s)) <= s * np.finfo(float).eps * cap
+
+
+def _recorded_probe(monkeypatch, g: MatrixWeightedGraph, trials: int,
+                    seed: int) -> tuple:
+    """The rank probe of the tree g and the ``(weights, blocks)`` of each
+    Laplacian it ranks."""
     from mwtrees import closedforms
 
-    cap = closedforms._PROBE_CONDITION_CAP
-    g = random_tree(GenConfig(n_range=(7, 7), s_range=(s, s), seed=s))
     used = []
     real = closedforms._tree_rank
     monkeypatch.setattr(closedforms, "_tree_rank",
                         lambda graph, tree, weights, blocks, tol:
                         used.append((weights, blocks))
                         or real(graph, tree, weights, blocks, tol))
-    counter = _svd_members(monkeypatch)
-    probe = rank_characterization_probe(g, trials=4, seed=9)
-    svds = dict(counter)   # before the draws are made again below
+    return rank_characterization_probe(g, trials, seed), used
 
-    rng = np.random.default_rng(9)
-    weights, blocks = used[0]
-    assert weights.tobytes() == weight_stack(g).tobytes()
-    assert blocks.tobytes() == np.array(
-        [inverse(e.weight) for e in g.edges]).tobytes()
-    old_ranks = [numerical_rank(laplacian(g).data)]
-    for weights, blocks in used[1:]:
-        draws = [random_nonsingular(s, cap, rng) for _ in g.edges]
-        assert weights.tobytes() == np.array(draws).tobytes()
-        expected = np.array([inverse(w) for w in draws])
-        assert blocks.tobytes() == expected.tobytes()
-        assert [svds.get(w.tobytes()) for w in draws] == [1] * g.m
-        reweighted = MatrixWeightedGraph(
-            g.n, s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
-        )
-        old_ranks.append(numerical_rank(laplacian(reweighted).data))
+
+@pytest.mark.parametrize("s", [2, 3, 8, 9])
+def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
+    monkeypatch, s
+):
+    # L's own blocks, the inverse weights, first; then trial t's draws and
+    # blocks, those of the reference construction, none of them decomposed
+    # or inverted, every trial with an asymmetric draw
+    g = random_tree(GenConfig(n_range=(7, 7), s_range=(s, s), seed=s))
+    decomposed = _decomposed_members(monkeypatch)
+    probe, used = _recorded_probe(monkeypatch, g, 4, 9)
+    decomposed = set(decomposed)   # before the checks below decompose
+
+    draws, blocks = probe_reweightings(g.m, s, 4, 9)
     assert len(used) == 5
-    assert probe.observed_ranks == tuple(old_ranks)
+    weights, first = used[0]
+    assert weights.tobytes() == weight_stack(g).tobytes()
+    assert first.tobytes() == np.array(
+        [inverse(e.weight) for e in g.edges]).tobytes()
+    for (w, b), want_w, want_b in zip(used[1:], draws, blocks):
+        assert w.tobytes() == want_w.tobytes()
+        assert b.tobytes() == want_b.tobytes()
+        assert any(not np.array_equal(x, x.T) for x in w)
+    assert not decomposed & {x.tobytes() for x in [*draws.reshape(-1, s, s),
+                                                   *blocks.reshape(-1, s, s)]}
+    _check_reweightings(draws, blocks)
+    assert probe.observed_ranks == tuple(
+        numerical_rank(block_laplacian(g, b)) for _, b in used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 5), st.integers(0, 12),
+       st.integers(0, 2**32 - 1))
+@example(9, 5, 12, 0)
+@example(3, 0, 4, 1)   # no reweighting: L's rank alone
+@example(2, 3, 0, 2)   # one vertex: every draw stack is empty
+def test_rank_probe_reweightings_are_inverted_and_well_conditioned(
+    s, trials, m, seed
+):
+    # on an m-edge path, each of the trials sets is the reference's, within
+    # the condition cap and inverted by its blocks, and the same on every
+    # run of one seed
+    g = path_graph(m + 1, s)
+    runs = []
+    for _ in range(2):
+        with pytest.MonkeyPatch.context() as mp:
+            runs.append(_recorded_probe(mp, g, trials, seed)[1])
+    draws, blocks = probe_reweightings(m, s, trials, seed)
+    for used in runs:
+        assert len(used) == trials + 1
+        for got, want in zip(zip(*used[1:]), (draws, blocks)):
+            assert np.reshape(got, want.shape).tobytes() == want.tobytes()
+    _check_reweightings(draws, blocks)
 
 
 def test_rank_probe_rejects_a_negative_trial_count():
@@ -1208,14 +1244,14 @@ def test_rank_probe_reports_the_svd_ranks(case):
     shape, n, s, spd, log_cap, log_tol, seed = case
     g = _probe_tree(shape, n, s, spd, seed)
     rel_tol, cap = 10.0 ** log_tol, 10.0 ** log_cap
+    rng = np.random.default_rng(seed)
     try:
-        draws = random_nonsingular_stack(3 * g.m, s, cap,
-                                         np.random.default_rng(seed))
+        draws = [random_nonsingular(s, cap, rng) for _ in range(3 * g.m)]
     except BadConfigError:   # no s x s draw this well conditioned
         assume(False)
-    tree = _subtree_runs(g) if n > 1 else None
+    tree = _subtree_runs(g)
     sets = [(weight_stack(g), np.linalg.inv(weight_stack(g)))]
-    for weights in draws.reshape(3, g.m, s, s):
+    for weights in np.reshape(draws, (3, g.m, s, s)):
         sets += [(weights, np.linalg.inv(weights)),
                  (np.linalg.inv(weights), weights)]
     for weights, blocks in sets:
@@ -1225,19 +1261,11 @@ def test_rank_probe_reports_the_svd_ranks(case):
 
 def _svd_probe_ranks(g: MatrixWeightedGraph, trials: int,
                      seed: int) -> tuple[int, ...]:
-    """The SVD ranks of L and of ``trials`` reweighted Laplacians of a tree,
-    each edge taking the next ``random_nonsingular`` draw of ``seed``, at
-    the default cutoff."""
-    from mwtrees.closedforms import _PROBE_CONDITION_CAP
-
-    rng = np.random.default_rng(seed)
-    laps = [laplacian(g).data]
-    for _ in range(trials):
-        draws = [random_nonsingular(g.s, _PROBE_CONDITION_CAP, rng)
-                 for _ in g.edges]
-        laps.append(laplacian(MatrixWeightedGraph(
-            g.n, g.s, [(e.u, e.v, w) for e, w in zip(g.edges, draws)]
-        )).data)
+    """The SVD ranks of L and of the ``trials`` reweighted Laplacians of a
+    tree that the reference construction draws from ``seed``, at the
+    default cutoff."""
+    _, blocks = probe_reweightings(g.m, g.s, trials, seed)
+    laps = [laplacian(g).data, *(block_laplacian(g, b) for b in blocks)]
     return tuple(numerical_rank(lap) for lap in laps)
 
 
@@ -1619,14 +1647,14 @@ def _suite_decompositions(monkeypatch, g: MatrixWeightedGraph):
 def test_suite_builds_one_analysis_per_graph(monkeypatch):
     # an SPD tree: L^+ in closed form and every probe rank certified, so
     # the decompositions of D and L are one eigvalsh each, for inertia and
-    # interlacing, and each reweighting draw gets only the SVD of its
-    # acceptance test
+    # interlacing, and no reweighting draw or its block is decomposed or
+    # inverted
     g = random_tree(GenConfig(n_range=(6, 6), s_range=(2, 2), kind=WeightKind.SPD,
                               seed=3))
-    counter = _svd_members(monkeypatch)
+    decomposed = _decomposed_members(monkeypatch)
     reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
         monkeypatch, g)
-    svds = dict(counter)
+    decomposed = set(decomposed)
     assert all(r.status == PASS for r in reports)
     assert calls == {"D": 1, "L": 1, "inverted": 1}
     assert of_l == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
@@ -1634,9 +1662,9 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
     assert of_d == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
                     "eigvalsh": 1}
     assert eigh_calls == 1   # the weights' SPD test and roots
-    draws = random_nonsingular_stack(5 * g.m, g.s, 1e4,
-                                     np.random.default_rng(0))
-    assert [svds.get(w.tobytes()) for w in draws] == [1] * len(draws)
+    reweightings = probe_reweightings(g.m, g.s, 5, 0)
+    assert not decomposed & {x.tobytes() for stack in reweightings
+                             for x in stack.reshape(-1, g.s, g.s)}
 
 
 def test_spd_non_tree_suite_takes_no_svd_of_its_laplacian(monkeypatch):

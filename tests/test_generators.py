@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwtrees.closedforms import _analysis, distance_matrix
@@ -15,7 +15,6 @@ from mwtrees.generators import (
     random_connected_nontree,
     random_instances,
     random_nonsingular,
-    random_nonsingular_stack,
     random_spd,
     random_tree,
 )
@@ -122,77 +121,47 @@ def test_random_nonsingular_properties():
     assert np.array_equal(w, random_nonsingular(3, condition_cap=1e4, seed=2))
 
 
-def _outcome(draw):
-    """The bytes ``draw()`` returns, or the message of its BadConfigError."""
-    try:
-        return draw().tobytes()
-    except BadConfigError as exc:
-        return str(exc)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 8),
-       st.sampled_from([3.0, 30.0, 1e4]), st.integers(0, 10**6))
-def test_random_nonsingular_stack_matches_successive_draws(count, s, cap,
-                                                           seed):
-    rng = np.random.default_rng(seed)
-    expected = _outcome(lambda: np.array(
-        [random_nonsingular(s, cap, rng) for _ in range(count)]
-    ).reshape(count, s, s))
-    stack_rng = np.random.default_rng(seed)
-    got = _outcome(lambda: random_nonsingular_stack(count, s, cap, stack_rng))
-    assert got == expected
-    if not isinstance(expected, str):
-        # and the generator is left where the successive calls leave it
-        assert stack_rng.uniform() == rng.uniform()
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.lists(st.integers(0, 8), min_size=1, max_size=8))
-def test_random_nonsingular_stack_gives_up_where_successive_draws_do(
-    count, runs
-):
-    # scripted acceptance with a limit of 5 draws: ``runs[i]`` rejections,
-    # then one acceptance; every candidate after the script is rejected
+@given(st.floats(1.5, 30.0), st.integers(0, 10**6))
+@example(1.5, 0)    # no draw of the 5 passes
+@example(1.5, 18)   # the fourth passes
+@example(3.0, 39)   # the fifth, the last allowed, passes
+def test_random_nonsingular_gives_up_where_its_draws_do(cap, seed):
+    # with a limit of 5 draws, the first uniform(-1, 1) candidate of |det|
+    # >= 0.05 and cond <= cap among them, the generator left just after it;
+    # BadConfigError when none of the 5 is
     from mwtrees import generators
 
-    script = [v for r in runs for v in [False] * r + [True]]
-
-    def scripted(draw):
-        verdicts = iter(script)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(generators, "_MAX_REDRAWS", 5)
-            mp.setattr(generators, "_well_conditioned",
-                       lambda w, cap: np.array([next(verdicts, False)
-                                                for _ in w]))
-            return _outcome(draw)
-
-    def successive():
-        rng = np.random.default_rng(0)
-        return np.array([random_nonsingular(2, 10.0, rng)
-                         for _ in range(count)])
-
-    expected = scripted(successive)
-    assert scripted(lambda: random_nonsingular_stack(
-        count, 2, 10.0, np.random.default_rng(0)
-    )) == expected
-    # the limit is on the draws of one matrix: a run of 4 rejections is fine
-    gives_up = len(runs) < count or any(r >= 5 for r in runs[:count])
-    assert isinstance(expected, str) == gives_up
+    rng = np.random.default_rng(seed)
+    expected = None
+    for _ in range(5):
+        w = rng.uniform(-1.0, 1.0, size=(2, 2))
+        if abs(np.linalg.det(w)) >= 0.05 and np.linalg.cond(w) <= cap:
+            expected = w
+            break
+    got_rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_MAX_REDRAWS", 5)
+        if expected is None:
+            with pytest.raises(BadConfigError, match="well-conditioned 2x2"):
+                random_nonsingular(2, cap, got_rng)
+        else:
+            assert random_nonsingular(2, cap, got_rng).tobytes() == (
+                expected.tobytes())
+    assert got_rng.uniform() == rng.uniform()
 
 
-def test_random_nonsingular_stack_gives_up_after_max_redraws(monkeypatch):
-    # no draw has a condition number below 1: the first matrix gives up
-    # after exactly _MAX_REDRAWS candidates
+def test_random_nonsingular_gives_up_after_max_redraws():
+    # no matrix has a condition number below 1: the draw gives up after
+    # exactly _MAX_REDRAWS candidates of 3 x 3 uniforms
     from mwtrees import generators
 
-    judged = []
-    real = generators._well_conditioned
-    monkeypatch.setattr(generators, "_well_conditioned",
-                        lambda w, cap: judged.append(len(w)) or real(w, cap))
+    rng = np.random.default_rng(0)
     with pytest.raises(BadConfigError, match="well-conditioned 3x3"):
-        random_nonsingular_stack(4, 3, 0.5, np.random.default_rng(0))
-    assert sum(judged) == generators._MAX_REDRAWS
+        random_nonsingular(3, 0.5, rng)
+    expected = np.random.default_rng(0)
+    expected.uniform(-1.0, 1.0, size=(generators._MAX_REDRAWS, 3, 3))
+    assert rng.uniform() == expected.uniform()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,118 @@
+"""Compare the outputs of this checkout with those of a git revision.
+
+Usage, from anywhere in a source checkout::
+
+    python3 tools/compare_outputs.py REF
+
+It checks REF out into a temporary ``git worktree``, runs this checkout's
+``tools/dump_outputs.py`` on both sides (with ``OPENBLAS_NUM_THREADS=1``
+and ``-W error::RuntimeWarning``, so that the bits of the larger products
+do not depend on the thread count and a numpy warning stops a dump), and
+prints how many lines moved under each output label and every record whose
+status changed.  The worktree is removed on every exit path.  Exit status
+0 means the two dumps are identical, 1 that they differ and 2 that a dump
+or a git command failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DUMP = Path("tools") / "dump_outputs.py"
+
+
+def fail(message: str) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(2)
+
+
+def git(*args: str, check: bool = True) -> None:
+    subprocess.run(["git", "-C", str(ROOT), *args], check=check,
+                   stdout=subprocess.DEVNULL)
+
+
+def dumps(checkouts: list[Path]) -> list[str]:
+    """The dump of each checkout, run side by side on one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    runs = [subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", str(tree / DUMP)],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+        for tree in checkouts]
+    try:
+        outs = [run.communicate()[0] for run in runs]
+    finally:   # stop a dump still running when this process is terminated
+        for run in runs:
+            run.kill()
+            run.wait()
+    for tree, run in zip(checkouts, runs):
+        if run.returncode:
+            fail(f"{tree / DUMP} exited with status {run.returncode}")
+    return outs
+
+
+def keyed(dump: str) -> dict[tuple[str, str], tuple[str, str]]:
+    """``(graph, label) -> (status, hash)`` for each dump line; the status
+    is empty on lines that are not suite records."""
+    lines = {}
+    for line in dump.splitlines():
+        name, label, *status, digest = line.split()
+        lines[name, label] = (" ".join(status), digest)
+    return lines
+
+
+def report(ref: str, before: str, after: str) -> bool:
+    """Print what moved between the two dumps; whether they are identical."""
+    old, new = keyed(before), keyed(after)
+    moved = Counter()
+    changes = []
+    for key in old.keys() | new.keys():
+        was, now = old.get(key, ("absent", "")), new.get(key, ("absent", ""))
+        if was != now:
+            moved[key[1]] += 1
+        if was[0] != now[0]:
+            changes.append(f"  {key[0]} {key[1]}: {was[0]} -> {now[0]}")
+    print(f"{len(old)} lines at {ref}, {len(new)} here; "
+          f"{sum(moved.values())} moved")
+    for label, count in sorted(moved.items()):
+        print(f"  {label}: {count}")
+    print(f"{len(changes)} status changes")
+    for change in sorted(changes):
+        print(change)
+    return before == after
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="the git revision to compare against")
+    ref = parser.parse_args().ref
+    # a terminated run still removes its worktree, in the finally below
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(2))
+    scratch = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
+    tree = scratch / "ref"
+    try:
+        git("worktree", "add", "--quiet", "--detach", str(tree), ref)
+        (tree / DUMP).parent.mkdir(exist_ok=True)
+        shutil.copyfile(ROOT / DUMP, tree / DUMP)
+        before, after = dumps([tree, ROOT])
+        identical = report(ref, before, after)
+    except subprocess.CalledProcessError as exc:
+        fail(f"git failed: {exc}")
+    finally:
+        if tree.exists():
+            git("worktree", "remove", "--force", str(tree), check=False)
+        shutil.rmtree(scratch, ignore_errors=True)
+        git("worktree", "prune", check=False)
+    sys.exit(0 if identical else 1)
+
+
+if __name__ == "__main__":
+    main()

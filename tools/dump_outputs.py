@@ -29,7 +29,8 @@ output that raises is hashed as its exception type and message, on one
 line.  Floats are hashed by their bits, so two runs, or two commits, that
 print the same lines gave the same bytes.  Comparing the output of a
 parent commit with that of a change shows whether the change moved any
-result, which records it moved, and which of them changed status.
+result, which records it moved, and which of them changed status;
+``tools/compare_outputs.py REF`` makes that comparison in one command.
 """
 
 from __future__ import annotations
