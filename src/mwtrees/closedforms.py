@@ -69,6 +69,7 @@ from .operators import (
     _subtree_runs,
     block_incidence,
     block_laplacian,
+    cycle_g_inverse_data,
     inverse_weights,
     tree_distance_data,
     tree_g_inverse_data,
@@ -171,8 +172,10 @@ class _Analysis:
     probe, decides SPD; that test and R's, for R^-1, decide invertibility.
     On a tree one preorder layout serves D, the grounded g-inverses and
     the rank certificate, the g-inverses are built in closed form and
-    ``eigvalsh`` gives the spectrum of L; on other graphs each g-inverse is
-    the Cholesky inverse of L grounded.
+    ``eigvalsh`` gives the spectrum of L.  On other graphs each g-inverse
+    is, where :func:`_few_cycles` holds, the closed form on the layout of a
+    depth-first spanning tree less a correction for the edges off it, and
+    elsewhere the Cholesky inverse of L grounded.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -233,13 +236,15 @@ class _Analysis:
 
     @cached_property
     def layout(self) -> TreeLayout:
-        """The preorder layout of the tree; NotATreeError on other graphs."""
-        require_tree(self.g)
+        """The preorder layout of the depth-first spanning tree of the
+        connected graph: on a tree, of the tree itself."""
         return _subtree_runs(self.g)
 
     @cached_property
     def distance(self) -> np.ndarray:
-        """D; NonFiniteError if a path sum overflows."""
+        """D; NotATreeError on other graphs, NonFiniteError if a path sum
+        overflows."""
+        require_tree(self.g)
         return _finite(lambda: tree_distance_data(self.g, self.layout),
                        "the distance matrix")
 
@@ -276,29 +281,43 @@ class _Analysis:
     def g_inverse(self, root: int) -> BlockMatrix:
         """G_root: L grounded at ``root`` (its block row and column
         deleted), inverted and padded with zeros, so ``L G_root L = L``: on
-        a tree in closed form, elsewhere by :meth:`_grounded_inverse`.
-        Both routes read L first, so an L beyond float range raises its
+        a tree in closed form; where :func:`_few_cycles`, decided before
+        any traversal, holds, by
+        :func:`~mwtrees.operators.cycle_g_inverse_data` on the spanning
+        tree of :attr:`layout`; elsewhere by :meth:`_grounded_inverse`.
+        Every route reads L first, so an L beyond float range raises its
         NonFiniteError; a G_root beyond it raises one of its own.
+        SingularMatrixError when a factored matrix is not positive
+        definite to working precision.
         """
         self.laplacian
         return BlockMatrix(_finite(
-            lambda: (tree_g_inverse_data(self.g, self.layout, root)
-                     if self.tree else self._grounded_inverse(root)),
+            lambda: self._g_inverse_data(root),
             "the grounded inverse of L",
             "inverting the grounded Laplacian overflows"), self.g.s)
 
+    def _g_inverse_data(self, root: int) -> np.ndarray:
+        g = self.g
+        if self.tree:
+            return tree_g_inverse_data(self.layout, weight_stack(g), root)
+        try:
+            if _few_cycles(g.n, g.m, g.s):
+                return cycle_g_inverse_data(g, self.layout, root)
+            return self._grounded_inverse(root)
+        except SingularMatrixError:
+            raise SingularMatrixError("the grounded Laplacian is not positive "
+                                      "definite to working precision") from None
+
     def _grounded_inverse(self, root: int) -> np.ndarray:
-        """G_root off trees: :func:`~mwtrees.linalg.spd_inverse` of the
-        symmetric part of L with the root's block row and column zeroed
-        and I_s on its diagonal block, zeroed again after.  The zeros stay
-        exact through the factorization and the products, so no other
-        index is gathered or scattered.  The symmetric part, not one
-        triangle: L and L^T differ by the asymmetry of the inverse weights,
-        so one triangle's block row sums are that far from zero, and
-        cond(L) amplifies it in G_root.  No rank test, which would cost
-        more: connected SPD weights make the grounded L SPD.
-        SingularMatrixError on a pivot that is not positive to working
-        precision."""
+        """G_root by :func:`~mwtrees.linalg.spd_inverse` of the symmetric
+        part of L with the root's block row and column zeroed and I_s on
+        its diagonal block, zeroed again after.  The zeros stay exact
+        through the factorization and the products, so no other index is
+        gathered or scattered.  The symmetric part, not one triangle: L and
+        L^T differ by the asymmetry of the inverse weights, so one
+        triangle's block row sums are that far from zero, and cond(L)
+        amplifies it in G_root.  No rank test, which would cost more:
+        connected SPD weights make the grounded L SPD."""
         s = self.g.s
         block = slice((root - 1) * s, root * s)
         lap = self.laplacian
@@ -306,11 +325,7 @@ class _Analysis:
         grounded[block] = 0.0
         grounded[:, block] = 0.0
         grounded[block, block] = np.eye(s)
-        try:
-            data = spd_inverse(grounded)
-        except SingularMatrixError:
-            raise SingularMatrixError("the grounded Laplacian is not positive "
-                                      "definite to working precision") from None
+        data = spd_inverse(grounded)
         data[block, block] = 0.0
         return data
 
@@ -357,6 +372,16 @@ class _Analysis:
             trees_with_edge=with_edge,
             trees_without_edge=without_edge,
         )
+
+
+def _few_cycles(n: int, m: int, s: int) -> bool:
+    """Whether a connected non-tree with n vertices, m edges and blocks of
+    order s takes G_r from the closed form on a spanning tree corrected
+    for its k = m - n + 1 other edges: when ``n + k s + 24 <= n s``.  In
+    units of (n s)^2 operations the tree's product costs about n, the
+    correction k s and the Cholesky inverse n s; the 24, the correction's
+    fixed costs, is fitted to timings of both routes (see the README)."""
+    return n + (m - n + 1) * s + 24 <= n * s
 
 
 def _seeded_root(n: int, seed: int) -> int:
@@ -896,36 +921,16 @@ def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout,
     where it can be, computed by one SVD where it cannot (NonFiniteError
     if that L overflows); ``tree`` is the layout of g.
 
-    With N = n s, L = ``block_laplacian(g, blocks)``, K its block grounded
-    at vertex 1 and ``||X||`` the bound ``sqrt(||X||_1 ||X||_inf)`` on the
-    spectral norm: ``sigma_{N-s}(L) >= sigma_min(K) >= (1 - ||K G - I||) /
-    ||G||`` for any G (submatrix interlacing, Thompson 1972);
-    ``sigma_{N-s+1}(L) <= ||L Z||`` for ``Z = 1_n kron I_s / sqrt(n)``,
-    whose product is the block row sums ``diag_x - sum_{k at x} B_k``; and
-    ``||L||_F / sqrt(N) <= sigma_1 <= ||L||``.  When the first bound clears
-    ``rel_tol sigma_1`` and the second stays below it, both by
-    ``_CERTIFICATE_SAFETY N eps sigma_1``, the SVD would count (n - 1) s.
-
-    Rooted at vertex 1, x has the parent p(x), the subtree sub(x), the block
-    B_x on its parent edge and the path sum P(x) of the weights (0 at the
-    root).  G = K^-1 in exact arithmetic has block (x, j) = P(a), a the
-    lowest common ancestor of x and j, so row x of |G| sums |P(a)| over the
-    ancestors a of x: |sub(x)| times for a = x, |sub(a)| - |sub(child of a
-    toward x)| times for the others.  Rows c and p(c) of G agree outside
-    sub(c), so with ``C_x = B_x (P(x) - P(p(x)))`` the nonzero blocks of K G
-    - I are ``C_x - I`` at (x, x) and ``C_p - C_x`` at (p, j) for j in
-    sub(x), p = p(x) not the root.  Each sum of |L|, |K|, |G| or K G - I is
-    one ``np.add.at`` or ``below @`` product over the m blocks.
-
-    Rounding: the diagonal blocks get the bits of ``block_laplacian``.  The
-    residual takes K's diagonal as the exact ``sum B_k``, off the stored one
-    by at most ``gamma_deg sum |B_k| <= 2 N eps ||K||`` (``|B_x| <= |diag_x|
-    + sum_c |B_c|`` over the children c); the rounded ``P(x) - P(p)`` and
-    C_x err by at most (s + 2) eps times entries of |K| |G|.  Both stay far
-    inside ``_CERTIFICATE_SAFETY N eps ||K|| ||G||``, as does LAPACK's
-    error.  Path sums that overflow give inf or NaN bounds: the SVD decides.
-    One vertex has no K and a zero L, so every bound is 0 and the rank
-    certified is 0, the SVD's.
+    With N = n s and L = ``block_laplacian(g, blocks)``, the certificate
+    bounds ``sigma_{N-s}(L)`` from below and ``sigma_{N-s+1}(L)`` from
+    above by norms of sums over the m edge blocks (:func:`_tree_bounds`).
+    When the first clears ``rel_tol sigma_1`` and the second stays below
+    it, both by ``_CERTIFICATE_SAFETY N eps sigma_1``, which covers the
+    rounding of the bounds and LAPACK's error in the singular values, the
+    SVD would count (n - 1) s.  The bounds and their rounding are derived
+    in the README (Performance, the rank probe).  Path sums that overflow
+    give inf or NaN bounds: the SVD decides.  One vertex has no K and a
+    zero L, so every bound is 0 and the rank certified is 0, the SVD's.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if _certifies(g, _tree_bounds(g, tree, weights, blocks), rel_tol):

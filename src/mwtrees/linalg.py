@@ -5,9 +5,9 @@ backend.  Rank, symmetry and definiteness decisions are made with relative
 thresholds so they behave the same across scales.  The rank cutoff below
 can be overridden per call; the symmetry and zero cutoffs are fixed.  A square matrix is singular exactly when its
 :func:`numerical_rank` falls short of its order: :func:`inverse` and every
-invertibility check use that one test.  :func:`spd_inverse`, for a matrix
-positive definite by construction, takes no rank test: a Cholesky pivot
-within rounding of zero raises instead.
+invertibility check use that one test.  :func:`spd_inverse` and
+:func:`spd_whiten`, for a matrix positive definite by construction, take
+no rank test: a Cholesky pivot within rounding of zero raises instead.
 
 The per-edge tests come in stacked form: :func:`numerical_ranks`,
 :func:`inverses`, :func:`sign_log_determinants` and
@@ -130,10 +130,25 @@ def spd_inverse(a) -> np.ndarray:
     Cholesky factor C of the lower triangle, Y = C^-1 by
     :func:`_lower_inverse`, then ``Y.T @ Y``, which numpy computes as a
     ``syrk``, so the result is exactly symmetric.  The upper triangle is
-    not read.  A pivot that is not positive, or that is within the
-    factorization's rounding of zero, raises SingularMatrixError; no rank
-    test is made.
+    not read, and no rank test is made: :func:`_cholesky` raises
+    SingularMatrixError instead.
     """
+    y = _lower_inverse(_cholesky(a))
+    return y.T @ y
+
+
+def spd_whiten(a, b) -> np.ndarray:
+    """``C^-1 b`` for the Cholesky factor C of the lower triangle of a
+    symmetric positive definite ``a``, so that ``Y.T @ Y`` is ``b^T a^-1
+    b``, exactly symmetric as a ``syrk``; SingularMatrixError as
+    :func:`_cholesky` raises it."""
+    return _lower_inverse(_cholesky(a)) @ b
+
+
+def _cholesky(a) -> np.ndarray:
+    """The Cholesky factor of the lower triangle of ``a``.  A pivot that is
+    not positive, or that is within the factorization's rounding of zero,
+    raises SingularMatrixError."""
     m = as_matrix(a)
     _require_square(m)
     try:
@@ -147,8 +162,7 @@ def spd_inverse(a) -> np.ndarray:
     if not positive:
         raise SingularMatrixError("matrix is not positive definite to "
                                   "working precision")
-    y = _lower_inverse(factor)
-    return y.T @ y
+    return factor
 
 
 #: Order up to which :func:`_lower_inverse` takes numpy's LU inverse.

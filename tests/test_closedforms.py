@@ -60,6 +60,8 @@ from mwtrees.linalg import (
 from mwtrees.operators import (
     _subtree_runs,
     block_laplacian,
+    cycle_g_inverse_data,
+    tree_g_inverse_data,
     weight_stack,
 )
 
@@ -976,20 +978,119 @@ def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
             8 * size * eps * (cond * norm_p + norm_h))
 
 
+CYCLE_SHAPES = st.tuples(
+    st.sampled_from(["cycle", "tree+1", "tree+2", "tree+3"]),
+    st.integers(5, 12),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 1e-2, 1e-4, 1e-6, 1e-8]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CYCLE_SHAPES)
+def test_cycle_route_g_inverse_matches_the_cholesky_route(case):
+    # G_r as the spanning tree's closed form G_T less Y^T Y, taken here
+    # whatever the route rule picks: exactly symmetric, exactly zero on
+    # the root's block row and column, L G_r L = L and P G_r P = L^+ to
+    # the bounds of the Cholesky route above, and within N eps cond(L) of
+    # that route's G_r at the same root.  Each bound takes ||G_T|| for
+    # ||H||: G_r is G_T less a positive semidefinite term, so it carries
+    # the rounding of G_T, whose norm reached 5.8e3 times its own at ratio
+    # 1e-8 in these draws
+    from mwtrees.closedforms import _analysis, _seeded_root
+
+    g = _non_tree(*case)
+    a = _analysis(g)
+    size = g.n * g.s
+    centring = np.kron(np.eye(g.n) - 1.0 / g.n, np.eye(g.s))
+    lap = a.laplacian
+    pinv = np.linalg.pinv(lap)
+    sv = np.linalg.svd(lap, compute_uv=False)
+    cond = sv[0] / sv[size - g.s - 1]
+    eps = np.finfo(float).eps
+    norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
+    layout = _subtree_runs(g)
+    weights = weight_stack(g)
+    weights = 0.5 * (weights + weights.transpose(0, 2, 1))
+    for root in {1, g.n, _seeded_root(g.n, case[-1])}:
+        h = cycle_g_inverse_data(g, layout, root)
+        assert np.array_equal(h, h.T)
+        grounded = h.reshape(g.n, g.s, g.n, g.s)
+        assert not grounded[root - 1].any()
+        assert not grounded[:, :, root - 1].any()
+        norm_t = np.linalg.norm(tree_g_inverse_data(
+            layout, weights[layout.edges], root))
+        assert np.linalg.norm(lap @ h @ lap - lap) <= (
+            8 * size * eps * norm_l ** 2 * norm_t)
+        centred = centring @ h @ centring
+        assert np.linalg.norm(centred - pinv) <= (
+            8 * size * eps * (cond * norm_p + norm_t))
+        assert np.linalg.norm(h - a._grounded_inverse(root)) <= (
+            size * eps * cond * norm_t)
+
+
+def _route_spies(monkeypatch) -> dict[str, list[int]]:
+    """The roots each g-inverse route is called at, and the spanning-tree
+    layouts built, from here on."""
+    from mwtrees import closedforms
+
+    calls = {"cycle": [], "cholesky": [], "layouts": []}
+    cycle, cholesky = (closedforms.cycle_g_inverse_data,
+                       closedforms._Analysis._grounded_inverse)
+    layout = closedforms._subtree_runs
+    monkeypatch.setattr(closedforms, "cycle_g_inverse_data",
+                        lambda g, tree, root: calls["cycle"].append(root)
+                        or cycle(g, tree, root))
+    monkeypatch.setattr(closedforms._Analysis, "_grounded_inverse",
+                        lambda self, root: calls["cholesky"].append(root)
+                        or cholesky(self, root))
+    monkeypatch.setattr(closedforms, "_subtree_runs",
+                        lambda g: calls["layouts"].append(g.n) or layout(g))
+    return calls
+
+
+@pytest.mark.parametrize("extra, route", [(3, "cycle"), (4, "cholesky")])
+def test_g_inverse_route_follows_the_cycle_rank(monkeypatch, extra, route):
+    # n + k s + 24 <= n s picks the route: a tree on 30 vertices with s = 2
+    # plus 3 edges is on the cycle side (60 <= 60), plus 4 edges on the
+    # Cholesky side (62 > 60), where no spanning tree is laid out
+    from mwtrees.closedforms import _few_cycles, _seeded_root
+
+    g = _non_tree(f"tree+{extra}", 30, 2, 1e-2, 7)
+    assert _few_cycles(g.n, g.m, g.s) == (route == "cycle")
+    calls = _route_spies(monkeypatch)
+    assert ginverse_invariance_check(g).status == PASS
+    roots = [_seeded_root(g.n, seed) for seed in (0, 1)]
+    other = "cholesky" if route == "cycle" else "cycle"
+    assert (calls[route], calls[other]) == (roots, [])
+    assert calls["layouts"] == ([30] if route == "cycle" else [])
+
+
+@pytest.mark.parametrize("n, m, s", [(144, 264, 1), (30, 435, 1), (4, 5, 1),
+                                     (676, 1300, 1), (12, 12, 3)],
+                         ids=["grid12", "K30", "diamond4", "grid26", "cli12"])
+def test_dense_and_scalar_graphs_stay_on_the_cholesky_route(n, m, s):
+    from mwtrees.closedforms import _few_cycles
+
+    assert not _few_cycles(n, m, s)
+
+
 @pytest.mark.parametrize("root", [1, 2, 35, 36, 70])
 def test_grounded_inverses_keep_exact_zeros_through_the_split_triangle(root):
     # order n s = 140 splits the Cholesky factor's triangle twice before
     # numpy's LU inverse takes the halves.  The root's I_s block decouples
     # it, so its block row and column are exactly zero in G_r with no
     # gather or scatter; G_r is exactly symmetric and L G_r L = L to the
-    # rounding of the inverse and the products
+    # rounding of the inverse and the products.  (With one cycle the
+    # graph's g-inverses take the cycle route; this is the Cholesky one.)
     from mwtrees.closedforms import _analysis
 
     g = random_connected_nontree(GenConfig(
         n_range=(70, 70), s_range=(2, 2), kind=WeightKind.SPD, seed=11))
     a = _analysis(g)
     lap = a.laplacian
-    h = a.g_inverse(root).data
+    h = a._grounded_inverse(root)
     grounded = h.reshape(g.n, g.s, g.n, g.s)
     assert not grounded[root - 1].any()
     assert not grounded[:, :, root - 1].any()
@@ -1001,53 +1102,69 @@ def test_grounded_inverses_keep_exact_zeros_through_the_split_triangle(root):
         len(h) * eps * cond * np.linalg.norm(lap))
 
 
-@pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
 def test_graded_non_trees_pass_the_invariance_record(ratio):
     # cycles, grids up to 4 x 4, K_n up to K_7 and trees plus 1-3 edges,
-    # s = 1, 2 and 4, weight eigenvalue ratio down to 1e-6: every record
-    # passes.  (At 1e-8 the grounded L has condition numbers near 1e10
-    # and the exact inverses of its float entries miss the 1e-7 tolerance
-    # on some of these graphs: verdicts there follow the rounding.)
+    # s = 1, 2 and 4, weight eigenvalue ratio down to 1e-8: every record
+    # passes, at 1e-8 on the graphs of the cycle route (the 32-vertex
+    # cycles and trees plus edges with s = 2 and 4).  At 1e-8 the grounded
+    # L has condition numbers near 1e10, and the Cholesky route FAILs 22
+    # of the 232 graphs it takes here, cycles, 4 x 4 grids and trees plus
+    # edges of 5 and 8 vertices with s = 2 and 4, by up to 7.5 times the
+    # tolerance: even the exact inverses of its float entries miss the
+    # 1e-7 tolerance on some of them, so verdicts there follow the rounding
+    from mwtrees.closedforms import _few_cycles
+
     for shape in ("cycle", "grid", "complete", "tree+1", "tree+2", "tree+3"):
-        for size in (3, 5, 8):
+        sparse = shape not in ("grid", "complete")
+        for size in (3, 5, 8, 32) if sparse else (3, 5, 8):
             for s in (1, 2, 4):
                 for seed in range(4):
                     g = _non_tree(shape, size, s, ratio, seed)
+                    if ratio < 1e-6 and not _few_cycles(g.n, g.m, g.s):
+                        continue
                     report = ginverse_invariance_check(g)
                     assert report.status == PASS, (shape, size, s, seed,
                                                    report)
 
 
-@pytest.mark.parametrize("make", [
-    diamond4,
-    lambda: cycle_graph(7, 3, [graded_spd(3, 1e-2, np.random.default_rng(k))
-                               for k in range(7)]),
-    lambda: random_connected_nontree(GenConfig(
+@pytest.mark.parametrize("make, route", [
+    (diamond4, "cholesky"),
+    (lambda: cycle_graph(7, 3, [graded_spd(3, 1e-2, np.random.default_rng(k))
+                                for k in range(7)]), "cholesky"),
+    (lambda: random_connected_nontree(GenConfig(
         n_range=(12, 12), s_range=(2, 2), kind=WeightKind.SPD, seed=8)),
-], ids=["diamond4", "cycle7", "nontree12"])
+     "cholesky"),
+    (lambda: cycle_graph(40, 2, [graded_spd(2, 1e-2, np.random.default_rng(k))
+                                 for k in range(40)]), "cycle"),
+    (lambda: _non_tree("tree+3", 30, 2, 1e-2, 8), "cycle"),
+], ids=["diamond4", "cycle7", "nontree12", "cycle40", "tree30+3"])
 def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
-    monkeypatch, make
+    monkeypatch, make, route
 ):
     # ten times the tolerance, 1e-6 ||L^+||_F, added to block (1, n) of the
-    # first seed's grounded inverse alone: the samples no longer share an
-    # L^+, so the record that compares them fails
+    # first seed's grounded inverse alone, on either route: the samples no
+    # longer share an L^+, so the record that compares them fails
     from mwtrees import closedforms
 
     g = make()
-    assert ginverse_invariance_check(g).status == PASS
     n, s = g.n, g.s
+    assert closedforms._few_cycles(n, g.m, s) == (route == "cycle")
+    assert ginverse_invariance_check(g).status == PASS
     shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
-    real = closedforms._Analysis._grounded_inverse
+    owner, name = ((closedforms, "cycle_g_inverse_data") if route == "cycle"
+                   else (closedforms._Analysis, "_grounded_inverse"))
+    real = getattr(owner, name)
     made = []
 
-    def perturbed(self, root):
-        data = real(self, root)
+    def perturbed(*args):   # the root comes last on both routes
+        data = real(*args)
         if not made:
             data[:s, (n - 1) * s:] += shift
-        made.append(root)
+        made.append(args[-1])
         return data
 
-    monkeypatch.setattr(closedforms._Analysis, "_grounded_inverse", perturbed)
+    monkeypatch.setattr(owner, name, perturbed)
     report = ginverse_invariance_check(g)
     assert report.status == FAIL
     roots = tuple(made)
@@ -1103,29 +1220,42 @@ def test_invariance_takes_the_next_root_when_two_seeds_draw_the_same(
     assert ginverse_invariance_check(g, seed=2).status == FAIL
 
 
-def test_an_exactly_singular_grounded_laplacian_raises_a_typed_error():
+def test_an_exactly_singular_grounded_laplacian_raises_a_typed_error(
+    monkeypatch
+):
     # inverse weights 1, 1 and -1/2 on a triangle: every spanning-tree sum,
-    # the determinant of every grounded L, is 0; the suite never gets here
-    # (the weights are not SPD), but the factorization maps LinAlgError
-    from mwtrees.closedforms import _analysis
+    # the determinant of every grounded L, is 0, and so is the capacitance
+    # of the edge off the depth-first tree, W + its G_T contraction = 1 - 1;
+    # the suite never gets here (the weights are not SPD), but either
+    # route's factorization maps LinAlgError
+    from mwtrees import closedforms
     from mwtrees.errors import SingularMatrixError
 
     g = MatrixWeightedGraph(3, 1, [(1, 2, [[1.0]]), (2, 3, [[1.0]]),
                                    (1, 3, [[-2.0]])])
-    with pytest.raises(SingularMatrixError, match="grounded Laplacian"):
-        _analysis(g).g_inverse(1)
+    for few in (False, True):
+        monkeypatch.setattr(closedforms, "_few_cycles", lambda n, m, s: few)
+        with pytest.raises(SingularMatrixError, match="grounded Laplacian"):
+            closedforms._analysis(g).g_inverse(1)
 
 
-def test_an_overflowing_grounded_inverse_skips_the_invariance_record():
+def test_an_overflowing_grounded_inverse_skips_the_invariance_record(
+    monkeypatch
+):
     # weights 5e307 on a 30-cycle: the resistances, the entries of G_r,
-    # reach 7.5 times the weight and overflow float range
+    # reach 7.5 times the weight and overflow float range, on the cycle
+    # route already in the spanning tree's path sums
+    from mwtrees import closedforms
+
     g = cycle_graph(30, 1, [[[5e307]]] * 30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = verification_suite(g, "ginverse")[0]
-    assert report.status == SKIPPED
-    assert report.detail.startswith("the grounded inverse of L has "
-                                    "non-finite entries")
+    for few in (False, True):
+        monkeypatch.setattr(closedforms, "_few_cycles", lambda n, m, s: few)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verification_suite(g, "ginverse")[0]
+        assert report.status == SKIPPED
+        assert report.detail.startswith("the grounded inverse of L has "
+                                        "non-finite entries")
 
 
 def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:
@@ -1668,29 +1798,39 @@ def test_suite_builds_one_analysis_per_graph(monkeypatch):
 
 
 def test_spd_non_tree_suite_takes_no_svd_of_its_laplacian(monkeypatch):
-    # off trees the g-inverse samples come from one Cholesky factorization
-    # of L grounded at each seed's root, (n s) x (n s) with I_s in the
-    # root's block: no LU inverse of the (n - 1) s rows it keeps, no pinv
-    # and no other decomposition of L
-    g = random_connected_nontree(GenConfig(n_range=(7, 7), s_range=(2, 2),
-                                           kind=WeightKind.SPD, seed=3))
-    size = g.n * g.s
-    factored, kept = [], []
+    # off trees the g-inverse samples take no pinv and no other
+    # decomposition of L.  A dense graph's come from one Cholesky
+    # factorization of L grounded at each seed's root, (n s) x (n s) with
+    # I_s in the root's block, and no LU inverse of the (n - 1) s rows it
+    # keeps; a graph with few cycles factors only the k s x k s
+    # capacitance at each root and inverts only that factor's triangle
+    from mwtrees.closedforms import _few_cycles
+
     real_cholesky, real_inv = np.linalg.cholesky, np.linalg.inv
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(
-        np.shape(a) == (size, size)) or real_cholesky(a))
-    monkeypatch.setattr(np.linalg, "inv", lambda a: kept.append(
-        np.shape(a) == (size - g.s,) * 2) or real_inv(a))
-    reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
-        monkeypatch, g)
-    assert {r.name for r in reports if r.status == PASS} == {
-        "ginverse_invariance", "rank_characterization"}
-    assert calls == {"D": 0, "L": 1, "inverted": 1}
-    assert of_l == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
-                    "eigvalsh": 0}
-    assert eigh_calls == 1
-    assert factored == [True, True]   # seeds 0 and 1
-    assert sum(kept) == 0
+    for n, s in ((7, 2), (40, 3)):
+        g = random_connected_nontree(GenConfig(
+            n_range=(n, n), s_range=(s, s), kind=WeightKind.SPD, seed=3))
+        few = _few_cycles(g.n, g.m, g.s)
+        assert few == (n == 40)
+        size = (g.m - g.n + 1) * s if few else n * s
+        factored, inverted = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", lambda a: factored.append(
+                np.shape(a)) or real_cholesky(a))
+            patch.setattr(np.linalg, "inv", lambda a: inverted.append(
+                np.shape(a)) or real_inv(a))
+            reports, calls, of_l, of_d, eigh_calls = _suite_decompositions(
+                patch, g)
+        assert {r.name for r in reports if r.status == PASS} == {
+            "ginverse_invariance", "rank_characterization"}
+        assert calls == {"D": 0, "L": 1, "inverted": 1}
+        assert of_l == {"svd": 0, "svd_values": 0, "pinv": 0, "eigh": 0,
+                        "eigvalsh": 0}
+        assert eigh_calls == 1
+        assert factored == [(size, size)] * 2   # seeds 0 and 1
+        # 2-D inverses are of the factors' triangles, none of the rows of
+        # the grounded L nor, off the Cholesky route, of order n s
+        assert {x for x in inverted if len(x) == 2} == {(size, size)}
 
 
 @pytest.mark.parametrize("kind", [WeightKind.SPD, WeightKind.NONSINGULAR])

@@ -395,7 +395,7 @@ def test_tree_grounded_inverse_at_any_root(shape, n, s, spd, seed):
     ])
     r = int(rng.integers(1, n + 1))
     layout = _subtree_runs(g)
-    got = tree_g_inverse_data(g, layout, r)
+    got = tree_g_inverse_data(layout, weight_stack(g), r)
     d = distance_oracle(g).data.reshape(n, s, n, s)
     expected = 0.5 * (d[:, :, r - 1, :][:, :, None, :] + d[r - 1][None] - d)
     scale = sum(np.abs(e.weight).sum() for e in g.edges)
@@ -442,7 +442,8 @@ def test_tree_pseudo_inverse_meets_the_penrose_conditions(
         for u, v in topo
     ])
     lap = laplacian(g).data
-    p = tree_g_inverse_data(g, _subtree_runs(g), int(rng.integers(1, n + 1)))
+    p = tree_g_inverse_data(_subtree_runs(g), weight_stack(g),
+                            int(rng.integers(1, n + 1)))
     sv = np.linalg.svd(lap, compute_uv=False)[:(n - 1) * s]
     rtol = max(1e-9, 1e-12 * sv.max(initial=1.0) / sv.min(initial=1.0))
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(p)
@@ -512,5 +513,5 @@ def test_tree_pseudo_inverse_matches_exact_rational_arithmetic(make):
             for value, y in zip(row, keep):
                 exact[x][y] = value
         assert all(x.denominator == 1 for row in exact for x in row)
-        got = tree_g_inverse_data(g, layout, r)
+        got = tree_g_inverse_data(layout, weight_stack(g), r)
         assert np.array_equal(got, np.array(exact, dtype=float))

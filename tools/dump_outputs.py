@@ -18,7 +18,10 @@ failed on rounding of a fixed scale, and c = 2^600 and 2^-600, whose
 g-inverse norms once overflowed or underflowed, a 3-path with the weight
 2^-1060 [[1, 2], [-0.5, 1]], whose asymmetry is subnormal, and a 5-star
 with that weight on every edge, whose determinant once lost a factor 2
-on each subnormal weight.  For each graph, in the order of one benchmark
+on each subnormal weight, and a 30-vertex SPD tree with s = 2 plus 3 and
+plus 4 edges, the last graph whose g-inverses take the spanning tree's
+closed form with a cycle correction and the first that takes the
+Cholesky inverse.  For each graph, in the order of one benchmark
 op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
@@ -73,6 +76,12 @@ def corpus():
     yield ("path_3_2_subnormal_asymmetric",
            mw.path_graph(3, 2, [asymmetric, np.eye(2)]))
     yield "star_5_2_subnormal_asymmetric", mw.star_graph(5, 2, [asymmetric] * 4)
+    tree = mw.random_tree(GenConfig((30, 30), (2, 2), WeightKind.SPD, seed=7))
+    chords = [(1, 16), (5, 30), (3, 20), (6, 13)]
+    for k in (3, 4):
+        yield f"spd_tree_30_2_plus_{k}", mw.MatrixWeightedGraph(30, 2, [
+            *tree.edges,
+            *((u, v, mw.random_spd(2, seed=u * 100 + v)) for u, v in chords[:k])])
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
