@@ -41,8 +41,6 @@ from .errors import (
 )
 from .graphs import (
     MatrixWeightedGraph,
-    _depth_first,
-    adjacency,
     check_structure,
     degrees,
     delta_vector,
@@ -167,15 +165,12 @@ class _Analysis:
     from the violation list the graph keeps, which also answers whether it
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
-    immutable, so the cache cannot go stale.  One ``eigh`` of the weights
-    gives Q and, with the rank test that inverts them for L and the rank
-    probe, decides SPD; that test and R's, for R^-1, decide invertibility.
-    On a tree one preorder layout serves D, the grounded g-inverses and
-    the rank certificate, the g-inverses are built in closed form and
-    ``eigvalsh`` gives the spectrum of L.  On other graphs each g-inverse
-    is, where :func:`_few_cycles` holds, the closed form on the layout of a
-    depth-first spanning tree less a correction for the edges off it, and
-    elsewhere the Cholesky inverse of L grounded.
+    immutable, so the cache cannot go stale.  Every reader takes the one
+    stack of the weights.  One ``eigh`` of them gives Q and, with the rank
+    test that inverts them for L and the rank probe, decides SPD; that
+    test and R's, for R^-1, decide invertibility.  One preorder layout,
+    read off the search that validation ran, serves D, the g-inverses
+    (:meth:`g_inverse`), the rank certificate and the bridge set.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -201,11 +196,16 @@ class _Analysis:
             raise NotSPDError("every edge weight must be SPD")
 
     @cached_property
+    def weights(self) -> np.ndarray:
+        """The edge weights as one (m, s, s) stack, in edge order."""
+        return _read_only(weight_stack(self.g))
+
+    @cached_property
     def weight_roots(self) -> np.ndarray:
         """The inverse square roots of the weights; NotSPDError names the
         first weight that is not SPD."""
         try:
-            return _read_only(spd_inverse_sqrts(weight_stack(self.g)))
+            return _read_only(spd_inverse_sqrts(self.weights))
         except NotSPDError as exc:
             e = self.g.edges[exc.index]
             raise NotSPDError(f"edge {exc.index} ({e.u}, {e.v}): {exc}",
@@ -236,8 +236,7 @@ class _Analysis:
 
     @cached_property
     def layout(self) -> TreeLayout:
-        """The preorder layout of the depth-first spanning tree of the
-        connected graph: on a tree, of the tree itself."""
+        """The :func:`~mwtrees.operators._subtree_runs` of the graph."""
         return _subtree_runs(self.g)
 
     @cached_property
@@ -256,7 +255,7 @@ class _Analysis:
     def weight_inverses(self) -> np.ndarray:
         """The blocks of L, the inverse weights, from one batched rank test;
         SingularWeightError names the first singular weight."""
-        return _finite(lambda: inverse_weights(self.g, weight_stack(self.g)),
+        return _finite(lambda: inverse_weights(self.g, self.weights),
                        "an inverse edge weight",
                        "inverting the weights overflows")
 
@@ -281,14 +280,12 @@ class _Analysis:
     def g_inverse(self, root: int) -> BlockMatrix:
         """G_root: L grounded at ``root`` (its block row and column
         deleted), inverted and padded with zeros, so ``L G_root L = L``: on
-        a tree in closed form; where :func:`_few_cycles`, decided before
-        any traversal, holds, by
-        :func:`~mwtrees.operators.cycle_g_inverse_data` on the spanning
-        tree of :attr:`layout`; elsewhere by :meth:`_grounded_inverse`.
-        Every route reads L first, so an L beyond float range raises its
-        NonFiniteError; a G_root beyond it raises one of its own.
-        SingularMatrixError when a factored matrix is not positive
-        definite to working precision.
+        a tree in closed form; where :func:`_few_cycles` holds, by
+        :func:`~mwtrees.operators.cycle_g_inverse_data` on :attr:`layout`;
+        elsewhere by :meth:`_grounded_inverse`.  Every route reads L first,
+        so an L beyond float range raises its NonFiniteError; a G_root
+        beyond it raises one of its own.  SingularMatrixError when a
+        factored matrix is not positive definite to working precision.
         """
         self.laplacian
         return BlockMatrix(_finite(
@@ -297,12 +294,12 @@ class _Analysis:
             "inverting the grounded Laplacian overflows"), self.g.s)
 
     def _g_inverse_data(self, root: int) -> np.ndarray:
-        g = self.g
+        g, weights = self.g, self.weights
         if self.tree:
-            return tree_g_inverse_data(self.layout, weight_stack(g), root)
+            return tree_g_inverse_data(self.layout, weights, root)
         try:
             if _few_cycles(g.n, g.m, g.s):
-                return cycle_g_inverse_data(g, self.layout, root)
+                return cycle_g_inverse_data(g, self.layout, weights, root)
             return self._grounded_inverse(root)
         except SingularMatrixError:
             raise SingularMatrixError("the grounded Laplacian is not positive "
@@ -332,8 +329,7 @@ class _Analysis:
     @cached_property
     def invertibility(self) -> InvertibilityResult:
         """:func:`invertibility_check`, from the rank tests that invert the
-        weights for L and R for R^-1, so that each is rank-tested once per
-        graph."""
+        weights for L and R for R^-1."""
         require_tree(self.g)
         try:
             self.weight_inverses
@@ -353,13 +349,10 @@ class _Analysis:
             raise IsATreeError(
                 "every nonsingular weighting of a tree has full-rank Laplacian"
             )
-        bridges = _bridge_indices(g)
-        candidates = [k for k in range(g.m) if k not in bridges]
+        candidates = set(range(g.m)) - _bridges(g, self.layout)
         deg = degrees(g)
-        best = max(
-            candidates,
-            key=lambda k: (deg[g.edges[k].u - 1] + deg[g.edges[k].v - 1], -k),
-        )
+        best = max(candidates, key=lambda k: (
+            deg[g.edges[k].u - 1] + deg[g.edges[k].v - 1], -k))
         c1 = _marked_cofactor(g, best, 1.0)
         c2 = _marked_cofactor(g, best, 2.0)
         with_edge = round(c2 - c1)
@@ -434,8 +427,7 @@ def laplacian(
     """
     a = _analysis(g)
     if mode is LaplacianMode.RAW:
-        return BlockMatrix(_read_only(block_laplacian(g, weight_stack(g))),
-                           g.s)
+        return BlockMatrix(_read_only(block_laplacian(g, a.weights)), g.s)
     return BlockMatrix(a.laplacian, g.s)
 
 
@@ -470,7 +462,7 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     log_abs = (g.n - 2) * g.s * math.log(2.0)
     # the weights in edge order, then R, each member factored on its own
     signs, logs = sign_log_determinants(
-        np.concatenate([weight_stack(g), a.weight_sum[None]]))
+        np.concatenate([a.weights, a.weight_sum[None]]))
     for es, el in zip(signs.tolist(), logs.tolist()):
         sign *= es
         log_abs += el
@@ -783,21 +775,25 @@ def _marked_cofactor(g: MatrixWeightedGraph, edge_index: int, w: float) -> float
     return float(np.linalg.det(lap[1:, 1:]))
 
 
-def _bridge_indices(g: MatrixWeightedGraph) -> set[int]:
-    """The bridges of a connected graph, by Tarjan's search (IPL 1974): the
-    edge into ``x`` of a depth-first tree is a bridge when no other edge
-    leaves the subtree of ``x``.  Iterative, so deep paths do not recurse."""
-    order, via = _depth_first(g, 1)   # via: the tree edge into each vertex
-    pos = [0] * (g.n + 1)     # preorder number from 1
-    for p, x in enumerate(order, 1):
-        pos[x] = p
-    adj = adjacency(g)
-    low = pos[:]   # least preorder number reachable from a subtree
-    for x in reversed(order):
-        for y, j in adj[x]:
-            if j != via[x]:   # a tree edge to the child y, or a back edge
-                low[x] = min(low[x], low[y] if j == via[y] else pos[y])
-    return {via[x] for x in order[1:] if low[x] == pos[x]}
+def _bridges(g: MatrixWeightedGraph, tree: TreeLayout) -> set[int]:
+    """The bridges of a connected graph, from the layout ``tree`` of any
+    spanning tree: tree edge k is one unless an edge off the tree has one
+    end in its run ``lo[k] .. hi[k] - 1`` and the other outside.  O(n + m),
+    with no search and no recursion."""
+    low, high = list(range(g.n)), list(range(g.n))   # positions reached
+    at = tree.at.tolist()
+    for k in tree.off.tolist():
+        p, q = at[g.edges[k].u - 1], at[g.edges[k].v - 1]
+        low[p], high[p] = min(low[p], q), max(high[p], q)
+        low[q], high[q] = min(low[q], p), max(high[q], p)
+    parent = np.zeros(g.n, dtype=int)
+    parent[tree.lo] = tree.up
+    # children (later in preorder) first, so a run's first position folds
+    # in all of the run
+    for p, up in zip(range(g.n - 1, 0, -1), parent[:0:-1].tolist()):
+        low[up], high[up] = min(low[up], low[p]), max(high[up], high[p])
+    runs = zip(tree.edges.tolist(), tree.lo.tolist(), tree.hi.tolist())
+    return {k for k, a, b in runs if a <= low[a] and high[a] < b}
 
 
 @dataclass(frozen=True)
@@ -873,11 +869,9 @@ def rank_characterization_probe(
     draws its spectrum.  So every draw is nonsingular with cond(W) <= cap
     by construction, and none is rejected, decomposed or inverted.
 
-    The ranks are the SVD ranks at ``rel_tol``: each certified without an
-    SVD when the closed-form bounds of :func:`_tree_rank` decide it, as they
-    do at the default tolerance, and computed by one when they do not, as
-    with a ``rel_tol`` near machine precision or near the smallest nonzero
-    singular value.  The first, that of L, reads the inverse weights L was
+    The ranks are the SVD ranks at ``rel_tol``, certified without an SVD
+    where the bounds of :func:`_tree_rank` decide, as at the default
+    tolerance.  The first, that of L, reads the inverse weights L was
     built from.
     """
     if trials < 0:
@@ -893,7 +887,7 @@ def rank_characterization_probe(
         sigma = np.exp(rng.uniform(-half, half, size=shape[:-1]))[..., None, :]
         draws = (u * sigma) @ v.swapaxes(-1, -2)
         blocks = (v / sigma) @ u.swapaxes(-1, -2)
-        sets = [(weight_stack(g), a.weight_inverses), *zip(draws, blocks)]
+        sets = [(a.weights, a.weight_inverses), *zip(draws, blocks)]
         ranks = [_tree_rank(g, a.layout, w, b, rel_tol) for w, b in sets]
         return RankProbe(
             branch="tree",

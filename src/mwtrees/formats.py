@@ -85,6 +85,15 @@ def graph_from_dict(obj: Any) -> MatrixWeightedGraph:
             raise GraphFileError(
                 f"{where}: weight is not a rectangular numeric array"
             ) from None
+        # numpy reads "2.5" and true as numbers; the format does not
+        leaves = [entry["weight"]]
+        for _ in range(weight.ndim):   # rectangular, as numpy read it
+            leaves = [x for row in leaves for x in row]
+        bad = [x for x in leaves if type(x) not in (int, float)]
+        if bad:
+            raise GraphFileError(
+                f"{where}: weight entry {json.dumps(bad[0])} is not a number"
+            )
         edges.append((u, v, weight))
     g = MatrixWeightedGraph(n, s, edges)
     problems = validate(g)

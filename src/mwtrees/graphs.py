@@ -59,11 +59,11 @@ class MatrixWeightedGraph:
 
     Because it cannot change, a graph caches what is computed from it in
     private slots of its ``__dict__``: the violation list of
-    :func:`validate`, and the analysis that the functions of
-    :mod:`mwtrees.closedforms` share (D, L, the weight sum, the SPD flag
-    and the results built from them).  Those arrays live as long as the
-    graph does.  Pickling or copying a graph rebuilds it through the
-    constructor, so the copy starts with an empty cache.
+    :func:`validate`, the search of :func:`depth_first_tree` and the
+    analysis that :mod:`mwtrees.closedforms` shares (D, L, the weight
+    sum, the SPD flag and the results built from them).  Those arrays
+    live as long as the graph does.  Pickling or copying a graph rebuilds
+    it through the constructor, so the copy starts with an empty cache.
     """
 
     n: int
@@ -165,7 +165,7 @@ def _violations(g: MatrixWeightedGraph) -> list[Violation]:
             else:
                 seen[key] = k
 
-    if g.n >= 1 and len(_depth_first(g, 1)[0]) < g.n:
+    if g.n >= 1 and len(depth_first_tree(g)[0]) < g.n:
         problems.append(
             Violation(NOT_CONNECTED, f"graph on {g.n} vertices is not connected")
         )
@@ -207,6 +207,16 @@ def _depth_first(g: MatrixWeightedGraph, root: int) -> tuple[list[int], list[int
             via[x] = k
             stack.extend((y, j) for y, j in adj[x] if not seen[y])
     return order, via
+
+
+def depth_first_tree(g: MatrixWeightedGraph) -> tuple[list[int], list[int]]:
+    """:func:`_depth_first` from vertex 1, run once per graph (n >= 1) and
+    kept on it, read-only: :func:`validate` tests connectivity with it, and
+    the layouts of :mod:`mwtrees.operators` read its spanning tree."""
+    found = g.__dict__.get("_search")
+    if found is None:
+        found = g.__dict__["_search"] = _depth_first(g, 1)
+    return found
 
 
 def is_connected(g: MatrixWeightedGraph) -> bool:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularMatrixError, SingularWeightError
-from .graphs import MatrixWeightedGraph, _depth_first
+from .graphs import MatrixWeightedGraph, depth_first_tree
 from .linalg import inverses, spd_whiten
 
 
@@ -69,22 +69,21 @@ def tree_g_inverse_data(layout: TreeLayout, weights: np.ndarray,
 
 
 def cycle_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
-                         root: int) -> np.ndarray:
+                         weights: np.ndarray, root: int) -> np.ndarray:
     """G_root, as :func:`tree_g_inverse_data` defines it, for a connected
-    graph with SPD weights already checked; ``layout`` is its
-    :func:`_subtree_runs`.  By Woodbury, ``G_r = G_T - Y^T Y``: G_T is the
-    closed form on the spanning tree, ``Y = C^-1 U^T G_T`` with U the
-    incidence blocks of the k edges off the tree, and C the Cholesky
-    factor of the capacitance ``S = blockdiag(W_e) + U^T G_T U`` (see the
-    README).  ``Y^T Y`` is a ``syrk``, so G_r is exactly symmetric and
-    keeps exact zeros in the root's block row and column.  The weights
-    are taken as ``(W + W^T) / 2``; none is inverted, and no (n s)-order
-    matrix is factored.  SingularMatrixError when S is not positive
-    definite to working precision; an S beyond float range gives a G_r
-    of inf.
+    graph with the SPD :func:`weight_stack` ``weights`` already checked;
+    ``layout`` is its :func:`_subtree_runs`.  By Woodbury, ``G_r = G_T -
+    Y^T Y``: G_T is the closed form on the spanning tree, ``Y = C^-1 U^T
+    G_T`` with U the incidence blocks of the k edges off the tree, and C
+    the Cholesky factor of the capacitance ``S = blockdiag(W_e) + U^T G_T
+    U`` (see the README).  ``Y^T Y`` is a ``syrk``, so G_r is exactly
+    symmetric and keeps exact zeros in the root's block row and column.
+    The weights are taken as ``(W + W^T) / 2``; none is inverted, and no
+    (n s)-order matrix is factored.  SingularMatrixError when S is not
+    positive definite to working precision; an S beyond float range gives
+    a G_r of inf.
     """
     n, s = g.n, g.s
-    weights = weight_stack(g)
     weights = 0.5 * (weights + weights.transpose(0, 2, 1))
     data = tree_g_inverse_data(layout, weights[layout.edges], root)
     off = [g.edges[k] for k in layout.off]
@@ -136,9 +135,10 @@ class TreeLayout:
 
 
 def _subtree_runs(g: MatrixWeightedGraph) -> TreeLayout:
-    """The :class:`TreeLayout` of the depth-first spanning tree of a
-    connected graph already checked: on a tree, of the tree itself."""
-    order, via = _depth_first(g, 1)
+    """The :class:`TreeLayout` of the depth-first spanning tree that
+    :func:`~mwtrees.graphs.depth_first_tree` keeps for a connected graph
+    already checked: on a tree, of the tree itself."""
+    order, via = depth_first_tree(g)
     pos = [0] * (g.n + 1)
     for p, x in enumerate(order):
         pos[x] = p
@@ -168,10 +168,6 @@ def inverse_weights(g: MatrixWeightedGraph, weights: np.ndarray) -> np.ndarray:
     for the edges of ``g``, from one batched rank test and inversion.
 
     The first singular weight raises SingularWeightError naming its edge.
-    One batched call per graph in place of one call per edge took the
-    traced benchmark's ``operators.laplacian_s`` from 3.5 to 0.8 ms on an
-    SPD path (n=72, s=2) and from 5.1 to 1.5 ms on a Pruefer tree (n=64,
-    s=4), on a 2-vCPU VM, with the same bits.
     """
     try:
         return inverses(weights)

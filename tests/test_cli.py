@@ -448,6 +448,16 @@ def test_unknown_field_exits_two(capsys, tmp_path):
     assert "unknown" in err
 
 
+def test_string_weight_exits_two(capsys, tmp_path):
+    obj = json.loads(dumps_graph(path4_block2()))
+    obj["edges"][2]["weight"][0][0] = "2.5"
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert 'edge 2: weight entry "2.5" is not a number' in err
+
+
 def test_disconnected_graph_exits_two_with_problems(capsys, tmp_path):
     obj = {
         "n": 4,

@@ -1011,10 +1011,10 @@ def test_cycle_route_g_inverse_matches_the_cholesky_route(case):
     eps = np.finfo(float).eps
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
     layout = _subtree_runs(g)
-    weights = weight_stack(g)
-    weights = 0.5 * (weights + weights.transpose(0, 2, 1))
+    raw = weight_stack(g)
+    weights = 0.5 * (raw + raw.transpose(0, 2, 1))
     for root in {1, g.n, _seeded_root(g.n, case[-1])}:
-        h = cycle_g_inverse_data(g, layout, root)
+        h = cycle_g_inverse_data(g, layout, raw, root)
         assert np.array_equal(h, h.T)
         grounded = h.reshape(g.n, g.s, g.n, g.s)
         assert not grounded[root - 1].any()
@@ -1040,8 +1040,9 @@ def _route_spies(monkeypatch) -> dict[str, list[int]]:
                        closedforms._Analysis._grounded_inverse)
     layout = closedforms._subtree_runs
     monkeypatch.setattr(closedforms, "cycle_g_inverse_data",
-                        lambda g, tree, root: calls["cycle"].append(root)
-                        or cycle(g, tree, root))
+                        lambda g, tree, weights, root:
+                        calls["cycle"].append(root)
+                        or cycle(g, tree, weights, root))
     monkeypatch.setattr(closedforms._Analysis, "_grounded_inverse",
                         lambda self, root: calls["cholesky"].append(root)
                         or cholesky(self, root))
@@ -1104,20 +1105,22 @@ def test_grounded_inverses_keep_exact_zeros_through_the_split_triangle(root):
 
 @pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
 def test_graded_non_trees_pass_the_invariance_record(ratio):
-    # cycles, grids up to 4 x 4, K_n up to K_7 and trees plus 1-3 edges,
-    # s = 1, 2 and 4, weight eigenvalue ratio down to 1e-8: every record
-    # passes, at 1e-8 on the graphs of the cycle route (the 32-vertex
-    # cycles and trees plus edges with s = 2 and 4).  At 1e-8 the grounded
-    # L has condition numbers near 1e10, and the Cholesky route FAILs 22
-    # of the 232 graphs it takes here, cycles, 4 x 4 grids and trees plus
-    # edges of 5 and 8 vertices with s = 2 and 4, by up to 7.5 times the
-    # tolerance: even the exact inverses of its float entries miss the
-    # 1e-7 tolerance on some of them, so verdicts there follow the rounding
+    # cycles, 3 x 3 and 4 x 4 grids, K_3, K_5, K_7 and trees plus 1-3
+    # edges, s = 1, 2 and 4, weight eigenvalue ratio down to 1e-8: every
+    # record passes, at 1e-8 on the graphs of the cycle route (the
+    # 32-vertex cycles and trees plus edges with s = 2 and 4).  At 1e-8 the
+    # grounded L has condition numbers near 1e10, and the Cholesky route
+    # FAILs 21 of the 220 graphs it takes here, 8-vertex cycles, 4 x 4
+    # grids and trees plus edges of 5 and 8 vertices with s = 2 and 4, by
+    # up to 7.5 times the tolerance: even the exact inverses of its float
+    # entries miss the 1e-7 tolerance on some of them, so verdicts there
+    # follow the rounding
     from mwtrees.closedforms import _few_cycles
 
+    # after _non_tree's caps: grid sides 3 and 4, and K_3, K_5 and K_7
+    sizes = {"grid": (3, 4), "complete": (3, 5, 8)}
     for shape in ("cycle", "grid", "complete", "tree+1", "tree+2", "tree+3"):
-        sparse = shape not in ("grid", "complete")
-        for size in (3, 5, 8, 32) if sparse else (3, 5, 8):
+        for size in sizes.get(shape, (3, 5, 8, 32)):
             for s in (1, 2, 4):
                 for seed in range(4):
                     g = _non_tree(shape, size, s, ratio, seed)
@@ -1276,6 +1279,27 @@ def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:
     return bridges
 
 
+def _breadth_first_layout(g: MatrixWeightedGraph):
+    """A copy of g whose kept search is a breadth-first spanning tree in
+    preorder, and its layout: edges off that tree may join two vertices
+    neither of which is above the other, as none off a depth-first one
+    do."""
+    from mwtrees.graphs import _depth_first, adjacency
+
+    adj, via, queue = adjacency(g), {1: -1}, [1]
+    for x in queue:   # grows while it is read
+        for y, j in adj[x]:
+            if y not in via:
+                via[y] = j
+                queue.append(y)
+    kept = sorted(j for j in via.values() if j >= 0)
+    order, sub = _depth_first(MatrixWeightedGraph(
+        g.n, g.s, [g.edges[j] for j in kept]), 1)
+    copy = MatrixWeightedGraph(g.n, g.s, g.edges)
+    copy.__dict__["_search"] = (order, [j if j < 0 else kept[j] for j in sub])
+    return copy, _subtree_runs(copy)
+
+
 def _scalar_graph(n: int, edges) -> MatrixWeightedGraph:
     return MatrixWeightedGraph(n, 1, [(u, v, [[1.0]]) for u, v in edges])
 
@@ -1284,7 +1308,7 @@ def _scalar_graph(n: int, edges) -> MatrixWeightedGraph:
 @given(st.sampled_from(["tree", "grid", "complete", "nontree", "dense"]),
        st.integers(2, 12), st.integers(0, 10**6))
 def test_bridge_search_matches_per_edge_deletion(shape, size, seed):
-    from mwtrees.closedforms import _bridge_indices
+    from mwtrees.closedforms import _bridges
 
     rng = np.random.default_rng(seed)
     if shape == "nontree":
@@ -1301,19 +1325,22 @@ def test_bridge_search_matches_per_edge_deletion(shape, size, seed):
     else:
         g = _scalar_graph(*_topology(shape, min(size, 6) if shape == "grid"
                                      else size, rng))
-    assert _bridge_indices(g) == _bridges_by_deletion(g)
+    expected = _bridges_by_deletion(g)
+    assert _bridges(g, _subtree_runs(g)) == expected
+    # the test holds on any spanning tree, not only a depth-first one
+    assert _bridges(*_breadth_first_layout(g)) == expected
 
 
 def test_bridge_search_handles_a_deep_path():
-    from mwtrees.closedforms import _bridge_indices
+    from mwtrees.closedforms import _bridges
 
     n = 5000
     path = _scalar_graph(n, [(v - 1, v) for v in range(2, n + 1)])
-    assert _bridge_indices(path) == set(range(n - 1))
+    assert _bridges(path, _subtree_runs(path)) == set(range(n - 1))
     # closing the path into a cycle leaves no bridge; a pendant edge is one
     lasso = _scalar_graph(n + 1, [*((v - 1, v) for v in range(2, n + 1)),
                                   (1, n), (n, n + 1)])
-    assert _bridge_indices(lasso) == {n}
+    assert _bridges(lasso, _subtree_runs(lasso)) == {n}
 
 
 # --- certified tree ranks ----------------------------------------------------
@@ -1942,11 +1969,13 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
     text = dumps_graph(random_tree(GenConfig(
         n_range=(12, 12), s_range=(3, 3), kind=WeightKind.SPD, seed=4)))
     counts = {}
-    _count_calls(monkeypatch, graphs, "_violations", counts)
+    for name in ("_violations", "_depth_first", "adjacency"):
+        _count_calls(monkeypatch, graphs, name, counts)
     for name in ("tree_distance_data", "block_laplacian", "inverse_weights",
-                 "_subtree_runs"):
+                 "_subtree_runs", "weight_stack"):
         _count_calls(monkeypatch, closedforms, name, counts)
-    _count_calls(monkeypatch, operators, "_subtree_runs", counts)
+    for name in ("_subtree_runs", "weight_stack"):
+        _count_calls(monkeypatch, operators, name, counts)
     _count_calls(monkeypatch, linalg, "numerical_ranks", counts)
     made = _recorded_analyses(monkeypatch)
     g = loads_graph(text)
@@ -1957,13 +1986,42 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
     laplacian(g)
     invertibility_check(g)
     assert all(r.status == PASS for r in reports)
-    # one preorder layout serves D, L^+ and the rank certificate; L is
-    # built once, from weights inverted once; the weights and R are each
-    # rank-tested once
-    assert counts == {"_violations": 1, "tree_distance_data": 1,
-                      "block_laplacian": 1, "inverse_weights": 1,
-                      "_subtree_runs": 1, "numerical_ranks": 2}
+    # validation runs the one search; one preorder layout, read off it,
+    # serves D, L^+ and the rank certificate; the weights are stacked once;
+    # L is built once, from weights inverted once; the weights and R are
+    # each rank-tested once
+    assert counts == {"_violations": 1, "_depth_first": 1, "adjacency": 1,
+                      "tree_distance_data": 1, "block_laplacian": 1,
+                      "inverse_weights": 1, "_subtree_runs": 1,
+                      "weight_stack": 1, "numerical_ranks": 2}
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("make, route", [
+    (lambda: _non_tree("tree+3", 30, 2, 1e-2, 8), "cycle"),
+    (lambda: _non_tree("grid", 4, 2, 1e-2, 0), "cholesky"),
+], ids=["tree30+3", "grid4"])
+def test_one_nontree_op_searches_and_stacks_once(monkeypatch, make, route):
+    # the benchmark's nontree op: the suite and the witness read the search
+    # that validation ran, through one layout that serves the cycle route
+    # and the bridge set, and one weight stack
+    from mwtrees import closedforms, graphs, operators
+
+    g = make()
+    assert closedforms._few_cycles(g.n, g.m, g.s) == (route == "cycle")
+    counts = {}
+    for name in ("_depth_first", "adjacency"):
+        _count_calls(monkeypatch, graphs, name, counts)
+    for module in (closedforms, operators):
+        for name in ("_subtree_runs", "weight_stack"):
+            _count_calls(monkeypatch, module, name, counts)
+    reports = {r.name: r for r in verification_suite(g, "all")}
+    witness = rank_deficient_weighting(g)
+    assert reports["ginverse_invariance"].status == PASS
+    assert reports["rank_characterization"].status == PASS
+    assert witness is rank_characterization_probe(g).witness
+    assert counts == {"_depth_first": 1, "adjacency": 1, "_subtree_runs": 1,
+                      "weight_stack": 1}
 
 
 def test_deficient_weighting_reuses_the_suite_witness(monkeypatch):
@@ -1974,7 +2032,7 @@ def test_deficient_weighting_reuses_the_suite_witness(monkeypatch):
     reports = {r.name: r for r in verification_suite(g, "all")}
     assert reports["rank_characterization"].status == PASS
     counts = {}
-    for name in ("_bridge_indices", "_marked_cofactor"):
+    for name in ("_bridges", "_marked_cofactor"):
         _count_calls(monkeypatch, closedforms, name, counts)
     witness = rank_deficient_weighting(g)
     assert counts == {}

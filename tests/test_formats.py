@@ -110,6 +110,23 @@ def test_ragged_weight_is_rejected():
         graph_from_dict(obj)
 
 
+@pytest.mark.parametrize("weight, shown", [
+    ([["2.5"]], '"2.5"'),
+    ([[True]], "true"),
+    ([[1.0, True], [0.0, 1.0]], "true"),
+    ([[1.0, 0.0], [None, 1.0]], "null"),
+])
+def test_weight_entries_that_are_not_numbers_are_rejected(weight, shown):
+    # numpy would read "2.5" as 2.5 and true as 1.0
+    obj = {"n": 3, "s": len(weight), "edges": [
+        {"u": 1, "v": 2, "weight": np.eye(len(weight)).tolist()},
+        {"u": 2, "v": 3, "weight": weight},
+    ]}
+    with pytest.raises(GraphFileError,
+                       match=f"edge 1: weight entry {shown} is not a number"):
+        loads_graph(json.dumps(obj))
+
+
 def test_validation_failures_surface_problem_list():
     obj = {
         "n": 4,
