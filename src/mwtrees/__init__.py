@@ -105,4 +105,6 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -7,11 +7,11 @@ rank-deficient weightings of non-tree graphs.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 the input
 could not be read, parsed or validated, the arguments were malformed (a
-negative ``--trials`` or ``--count``, say) or ``random`` could not write its
-output, 3 precondition failure (not a tree, not SPD, ...), 4 matrix not
-invertible, 5 internal error: an exception that is not a package error
-escaped a command's computation; it is a bug, and its traceback goes to
-stderr.
+``--trials`` or ``--count`` below 0, a ``--tolerance`` that is not finite
+and above 0) or ``random`` could not write its output, 3 precondition
+failure (not a tree, not SPD, ...), 4 matrix not invertible, 5 internal
+error: an exception that is not a package error escaped a command's
+computation; it is a bug, and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .closedforms import (
     distance_matrix,
     incidence_matrix,
     laplacian,
+    rank_characterization_probe,
     rank_deficient_weighting,
-    reweighted_scalar_laplacian,
     verification_suite,
 )
 from .errors import (
@@ -52,7 +52,7 @@ from .formats import (
 )
 from .generators import GenConfig, WeightKind, random_connected_nontree, random_tree
 from .graphs import MatrixWeightedGraph
-from .linalg import numerical_rank, sign_log_determinant
+from .linalg import sign_log_determinant
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -134,9 +134,7 @@ def cmd_invert(args) -> int:
     residual = float(
         np.max(np.abs(dist.data @ inv.data - np.eye(g.n * g.s)))
     )
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = 1e-8 * g.n * g.s
+    tolerance = args.tolerance or 1e-8 * g.n * g.s   # None by default
     checks = [check_record(_report("inverse_residual", residual, tolerance, g,
                                    "max |entry| of D @ D_inverse - I"))]
     matrices = None
@@ -251,9 +249,8 @@ def cmd_random(args) -> int:
 
 def cmd_deficient(args) -> int:
     g, digest = _read_input(args.input)
-    witness = rank_deficient_weighting(g)
-    lap = reweighted_scalar_laplacian(g, witness.edge_index, witness.w)
-    rank = numerical_rank(lap)
+    witness = rank_deficient_weighting(g)   # IsATreeError on a tree
+    rank = rank_characterization_probe(g).observed_ranks[0]
     checks = [check_record(_report(
         "rank_deficiency", float(rank), float(g.n - 2), g,
         f"scalar Laplacian rank with weight {witness.w:g} on edge "
@@ -283,6 +280,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A finite number above 0, for ``--tolerance``."""
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwtrees",
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert",
                        help="closed-form inverse of the tree distance matrix")
     add_common(p)
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="max-entry residual bound (default 1e-8 * n * s)")
     p.add_argument("--emit-matrices", action="store_true")
     p.set_defaults(func=cmd_invert)
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form determinant, cross-checked against "
                             "a factorization")
     add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-7,
+    p.add_argument("--tolerance", type=_tolerance, default=1e-7,
                    help="relative log-magnitude gap bound")
     p.set_defaults(func=cmd_det)
 
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_count, default=5,
                    help="reweighting trials in the rank suite")
-    p.add_argument("--tolerance", type=float, default=1e-8,
+    p.add_argument("--tolerance", type=_tolerance, default=1e-8,
                    help="relative tolerance for the identity residuals")
     p.add_argument("--emit-matrices", action="store_true")
     p.set_defaults(func=cmd_verify)

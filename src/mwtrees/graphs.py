@@ -184,21 +184,21 @@ def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _depth_first(g: MatrixWeightedGraph, root: int) -> tuple[list[int], list[int]]:
-    """Iterative depth-first search from ``root`` over the edges of
+def _depth_first(g: MatrixWeightedGraph) -> tuple[list[int], list[int]]:
+    """Iterative depth-first search from vertex 1 over the edges of
     :func:`adjacency`, so deep graphs do not recurse.
 
     Returns the vertices reached, in preorder, and for each vertex (entry 0
-    unused) the index of the edge it was reached by, -1 for the root and for
-    vertices not reached.  A vertex is marked when it is popped, so every
-    edge out of it that leads to an unmarked vertex is a candidate; on a
-    tree each vertex is pushed once, by its parent.
+    unused) the index of the edge it was reached by, -1 for vertex 1 and
+    for vertices not reached.  A vertex is marked when it is popped, so
+    every edge out of it that leads to an unmarked vertex is a candidate;
+    on a tree each vertex is pushed once, by its parent.
     """
     adj = adjacency(g)
     via = [-1] * len(adj)
     seen = [False] * len(adj)
     order: list[int] = []
-    stack = [(root, -1)]
+    stack = [(1, -1)]
     while stack:
         x, k = stack.pop()
         if not seen[x]:
@@ -210,12 +210,12 @@ def _depth_first(g: MatrixWeightedGraph, root: int) -> tuple[list[int], list[int
 
 
 def depth_first_tree(g: MatrixWeightedGraph) -> tuple[list[int], list[int]]:
-    """:func:`_depth_first` from vertex 1, run once per graph (n >= 1) and
-    kept on it, read-only: :func:`validate` tests connectivity with it, and
-    the layouts of :mod:`mwtrees.operators` read its spanning tree."""
+    """:func:`_depth_first`, run once per graph (n >= 1) and kept on it,
+    read-only: :func:`validate` tests connectivity with it, and the layouts
+    of :mod:`mwtrees.operators` and :func:`tree_path` read its tree."""
     found = g.__dict__.get("_search")
     if found is None:
-        found = g.__dict__["_search"] = _depth_first(g, 1)
+        found = g.__dict__["_search"] = _depth_first(g)
     return found
 
 
@@ -254,21 +254,24 @@ def require_tree(g: MatrixWeightedGraph) -> None:
 
 
 def tree_path(g: MatrixWeightedGraph, u: int, v: int) -> list[int]:
-    """Edge indices along the unique u-to-v path of a tree, in path order."""
+    """Edge indices along the unique u-to-v path of a tree, in path order,
+    read off the tree of :func:`depth_first_tree`."""
     if u == v:
         raise SameVertexError(f"path endpoints must differ, got {u} twice")
     if not (1 <= u <= g.n and 1 <= v <= g.n):
         raise ValueError(f"path endpoints ({u}, {v}) not in 1..{g.n}")
     require_tree(g)
-    _, via = _depth_first(g, u)
-    path = []
-    x = v
-    while x != u:   # back to u, over the far endpoint of each edge
-        e = g.edges[via[x]]
-        path.append(via[x])
-        x = e.u + e.v - x
-    path.reverse()
-    return path
+    _, via = depth_first_tree(g)
+    walks = [], []
+    for walk, x in zip(walks, (u, v)):
+        while via[x] >= 0:   # up, over the far endpoint of each edge
+            walk.append(via[x])
+            x = g.edges[via[x]].u + g.edges[via[x]].v - x
+    first, second = walks   # both end in the edges above where they meet
+    while first and second and first[-1] == second[-1]:
+        first.pop()
+        second.pop()
+    return first + second[::-1]
 
 
 def degrees(g: MatrixWeightedGraph) -> np.ndarray:

@@ -3,11 +3,13 @@
 Everything here works on plain float64 numpy arrays, with numpy as the only
 backend.  Rank, symmetry and definiteness decisions are made with relative
 thresholds so they behave the same across scales.  The rank cutoff below
-can be overridden per call; the symmetry and zero cutoffs are fixed.  A square matrix is singular exactly when its
-:func:`numerical_rank` falls short of its order: :func:`inverse` and every
-invertibility check use that one test.  :func:`spd_inverse` and
-:func:`spd_whiten`, for a matrix positive definite by construction, take
-no rank test: a Cholesky pivot within rounding of zero raises instead.
+can be overridden per call of the rank functions and the pseudo-inverse;
+the symmetry and zero cutoffs are fixed.  A square matrix is singular
+exactly when its :func:`numerical_rank` at the default cutoff falls short
+of its order: :func:`inverse` and every invertibility check use that one
+test.  :func:`spd_inverse` and :func:`spd_whiten`, for a matrix positive
+definite by construction, take no rank test: a Cholesky pivot within
+rounding of zero raises instead.
 
 The per-edge tests come in stacked form: :func:`numerical_ranks`,
 :func:`inverses`, :func:`sign_log_determinants` and
@@ -92,36 +94,25 @@ def _asymmetries(m: np.ndarray):
     return asym, asym <= DEFAULT_SYMMETRY_TOL * frobenius_norms(m)
 
 
-def inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Inverse of a square matrix.
-
-    Raises SingularMatrixError when :func:`numerical_rank` (singular values
-    above ``rel_tol`` times the largest) is below the order of the matrix,
-    instead of silently amplifying noise.
-    """
-    return inverses(as_matrix(a)[None], rel_tol)[0]
+def inverse(a) -> np.ndarray:
+    """Inverse of a square matrix; SingularMatrixError, instead of noise
+    amplified, when its :func:`numerical_rank` is below its order."""
+    return inverses(as_matrix(a)[None])[0]
 
 
-def inverses(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """:func:`inverse` of each member of an ``(m, s, s)`` stack.
-
-    The first singular member raises SingularMatrixError with its position
-    in ``index``.
-    """
+def inverses(a) -> np.ndarray:
+    """:func:`inverse` of each member of an ``(m, s, s)`` stack; the first
+    singular member raises SingularMatrixError with its position in
+    ``index``."""
     m = as_matrix(a, "stack", 3)
     _require_square(m)
-    singular = np.flatnonzero(numerical_ranks(m, rel_tol) < m.shape[-1])
-    if not singular.size:
-        try:
-            return np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            # an exactly zero LU pivot, reachable only with rel_tol ~ 0;
-            # slogdet factors the same way and reports it as sign 0
-            singular = np.flatnonzero(np.linalg.slogdet(m)[0] == 0.0)
-    raise SingularMatrixError(
-        f"matrix of shape {m.shape[1:]} is singular to working precision",
-        index=int(singular[0]),
-    )
+    singular = np.flatnonzero(numerical_ranks(m) < m.shape[-1])
+    if singular.size:
+        raise SingularMatrixError(
+            f"matrix of shape {m.shape[1:]} is singular to working precision",
+            index=int(singular[0]),
+        )
+    return np.linalg.inv(m)
 
 
 def spd_inverse(a) -> np.ndarray:

@@ -173,12 +173,17 @@ def test_import_loads_no_scipy():
 
 def test_package_exports_no_future_feature():
     import __future__
+    import types
 
     import mwtrees
 
     assert "annotations" not in mwtrees.__all__
     assert not [name for name in mwtrees.__all__
                 if isinstance(getattr(mwtrees, name), __future__._Feature)]
+    # nor its submodules, which `from mwtrees import *` would bind
+    assert not [name for name in mwtrees.__all__
+                if isinstance(getattr(mwtrees, name), types.ModuleType)]
+    assert "graphs" not in mwtrees.__all__ and "tree_path" in mwtrees.__all__
 
 
 def test_cli_process_imports_no_scipy():
@@ -516,6 +521,21 @@ def test_negative_counts_are_rejected_when_parsed(capsys, tmp_path, argv):
     assert info.value.code == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", PATH4, "--tolerance", "nan"],
+    ["det", PATH4, "--tolerance", "-1"],
+    ["verify", PATH4, "--tolerance", "inf", "--suite", "identities"],
+    ["verify", PATH4, "--tolerance", "0"],
+])
+def test_bad_tolerances_are_rejected_when_parsed(capsys, argv):
+    # refused at parsing (exit 2), not run into a failed or vacuous check
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite and > 0" in err
 
 
 def test_untyped_error_after_parsing_is_an_internal_error(capsys,

@@ -1294,7 +1294,7 @@ def _breadth_first_layout(g: MatrixWeightedGraph):
                 queue.append(y)
     kept = sorted(j for j in via.values() if j >= 0)
     order, sub = _depth_first(MatrixWeightedGraph(
-        g.n, g.s, [g.edges[j] for j in kept]), 1)
+        g.n, g.s, [g.edges[j] for j in kept]))
     copy = MatrixWeightedGraph(g.n, g.s, g.edges)
     copy.__dict__["_search"] = (order, [j if j < 0 else kept[j] for j in sub])
     return copy, _subtree_runs(copy)

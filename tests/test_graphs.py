@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mwtrees.errors import NotConnectedError, SameVertexError
 from mwtrees.gallery import path4_block2, path_graph, star_graph
-from mwtrees.generators import GenConfig, WeightKind, random_tree
+from mwtrees.generators import GenConfig, WeightKind, distance_oracle, random_tree
 from mwtrees.graphs import (
     BAD_WEIGHT_SHAPE,
     DUPLICATE_EDGE,
@@ -176,6 +176,27 @@ def test_tree_path_walks_from_u_to_v(seed):
         x = e.u + e.v - x
     assert x == v
     assert len(set(path)) == len(path)
+
+
+def test_tree_path_and_the_oracle_walk_the_one_kept_search(monkeypatch):
+    # n(n - 1)/2 paths for the oracle and n(n - 1) more, one search
+    from mwtrees import graphs
+
+    g = random_tree(GenConfig(n_range=(12, 12), s_range=(2, 2),
+                              kind=WeightKind.SPD, seed=5))
+    counts = {}
+    for name in ("_depth_first", "adjacency"):
+        def counted(graph, name=name, real=getattr(graphs, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return real(graph)
+
+        monkeypatch.setattr(graphs, name, counted)
+    distance_oracle(g)
+    for u in range(1, g.n + 1):
+        for v in range(1, g.n + 1):
+            if u != v:
+                tree_path(g, u, v)
+    assert counts == {"_depth_first": 1, "adjacency": 1}
 
 
 def test_degrees_and_delta_vector():

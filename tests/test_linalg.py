@@ -54,13 +54,6 @@ def test_inverse_rejects_numerically_singular():
         inverse(w)
 
 
-def test_inverse_maps_an_exactly_zero_pivot_to_singular():
-    # at rel_tol 0 the SVD of ones((2, 2)) reports full rank, but LU meets a
-    # zero pivot
-    with pytest.raises(SingularMatrixError):
-        inverse(np.ones((2, 2)), rel_tol=0.0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.floats(-11.0, 0.0), st.integers(0, 10**6))
 def test_inverse_singular_exactly_when_rank_deficient(s, log_ratio, seed):
@@ -443,13 +436,6 @@ def test_stacked_kernels_accept_empty_stacks():
     assert numerical_ranks(empty).shape == (0,)
     assert inverses(empty).shape == (0, 3, 3)
     assert spd_inverse_sqrts(empty).shape == (0, 3, 3)
-
-
-def test_inverses_name_an_exactly_zero_pivot():
-    stack = np.array([np.eye(2), np.ones((2, 2)), np.ones((2, 2))])
-    with pytest.raises(SingularMatrixError) as info:
-        inverses(stack, rel_tol=0.0)
-    assert info.value.index == 1
 
 
 def test_stacked_kernels_reject_bad_shapes():

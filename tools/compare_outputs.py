@@ -4,14 +4,15 @@ Usage, from anywhere in a source checkout::
 
     python3 tools/compare_outputs.py REF
 
-It checks REF out into a temporary ``git worktree``, runs this checkout's
-``tools/dump_outputs.py`` on both sides (with ``OPENBLAS_NUM_THREADS=1``
-and ``-W error::RuntimeWarning``, so that the bits of the larger products
-do not depend on the thread count and a numpy warning stops a dump), and
-prints how many lines moved under each output label and every record whose
-status changed.  The worktree is removed on every exit path.  Exit status
-0 means the two dumps are identical, 1 that they differ and 2 that a dump
-or a git command failed.
+It extracts ``git archive REF`` into a temporary directory, runs this
+checkout's ``tools/dump_outputs.py`` on both sides (with
+``OPENBLAS_NUM_THREADS=1`` and ``-W error::RuntimeWarning``, so that the
+bits of the larger products do not depend on the thread count and a numpy
+warning stops a dump), and prints how many lines moved under each output
+label and every record whose status changed.  It adds nothing to the
+repository, and the directory is removed on every exit path.  Exit status
+0 means the two dumps are identical, 1 that they differ and 2 that a dump,
+``git archive`` or its extraction failed.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ def fail(message: str) -> None:
     sys.exit(2)
 
 
-def git(*args: str, check: bool = True) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=check,
-                   stdout=subprocess.DEVNULL)
+def extract(ref: str, tree: Path) -> None:
+    """The files of ``ref``, as ``git archive`` writes them, under ``tree``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                             check=True, stdout=subprocess.PIPE).stdout
+    tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
 
 
 def dumps(checkouts: list[Path]) -> list[str]:
@@ -94,23 +98,20 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="the git revision to compare against")
     ref = parser.parse_args().ref
-    # a terminated run still removes its worktree, in the finally below
+    # a terminated run still removes its directory, in the finally below
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(2))
     scratch = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     tree = scratch / "ref"
     try:
-        git("worktree", "add", "--quiet", "--detach", str(tree), ref)
+        extract(ref, tree)
         (tree / DUMP).parent.mkdir(exist_ok=True)
         shutil.copyfile(ROOT / DUMP, tree / DUMP)
         before, after = dumps([tree, ROOT])
         identical = report(ref, before, after)
     except subprocess.CalledProcessError as exc:
-        fail(f"git failed: {exc}")
+        fail(f"extracting {ref} failed: {exc}")
     finally:
-        if tree.exists():
-            git("worktree", "remove", "--force", str(tree), check=False)
         shutil.rmtree(scratch, ignore_errors=True)
-        git("worktree", "prune", check=False)
     sys.exit(0 if identical else 1)
 
 
