@@ -53,10 +53,13 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
+    block_planes,
     frobenius_norms,
     inertia_of,
     inverse,
+    largest_pair_norm,
     numerical_rank,
+    pair_contractions,
     sign_log_determinants,
     spd_inverse,
     spd_inverse_sqrts,
@@ -634,6 +637,28 @@ def _probe_norm(mx: np.ndarray) -> float:
     return float(frobenius_norms(mx[None])[0]) / math.sqrt(mx.shape[1])
 
 
+def _centred_norm(planes: np.ndarray) -> float:
+    """``||P H P||_F``, ``P = (I - J/n) kron I_s``, of the H given as
+    planes, with the bits of the means of its (n, s, n, s) view: the
+    block-row mean subtracted, then the block-column mean, each added up
+    in index order, except that numpy adds up a contiguous axis pairwise,
+    as it does a block column when s = 1; the norm is taken over the
+    entries in H's own order."""
+    s, _, n, _ = planes.shape
+    centred = planes - planes.mean(axis=2, keepdims=True)
+    if s == 1:
+        centred -= centred.mean(axis=3, keepdims=True)
+        return float(frobenius_norms(centred.reshape(1, -1))[0])
+    columns = np.ascontiguousarray(centred.swapaxes(2, 3))   # [a, b, j, i]
+    mean = columns.mean(axis=2)
+    ordered = columns.reshape(n, s, n, s)   # H's order, in the same memory
+    for a in range(s):
+        for b in range(s):
+            np.subtract(centred[a, b], mean[a, b, :, None],
+                        out=ordered[:, a, :, b])
+    return float(frobenius_norms(ordered.reshape(1, -1))[0])
+
+
 def ginverse_invariance_check(
     g: MatrixWeightedGraph, seed: int = 0
 ) -> VerificationReport:
@@ -657,15 +682,11 @@ def ginverse_invariance_check(
     roots = [_seeded_root(g.n, k) for k in seeds]
     if roots[1] == roots[0]:
         roots[1] = roots[0] % g.n + 1
-    first, second = (a.g_inverse(r) for r in roots)
-    # P H P: the mean block row, then column, subtracted
-    x = first.data.reshape(g.n, g.s, g.n, g.s)
-    x = x - x.mean(axis=0)
-    pinv = x - x.mean(axis=2, keepdims=True)
-    # the largest block norm over the pairs i < j, 0.0 when there is none
-    dev = second.pair_contractions() - first.pair_contractions()
-    worst = frobenius_norms(dev[np.triu_indices(g.n, 1)]).max(initial=0.0)
-    tol = _GINVERSE_REL_TOL * float(frobenius_norms(pinv[None])[0])
+    first, second = (block_planes(a.g_inverse(r).data, g.s) for r in roots)
+    dev = pair_contractions(second)
+    dev -= pair_contractions(first)
+    worst = largest_pair_norm(dev)
+    tol = _GINVERSE_REL_TOL * _centred_norm(first)
     return _report("ginverse_invariance", worst, tol, g,
                    f"g-inverses grounded at roots {tuple(roots)}, "
                    f"seeds {seeds}")
@@ -686,10 +707,10 @@ def ginverse_distance_recovery(
     require_tree(g)
     a.require_spd()
     dist = a.distance
-    blocks = dist.reshape(g.n, g.s, g.n, g.s).transpose(0, 2, 1, 3)
     root = _seeded_root(g.n, seed)
-    dev = a.g_inverse(root).pair_contractions() - blocks
-    worst = frobenius_norms(dev[np.triu_indices(g.n, 1)]).max(initial=0.0)
+    dev = pair_contractions(block_planes(a.g_inverse(root).data, g.s))
+    dev -= block_planes(dist, g.s)
+    worst = largest_pair_norm(dev)
     tol = _GINVERSE_REL_TOL * float(frobenius_norms(dist[None])[0])
     return _report("ginverse_recovery", worst, tol, g,
                    f"g-inverse grounded at root {root}, seed {seed}")

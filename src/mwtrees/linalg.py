@@ -86,6 +86,44 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel(), power)
 
 
+def block_planes(data: np.ndarray, s: int) -> np.ndarray:
+    """The (s, s, n, n) planes of a square array of s x s blocks: ``[a, b,
+    i, j]`` is entry (a, b) of block (i, j), 0-based.  Contiguous, and a
+    view of ``data``, no copy, when s = 1."""
+    n = data.shape[0] // s
+    return np.ascontiguousarray(data.reshape(n, s, n, s).transpose(1, 3, 0, 2))
+
+
+def pair_contractions(planes: np.ndarray) -> np.ndarray:
+    """:meth:`BlockMatrix.pair_contraction` of every block pair (i, j), as
+    planes: ``((B_ii + B_jj) - B_ij) - B_ji``, the same float operations
+    in the same order, so the same bits, with every loop n long."""
+    d = np.diagonal(planes, axis1=2, axis2=3)
+    out = d[..., :, None] + d[..., None, :]
+    out -= planes
+    out -= planes.swapaxes(2, 3)
+    return out
+
+
+def largest_pair_norm(planes: np.ndarray) -> float:
+    """The largest :func:`frobenius_norms` of the blocks (i, j), i < j, of
+    an array given as planes, 0.0 with no pair: that of the blocks whose
+    sums of squares, after :func:`_binade_scaled`, are within 2^-24 of the
+    largest, far above their s^2 eps rounding, so the same bits as that of
+    every block; of every block when that largest sum is inf, NaN or below
+    2^-1000, where squares that underflow could reorder the blocks."""
+    s, _, n, _ = planes.shape
+    scaled = _binade_scaled(planes.reshape(1, -1))[0].reshape(s * s, n, n)
+    sums = np.triu(np.einsum("kij,kij->ij", scaled, scaled), 1)
+    top = sums.max(initial=0.0)
+    if 2.0 ** -1000 <= top < math.inf:
+        i, j = np.nonzero(sums >= (1.0 - 2.0 ** -24) * top)
+    else:
+        i, j = np.triu_indices(n, 1)
+    blocks = planes.transpose(2, 3, 0, 1)[i, j]
+    return float(frobenius_norms(blocks).max(initial=0.0))
+
+
 def _asymmetries(m: np.ndarray):
     """Largest entry of ``|a - a.T|`` for each member ``a`` of a square
     stack, and whether it is within ``DEFAULT_SYMMETRY_TOL`` times the
@@ -346,24 +384,4 @@ class BlockMatrix:
         return (
             self.block(i, i) + self.block(j, j)
             - self.block(i, j) - self.block(j, i)
-        )
-
-    def pair_contractions(self) -> np.ndarray:
-        """Every :meth:`pair_contraction` at once, as an (n, n, s, s) array.
-
-        Entry ``[i - 1, j - 1]`` is ``pair_contraction(i, j)`` bit for bit:
-        the same four blocks combined in the same order.  Needs a square
-        block grid.
-        """
-        n, s = self.block_rows, self.block_size
-        if self.block_cols != n:
-            raise ValueError(
-                f"pair contractions need a square block grid, "
-                f"got {n}x{self.block_cols}"
-            )
-        blocks = self.data.reshape(n, s, n, s).transpose(0, 2, 1, 3)
-        diag = blocks[np.arange(n), np.arange(n)]
-        return (
-            diag[:, None] + diag[None, :]
-            - blocks - blocks.transpose(1, 0, 2, 3)
         )

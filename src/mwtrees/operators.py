@@ -64,7 +64,13 @@ def tree_g_inverse_data(layout: TreeLayout, weights: np.ndarray,
     below = layout.below[layout.at]   # [i, k]: vertex i is below edge k
     # flip the edges on the path from vertex 1 to the root
     sides = np.abs(below - below[root - 1])
-    terms = sides.T[:, None, :, None] * weights[:, :, None, :]
+    if s == 1:   # numpy lays this product out edge first, as the GEMM reads it
+        terms = sides.T[:, None, :, None] * weights[:, :, None, :]
+    else:   # the same product, [k, a, i, b] = sides[i, k] W_k[a, b], from
+        terms = np.empty((m, s, n, s))   # s multiplies of n-long rows
+        for b in range(s):
+            np.multiply(sides.T[:, None, :], weights[:, :, b, None],
+                        out=terms[..., b])
     return (sides @ terms.reshape(m, s * n * s)).reshape(n * s, n * s)
 
 

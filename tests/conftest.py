@@ -149,6 +149,50 @@ def dense_identity_reports(g, rel_tol: float = 1e-8) -> list:
     return reports
 
 
+def ginverse_reference(g, seed: int) -> dict:
+    """``name -> (residual, tolerance)`` of ``ginverse_invariance_check(g,
+    seed)`` and, on a tree, ``ginverse_distance_recovery(g, seed)``, from
+    the analysis's g-inverses and D, computed the way those checks once
+    did: every pair contraction from an (n, n, s, s) view of the blocks,
+    the norm of every pair's block, and P H P from the means of the (n, s,
+    n, s) view.  The records must keep these bits."""
+    from mwtrees.closedforms import _GINVERSE_REL_TOL, _analysis, _seeded_root
+    from mwtrees.linalg import frobenius_norms
+
+    a = _analysis(g)
+    n, s = g.n, g.s
+    pairs = np.triu_indices(n, 1)
+
+    def contractions(data):
+        blocks = data.reshape(n, s, n, s).transpose(0, 2, 1, 3)
+        diag = blocks[np.arange(n), np.arange(n)]
+        return (diag[:, None] + diag[None, :]
+                - blocks - blocks.transpose(1, 0, 2, 3))
+
+    def worst(dev):
+        return float(frobenius_norms(dev[pairs]).max(initial=0.0))
+
+    def norm(x):
+        return _GINVERSE_REL_TOL * float(frobenius_norms(x[None])[0])
+
+    roots = [_seeded_root(n, k) for k in (seed, seed + 1)]
+    if roots[1] == roots[0]:
+        roots[1] = roots[0] % n + 1
+    first, second = (a.g_inverse(r).data for r in roots)
+    x = first.reshape(n, s, n, s)
+    x = x - x.mean(axis=0)
+    reference = {"ginverse_invariance": (
+        worst(contractions(second) - contractions(first)),
+        norm(x - x.mean(axis=2, keepdims=True)))}
+    if a.tree:
+        dist = a.distance
+        h = a.g_inverse(_seeded_root(n, seed)).data
+        blocks = dist.reshape(n, s, n, s).transpose(0, 2, 1, 3)
+        reference["ginverse_recovery"] = (worst(contractions(h) - blocks),
+                                          norm(dist))
+    return reference
+
+
 def svd_interlacing_status(g, slack_tol: float = 1e-8) -> str:
     """The status of the ``interlacing`` record of the SPD tree ``g`` (n >=
     2) with the spectrum of L from a dense SVD of L, in place of the

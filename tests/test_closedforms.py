@@ -50,7 +50,7 @@ from mwtrees.generators import (
     random_nonsingular,
     random_tree,
 )
-from mwtrees.graphs import MatrixWeightedGraph
+from mwtrees.graphs import MatrixWeightedGraph, is_tree
 from mwtrees.linalg import (
     BlockMatrix,
     Inertia,
@@ -69,6 +69,7 @@ from conftest import (
     conditioned_matrix,
     dense_identity_reports,
     distance_inverse_factored,
+    ginverse_reference,
     graded_spd,
     grounded_inverse_oracle,
     probe_reweightings,
@@ -2079,6 +2080,49 @@ def test_overflowed_ginverse_records_fail():
     for r in reports.values():
         if r.status == PASS:
             assert math.isfinite(r.residual) and math.isfinite(r.tolerance)
+
+
+def _ginverse_route_graph(route: str, s: int) -> MatrixWeightedGraph:
+    if route == "tree":   # for s = 1, a tree whose tolerance's bits differ
+        return _probe_tree("prufer", 30, s, True, 0)   # when the block
+    # columns are added up in index order, not pairwise as numpy does
+    if route == "cycle":
+        return _non_tree("tree+2", 30, s, 1e-2, 8)
+    return _non_tree("complete", 7, s, 1e-2, 3)
+
+
+def _assert_reference_bits(g: MatrixWeightedGraph) -> None:
+    for seed in (0, 3):
+        reference = ginverse_reference(g, seed)
+        records = [ginverse_invariance_check(g, seed)]
+        if "ginverse_recovery" in reference:
+            records.append(ginverse_distance_recovery(g, seed))
+        assert {r.name: (r.residual, r.tolerance)
+                for r in records} == reference, seed
+
+
+@pytest.mark.parametrize("k", [0, -600, 600])
+@pytest.mark.parametrize("route, s", [
+    (route, s) for route in ("tree", "cycle", "cholesky") for s in (1, 2, 4, 8)
+    if (route, s) != ("cycle", 1)])   # n + k s + 24 > n s when s = 1
+def test_ginverse_records_keep_the_reference_bits(route, s, k):
+    # the records from block planes give the bits of the (n, n, s, s) and
+    # (n, s, n, s) views on every route, also where the weights' scale
+    # sends the norms through their power-of-two scaling
+    from mwtrees.closedforms import _few_cycles
+
+    base = _ginverse_route_graph(route, s)
+    g = MatrixWeightedGraph(base.n, s, [(e.u, e.v, np.ldexp(e.weight, k))
+                                        for e in base.edges])
+    assert is_tree(g) == (route == "tree")
+    if route != "tree":
+        assert _few_cycles(g.n, g.m, s) == (route == "cycle")
+    _assert_reference_bits(g)
+
+
+def test_graded_tree_ginverse_records_keep_the_reference_bits():
+    _assert_reference_bits(_probe_tree("recursive", 20, 4, True, 9,
+                                       ratio=1e-6))
 
 
 @pytest.mark.parametrize("make", [path4_block2, diamond4])

@@ -12,12 +12,15 @@ from mwtrees.linalg import (
     DEFAULT_SYMMETRY_TOL,
     BlockMatrix,
     Inertia,
+    block_planes,
     frobenius_norms,
     inertia_of,
     inverse,
     inverses,
+    largest_pair_norm,
     numerical_rank,
     numerical_ranks,
+    pair_contractions,
     pseudo_inverse,
     sign_log_determinant,
     sign_log_determinants,
@@ -339,17 +342,96 @@ def test_block_matrix_pair_contraction_hand_value():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.sampled_from([1, 2, 8]), st.integers(0, 10**6))
 def test_pair_contractions_match_pair_contraction(n, s, seed):
+    # asymmetric blocks: B_ij and B_ji differ, and so do the two orders
     h = BlockMatrix(np.random.default_rng(seed).standard_normal((n * s, n * s)), s)
-    every = h.pair_contractions()
-    assert every.shape == (n, n, s, s)
+    every = pair_contractions(block_planes(h.data, s))
+    assert every.shape == (s, s, n, n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            assert np.array_equal(every[i - 1, j - 1], h.pair_contraction(i, j))
+            assert np.array_equal(every[:, :, i - 1, j - 1],
+                                  h.pair_contraction(i, j))
 
 
-def test_pair_contractions_need_a_square_grid():
-    with pytest.raises(ValueError):
-        BlockMatrix(np.zeros((4, 2)), 2).pair_contractions()
+@pytest.mark.parametrize("s", [1, 3])
+def test_block_planes_lay_out_each_block_entry(s):
+    n = 4
+    data = np.arange((n * s) ** 2, dtype=float).reshape(n * s, n * s)
+    planes = block_planes(data, s)
+    assert planes.shape == (s, s, n, n) and planes.flags.c_contiguous
+    h = BlockMatrix(data, s)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert np.array_equal(planes[:, :, i - 1, j - 1], h.block(i, j))
+    # a view, no copy, when the blocks are scalars
+    assert np.shares_memory(planes, data) == (s == 1)
+
+
+def _every_pair_norm(planes: np.ndarray) -> float:
+    """The largest Frobenius norm over the pairs i < j, from the norms of
+    every pair's block, stacked in pair order."""
+    blocks = planes.transpose(2, 3, 0, 1)[np.triu_indices(planes.shape[-1], 1)]
+    return float(frobenius_norms(blocks).max(initial=0.0))
+
+
+def _pair_planes(n: int, s: int, rng, ties: bool) -> np.ndarray:
+    planes = rng.standard_normal((s, s, n, n))
+    # blocks whose scales run over most of the float range, and a few at
+    # the largest scale, to crowd the largest norm
+    scales = rng.integers(-1060, 1000, (n, n))
+    scales[rng.random((n, n)) < 0.2] = 990
+    planes = np.ldexp(planes, scales)
+    if ties and n > 2:   # blocks (1, 2) and (1, 3) are the same, and largest
+        planes[:, :, 0, 1] = planes[:, :, 0, 2] = np.ldexp(
+            rng.standard_normal((s, s)), 1000)
+    return planes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([1, 2, 8]), st.booleans(),
+       st.integers(0, 10**6))
+def test_largest_pair_norm_has_the_bits_of_every_pair_norm(n, s, ties, seed):
+    planes = _pair_planes(n, s, np.random.default_rng(seed), ties)
+    assert largest_pair_norm(planes) == _every_pair_norm(planes)
+    # and at one scale, where the sums of squares decide
+    even = np.random.default_rng(seed).standard_normal((s, s, n, n))
+    assert largest_pair_norm(even) == _every_pair_norm(even)
+
+
+def test_largest_pair_norm_breaks_near_ties_as_every_pair_norm_does():
+    # every block above the diagonal holds the same entries in another
+    # order: their norms agree to within rounding, which orders the sums
+    # of squares and the norms differently
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, s = 6, 8
+        entries = rng.standard_normal(s * s)
+        planes = np.zeros((s, s, n, n))
+        for i, j in zip(*np.triu_indices(n, 1)):
+            planes[:, :, i, j] = rng.permutation(entries).reshape(s, s)
+        assert largest_pair_norm(planes) == _every_pair_norm(planes), seed
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_largest_pair_norm_norms_every_pair_of_non_finite_planes(bad):
+    planes = np.random.default_rng(5).standard_normal((2, 2, 5, 5))
+    for i, j in [(0, 3), (3, 0), (2, 2)]:   # above, below, on the diagonal
+        spoilt = planes.copy()
+        spoilt[1, 0, i, j] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = largest_pair_norm(spoilt), _every_pair_norm(spoilt)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        if i < j:
+            assert not math.isfinite(got)
+
+
+def test_largest_pair_norm_norms_every_pair_when_only_the_lower_pairs_count():
+    # the pairs above the diagonal are 2^-600 of those below: after the
+    # scaling their sums of squares underflow, and cannot order them
+    planes = np.random.default_rng(6).standard_normal((2, 2, 6, 6))
+    upper = np.triu(np.ones((6, 6)), 1).astype(bool)
+    planes[:, :, upper] = np.ldexp(planes[:, :, upper], -600)
+    assert largest_pair_norm(planes) == _every_pair_norm(planes) > 0.0
+    assert largest_pair_norm(np.zeros((3, 3, 1, 1))) == 0.0
 
 
 # --- stacked kernels --------------------------------------------------------

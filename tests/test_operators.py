@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwtrees.closedforms import (
@@ -417,6 +417,36 @@ def test_tree_grounded_inverse_at_any_root(shape, n, s, spd, seed):
         size = (n - 1) * s
         assert np.linalg.norm(k @ inv - np.eye(size)) <= (
             1e-13 * size * np.linalg.norm(k) * np.linalg.norm(inv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["path", "star", "caterpillar", "pruefer"]),
+    st.integers(1, 30),
+    st.sampled_from([1, 2, 4, 8]),
+    st.integers(0, 10**6),
+)
+@example("path", 25, 1, 0)   # a GEMM whose bits follow the layout of s = 1
+def test_tree_grounded_inverse_has_the_bits_of_the_broadcast_product(
+    shape, n, s, seed
+):
+    # the stack of t_k^T kron W_k has the values and the memory order of
+    # the broadcast product, so the GEMM and G_r keep its bits; asymmetric
+    # weights with zero and negative entries
+    rng = np.random.default_rng(seed)
+    topo = _adversarial_topology(shape, n, rng) if n > 1 else []
+    weights = rng.standard_normal((len(topo), s, s))
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    g = MatrixWeightedGraph(n, s, [(u, v, w) for (u, v), w in
+                                   zip(topo, weights)])
+    layout = _subtree_runs(g)
+    r = int(rng.integers(1, n + 1))
+    below = layout.below[layout.at]
+    sides = np.abs(below - below[r - 1])
+    terms = sides.T[:, None, :, None] * weights[:, :, None, :]
+    expected = sides @ terms.reshape(len(topo), s * n * s)
+    got = tree_g_inverse_data(layout, weight_stack(g), r)
+    assert got.tobytes() == expected.reshape(n * s, n * s).tobytes()
 
 
 @settings(max_examples=80, deadline=None)

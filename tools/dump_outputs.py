@@ -21,8 +21,9 @@ with that weight on every edge, whose determinant once lost a factor 2
 on each subnormal weight, and a 30-vertex SPD tree with s = 2 plus 3 and
 plus 4 edges, the last graph whose g-inverses take the spanning tree's
 closed form with a cycle correction and the first that takes the
-Cholesky inverse.  For each graph, in the order of one benchmark
-op, it hashes each suite record on its own line (labelled
+Cholesky inverse, and a 150-vertex SPD tree with s = 2 plus 2 edges, the
+shape of the benchmark's ``sparse`` class, on the cycle route.  For each
+graph, in the order of one benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
 the rank-deficient weighting, and the eigenvalues of L that the suite's
@@ -82,6 +83,10 @@ def corpus():
         yield f"spd_tree_30_2_plus_{k}", mw.MatrixWeightedGraph(30, 2, [
             *tree.edges,
             *((u, v, mw.random_spd(2, seed=u * 100 + v)) for u, v in chords[:k])])
+    tree = mw.random_tree(GenConfig((150, 150), (2, 2), WeightKind.SPD, seed=11))
+    yield "spd_tree_150_2_plus_2", mw.MatrixWeightedGraph(150, 2, [
+        *tree.edges,
+        *((u, v, mw.random_spd(2, seed=u * 1000 + v)) for u, v in ((1, 75), (40, 150)))])
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
