@@ -50,6 +50,7 @@ from .graphs import (
     weight_sum,
 )
 from .linalg import (
+    _CERTIFICATE_SAFETY,
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
@@ -89,11 +90,6 @@ SUITES = ("identities", "ginverse", "spectrum", "rank", "all")
 #: Gaussian probe columns of the ``ldl``, ``dinv_minus_l`` and ``qdq``
 #: estimates of :func:`verify_identities`.
 _PROBES = 8
-
-#: The rank certificate of a tree Laplacian of order N allows this many
-#: times ``N eps sigma_1`` for the error of the singular values LAPACK
-#: computes and for the rounding of its own residual product.
-_CERTIFICATE_SAFETY = 64.0
 
 #: Tolerance of both g-inverse checks, times the norm of L^+ or of D.
 _GINVERSE_REL_TOL = 1e-7
@@ -933,8 +929,8 @@ def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout,
                weights: np.ndarray, blocks: np.ndarray, rel_tol: float) -> int:
     """``numerical_rank(block_laplacian(g, blocks), rel_tol)`` for a tree g
     whose blocks invert its ``weights``, certified from the m edge blocks
-    where it can be, computed by one SVD where it cannot (NonFiniteError
-    if that L overflows); ``tree`` is the layout of g.
+    where it can be, computed where it cannot (NonFiniteError if that L
+    overflows); ``tree`` is the layout of g.
 
     With N = n s and L = ``block_laplacian(g, blocks)``, the certificate
     bounds ``sigma_{N-s}(L)`` from below and ``sigma_{N-s+1}(L)`` from

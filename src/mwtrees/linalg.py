@@ -11,15 +11,24 @@ test.  :func:`spd_inverse` and :func:`spd_whiten`, for a matrix positive
 definite by construction, take no rank test: a Cholesky pivot within
 rounding of zero raises instead.
 
+The rank is the count of singular values above the cutoff, the SVD's
+count.  An exactly symmetric matrix's singular values are its
+``|eigenvalues|``, and :func:`numerical_ranks` reads its rank from one
+``eigvalsh`` where LAPACK's error bounds certify that the SVD would count
+the same; within rounding of the cutoff it takes the SVD.
+
 The per-edge tests come in stacked form: :func:`numerical_ranks`,
 :func:`inverses`, :func:`sign_log_determinants` and
 :func:`spd_inverse_sqrts` take an ``(m, r, c)`` stack and make one
-batched LAPACK call for all of it.  numpy's linalg routines factor each
-member of a stack on its own, so every member gets the bits a call on it
-alone would give.  :func:`inverse`, :func:`numerical_rank` and
-:func:`sign_log_determinant` are stacks of one over the same code.
-Symmetry is not a test of its own: :func:`symmetric_eigenvalues` and
-:func:`spd_inverse_sqrts` reject an asymmetric input.
+batched LAPACK call for all of it (:func:`numerical_ranks` one of each
+kind it needs).  numpy's linalg routines factor each member of a stack
+on its own, and the certificate is decided member by member, so every
+member gets the bits and the rank a call on it alone would give.
+:func:`inverse`, :func:`numerical_rank` and :func:`sign_log_determinant`
+are stacks of one over the same code.
+Symmetry within ``DEFAULT_SYMMETRY_TOL`` is not a test of its own:
+:func:`symmetric_eigenvalues` and :func:`spd_inverse_sqrts` reject an
+asymmetric input (the rank's exact ``a == a.T`` only picks its route).
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ DEFAULT_RANK_TOL = 1e-9
 # Relative asymmetry (times the Frobenius norm) tolerated before a matrix is
 # rejected as non-symmetric.
 DEFAULT_SYMMETRY_TOL = 1e-9
+# A rank certificate of a matrix of order N allows this many times ``N eps``
+# times its largest singular value for the error in the singular values or
+# eigenvalues LAPACK computes, and for the rounding of its own arithmetic.
+_CERTIFICATE_SAFETY = 64.0
 
 
 def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -139,9 +152,9 @@ def inverse(a) -> np.ndarray:
 
 
 def inverses(a) -> np.ndarray:
-    """:func:`inverse` of each member of an ``(m, s, s)`` stack; the first
-    singular member raises SingularMatrixError with its position in
-    ``index``."""
+    """:func:`inverse` of each member of an ``(m, s, s)`` stack, after one
+    :func:`numerical_ranks` of the stack; the first singular member raises
+    SingularMatrixError with its position in ``index``."""
     m = as_matrix(a, "stack", 3)
     _require_square(m)
     singular = np.flatnonzero(numerical_ranks(m) < m.shape[-1])
@@ -255,20 +268,54 @@ def symmetric_eigenvalues(a) -> np.ndarray:
 
 
 def numerical_rank(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one."""
+    """Number of singular values above ``rel_tol`` times the largest one,
+    from ``eigvalsh`` where :func:`_certified_ranks` certifies it."""
     return int(numerical_ranks(as_matrix(a)[None], rel_tol)[0])
 
 
 def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """:func:`numerical_rank` of each member of an ``(m, r, c)`` stack, from
-    one batched SVD."""
+    """:func:`numerical_rank` of each member of an ``(m, r, c)`` stack: the
+    exactly symmetric square members certified from one batched
+    ``eigvalsh`` (:func:`_certified_ranks`), the others, and those it does
+    not certify, from one batched SVD."""
     m = as_matrix(a, "stack", 3)
+    ranks = np.zeros(len(m), dtype=int)
     if 0 in m.shape[1:]:
-        return np.zeros(len(m), dtype=int)
-    sv = np.linalg.svd(m, compute_uv=False)
-    # a zero matrix has no singular value above 0 * rel_tol, hence rank 0
-    return np.count_nonzero(sv > rel_tol * sv.max(axis=1, keepdims=True),
-                            axis=1)
+        return ranks
+    left = np.ones(len(m), dtype=bool)
+    if m.shape[1] == m.shape[2]:
+        exact = (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
+        symmetric = np.flatnonzero(exact)
+        if symmetric.size:
+            certified, ranks[symmetric] = _certified_ranks(m[symmetric],
+                                                           rel_tol)
+            left[symmetric[certified]] = False
+    if left.any():
+        sv = np.linalg.svd(m[left], compute_uv=False)
+        # a zero matrix has no singular value above 0 * rel_tol, hence rank 0
+        ranks[left] = np.count_nonzero(
+            sv > rel_tol * sv.max(axis=1, keepdims=True), axis=1)
+    return ranks
+
+
+def _certified_ranks(m: np.ndarray, rel_tol: float):
+    """``(certified, counts)`` for a stack of exactly symmetric matrices:
+    the count of ``|lam|`` above ``rel_tol max|lam|`` from one batched
+    ``eigvalsh``, and whether it is certainly the count of singular values
+    above ``rel_tol sigma_1`` that the SVD gives.  The singular values of a
+    symmetric matrix are its ``|lam|``, and LAPACK computes either set to
+    within ``p(N) eps sigma_1`` (*LAPACK Users' Guide*, section 4.7), so the
+    two counts agree when every ``|lam|`` is more than
+    ``_CERTIFICATE_SAFETY N eps max|lam|`` from the cutoff.  A zero member,
+    and one whose eigenvalues leave float range, certify nothing.
+    """
+    lam = np.abs(np.linalg.eigvalsh(m))
+    top = lam.max(axis=1, keepdims=True)
+    margin = _CERTIFICATE_SAFETY * m.shape[-1] * np.finfo(float).eps * top
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = lam - rel_tol * top
+        certified = (np.abs(gap) > margin).all(axis=1)
+    return certified, np.count_nonzero(gap > 0.0, axis=1)
 
 
 def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -285,8 +332,10 @@ def spd_inverse_sqrts(w) -> np.ndarray:
     and its smallest eigenvalue is above ``DEFAULT_RANK_TOL`` times its
     largest, which is positive: the cutoff of :func:`numerical_rank`, so an
     SPD member is a nonsingular one, but where the ratio is within rounding
-    of the cutoff and ``eigh`` and the SVD round to different sides.  The first member
-    that is not raises NotSPDError with its position in ``index``.
+    of the cutoff.  There :func:`numerical_rank` leaves the count to the
+    SVD, and ``eigh`` and the SVD can round to different sides.  The first
+    member that is not SPD raises NotSPDError with its position in
+    ``index``.
     """
     m = as_matrix(w, "stack", 3)
     _require_square(m)

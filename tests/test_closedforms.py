@@ -1880,11 +1880,13 @@ def test_suite_certifies_reweighted_ranks_without_an_svd(monkeypatch, kind):
 
 def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):
     # one stacked call per graph: an SPD tree with twice the edges makes the
-    # same number of svd, inv and eigh calls
+    # same number of svd, eigvalsh, inv and eigh calls.  Its symmetric
+    # weights' rank tests are certified from eigvalsh, so it may make no
+    # svd call, but it makes some call
     def calls(m):
         g = random_tree(GenConfig(n_range=(m + 1, m + 1), s_range=(2, 2),
                                   kind=WeightKind.SPD, seed=m))
-        counts = {"svd": 0, "inv": 0, "eigh": 0}
+        counts = {"svd": 0, "eigvalsh": 0, "inv": 0, "eigh": 0}
         with monkeypatch.context() as mp:
             for name in counts:
                 def counted(*args, _name=name, _fn=getattr(np.linalg, name),
@@ -1899,7 +1901,7 @@ def test_linear_algebra_calls_do_not_grow_with_the_edge_count(monkeypatch):
 
     small, large = calls(20), calls(40)
     assert small == large
-    assert all(small.values())
+    assert any(small.values())
 
 
 def test_analysis_shares_read_only_arrays():

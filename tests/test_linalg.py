@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mwtrees.closedforms import (
+    rank_deficient_weighting,
+    reweighted_scalar_laplacian,
+)
 from mwtrees.errors import NotSPDError, NotSymmetricError, SingularMatrixError
+from mwtrees.graphs import MatrixWeightedGraph
 from mwtrees.linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_SYMMETRY_TOL,
@@ -174,6 +179,108 @@ def test_numerical_rank_permutation_invariant(seed):
     m = rng.uniform(-1.0, 1.0, size=(4, 3)) @ rng.uniform(-1.0, 1.0, size=(3, 4))
     perm = rng.permutation(4)
     assert numerical_rank(m[perm][:, perm]) == numerical_rank(m)
+
+
+# --- the symmetric rank certificate ----------------------------------------
+
+
+def _svd_rank(a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """The count of ``np.linalg.svd``'s values above ``rel_tol sigma_1``."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(sv > rel_tol * sv.max()))
+
+
+def _symmetric(kind: str, n: int, cutoff: float, rng) -> np.ndarray:
+    """An exactly symmetric ``n x n`` matrix with eigenvalues of one kind:
+    positive; of both signs; non-negative with some exact zeros; or of both
+    signs and graded log-evenly from 1 to a ratio ``cutoff (1 +- 10^u)``,
+    u in [-10, 0], which may be within rounding of the cutoff or not."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.exp(rng.uniform(-3.0, 3.0, n))
+    if kind == "deficient":
+        lam[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = 0.0
+    elif kind == "graded":
+        off = rng.choice([-0.5, 1.0]) * 10.0 ** rng.uniform(-10.0, 0.0)
+        lam = np.geomspace(1.0, cutoff * (1.0 + off), n)
+    if kind in ("indefinite", "graded"):
+        lam *= rng.choice([-1.0, 1.0], n)
+    a = (q * lam) @ q.T
+    return a + a.T
+
+
+def _witness_laplacian(shape: str, size: int) -> np.ndarray:
+    """The scalar Laplacian of a cycle, a size x size grid or K_size,
+    reweighted by its rank-deficient weighting."""
+    if shape == "cycle":
+        n, edges = size, [(v, v % size + 1) for v in range(1, size + 1)]
+    elif shape == "grid":
+        n, at = size * size, np.arange(1, size * size + 1).reshape(size, size)
+        edges = [*zip(at[:, :-1].ravel().tolist(), at[:, 1:].ravel().tolist()),
+                 *zip(at[:-1].ravel().tolist(), at[1:].ravel().tolist())]
+    else:
+        n, edges = size, [(u, v) for u in range(1, size + 1)
+                          for v in range(u + 1, size + 1)]
+    g = MatrixWeightedGraph(n, 1, [(u, v, [[1.0]]) for u, v in edges])
+    witness = rank_deficient_weighting(g)
+    return reweighted_scalar_laplacian(g, witness.edge_index, witness.w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["psd", "indefinite", "deficient", "graded"]),
+    st.integers(1, 12),
+    st.sampled_from([DEFAULT_RANK_TOL, 1e-8]),
+    st.integers(0, 10**6),
+)
+def test_symmetric_ranks_are_the_svd_counts(kind, n, rel_tol, seed):
+    # certified from eigvalsh or, within rounding of the cutoff, by the SVD:
+    # the count is the SVD's either way
+    a = _symmetric(kind, n, rel_tol, np.random.default_rng(seed))
+    assert np.array_equal(a, a.T)
+    assert numerical_rank(a, rel_tol) == _svd_rank(a, rel_tol)
+
+
+@pytest.mark.parametrize("shape, size", [
+    ("cycle", 3), ("cycle", 10), ("grid", 2), ("grid", 3), ("grid", 5),
+    ("complete", 3), ("complete", 8)])
+def test_witness_laplacians_are_ranked_by_eigvalsh_alone(
+        monkeypatch, shape, size):
+    # the witness Laplacian is positive semidefinite, with two eigenvalues
+    # within rounding of zero, far below the cutoff: its rank is
+    # certified, and it is the SVD's
+    lap = _witness_laplacian(shape, size)
+    want = _svd_rank(lap)
+    assert want == len(lap) - 2
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        calls.append(a) or real(a, *args, **kwargs))
+    assert numerical_rank(lap) == want
+    assert numerical_ranks(lap[None]).tolist() == [want]
+    assert calls == []
+
+
+def test_a_symmetric_matrix_near_the_cutoff_takes_the_svd(monkeypatch):
+    # eigvalsh puts this weight's eigenvalue ratio just above the 1e-9
+    # cutoff and the SVD its singular value ratio just below it (the weight
+    # of the closed-form suite's "spd by eigh but singular by the SVD"
+    # test): the certificate refuses it, and the SVD counts
+    w = np.array([[0.540706287931328, -0.49834024286982687],
+                  [-0.49834024286982687, 0.4592937130686719]])
+    lam = np.abs(np.linalg.eigvalsh(w))
+    assert np.count_nonzero(lam > DEFAULT_RANK_TOL * lam.max()) == 2
+    assert _svd_rank(w) == 1
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        calls.append(np.array(a)) or real(a, *args, **kwargs))
+    assert numerical_rank(w) == 1
+    assert len(calls) == 1 and np.array_equal(calls[0], w[None])
+    assert numerical_ranks(np.stack([np.eye(2), w, np.eye(2)])).tolist() == [
+        2, 1, 2]
+    assert np.array_equal(calls[1], w[None])   # only w, of the three
+    assert numerical_rank(np.zeros((3, 3))) == 0   # a zero member too
+    assert len(calls) == 3
 
 
 def test_pseudo_inverse_frozen_rank_one():
@@ -440,7 +547,8 @@ def test_largest_pair_norm_norms_every_pair_when_only_the_lower_pairs_count():
 # numpy calls on one matrix at a time; the stacked kernels must give the
 # same bytes.
 
-MEMBER_KINDS = ("spd", "asymmetric", "near_singular", "singular")
+MEMBER_KINDS = ("spd", "asymmetric", "near_singular", "singular",
+                "near_cutoff")
 
 
 def _member(kind: str, s: int, rng) -> np.ndarray:
@@ -453,6 +561,14 @@ def _member(kind: str, s: int, rng) -> np.ndarray:
     if kind == "near_singular":
         # singular value ratio around the rank cutoff of 1e-9
         return conditioned_matrix(s, 10.0 ** rng.uniform(-11.0, -7.0), rng)
+    if kind == "near_cutoff":
+        # exactly symmetric, eigenvalues of random signs, the smallest
+        # |eigenvalue| within rounding of the cutoff: the rank certificate
+        # leaves it to the SVD
+        q = np.linalg.qr(rng.standard_normal((s, s)))[0]
+        lam = np.geomspace(1.0, 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6)), s)
+        w = (q * (lam * rng.choice([-1.0, 1.0], s))) @ q.T
+        return w + w.T
     w = rng.uniform(-1.0, 1.0, (s, s))
     w[-1] = 0.0  # a zero row: exactly singular
     return w

@@ -21,8 +21,10 @@ with that weight on every edge, whose determinant once lost a factor 2
 on each subnormal weight, and a 30-vertex SPD tree with s = 2 plus 3 and
 plus 4 edges, the last graph whose g-inverses take the spanning tree's
 closed form with a cycle correction and the first that takes the
-Cholesky inverse, and a 150-vertex SPD tree with s = 2 plus 2 edges, the
-shape of the benchmark's ``sparse`` class, on the cycle route.  For each
+Cholesky inverse, a 150-vertex SPD tree with s = 2 plus 2 edges, the
+shape of the benchmark's ``sparse`` class, on the cycle route, and the
+12x12 grid and K30 with scalar weight 1, its ``grid`` and ``complete``
+classes, whose witness Laplacians are 144 x 144 and 30 x 30.  For each
 graph, in the order of one benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
 determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
@@ -87,6 +89,12 @@ def corpus():
     yield "spd_tree_150_2_plus_2", mw.MatrixWeightedGraph(150, 2, [
         *tree.edges,
         *((u, v, mw.random_spd(2, seed=u * 1000 + v)) for u, v in ((1, 75), (40, 150)))])
+    one = np.ones((1, 1))
+    yield "grid_12_1", mw.MatrixWeightedGraph(144, 1, [
+        (v, v + step, one) for v in range(1, 145) for step in (1, 12)
+        if v + step <= 144 and (step == 12 or v % 12)])
+    yield "complete_30_1", mw.MatrixWeightedGraph(30, 1, [
+        (u, v, one) for u in range(1, 31) for v in range(u + 1, 31)])
     batches = [(kind, True, 40, (2, 12), (1, 4)) for kind in WeightKind]
     batches += [(kind, False, 20, (3, 12), (1, 4)) for kind in WeightKind]
     batches += [(WeightKind.SPD, True, 12, (20, 40), (4, 8)),
