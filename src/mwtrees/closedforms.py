@@ -41,6 +41,7 @@ from .errors import (
 )
 from .graphs import (
     MatrixWeightedGraph,
+    _read_only,
     check_structure,
     degrees,
     delta_vector,
@@ -75,7 +76,6 @@ from .operators import (
     inverse_weights,
     tree_distance_data,
     tree_g_inverse_data,
-    weight_stack,
 )
 
 PASS = "PASS"
@@ -139,11 +139,6 @@ def _skipped(name: str, reason: str,
     return VerificationReport(name, SKIPPED, None, None, g.n, g.s, reason)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _finite(build, what: str,
             cause: str = "sums of the weights overflow") -> np.ndarray:
     """The array ``build()`` returns, read-only; NonFiniteError naming
@@ -165,11 +160,11 @@ class _Analysis:
     is connected or a tree.  The rest is built on first use and cached
     read-only, so no check can change what another one sees; graphs are
     immutable, so the cache cannot go stale.  Every reader takes the one
-    stack of the weights.  One ``eigh`` of them gives Q and, with the rank
-    test that inverts them for L and the rank probe, decides SPD; that
-    test and R's, for R^-1, decide invertibility.  One preorder layout,
-    read off the search that validation ran, serves D, the g-inverses
-    (:meth:`g_inverse`), the rank certificate and the bridge set.
+    stack of the weights, the graph's.  One ``eigh`` of them gives Q and,
+    with the rank test that inverts them for L and the rank probe, decides
+    SPD; that test and R's, for R^-1, decide invertibility.  One preorder
+    layout, read off the search that validation ran, serves D, the
+    g-inverses (:meth:`g_inverse`), the rank certificate and the bridges.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -195,16 +190,11 @@ class _Analysis:
             raise NotSPDError("every edge weight must be SPD")
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """The edge weights as one (m, s, s) stack, in edge order."""
-        return _read_only(weight_stack(self.g))
-
-    @cached_property
     def weight_roots(self) -> np.ndarray:
         """The inverse square roots of the weights; NotSPDError names the
         first weight that is not SPD."""
         try:
-            return _read_only(spd_inverse_sqrts(self.weights))
+            return _read_only(spd_inverse_sqrts(self.g.weights))
         except NotSPDError as exc:
             e = self.g.edges[exc.index]
             raise NotSPDError(f"edge {exc.index} ({e.u}, {e.v}): {exc}",
@@ -254,7 +244,7 @@ class _Analysis:
     def weight_inverses(self) -> np.ndarray:
         """The blocks of L, the inverse weights, from one batched rank test;
         SingularWeightError names the first singular weight."""
-        return _finite(lambda: inverse_weights(self.g, self.weights),
+        return _finite(lambda: inverse_weights(self.g),
                        "an inverse edge weight",
                        "inverting the weights overflows")
 
@@ -293,12 +283,12 @@ class _Analysis:
             "inverting the grounded Laplacian overflows"), self.g.s)
 
     def _g_inverse_data(self, root: int) -> np.ndarray:
-        g, weights = self.g, self.weights
+        g = self.g
         if self.tree:
-            return tree_g_inverse_data(self.layout, weights, root)
+            return tree_g_inverse_data(self.layout, g.weights, root)
         try:
             if _few_cycles(g.n, g.m, g.s):
-                return cycle_g_inverse_data(g, self.layout, weights, root)
+                return cycle_g_inverse_data(g, self.layout, root)
             return self._grounded_inverse(root)
         except SingularMatrixError:
             raise SingularMatrixError("the grounded Laplacian is not positive "
@@ -348,18 +338,16 @@ class _Analysis:
             raise IsATreeError(
                 "every nonsingular weighting of a tree has full-rank Laplacian"
             )
-        candidates = set(range(g.m)) - _bridges(g, self.layout)
-        deg = degrees(g)
-        best = max(candidates, key=lambda k: (
-            deg[g.edges[k].u - 1] + deg[g.edges[k].v - 1], -k))
+        score = degrees(g)[g.ends - 1].sum(axis=1)
+        score[list(_bridges(g, self.layout))] = -1   # never marked
+        best = int(np.argmax(score))   # the first of the highest
         c1 = _marked_cofactor(g, best, 1.0)
         c2 = _marked_cofactor(g, best, 2.0)
         with_edge = round(c2 - c1)
         without_edge = round(2.0 * c1 - c2)
-        e = g.edges[best]
         return DeficientWeighting(
             edge_index=best,
-            endpoints=(e.u, e.v),
+            endpoints=tuple(g.ends[best].tolist()),
             w=-without_edge / with_edge,
             trees_with_edge=with_edge,
             trees_without_edge=without_edge,
@@ -426,7 +414,7 @@ def laplacian(
     """
     a = _analysis(g)
     if mode is LaplacianMode.RAW:
-        return BlockMatrix(_read_only(block_laplacian(g, a.weights)), g.s)
+        return BlockMatrix(_read_only(block_laplacian(g, g.weights)), g.s)
     return BlockMatrix(a.laplacian, g.s)
 
 
@@ -461,7 +449,7 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     log_abs = (g.n - 2) * g.s * math.log(2.0)
     # the weights in edge order, then R, each member factored on its own
     signs, logs = sign_log_determinants(
-        np.concatenate([a.weights, a.weight_sum[None]]))
+        np.concatenate([g.weights, a.weight_sum[None]]))
     for es, el in zip(signs.tolist(), logs.tolist()):
         sign *= es
         log_abs += el
@@ -797,12 +785,11 @@ def _bridges(g: MatrixWeightedGraph, tree: TreeLayout) -> set[int]:
     spanning tree: tree edge k is one unless an edge off the tree has one
     end in its run ``lo[k] .. hi[k] - 1`` and the other outside.  O(n + m),
     with no search and no recursion."""
-    low, high = list(range(g.n)), list(range(g.n))   # positions reached
-    at = tree.at.tolist()
-    for k in tree.off.tolist():
-        p, q = at[g.edges[k].u - 1], at[g.edges[k].v - 1]
-        low[p], high[p] = min(low[p], q), max(high[p], q)
-        low[q], high[q] = min(low[q], p), max(high[q], p)
+    low, high = np.arange(g.n), np.arange(g.n)   # positions reached
+    ends = tree.at[g.ends[tree.off] - 1]   # of each edge off the tree
+    np.minimum.at(low, ends.ravel(), ends[:, ::-1].ravel())
+    np.maximum.at(high, ends.ravel(), ends[:, ::-1].ravel())
+    low, high = low.tolist(), high.tolist()
     parent = np.zeros(g.n, dtype=int)
     parent[tree.lo] = tree.up
     # children (later in preorder) first, so a run's first position folds
@@ -904,7 +891,7 @@ def rank_characterization_probe(
         sigma = np.exp(rng.uniform(-half, half, size=shape[:-1]))[..., None, :]
         draws = (u * sigma) @ v.swapaxes(-1, -2)
         blocks = (v / sigma) @ u.swapaxes(-1, -2)
-        sets = [(a.weights, a.weight_inverses), *zip(draws, blocks)]
+        sets = [(g.weights, a.weight_inverses), *zip(draws, blocks)]
         ranks = [_tree_rank(g, a.layout, w, b, rel_tol) for w, b in sets]
         return RankProbe(
             branch="tree",

@@ -26,12 +26,14 @@ _EDGE_KEYS = {"u", "v", "weight"}
 
 def graph_to_dict(g: MatrixWeightedGraph) -> dict[str, Any]:
     """Plain-dict form of a graph, ready for ``json.dump``."""
+    weights = (g.weights.tolist() if g.weights is not None
+               else [e.weight.tolist() for e in g.edges])
     return {
         "schema": GRAPH_SCHEMA,
         "n": g.n,
         "s": g.s,
         "edges": [
-            {"u": e.u, "v": e.v, "weight": e.weight.tolist()} for e in g.edges
+            {"u": e.u, "v": e.v, "weight": w} for e, w in zip(g.edges, weights)
         ],
     }
 

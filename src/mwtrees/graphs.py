@@ -1,14 +1,15 @@
 """Matrix-weighted graphs: representation, validation and tree queries.
 
 A graph lives on vertices 1..n and every edge carries an s x s real weight
-matrix.  Construction is lenient (anything shaped like edges is accepted,
-endpoints are swapped into u < v); :func:`validate` reports every problem at
-once so file loaders can surface complete diagnostics.
+matrix, all held in the read-only arrays ``ends`` and ``weights`` that every
+layer reads.  Construction is lenient (anything shaped like edges is
+accepted, endpoints are swapped into u < v); :func:`validate` reports every
+problem at once so file loaders can surface complete diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,8 +55,13 @@ class MatrixWeightedGraph:
     Edges are stored with u < v (the orientation the incidence matrix signs
     against) in the order given; edge indices used throughout the API are
     0-based positions in ``edges``.  The constructor normalizes but does not
-    reject: call :func:`validate` to check an instance.  Weights are copied
-    and stored read-only, so a graph cannot change after it is built.
+    reject: call :func:`validate` to check an instance.  It converts the
+    edges once, into the (m, 2) int array ``ends`` of their endpoints and
+    the (m, s, s) stack ``weights``, a copy of their weights of which each
+    ``Edge.weight`` is a view; all are read-only, so a graph cannot change
+    after it is built.  Weights not all s x s leave ``weights`` None and
+    each edge a copy of its own, and an endpoint beyond int64 is 0 or n + 1
+    in ``ends``: :func:`validate` rejects both.
 
     Because it cannot change, a graph caches what is computed from it in
     private slots of its ``__dict__``: the violation list of
@@ -63,31 +69,38 @@ class MatrixWeightedGraph:
     analysis that :mod:`mwtrees.closedforms` shares (D, L, the weight
     sum, the SPD flag and the results built from them).  Those arrays
     live as long as the graph does.  Pickling or copying a graph rebuilds
-    it through the constructor, so the copy starts with an empty cache.
+    it through the constructor, so the copy has fresh arrays and no cache.
     """
 
     n: int
     s: int
     edges: tuple[Edge, ...]
+    ends: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray | None = field(compare=False, repr=False)
 
     def __init__(self, n: int, s: int, edges):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "s", int(s))
-        normalized = []
-        for e in edges:
-            if isinstance(e, Edge):
-                u, v, w = e.u, e.v, e.weight
-            else:
-                u, v, w = e
-            u, v = int(u), int(v)
-            if u > v:
-                u, v = v, u
-            # a private read-only copy: the caller's array cannot change the
-            # graph afterwards, and nothing can change it through the graph
-            weight = np.array(w, dtype=float)
-            weight.flags.writeable = False
-            normalized.append(Edge(u, v, weight))
-        object.__setattr__(self, "edges", tuple(normalized))
+        rows = [(e.u, e.v, e.weight) if isinstance(e, Edge) else e
+                for e in edges]
+        pairs = [sorted((int(u), int(v))) for u, v, _ in rows]
+        try:
+            ends = np.array(pairs, dtype=int)
+        except OverflowError:   # beyond int64, so out of range: 0 or n + 1
+            ends = np.clip(np.array(pairs, dtype=object), 0, self.n + 1)
+        object.__setattr__(self, "ends", _read_only(
+            ends.astype(int).reshape(len(pairs), 2)))
+        ws = [w for _, _, w in rows]
+        try:   # one stack, when every weight is s x s as the zeros are
+            weights = _read_only(np.array(
+                [*ws, np.zeros((self.s, self.s))], dtype=float)[:-1])
+            views = weights   # its members are views
+        except ValueError:   # shapes differ, or an entry is no number,
+            weights = None   # which the copies raise on
+            views = [_read_only(np.array(w, dtype=float)) for w in ws]
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "edges", tuple(
+            Edge(u, v, w) for (u, v), w in zip(pairs, views)))
 
     @property
     def m(self) -> int:
@@ -96,6 +109,11 @@ class MatrixWeightedGraph:
 
     def __reduce__(self):
         return type(self), (self.n, self.s, self.edges)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate(g: MatrixWeightedGraph) -> list[Violation]:
@@ -121,6 +139,8 @@ def _violations(g: MatrixWeightedGraph) -> list[Violation]:
             Violation(BAD_BLOCK_SIZE, f"block size must be >= 1, got {g.s}")
         )
 
+    finite = (np.isfinite(g.weights).all(axis=(1, 2)) if g.weights is not None
+              else [np.isfinite(e.weight).all() for e in g.edges])
     seen: dict[tuple[int, int], int] = {}
     for k, e in enumerate(g.edges):
         in_range = 1 <= e.u <= g.n and 1 <= e.v <= g.n
@@ -145,7 +165,7 @@ def _violations(g: MatrixWeightedGraph) -> list[Violation]:
                     k,
                 )
             )
-        elif not np.all(np.isfinite(e.weight)):
+        elif not finite[k]:
             problems.append(
                 Violation(
                     NON_FINITE_WEIGHT, f"edge {k} weight has non-finite entries", k
@@ -177,10 +197,10 @@ def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
     edge_index) pairs, over the edges that join two distinct vertices in
     1..n."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for k, e in enumerate(g.edges):
-        if 1 <= e.u < e.v <= g.n:
-            adj[e.u].append((e.v, k))
-            adj[e.v].append((e.u, k))
+    for k, (u, v) in enumerate(g.ends.tolist()):
+        if 1 <= u < v <= g.n:
+            adj[u].append((v, k))
+            adj[v].append((u, k))
     return adj
 
 
@@ -275,12 +295,10 @@ def tree_path(g: MatrixWeightedGraph, u: int, v: int) -> list[int]:
 
 
 def degrees(g: MatrixWeightedGraph) -> np.ndarray:
-    """Vertex degrees as an integer vector of length n (index 0 is vertex 1)."""
-    deg = np.zeros(g.n, dtype=int)
-    for e in g.edges:
-        deg[e.u - 1] += 1
-        deg[e.v - 1] += 1
-    return deg
+    """Vertex degrees as an integer vector of length n (index 0 is vertex 1);
+    :func:`check_structure`'s ValueError on a malformed graph."""
+    check_structure(g)
+    return np.bincount(g.ends.ravel() - 1, minlength=g.n)
 
 
 def delta_vector(g: MatrixWeightedGraph) -> np.ndarray:
@@ -292,9 +310,11 @@ def delta_vector(g: MatrixWeightedGraph) -> np.ndarray:
 
 
 def weight_sum(g: MatrixWeightedGraph) -> np.ndarray:
-    """Sum of all edge weights in ascending edge order (s x s, zero when
-    there are no edges)."""
+    """Sum of all edge weights, from zero in ascending edge order, one at a
+    time (s x s, zero when there are no edges); :func:`check_structure`'s
+    ValueError on a malformed graph."""
+    check_structure(g)
     acc = np.zeros((g.s, g.s))
-    for e in g.edges:
-        acc += e.weight
+    for w in g.weights:
+        acc += w
     return acc

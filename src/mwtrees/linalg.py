@@ -153,8 +153,9 @@ def inverse(a) -> np.ndarray:
 
 def inverses(a) -> np.ndarray:
     """:func:`inverse` of each member of an ``(m, s, s)`` stack, after one
-    :func:`numerical_ranks` of the stack; the first singular member raises
-    SingularMatrixError with its position in ``index``."""
+    :func:`numerical_ranks` of the stack, by ``inv`` of each member as
+    :func:`_binade_scaled` scales it, scaled back; the first singular
+    member raises SingularMatrixError with its position in ``index``."""
     m = as_matrix(a, "stack", 3)
     _require_square(m)
     singular = np.flatnonzero(numerical_ranks(m) < m.shape[-1])
@@ -163,7 +164,8 @@ def inverses(a) -> np.ndarray:
             f"matrix of shape {m.shape[1:]} is singular to working precision",
             index=int(singular[0]),
         )
-    return np.linalg.inv(m)
+    scaled, power = _binade_scaled(m)
+    return np.ldexp(np.linalg.inv(scaled), -power[:, None, None])
 
 
 def spd_inverse(a) -> np.ndarray:
@@ -277,11 +279,13 @@ def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """:func:`numerical_rank` of each member of an ``(m, r, c)`` stack: the
     exactly symmetric square members certified from one batched
     ``eigvalsh`` (:func:`_certified_ranks`), the others, and those it does
-    not certify, from one batched SVD."""
+    not certify, from one batched SVD; each as :func:`_binade_scaled`
+    scales it, so that no singular value overflows."""
     m = as_matrix(a, "stack", 3)
     ranks = np.zeros(len(m), dtype=int)
     if 0 in m.shape[1:]:
         return ranks
+    m = _binade_scaled(m)[0]
     left = np.ones(len(m), dtype=bool)
     if m.shape[1] == m.shape[2]:
         exact = (m == m.transpose(0, 2, 1)).all(axis=(1, 2))

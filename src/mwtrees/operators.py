@@ -37,9 +37,9 @@ def tree_distance_data(g: MatrixWeightedGraph, layout: TreeLayout) -> np.ndarray
     """
     n, s = g.n, g.s
     blocks = np.zeros((n, n, s, s))   # [p, q]: block of preorder p > q
-    for lo, hi, e in zip(layout.lo.tolist(), layout.hi.tolist(), g.edges):
-        blocks[lo:hi, :lo] += e.weight
-        blocks[hi:, lo:hi] += e.weight
+    for lo, hi, w in zip(layout.lo.tolist(), layout.hi.tolist(), g.weights):
+        blocks[lo:hi, :lo] += w
+        blocks[hi:, lo:hi] += w
     blocks += blocks.transpose(1, 0, 2, 3)
     blocks = blocks[np.ix_(layout.at, layout.at)]   # back to vertex order
     return blocks.transpose(0, 2, 1, 3).reshape(n * s, n * s)
@@ -75,10 +75,10 @@ def tree_g_inverse_data(layout: TreeLayout, weights: np.ndarray,
 
 
 def cycle_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
-                         weights: np.ndarray, root: int) -> np.ndarray:
+                         root: int) -> np.ndarray:
     """G_root, as :func:`tree_g_inverse_data` defines it, for a connected
-    graph with the SPD :func:`weight_stack` ``weights`` already checked;
-    ``layout`` is its :func:`_subtree_runs`.  By Woodbury, ``G_r = G_T -
+    graph whose SPD ``g.weights`` are already checked; ``layout`` is its
+    :func:`_subtree_runs`.  By Woodbury, ``G_r = G_T -
     Y^T Y``: G_T is the closed form on the spanning tree, ``Y = C^-1 U^T
     G_T`` with U the incidence blocks of the k edges off the tree, and C
     the Cholesky factor of the capacitance ``S = blockdiag(W_e) + U^T G_T
@@ -90,12 +90,10 @@ def cycle_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
     a G_r of inf.
     """
     n, s = g.n, g.s
-    weights = 0.5 * (weights + weights.transpose(0, 2, 1))
+    weights = 0.5 * (g.weights + g.weights.transpose(0, 2, 1))
     data = tree_g_inverse_data(layout, weights[layout.edges], root)
-    off = [g.edges[k] for k in layout.off]
-    u = np.array([e.u - 1 for e in off], dtype=int)
-    v = np.array([e.v - 1 for e in off], dtype=int)
-    k = len(off)
+    u, v = (g.ends[layout.off] - 1).T
+    k = len(u)
     rows = data.reshape(n, s, n * s)
     across = (rows[u] - rows[v]).reshape(k * s, n, s)   # U^T G_T
     capacitance = (across[:, u] - across[:, v]).reshape(k, s, k, s)
@@ -145,44 +143,32 @@ def _subtree_runs(g: MatrixWeightedGraph) -> TreeLayout:
     :func:`~mwtrees.graphs.depth_first_tree` keeps for a connected graph
     already checked: on a tree, of the tree itself."""
     order, via = depth_first_tree(g)
-    pos = [0] * (g.n + 1)
-    for p, x in enumerate(order):
-        pos[x] = p
-    parent = [0] * (g.n + 1)
-    child = [0] * g.m   # endpoint of tree edge k farther from vertex 1
-    for x in order[1:]:
-        e = g.edges[via[x]]
-        parent[x], child[via[x]] = e.u + e.v - x, x
+    kids = np.array(order[1:], dtype=int)   # the vertices but 1, in preorder
+    tree = np.array(via)[kids]   # the edge each one was reached by
+    parent = g.ends[tree].sum(axis=1) - kids
     size = [1] * (g.n + 1)
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-    kids = [c for c in child if c]   # 0 for an edge off the tree
-    lo = np.array([pos[c] for c in kids], dtype=int)
-    return TreeLayout(np.array(pos[1:]), lo,
-                      lo + np.array([size[c] for c in kids], dtype=int),
-                      np.array([pos[parent[c]] for c in kids], dtype=int),
-                      np.flatnonzero(child), np.flatnonzero(np.equal(child, 0)))
+    for x, up in zip(kids[::-1].tolist(), parent[::-1].tolist()):
+        size[up] += size[x]
+    at = np.zeros(g.n + 1, dtype=int)   # [x]: the position of vertex x
+    at[order] = np.arange(g.n)
+    by_edge = np.argsort(tree)
+    kids, parent = kids[by_edge], parent[by_edge]
+    return TreeLayout(at[1:], at[kids], at[kids] + np.array(size)[kids],
+                      at[parent], tree[by_edge],
+                      np.delete(np.arange(g.m), tree))
 
 
-def weight_stack(g: MatrixWeightedGraph) -> np.ndarray:
-    """The edge weights as one (m, s, s) array, in edge order."""
-    return np.array([e.weight for e in g.edges]).reshape(g.m, g.s, g.s)
-
-
-def inverse_weights(g: MatrixWeightedGraph, weights: np.ndarray) -> np.ndarray:
-    """Inverses of ``weights``, a (t m, s, s) stack of t sets of weights
-    for the edges of ``g``, from one batched rank test and inversion.
-
-    The first singular weight raises SingularWeightError naming its edge.
-    """
+def inverse_weights(g: MatrixWeightedGraph) -> np.ndarray:
+    """Inverses of the weights of ``g``, from one batched rank test and
+    inversion; the first singular weight raises SingularWeightError naming
+    its edge."""
     try:
-        return inverses(weights)
+        return inverses(g.weights)
     except SingularMatrixError as exc:
-        k = exc.index % g.m
-        e = g.edges[k]
+        e = g.edges[exc.index]
         raise SingularWeightError(
-            f"edge {k} ({e.u}, {e.v}) has a singular weight",
-            edge_index=k,
+            f"edge {exc.index} ({e.u}, {e.v}) has a singular weight",
+            edge_index=exc.index,
             endpoints=(e.u, e.v),
         ) from None
 
@@ -198,12 +184,11 @@ def block_laplacian(g: MatrixWeightedGraph, blocks: np.ndarray) -> np.ndarray:
     adding one edge at a time.
     """
     n, s = g.n, blocks.shape[-1]
-    u = np.array([e.u - 1 for e in g.edges], dtype=int)
-    v = np.array([e.v - 1 for e in g.edges], dtype=int)
+    u, v = (g.ends - 1).T
     data = np.zeros((n, s, n, s))   # [i, :, j, :]: block (i, j)
     data[u, :, v, :] = 0.0 - blocks
     data[v, :, u, :] = 0.0 - blocks
-    ends = np.stack([u, v], axis=1).ravel()   # u0, v0, u1, v1, ...
+    ends = (g.ends - 1).ravel()   # u0, v0, u1, v1, ...
     np.add.at(data, (ends, slice(None), ends, slice(None)),
               np.repeat(blocks, 2, axis=0))
     return data.reshape(n * s, n * s)
@@ -216,6 +201,6 @@ def block_incidence(g: MatrixWeightedGraph, roots: np.ndarray) -> np.ndarray:
     n, s = g.n, roots.shape[-1]
     data = np.zeros((n, s, g.m, s))   # [i, :, k, :]: block (i, k)
     k = np.arange(g.m)
-    data[[e.u - 1 for e in g.edges], :, k, :] = roots
-    data[[e.v - 1 for e in g.edges], :, k, :] = -roots
+    data[g.ends[:, 0] - 1, :, k, :] = roots
+    data[g.ends[:, 1] - 1, :, k, :] = -roots
     return data.reshape(n * s, g.m * s)

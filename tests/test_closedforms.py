@@ -62,7 +62,6 @@ from mwtrees.operators import (
     block_laplacian,
     cycle_g_inverse_data,
     tree_g_inverse_data,
-    weight_stack,
 )
 
 from conftest import (
@@ -185,6 +184,18 @@ def test_invertibility_check_paths():
 
     for g in (path4_block2(), singular_edge, cancelling):
         assert invertibility_check(g) is _analysis(g).invertibility
+
+
+def test_a_weight_whose_singular_values_overflow_is_invertible():
+    # its SVD overflows, and an unscaled rank test called it singular
+    w = 1e308 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
+                          [1.0, 1.0, -1.0]])
+    g = path_graph(2, 3, [w])
+    assert invertibility_check(g).invertible
+    lap = laplacian(g).data
+    assert np.isfinite(lap).all()
+    assert np.allclose(lap[:3, :3] * 1e308, np.linalg.inv(w / 1e308),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_distance_inverse_single_edge_hand_value():
@@ -376,7 +387,7 @@ def test_weight_sum_is_rank_tested_and_inverted_once_per_graph(monkeypatch):
     from mwtrees.graphs import weight_sum
 
     g = _probe_tree("prufer", 10, 3, True, 5)
-    stacks = {"weights": weight_stack(g), "R": weight_sum(g)[None]}
+    stacks = {"weights": g.weights, "R": weight_sum(g)[None]}
     ranked = dict.fromkeys(stacks, 0)
     real = linalg.numerical_ranks
 
@@ -573,7 +584,7 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
     draws, blocks = probe_reweightings(g.m, s, 4, 9)
     assert len(used) == 5
     weights, first = used[0]
-    assert weights.tobytes() == weight_stack(g).tobytes()
+    assert weights is g.weights
     assert first.tobytes() == np.array(
         [inverse(e.weight) for e in g.edges]).tobytes()
     for (w, b), want_w, want_b in zip(used[1:], draws, blocks):
@@ -1012,10 +1023,10 @@ def test_cycle_route_g_inverse_matches_the_cholesky_route(case):
     eps = np.finfo(float).eps
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
     layout = _subtree_runs(g)
-    raw = weight_stack(g)
+    raw = g.weights
     weights = 0.5 * (raw + raw.transpose(0, 2, 1))
     for root in {1, g.n, _seeded_root(g.n, case[-1])}:
-        h = cycle_g_inverse_data(g, layout, raw, root)
+        h = cycle_g_inverse_data(g, layout, root)
         assert np.array_equal(h, h.T)
         grounded = h.reshape(g.n, g.s, g.n, g.s)
         assert not grounded[root - 1].any()
@@ -1041,9 +1052,8 @@ def _route_spies(monkeypatch) -> dict[str, list[int]]:
                        closedforms._Analysis._grounded_inverse)
     layout = closedforms._subtree_runs
     monkeypatch.setattr(closedforms, "cycle_g_inverse_data",
-                        lambda g, tree, weights, root:
-                        calls["cycle"].append(root)
-                        or cycle(g, tree, weights, root))
+                        lambda g, tree, root:
+                        calls["cycle"].append(root) or cycle(g, tree, root))
     monkeypatch.setattr(closedforms._Analysis, "_grounded_inverse",
                         lambda self, root: calls["cholesky"].append(root)
                         or cholesky(self, root))
@@ -1408,7 +1418,7 @@ def test_rank_probe_reports_the_svd_ranks(case):
     except BadConfigError:   # no s x s draw this well conditioned
         assume(False)
     tree = _subtree_runs(g)
-    sets = [(weight_stack(g), np.linalg.inv(weight_stack(g)))]
+    sets = [(g.weights, np.linalg.inv(g.weights))]
     for weights in np.reshape(draws, (3, g.m, s, s)):
         sets += [(weights, np.linalg.inv(weights)),
                  (np.linalg.inv(weights), weights)]
@@ -1482,7 +1492,7 @@ def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
 
     shape, n, s = case
     g = _probe_tree(shape, n, s, spd, seed)
-    weights = weight_stack(g)
+    weights = g.weights
     rng = np.random.default_rng(seed)
     others = [random_nonsingular(s, 1e4, rng) for _ in g.edges]
     for blocks in (np.array([inverse(w) for w in weights]),
@@ -1931,11 +1941,15 @@ def _recorded_analyses(monkeypatch) -> list:
     return made
 
 
-def _count_calls(monkeypatch, module, name, counts) -> None:
+def _count_calls(monkeypatch, module, name, counts, passed=None) -> None:
+    """Count the calls of ``module.name`` in ``counts``, and keep their
+    positional arguments in ``passed[name]`` if ``passed`` is given."""
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
+        if passed is not None:
+            passed.setdefault(name, []).append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -1971,14 +1985,14 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
 
     text = dumps_graph(random_tree(GenConfig(
         n_range=(12, 12), s_range=(3, 3), kind=WeightKind.SPD, seed=4)))
-    counts = {}
+    counts, passed = {}, {}
     for name in ("_violations", "_depth_first", "adjacency"):
         _count_calls(monkeypatch, graphs, name, counts)
     for name in ("tree_distance_data", "block_laplacian", "inverse_weights",
-                 "_subtree_runs", "weight_stack"):
-        _count_calls(monkeypatch, closedforms, name, counts)
-    for name in ("_subtree_runs", "weight_stack"):
-        _count_calls(monkeypatch, operators, name, counts)
+                 "_subtree_runs", "spd_inverse_sqrts"):
+        _count_calls(monkeypatch, closedforms, name, counts, passed)
+    _count_calls(monkeypatch, operators, "_subtree_runs", counts)
+    _count_calls(monkeypatch, operators, "inverses", {}, passed)
     _count_calls(monkeypatch, linalg, "numerical_ranks", counts)
     made = _recorded_analyses(monkeypatch)
     g = loads_graph(text)
@@ -1990,13 +2004,15 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
     invertibility_check(g)
     assert all(r.status == PASS for r in reports)
     # validation runs the one search; one preorder layout, read off it,
-    # serves D, L^+ and the rank certificate; the weights are stacked once;
-    # L is built once, from weights inverted once; the weights and R are
-    # each rank-tested once
+    # serves D, L^+ and the rank certificate; L is built once, from weights
+    # inverted once; the weights and R are each rank-tested once
     assert counts == {"_violations": 1, "_depth_first": 1, "adjacency": 1,
                       "tree_distance_data": 1, "block_laplacian": 1,
                       "inverse_weights": 1, "_subtree_runs": 1,
-                      "weight_stack": 1, "numerical_ranks": 2}
+                      "spd_inverse_sqrts": 1, "numerical_ranks": 2}
+    # every reader of the weights takes the stack the graph holds
+    assert passed["inverses"][0][0] is g.weights
+    assert passed["spd_inverse_sqrts"][0][0] is g.weights
     assert len(made) == 1
 
 
@@ -2007,24 +2023,27 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
 def test_one_nontree_op_searches_and_stacks_once(monkeypatch, make, route):
     # the benchmark's nontree op: the suite and the witness read the search
     # that validation ran, through one layout that serves the cycle route
-    # and the bridge set, and one weight stack
+    # and the bridge set, and the weight stack that the graph holds
     from mwtrees import closedforms, graphs, operators
 
     g = make()
     assert closedforms._few_cycles(g.n, g.m, g.s) == (route == "cycle")
-    counts = {}
+    counts, passed = {}, {}
     for name in ("_depth_first", "adjacency"):
         _count_calls(monkeypatch, graphs, name, counts)
     for module in (closedforms, operators):
-        for name in ("_subtree_runs", "weight_stack"):
-            _count_calls(monkeypatch, module, name, counts)
+        _count_calls(monkeypatch, module, "_subtree_runs", counts)
+    _count_calls(monkeypatch, operators, "inverses", {}, passed)
+    _count_calls(monkeypatch, closedforms, "spd_inverse_sqrts", {}, passed)
     reports = {r.name: r for r in verification_suite(g, "all")}
     witness = rank_deficient_weighting(g)
     assert reports["ginverse_invariance"].status == PASS
     assert reports["rank_characterization"].status == PASS
     assert witness is rank_characterization_probe(g).witness
-    assert counts == {"_depth_first": 1, "adjacency": 1, "_subtree_runs": 1,
-                      "weight_stack": 1}
+    assert counts == {"_depth_first": 1, "adjacency": 1, "_subtree_runs": 1}
+    stacks = [args[0] for args in passed["inverses"]]
+    stacks += [args[0] for args in passed["spd_inverse_sqrts"]]
+    assert len(stacks) == 2 and all(w is g.weights for w in stacks)
 
 
 def test_deficient_weighting_reuses_the_suite_witness(monkeypatch):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,17 +58,24 @@ def test_validate_flags_each_problem():
             (2, 3, [[1.0, np.inf], [0.0, 1.0]]),  # non-finite weight
         ],
     )
-    codes = {v.code for v in validate(g)}
-    assert codes == {
-        VERTEX_OUT_OF_RANGE,
-        SELF_LOOP,
-        BAD_WEIGHT_SHAPE,
-        DUPLICATE_EDGE,
-        NON_FINITE_WEIGHT,
-    }
-    by_code = {v.code: v for v in validate(g)}
-    assert by_code[VERTEX_OUT_OF_RANGE].edge_index == 0
-    assert by_code[DUPLICATE_EDGE].edge_index == 4
+    assert [str(v) for v in validate(g)] == [
+        f"{VERTEX_OUT_OF_RANGE}: edge 0 endpoints (1, 5) not in 1..3",
+        f"{SELF_LOOP}: edge 1 is a self-loop at vertex 2",
+        f"{BAD_WEIGHT_SHAPE}: edge 2 weight has shape (3, 3), "
+        "expected (2, 2)",
+        f"{DUPLICATE_EDGE}: edge 3 duplicates edge 2 on (1, 2)",
+        f"{DUPLICATE_EDGE}: edge 4 duplicates edge 2 on (1, 2)",
+        f"{NON_FINITE_WEIGHT}: edge 5 weight has non-finite entries",
+    ]
+    assert [v.edge_index for v in validate(g)] == [0, 1, 2, 3, 4, 5]
+
+
+def test_an_endpoint_beyond_int64_is_reported_in_full():
+    g = MatrixWeightedGraph(2, 1, [(1, 2**70, [[1.0]])])
+    assert [str(v) for v in validate(g)] == [
+        f"{VERTEX_OUT_OF_RANGE}: edge 0 endpoints (1, {2**70}) not in 1..2",
+        f"{NOT_CONNECTED}: graph on 2 vertices is not connected",
+    ]
 
 
 def test_validate_bad_order_and_block_size():
@@ -199,6 +209,16 @@ def test_tree_path_and_the_oracle_walk_the_one_kept_search(monkeypatch):
     assert counts == {"_depth_first": 1, "adjacency": 1}
 
 
+@pytest.mark.parametrize("helper", [degrees, delta_vector, weight_sum])
+def test_graph_helpers_refuse_malformed_graphs(helper):
+    # a 1 x 1 weight on an s = 2 graph broadcast into weight_sum, and the
+    # endpoint 0 was counted on vertex n by degrees
+    for g in (MatrixWeightedGraph(2, 2, [(1, 2, [[3.0]])]),
+              MatrixWeightedGraph(3, 1, [(0, 2, [[1.0]]), (2, 3, [[1.0]])])):
+        with pytest.raises(ValueError, match="invalid graph"):
+            helper(g)
+
+
 def test_degrees_and_delta_vector():
     assert np.array_equal(degrees(star_graph(5)), [4, 1, 1, 1, 1])
     assert np.array_equal(delta_vector(path_graph(4)), [1, 0, 0, 1])
@@ -231,3 +251,44 @@ def test_graph_weights_are_read_only():
     g = path4_block2()
     with pytest.raises(ValueError):
         g.edges[0].weight[0, 0] = 5.0
+    for a in (g.ends, g.weights, *(e.weight for e in g.edges)):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        g.weights[1, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        g.ends[0, 0] = 3
+
+
+def test_graph_holds_its_edges_as_two_arrays():
+    g = MatrixWeightedGraph(3, 2, [(3, 1, np.eye(2)), (2, 1, 2.0 * np.eye(2))])
+    assert g.ends.dtype == int and g.ends.tolist() == [[1, 3], [1, 2]]
+    assert g.weights.shape == (2, 2, 2) and g.weights.dtype == np.float64
+    for k, e in enumerate(g.edges):
+        assert np.shares_memory(e.weight, g.weights)
+        assert np.array_equal(e.weight, g.weights[k])
+    empty = MatrixWeightedGraph(1, 3, [])
+    assert empty.ends.shape == (0, 2) and empty.weights.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("rebuild", [
+    lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy])
+def test_pickling_and_copying_rebuild_fresh_arrays(rebuild):
+    g = path4_block2()
+    validate(g)
+    back = rebuild(g)
+    assert "_violations" not in back.__dict__
+    for old, new in ((g.ends, back.ends), (g.weights, back.weights)):
+        assert np.array_equal(old, new) and not np.shares_memory(old, new)
+        assert not new.flags.writeable
+    for e in back.edges:
+        assert np.shares_memory(e.weight, back.weights)
+
+
+def test_weights_of_different_shapes_still_construct():
+    g = MatrixWeightedGraph(3, 2, [(1, 2, np.eye(2)), (2, 3, np.eye(3))])
+    assert g.weights is None
+    assert [e.weight.shape for e in g.edges] == [(2, 2), (3, 3)]
+    assert all(not e.weight.flags.writeable for e in g.edges)
+    assert [v.code for v in validate(g)] == [BAD_WEIGHT_SHAPE]
+    # weights all of one shape, but not s x s, are refused the same way
+    assert MatrixWeightedGraph(2, 2, [(1, 2, np.eye(3))]).weights is None

@@ -384,6 +384,19 @@ def test_symmetry_test_survives_entries_whose_squares_overflow():
         assert info.value.index == 2
 
 
+def test_rank_and_inverse_of_a_matrix_whose_singular_values_overflow():
+    # the SVD of 1e308 m gives [inf, inf, 1e308], and no value is above
+    # 1e-9 inf: unscaled, the nonsingular matrix had rank 0
+    m = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert numerical_rank(1e308 * m) == 3
+        assert numerical_ranks(np.array([m, 1e308 * m])).tolist() == [3, 3]
+        got = inverse(1e308 * m)
+    # its entries are subnormal, and keep about 50 bits
+    assert np.allclose(got * 1e308, np.linalg.inv(m), rtol=0.0, atol=1e-12)
+
+
 def test_symmetry_test_sees_a_subnormal_asymmetry():
     # the asymmetry 2.5 2^-1060 is subnormal and so is 1e-9 times the norm;
     # a 1e-300 floor under the norm swamped it and made the weight SPD
@@ -548,10 +561,15 @@ def test_largest_pair_norm_norms_every_pair_when_only_the_lower_pairs_count():
 # same bytes.
 
 MEMBER_KINDS = ("spd", "asymmetric", "near_singular", "singular",
-                "near_cutoff")
+                "near_cutoff", "huge", "tiny")
 
 
 def _member(kind: str, s: int, rng) -> np.ndarray:
+    if kind in ("huge", "tiny"):
+        # beyond 2^+-480: the kernels scale it by a power of two first
+        base = _member(str(rng.choice(["spd", "asymmetric", "singular"])), s,
+                       rng)
+        return np.ldexp(base, 600 if kind == "huge" else -600)
     if kind == "spd":
         q = np.linalg.qr(rng.standard_normal((s, s)))[0]
         w = (q * np.exp(rng.uniform(-3.0, 3.0, s))) @ q.T
@@ -581,7 +599,9 @@ def _rank_reference(w: np.ndarray) -> int:
 
 def _spd_reference(w: np.ndarray) -> bool:
     asym = np.max(np.abs(w - w.T))
-    if asym > DEFAULT_SYMMETRY_TOL * max(1e-300, float(np.linalg.norm(w))):
+    top = np.max(np.abs(w))   # so that no square of a huge member overflows
+    norm = top * np.linalg.norm(w / top) if top else 0.0
+    if asym > DEFAULT_SYMMETRY_TOL * max(1e-300, float(norm)):
         return False
     lam = np.linalg.eigh(w)[0]
     return bool(lam[-1] > 0.0 and lam[0] > DEFAULT_RANK_TOL * lam[-1])

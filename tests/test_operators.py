@@ -36,7 +36,6 @@ from mwtrees.operators import (
     _subtree_runs,
     block_laplacian,
     tree_g_inverse_data,
-    weight_stack,
 )
 
 from conftest import conditioned_matrix, graded_spd, grounded_inverse_oracle
@@ -353,7 +352,7 @@ def test_grounded_tree_inverse_is_the_path_sum_form(shape, n, s, spd, seed):
          random_spd(s, seed=rng) if spd else rng.standard_normal((s, s)))
         for u, v in topo
     ])
-    weights = weight_stack(g)
+    weights = g.weights
     other = [2.0 * w for w in weights]
     inv = grounded_inverse_oracle(g, weights)
     doubled = grounded_inverse_oracle(g, np.array(other))
@@ -395,7 +394,7 @@ def test_tree_grounded_inverse_at_any_root(shape, n, s, spd, seed):
     ])
     r = int(rng.integers(1, n + 1))
     layout = _subtree_runs(g)
-    got = tree_g_inverse_data(layout, weight_stack(g), r)
+    got = tree_g_inverse_data(layout, g.weights, r)
     d = distance_oracle(g).data.reshape(n, s, n, s)
     expected = 0.5 * (d[:, :, r - 1, :][:, :, None, :] + d[r - 1][None] - d)
     scale = sum(np.abs(e.weight).sum() for e in g.edges)
@@ -445,7 +444,7 @@ def test_tree_grounded_inverse_has_the_bits_of_the_broadcast_product(
     sides = np.abs(below - below[r - 1])
     terms = sides.T[:, None, :, None] * weights[:, :, None, :]
     expected = sides @ terms.reshape(len(topo), s * n * s)
-    got = tree_g_inverse_data(layout, weight_stack(g), r)
+    got = tree_g_inverse_data(layout, g.weights, r)
     assert got.tobytes() == expected.reshape(n * s, n * s).tobytes()
 
 
@@ -472,7 +471,7 @@ def test_tree_pseudo_inverse_meets_the_penrose_conditions(
         for u, v in topo
     ])
     lap = laplacian(g).data
-    p = tree_g_inverse_data(_subtree_runs(g), weight_stack(g),
+    p = tree_g_inverse_data(_subtree_runs(g), g.weights,
                             int(rng.integers(1, n + 1)))
     sv = np.linalg.svd(lap, compute_uv=False)[:(n - 1) * s]
     rtol = max(1e-9, 1e-12 * sv.max(initial=1.0) / sv.min(initial=1.0))
@@ -543,5 +542,5 @@ def test_tree_pseudo_inverse_matches_exact_rational_arithmetic(make):
             for value, y in zip(row, keep):
                 exact[x][y] = value
         assert all(x.denominator == 1 for row in exact for x in row)
-        got = tree_g_inverse_data(layout, weight_stack(g), r)
+        got = tree_g_inverse_data(layout, g.weights, r)
         assert np.array_equal(got, np.array(exact, dtype=float))

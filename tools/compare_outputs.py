@@ -9,7 +9,9 @@ checkout's ``tools/dump_outputs.py`` on both sides (with
 ``OPENBLAS_NUM_THREADS=1`` and ``-W error::RuntimeWarning``, so that the
 bits of the larger products do not depend on the thread count and a numpy
 warning stops a dump), and prints how many lines moved under each output
-label and every record whose status changed.  It adds nothing to the
+label, every record whose status changed and, on a line of its own that
+starts ``source lines``, the ``wc -l`` of ``src/mwtrees/*.py`` at REF and
+in this checkout.  It adds nothing to the
 repository, and the directory is removed on every exit path.  Exit status
 0 means the two dumps are identical, 1 that they differ and 2 that a dump,
 ``git archive`` or its extraction failed.
@@ -73,6 +75,12 @@ def keyed(dump: str) -> dict[tuple[str, str], tuple[str, str]]:
     return lines
 
 
+def source_lines(tree: Path) -> int:
+    """The ``wc -l`` of the package's modules in the checkout ``tree``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in tree.glob("src/mwtrees/*.py"))
+
+
 def report(ref: str, before: str, after: str) -> bool:
     """Print what moved between the two dumps; whether they are identical."""
     old, new = keyed(before), keyed(after)
@@ -108,6 +116,9 @@ def main() -> None:
         shutil.copyfile(ROOT / DUMP, tree / DUMP)
         before, after = dumps([tree, ROOT])
         identical = report(ref, before, after)
+        old, new = source_lines(tree), source_lines(ROOT)
+        print(f"source lines (src/mwtrees/*.py): {old:,} at {ref}, "
+              f"{new:,} here ({new - old:+,})")
     except subprocess.CalledProcessError as exc:
         fail(f"extracting {ref} failed: {exc}")
     finally:
