@@ -5,6 +5,15 @@ determinant of a tree distance matrix with closed-form/factorization
 cross-checks, run the verification suites, emit random instances, and find
 rank-deficient weightings of non-tree graphs.
 
+Every command but ``random`` (which writes files and a manifest) is a
+report command: ``cmd_<name>(g, args)`` only computes, and returns its
+check records, its extra report fields and its matrices (or None).
+:func:`main` is the one report path: it reads the input, assembles the
+``mwtrees/report/v1`` report, prints it as JSON or text and sets the exit
+code from the records.  JSON reports are strict: a residual or tolerance
+that is not finite is ``null`` there (the text format prints ``nan`` or
+``inf``).
+
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 the input
 could not be read, parsed or validated, the arguments were malformed (a
 ``--trials`` or ``--count`` below 0, a ``--tolerance`` that is not finite
@@ -76,16 +85,17 @@ def _read_input(path: str) -> tuple[MatrixWeightedGraph, str]:
     return loads_graph(text), input_digest(text.encode("utf-8"))
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _emit(report: dict, extras: dict, fmt: str) -> None:
     if fmt == "json":
+        for check in report["checks"]:   # strict JSON: no NaN or Infinity
+            for key in ("residual", "tolerance"):
+                if check[key] is not None and not math.isfinite(check[key]):
+                    check[key] = None
         print(json.dumps(report, indent=2))
         return
     print(f"# {report['command']}  input {report['input_digest']}")
-    for extra in sorted(report):
-        if extra in ("schema", "version", "command", "input_digest",
-                     "checks", "matrices"):
-            continue
-        print(f"{extra}: {report[extra]}")
+    for extra in sorted(extras):
+        print(f"{extra}: {extras[extra]}")
     for check in report["checks"]:
         if check["status"] == "SKIPPED":
             print(f"{check['name']:24s} SKIPPED   ({check['detail']})")
@@ -100,13 +110,7 @@ def _emit(report: dict, fmt: str) -> None:
         print(np.array2string(np.asarray(rows), precision=6, suppress_small=True))
 
 
-def _exit_from_checks(checks: list[dict]) -> int:
-    failed = any(c["status"] == "FAIL" for c in checks)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
-
-
-def cmd_build(args) -> int:
-    g, digest = _read_input(args.input)
+def cmd_build(g, args):
     mode = LaplacianMode(args.mode)
     if args.which == "D":
         block = distance_matrix(g)
@@ -121,52 +125,43 @@ def cmd_build(args) -> int:
         "s": g.s,
         "shape": list(block.data.shape),
     }
-    report = make_report("build", digest, [], extras,
-                         {args.which: block.data})
-    _emit(report, args.format)
-    return EXIT_OK
+    return [], extras, {args.which: block.data}
 
 
-def cmd_invert(args) -> int:
-    g, digest = _read_input(args.input)
+def cmd_invert(g, args):
     inv = distance_inverse(g)
     dist = distance_matrix(g)
     residual = float(
         np.max(np.abs(dist.data @ inv.data - np.eye(g.n * g.s)))
     )
     tolerance = args.tolerance or 1e-8 * g.n * g.s   # None by default
-    checks = [check_record(_report("inverse_residual", residual, tolerance, g,
-                                   "max |entry| of D @ D_inverse - I"))]
+    records = [_report("inverse_residual", residual, tolerance, g,
+                       "max |entry| of D @ D_inverse - I")]
     matrices = None
     if args.emit_matrices:
         matrices = {"D": dist.data, "D_inverse": inv.data}
-    report = make_report("invert", digest, checks,
-                         {"n": g.n, "s": g.s}, matrices)
-    _emit(report, args.format)
-    return _exit_from_checks(checks)
+    return records, {"n": g.n, "s": g.s}, matrices
 
 
-def cmd_det(args) -> int:
-    g, digest = _read_input(args.input)
+def cmd_det(g, args):
     sign_cf, log_cf = distance_determinant_sign_log(g)
     sign_lu, log_lu = sign_log_determinant(distance_matrix(g).data)
-    reports = [_report(
+    records = [_report(
         "determinant_sign", abs(sign_cf - sign_lu), 0.0, g,
         f"closed form {sign_cf:+.0f}, factorization {sign_lu:+.0f}",
     )]
     if sign_cf == 0.0 or sign_lu == 0.0:
-        reports.append(_skipped(
+        records.append(_skipped(
             "determinant_logmag",
             "determinant is zero, no magnitude to compare", g,
         ))
     else:
         residual = abs(log_cf - log_lu) / max(1.0, abs(log_lu))
-        reports.append(_report(
+        records.append(_report(
             "determinant_logmag", residual, args.tolerance, g,
             "relative gap between closed-form and factorization "
             "log-magnitudes",
         ))
-    checks = [check_record(r) for r in reports]
     # det D may leave float range where log|det D| does not: it is null
     # then, and the sign and the log carry it
     with np.errstate(over="ignore"):
@@ -180,21 +175,17 @@ def cmd_det(args) -> int:
         "log_abs_determinant": None if sign_cf == 0.0 else log_cf,
         "determinant": value,
     }
-    report = make_report("det", digest, checks, extras)
-    _emit(report, args.format)
-    return _exit_from_checks(checks)
+    return records, extras, None
 
 
-def cmd_verify(args) -> int:
-    g, digest = _read_input(args.input)
-    reports = verification_suite(
+def cmd_verify(g, args):
+    records = verification_suite(
         g,
         suite=args.suite,
         seed=args.seed,
         trials=args.trials,
         rel_tol=args.tolerance,
     )
-    checks = [check_record(r) for r in reports]
     matrices = None
     if args.emit_matrices:   # the analysis builds each at most once
         matrices = {}
@@ -204,9 +195,7 @@ def cmd_verify(args) -> int:
             except MWTreesError:
                 pass
     extras = {"suite": args.suite, "seed": args.seed, "n": g.n, "s": g.s}
-    report = make_report("verify", digest, checks, extras, matrices)
-    _emit(report, args.format)
-    return _exit_from_checks(checks)
+    return records, extras, matrices
 
 
 def cmd_random(args) -> int:
@@ -247,15 +236,14 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def cmd_deficient(args) -> int:
-    g, digest = _read_input(args.input)
+def cmd_deficient(g, args):
     witness = rank_deficient_weighting(g)   # IsATreeError on a tree
     rank = rank_characterization_probe(g).observed_ranks[0]
-    checks = [check_record(_report(
+    records = [_report(
         "rank_deficiency", float(rank), float(g.n - 2), g,
         f"scalar Laplacian rank with weight {witness.w:g} on edge "
         f"{witness.endpoints}",
-    ))]
+    )]
     extras = {
         "n": g.n,
         "s": g.s,
@@ -267,9 +255,7 @@ def cmd_deficient(args) -> int:
         "achieved_rank": rank,
         "full_rank": g.n - 1,
     }
-    report = make_report("deficient", digest, checks, extras)
-    _emit(report, args.format)
-    return _exit_from_checks(checks)
+    return records, extras, None
 
 
 def _count(text: str) -> int:
@@ -343,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--condition-cap", type=float, default=1e4)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("deficient",
                        help="rank-deficient scalar weighting of a non-tree")
@@ -356,7 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        if args.command == "random":   # files and a manifest, not a report
+            return cmd_random(args)
+        g, digest = _read_input(args.input)
+        records, extras, matrices = args.func(g, args)
+        checks = [check_record(r) for r in records]
+        _emit(make_report(args.command, digest, checks, extras, matrices),
+              extras, args.format)
+        failed = any(r.status == "FAIL" for r in records)
+        return EXIT_CHECK_FAILED if failed else EXIT_OK
     except GraphFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for problem in exc.problems:

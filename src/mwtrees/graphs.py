@@ -26,7 +26,7 @@ DUPLICATE_EDGE = "DuplicateEdge"
 NOT_CONNECTED = "NotConnected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Edge:
     """One undirected edge with endpoints u < v and its weight matrix."""
 
@@ -48,7 +48,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
     """Undirected graph on vertices 1..n with an s x s weight per edge.
 
@@ -70,13 +70,15 @@ class MatrixWeightedGraph:
     sum, the SPD flag and the results built from them).  Those arrays
     live as long as the graph does.  Pickling or copying a graph rebuilds
     it through the constructor, so the copy has fresh arrays and no cache.
+    Like those caches, graphs and edges compare and hash by identity: a
+    copy is another graph.
     """
 
     n: int
     s: int
     edges: tuple[Edge, ...]
-    ends: np.ndarray = field(compare=False, repr=False)
-    weights: np.ndarray | None = field(compare=False, repr=False)
+    ends: np.ndarray = field(repr=False)
+    weights: np.ndarray | None = field(repr=False)
 
     def __init__(self, n: int, s: int, edges):
         object.__setattr__(self, "n", int(n))

@@ -334,6 +334,65 @@ def test_verify_far_from_unit_scale_prints_strict_json(capsys, tmp_path, k,
     assert failed == (set() if k > 0 else {"ldl"})
 
 
+def test_verify_at_the_top_of_float_range_reports_null_and_warns_not(
+        capsys, tmp_path):
+    # weights 2^1020 diag(1, 2): five records overflow.  Their non-finite
+    # residuals and tolerances are JSON null, and numpy warns about none
+    g = path_graph(5, 2, [np.ldexp(np.diag([1.0, 2.0]), 1020)] * 4)
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_graph(g))
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        text_code, text, text_err = run_cli(capsys, "verify", str(path),
+                                            "--format", "text")
+    assert (code, err) == (1, "") and (text_code, text_err) == (1, "")
+    report = json.loads(out, parse_constant=refuse)
+    by_name = {c["name"]: c for c in report["checks"]}
+    failed = {name for name, c in by_name.items() if c["status"] == "FAIL"}
+    assert failed == {"dinv_minus_l", "ginverse_invariance",
+                      "ginverse_recovery", "inertia", "interlacing"}
+    assert by_name["dinv_minus_l"]["residual"] is None
+    for name in ("ginverse_invariance", "ginverse_recovery", "interlacing"):
+        assert by_name[name]["tolerance"] is None
+    # the text format prints the values as they are
+    assert "residual nan" in text and "tolerance inf" in text
+
+
+REPORT_HEAD = ["schema", "version", "command", "input_digest", "checks"]
+
+
+BUILD_KEYS = ["which", "mode", "n", "s", "shape", "matrices"]
+
+
+@pytest.mark.parametrize("argv, extras, matrices", [
+    (["build", PATH4, "--which", "D"], BUILD_KEYS, ["D"]),
+    (["build", PATH4, "--which", "L", "--mode", "raw"], BUILD_KEYS, ["L"]),
+    (["build", DIAMOND, "--which", "Q"], BUILD_KEYS, ["Q"]),
+    (["invert", PATH4], ["n", "s"], None),
+    (["invert", PATH4, "--emit-matrices"], ["n", "s", "matrices"],
+     ["D", "D_inverse"]),
+    (["det", PATH4], ["n", "s", "sign", "log_abs_determinant", "determinant"],
+     None),
+    (["verify", PATH4], ["suite", "seed", "n", "s"], None),
+    (["verify", PATH4, "--emit-matrices"],
+     ["suite", "seed", "n", "s", "matrices"], ["D", "L"]),
+    (["deficient", DIAMOND],
+     ["n", "s", "edge_index", "endpoints", "w", "trees_with_edge",
+      "trees_without_edge", "achieved_rank", "full_rank"], None),
+])
+def test_report_key_order(capsys, argv, extras, matrices):
+    # the order of the keys is part of the bytes a report prints
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert list(report) == REPORT_HEAD + extras
+    assert list(report.get("matrices", [])) == (matrices or [])
+
+
 def test_verify_all_fixtures_exit_zero(capsys):
     for path in (PATH4, CYCLE4, DIAMOND):
         code, report, _ = run_json(capsys, "verify", path)

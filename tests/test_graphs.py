@@ -292,3 +292,18 @@ def test_weights_of_different_shapes_still_construct():
     assert [v.code for v in validate(g)] == [BAD_WEIGHT_SHAPE]
     # weights all of one shape, but not s x s, are refused the same way
     assert MatrixWeightedGraph(2, 2, [(1, 2, np.eye(3))]).weights is None
+
+
+def test_graphs_and_edges_compare_and_hash_by_identity():
+    # the generated __eq__ compared the weight arrays with ==, which raised
+    # on s > 1, and the generated __hash__ hashed them
+    g = path4_block2()
+    assert g == g and not g != g
+    assert g != copy.copy(g)
+    assert (path4_block2() == path4_block2()) is False
+    assert (g.edges[0] == path4_block2().edges[0]) is False
+    other = path_graph(3)
+    table = {g: "path4", other: "path3", g.edges[0]: "edge"}
+    assert table[g] == "path4" and table[other] == "path3"
+    assert table[g.edges[0]] == "edge"
+    assert len({g, copy.deepcopy(g), g}) == 2

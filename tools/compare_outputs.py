@@ -11,8 +11,10 @@ bits of the larger products do not depend on the thread count and a numpy
 warning stops a dump), and prints how many lines moved under each output
 label, every record whose status changed and, on a line of its own that
 starts ``source lines``, the ``wc -l`` of ``src/mwtrees/*.py`` at REF and
-in this checkout.  It adds nothing to the
-repository, and the directory is removed on every exit path.  Exit status
+in this checkout; the next line, ``source lines by kind``, splits those
+lines into code, docstring and blank lines (:func:`lines_by_kind`).  It
+adds nothing to the repository, and the directory is removed on every
+exit path.  Exit status
 0 means the two dumps are identical, 1 that they differ and 2 that a dump,
 ``git archive`` or its extraction failed.
 """
@@ -20,6 +22,7 @@ repository, and the directory is removed on every exit path.  Exit status
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import shutil
 import signal
@@ -81,6 +84,32 @@ def source_lines(tree: Path) -> int:
                for path in tree.glob("src/mwtrees/*.py"))
 
 
+def lines_by_kind(source: str) -> Counter:
+    """The lines of one module as ``code``, ``docstring`` and ``blank``.
+
+    Docstring lines are those of the module, class and function docstrings
+    that ``ast`` finds; blank lines are the other whitespace-only lines;
+    every other line, comments included, is code."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and \
+                ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    kinds = Counter()
+    for number, line in enumerate(source.splitlines(), start=1):
+        kinds["docstring" if number in docstrings
+              else "blank" if not line.strip() else "code"] += 1
+    return kinds
+
+
+def source_kinds(tree: Path) -> Counter:
+    """:func:`lines_by_kind` summed over the package's modules in ``tree``."""
+    return sum((lines_by_kind(path.read_text(encoding="utf-8"))
+                for path in tree.glob("src/mwtrees/*.py")), Counter())
+
+
 def report(ref: str, before: str, after: str) -> bool:
     """Print what moved between the two dumps; whether they are identical."""
     old, new = keyed(before), keyed(after)
@@ -119,6 +148,11 @@ def main() -> None:
         old, new = source_lines(tree), source_lines(ROOT)
         print(f"source lines (src/mwtrees/*.py): {old:,} at {ref}, "
               f"{new:,} here ({new - old:+,})")
+        old, new = source_kinds(tree), source_kinds(ROOT)
+        kinds = ("code", "docstring", "blank")
+        print("source lines by kind (src/mwtrees/*.py): " + ", ".join(
+            f"{kind} {old[kind]:,} at {ref}, {new[kind]:,} here "
+            f"({new[kind] - old[kind]:+,})" for kind in kinds))
     except subprocess.CalledProcessError as exc:
         fail(f"extracting {ref} failed: {exc}")
     finally:
