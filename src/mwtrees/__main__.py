@@ -1,9 +1,7 @@
 """Module entry point so ``python -m mwtrees`` works like the console
 script."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

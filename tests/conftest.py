@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 _FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "fixtures")
 )
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 # Spanning-tree enumeration refuses above this many edge subsets.
@@ -21,6 +24,23 @@ def fixture_path(name: str) -> str:
 @pytest.fixture
 def fixtures_dir() -> str:
     return _FIXTURES
+
+
+def python_env() -> dict[str, str]:
+    """The environment for a child Python that imports this checkout's
+    package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def run_python(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python *argv`` on this checkout's package, output captured as
+    text."""
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=python_env(), **kwargs)
 
 
 def conditioned_matrix(s: int, ratio: float, rng) -> np.ndarray:

@@ -1,9 +1,7 @@
+import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +14,7 @@ from mwtrees.gallery import path4_block2, path_graph, star_graph
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
 from mwtrees.closedforms import distance_matrix, laplacian
 
-from conftest import fixture_path
+from conftest import fixture_path, run_python
 
 PATH4 = fixture_path("path4_block2.json")
 CYCLE4 = fixture_path("cycle4_block2.json")
@@ -151,18 +149,8 @@ def test_subnormal_asymmetric_weight_is_not_spd(capsys, tmp_path):
     assert "NotSPDError" in err and "not symmetric" in err
 
 
-def _run_python(*argv):
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env)
-
-
 def test_import_loads_no_scipy():
-    done = _run_python(
+    done = run_python(
         "-c", "import json, sys, mwtrees; print(json.dumps(list(sys.modules)))"
     )
     assert done.returncode == 0, done.stderr
@@ -187,7 +175,7 @@ def test_package_exports_no_future_feature():
 
 
 def test_cli_process_imports_no_scipy():
-    done = _run_python("-X", "importtime", "-m", "mwtrees", "det", PATH4)
+    done = run_python("-X", "importtime", "-m", "mwtrees", "det", PATH4)
     assert done.returncode == 0, done.stderr
     imported = [
         line.rsplit("|", 1)[1].strip()
@@ -486,12 +474,36 @@ def test_verify_seed_changes_reports_deterministically(capsys, tmp_path,
     assert "roots (3, 2), seeds (5, 6)" in rep3["checks"][0]["detail"]
 
 
+def _stdin(monkeypatch, raw: bytes) -> None:
+    """Replace stdin by a text stream over ``raw``, with its byte buffer,
+    as a process's stdin has."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+
+
 def test_stdin_input(capsys, monkeypatch):
     text = dumps_graph(path4_block2())
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    _stdin(monkeypatch, text.encode())
     code, report, _ = run_json(capsys, "det", "-")
     assert code == 0
     assert report["input_digest"] == input_digest(text.encode())
+
+
+def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, monkeypatch,
+                                                       tmp_path):
+    # CRLF line ends are hashed as they are, from a file and from stdin
+    raw = Path(PATH4).read_bytes().replace(b"\n", b"\r\n")
+    path = tmp_path / "crlf.json"
+    path.write_bytes(raw)
+    expected = "sha256:" + hashlib.sha256(raw).hexdigest()
+    code, from_file, _ = run_json(capsys, "det", str(path))
+    assert code == 0 and from_file["input_digest"] == expected
+    _stdin(monkeypatch, raw)
+    code, from_stdin, _ = run_json(capsys, "det", "-")
+    assert code == 0 and from_stdin == from_file
+    # bytes that are not UTF-8 are unreadable input on stdin too
+    _stdin(monkeypatch, b'{"n": 1, "\xff": 0}')
+    code, out, err = run_cli(capsys, "det", "-")
+    assert code == 2 and out == "" and "cannot read -" in err
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):
