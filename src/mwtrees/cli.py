@@ -69,7 +69,7 @@ from .formats import (
     loads_graph,
     make_report,
 )
-from .generators import GenConfig, WeightKind, random_connected_nontree, random_tree
+from .generators import GenConfig, WeightKind, random_instances
 from .graphs import MatrixWeightedGraph
 from .linalg import sign_log_determinant
 
@@ -212,31 +212,23 @@ def cmd_verify(g, args):
 
 def cmd_random(args) -> int:
     kind = WeightKind(args.kind)
+    config = GenConfig(n_range=(args.n, args.n), s_range=(args.s, args.s),
+                       kind=kind, condition_cap=args.condition_cap,
+                       seed=args.seed)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise GraphFileError(f"cannot write to {args.out}: {exc}") from None
     files = []
-    for i in range(args.count):
-        seed = args.seed + i
-        config = GenConfig(
-            n_range=(args.n, args.n),
-            s_range=(args.s, args.s),
-            kind=kind,
-            condition_cap=args.condition_cap,
-            seed=seed,
-        )
-        if args.topology == "tree":
-            g = random_tree(config)
-        else:
-            g = random_connected_nontree(config)
+    tree = args.topology == "tree"
+    for i, g in enumerate(random_instances(args.count, config, tree)):
         path = os.path.join(args.out, f"graph-{i:04d}.json")
         try:
             dump_graph(g, path)
         except OSError as exc:
             raise GraphFileError(f"cannot write {path}: {exc}") from None
-        files.append({"path": path, "seed": seed, "n": g.n, "s": g.s,
-                      "edges": g.m})
+        files.append({"path": path, "seed": args.seed + i, "n": g.n,
+                      "s": g.s, "edges": g.m})
     manifest = {
         "schema": "mwtrees/manifest/v1",
         "kind": kind.value,

@@ -14,9 +14,9 @@ matrix beyond float range raises NonFiniteError, and the suite SKIPs the
 checks that need it.  :func:`verify_identities` forms L D and D L and
 estimates the other identities on seeded Gaussian probes, the g-inverse
 checks read grounded inverses (:meth:`_Analysis.g_inverse`), and the rank
-probe certifies a tree's Laplacian ranks from its edge blocks where it can
-(:func:`_tree_rank`).  The Architecture section of the README shows how
-these fit together.
+probe certifies a tree's Laplacian ranks from its edge blocks where it can,
+in one stacked call (:func:`_certifies`).  The Architecture section of the
+README shows how these fit together.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ from .linalg import (
     frobenius_norms,
     inertia_of,
     inverse,
+    inverse_cholesky,
     largest_pair_norm,
     numerical_rank,
     pair_contractions,
     sign_log_determinants,
-    spd_inverse,
     spd_inverse_sqrts,
     symmetric_eigenvalues,
 )
@@ -266,7 +266,7 @@ class _Analysis:
         lap = self.laplacian
         return _read_only(np.linalg.eigvalsh(0.5 * (lap + lap.T))[::-1])
 
-    def g_inverse(self, root: int) -> BlockMatrix:
+    def g_inverse(self, root: int) -> np.ndarray:
         """G_root: L grounded at ``root`` (its block row and column
         deleted), inverted and padded with zeros, so ``L G_root L = L``: on
         a tree in closed form; where :func:`_few_cycles` holds, by
@@ -275,12 +275,12 @@ class _Analysis:
         so an L beyond float range raises its NonFiniteError; a G_root
         beyond it raises one of its own.  SingularMatrixError when a
         factored matrix is not positive definite to working precision.
+        The array is read-only.
         """
         self.laplacian
-        return BlockMatrix(_finite(
-            lambda: self._g_inverse_data(root),
-            "the grounded inverse of L",
-            "inverting the grounded Laplacian overflows"), self.g.s)
+        return _finite(lambda: self._g_inverse_data(root),
+                       "the grounded inverse of L",
+                       "inverting the grounded Laplacian overflows")
 
     def _g_inverse_data(self, root: int) -> np.ndarray:
         g = self.g
@@ -295,15 +295,15 @@ class _Analysis:
                                       "definite to working precision") from None
 
     def _grounded_inverse(self, root: int) -> np.ndarray:
-        """G_root by :func:`~mwtrees.linalg.spd_inverse` of the symmetric
-        part of L with the root's block row and column zeroed and I_s on
-        its diagonal block, zeroed again after.  The zeros stay exact
-        through the factorization and the products, so no other index is
-        gathered or scattered.  The symmetric part, not one triangle: L and
-        L^T differ by the asymmetry of the inverse weights, so one
-        triangle's block row sums are that far from zero, and cond(L)
-        amplifies it in G_root.  No rank test, which would cost more:
-        connected SPD weights make the grounded L SPD."""
+        """G_root = Y^T Y, Y the :func:`~mwtrees.linalg.inverse_cholesky`
+        of the symmetric part of L with the root's block row and column
+        zeroed and I_s on its diagonal block, zeroed again after.  The
+        zeros stay exact through the factorization and the products, so no
+        other index is gathered or scattered.  The symmetric part, not one
+        triangle: L and L^T differ by the asymmetry of the inverse weights,
+        so one triangle's block row sums are that far from zero, and
+        cond(L) amplifies it in G_root.  No rank test, which would cost
+        more: connected SPD weights make the grounded L SPD."""
         s = self.g.s
         block = slice((root - 1) * s, root * s)
         lap = self.laplacian
@@ -311,7 +311,8 @@ class _Analysis:
         grounded[block] = 0.0
         grounded[:, block] = 0.0
         grounded[block, block] = np.eye(s)
-        data = spd_inverse(grounded)
+        y = inverse_cholesky(grounded)
+        data = y.T @ y
         data[block, block] = 0.0
         return data
 
@@ -666,7 +667,7 @@ def ginverse_invariance_check(
     roots = [_seeded_root(g.n, k) for k in seeds]
     if roots[1] == roots[0]:
         roots[1] = roots[0] % g.n + 1
-    first, second = (block_planes(a.g_inverse(r).data, g.s) for r in roots)
+    first, second = (block_planes(a.g_inverse(r), g.s) for r in roots)
     dev = pair_contractions(second)
     dev -= pair_contractions(first)
     worst = largest_pair_norm(dev)
@@ -692,7 +693,7 @@ def ginverse_distance_recovery(
     a.require_spd()
     dist = a.distance
     root = _seeded_root(g.n, seed)
-    dev = pair_contractions(block_planes(a.g_inverse(root).data, g.s))
+    dev = pair_contractions(block_planes(a.g_inverse(root), g.s))
     dev -= block_planes(dist, g.s)
     worst = largest_pair_norm(dev)
     tol = _GINVERSE_REL_TOL * float(frobenius_norms(dist[None])[0])
@@ -873,10 +874,12 @@ def rank_characterization_probe(
     draws its spectrum.  So every draw is nonsingular with cond(W) <= cap
     by construction, and none is rejected, decomposed or inverted.
 
-    The ranks are the SVD ranks at ``rel_tol``, certified without an SVD
-    where the bounds of :func:`_tree_rank` decide, as at the default
-    tolerance.  The first, that of L, reads the inverse weights L was
-    built from.
+    The ranks are the SVD ranks at ``rel_tol``.  One :func:`_certifies`
+    call on the :func:`_tree_bounds` of the stack of L and its reweightings
+    certifies them without an SVD where it can, as at the default
+    tolerance; each member it leaves undecided is assembled and ranked on
+    its own (NonFiniteError if that Laplacian overflows).  The first, that
+    of L, reads the inverse weights L was built from.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -889,10 +892,17 @@ def rank_characterization_probe(
         v = np.linalg.qr(rng.standard_normal(shape))[0]
         half = 0.5 * math.log(_PROBE_CONDITION_CAP)
         sigma = np.exp(rng.uniform(-half, half, size=shape[:-1]))[..., None, :]
-        draws = (u * sigma) @ v.swapaxes(-1, -2)
-        blocks = (v / sigma) @ u.swapaxes(-1, -2)
-        sets = [(g.weights, a.weight_inverses), *zip(draws, blocks)]
-        ranks = [_tree_rank(g, a.layout, w, b, rel_tol) for w, b in sets]
+        weights = np.concatenate([g.weights[None],
+                                  (u * sigma) @ v.swapaxes(-1, -2)])
+        blocks = np.concatenate([a.weight_inverses[None],
+                                 (v / sigma) @ u.swapaxes(-1, -2)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bounds = _tree_bounds(g, a.layout, weights, blocks)
+            ok = _certifies(g, bounds, rel_tol)
+        ranks = [full if certified else numerical_rank(_finite(
+            lambda: block_laplacian(g, b), "the Laplacian",
+            "sums of the inverse weights overflow"), rel_tol)
+            for certified, b in zip(ok, blocks)]
         return RankProbe(
             branch="tree",
             full_rank=full,
@@ -912,81 +922,70 @@ def rank_characterization_probe(
     )
 
 
-def _tree_rank(g: MatrixWeightedGraph, tree: TreeLayout,
-               weights: np.ndarray, blocks: np.ndarray, rel_tol: float) -> int:
-    """``numerical_rank(block_laplacian(g, blocks), rel_tol)`` for a tree g
-    whose blocks invert its ``weights``, certified from the m edge blocks
-    where it can be, computed where it cannot (NonFiniteError if that L
-    overflows); ``tree`` is the layout of g.
-
-    With N = n s and L = ``block_laplacian(g, blocks)``, the certificate
-    bounds ``sigma_{N-s}(L)`` from below and ``sigma_{N-s+1}(L)`` from
-    above by norms of sums over the m edge blocks (:func:`_tree_bounds`).
-    When the first clears ``rel_tol sigma_1`` and the second stays below
-    it, both by ``_CERTIFICATE_SAFETY N eps sigma_1``, which covers the
-    rounding of the bounds and LAPACK's error in the singular values, the
-    SVD would count (n - 1) s.  The bounds and their rounding are derived
-    in the README (Performance, the rank probe).  Path sums that overflow
-    give inf or NaN bounds: the SVD decides.  One vertex has no K and a
-    zero L, so every bound is 0 and the rank certified is 0, the SVD's.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if _certifies(g, _tree_bounds(g, tree, weights, blocks), rel_tol):
-            return (g.n - 1) * g.s
-    return numerical_rank(_finite(lambda: block_laplacian(g, blocks),
-                                  "the Laplacian",
-                                  "sums of the inverse weights overflow"),
-                          rel_tol)
-
-
 def _tree_bounds(g: MatrixWeightedGraph, tree: TreeLayout,
                  weights: np.ndarray,
-                 blocks: np.ndarray) -> tuple[np.floating, ...]:
+                 blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     """``||L||``, ``||K||``, ``||G||``, ``||K G - I||``, ``||L (1_n kron
-    I_s)||`` and ``||L||_F`` for :func:`_tree_rank`, from the edge blocks
-    and the layout of the tree g."""
-    n, s, m = g.n, g.s, g.m
+    I_s)||`` and ``||L||_F`` for :func:`_certifies`, one of each for every
+    member of a ``(t, m, s, s)`` stack of edge weights and of the blocks
+    of L = ``block_laplacian(g, blocks[i])``, from the layout of the tree
+    g.  Each member's operations are those of a stack of one, in the same
+    order, so its bounds have the same bits."""
+    n, s, m, t = g.n, g.s, g.m, len(weights)
     below, lo, up, size = tree.below, tree.lo, tree.up, tree.size
-    ends = np.stack([lo, up], axis=1).ravel()   # as in block_laplacian
+    ends = np.s_[:, np.stack([lo, up]).T.ravel()]   # as in block_laplacian
     inner = (up > 0)[:, None, None]   # the edges that K keeps
-    pairs = np.repeat(blocks, 2, axis=0)
-    diag = np.zeros((n, s, s))
+    pairs = np.repeat(blocks, 2, axis=1)
+    diag = np.zeros((t, n, s, s))
     np.add.at(diag, ends, pairs)
     null = diag.copy()   # the block row sums of L
     np.subtract.at(null, ends, pairs)
-    paths = (below @ weights.reshape(m, s * s)).reshape(n, s, s)
-    steps = blocks @ (paths[lo] - paths[up])   # C_x
-    at = np.zeros((n, s, s))   # C_x by the position of x, 0 at the root
-    at[lo] = steps
-    turns = np.where(inner, at[up] - steps, 0.0)   # C_p(x) - C_x
+    paths = (below @ weights.reshape(t, m, s * s)).reshape(t, n, s, s)
+    steps = blocks @ (paths[:, lo] - paths[:, up])   # C_x
+    at = np.zeros((t, n, s, s))   # C_x by the position of x, 0 at the root
+    at[:, lo] = steps
+    turns = np.where(inner, at[:, up] - steps, 0.0)   # C_p(x) - C_x
     lsum, nsum, psum = _abs_sums(np.stack([diag, null, paths]))
     bsum, rsum, tsum = _abs_sums(np.stack([blocks, steps - np.eye(s), turns]))
     ksum = lsum.copy()
-    np.add.at(lsum, ends, np.repeat(bsum, 2, axis=0))
-    np.add.at(ksum, ends, np.repeat(bsum * inner, 2, axis=0))
-    spread = np.zeros((n, s))   # row p of K G - I has |sub(x)| C_p - C_x
-    np.add.at(spread, up, size[lo, None] * tsum[:, 0])
-    rsum[:, 0] += spread[lo]
-    rsum[:, 1] += (below @ tsum[:, 1])[lo]
-    out = (size[up] - size[lo])[:, None, None] * psum[up]   # 0 at the root
-    gsum = (size[lo, None, None] * psum[lo]
-            + (below @ out.reshape(m, 2 * s)).reshape(n, 2, s)[lo])
-    return (_norm_bound(lsum), _norm_bound(ksum[1:]), _norm_bound(gsum),
+    np.add.at(lsum, ends, np.repeat(bsum, 2, axis=1))
+    np.add.at(ksum, ends, np.repeat(bsum * inner, 2, axis=1))
+    spread = np.zeros((t, n, s))   # row p of K G - I has |sub(x)| C_p - C_x
+    np.add.at(spread, np.s_[:, up], size[lo, None] * tsum[:, :, 0])
+    rsum[:, :, 0] += spread[:, lo]
+    rsum[:, :, 1] += (below @ tsum[:, :, 1])[:, lo]
+    out = (size[up] - size[lo])[:, None, None] * psum[:, up]   # 0 at the root
+    gsum = (size[lo, None, None] * psum[:, lo]
+            + (below @ out.reshape(t, m, 2 * s)).reshape(t, n, 2, s)[:, lo])
+    return (_norm_bound(lsum), _norm_bound(ksum[:, 1:]), _norm_bound(gsum),
             _norm_bound(rsum),
-            np.sqrt(nsum[:, 0].max() * nsum[:, 1].sum(axis=0).max()),
-            np.sqrt((diag ** 2).sum() + 2.0 * (blocks ** 2).sum()))
+            np.sqrt(nsum[:, :, 0].max((1, 2)) * nsum[:, :, 1].sum(1).max(1)),
+            np.sqrt((diag ** 2).sum((1, 2, 3))
+                    + 2.0 * (blocks ** 2).sum((1, 2, 3))))
 
 
-def _certifies(g: MatrixWeightedGraph, bounds, rel_tol: float) -> bool:
-    """Whether the :func:`_tree_bounds` of a Laplacian of the tree g decide
-    that its SVD rank at ``rel_tol`` is (n - 1) s."""
+def _certifies(g: MatrixWeightedGraph, bounds, rel_tol: float) -> np.ndarray:
+    """Which of the Laplacians of the tree g that :func:`_tree_bounds`
+    bounded have SVD rank (n - 1) s at ``rel_tol``, certified: a mask,
+    False where the SVD must decide.
+
+    With N = n s, the bounds give ``sigma_{N-s}(L)`` from below and
+    ``sigma_{N-s+1}(L)`` from above.  When the first clears ``rel_tol
+    sigma_1`` and the second stays below it, both by
+    ``_CERTIFICATE_SAFETY N eps sigma_1``, which covers the rounding of the
+    bounds and LAPACK's error in the singular values, the SVD would count
+    (n - 1) s.  The bounds and their rounding are derived in the README
+    (Performance, the rank probe).  Path sums that overflow give inf or NaN
+    bounds: the SVD decides.  One vertex has no K and a zero L, so
+    every bound is 0 and the rank certified is 0, the SVD's.
+    """
     n, s = g.n, g.s
     top, norm_k, norm_g, residual, null, frobenius = bounds
     slack = _CERTIFICATE_SAFETY * n * s * np.finfo(float).eps
     lowest = (1.0 - (residual + slack * norm_k * norm_g)) / norm_g
-    return bool(lowest - slack * top > rel_tol * (1.0 + slack) * top
-                and null / math.sqrt(n) + slack * top
-                <= rel_tol * (1.0 - slack) * frobenius / math.sqrt(n * s))
+    return ((lowest - slack * top > rel_tol * (1.0 + slack) * top)
+            & (null / math.sqrt(n) + slack * top
+               <= rel_tol * (1.0 - slack) * frobenius / math.sqrt(n * s)))
 
 
 def _abs_sums(x: np.ndarray) -> np.ndarray:
@@ -995,11 +994,11 @@ def _abs_sums(x: np.ndarray) -> np.ndarray:
     return np.stack([mag.sum(axis=-1), mag.sum(axis=-2)], axis=-2)
 
 
-def _norm_bound(sums: np.ndarray) -> np.floating:
-    """``sqrt(||x||_1 ||x||_inf)`` >= the spectral norm of x, from the row
-    sums ``[i, 0]`` of |x| by block row i and its column sums ``[i, 1]`` by
-    block column i."""
-    return np.sqrt(sums[:, 0].max(initial=0.0) * sums[:, 1].max(initial=0.0))
+def _norm_bound(sums: np.ndarray) -> np.ndarray:
+    """``sqrt(||x||_1 ||x||_inf)`` >= the spectral norm of each member x of
+    a stack, from the row sums ``[t, i, 0]`` of |x| by block row i and its
+    column sums ``[t, i, 1]`` by block column i."""
+    return np.sqrt(sums.max(axis=(1, 3), initial=0.0).prod(axis=1))
 
 
 def _inertia_record(g: MatrixWeightedGraph) -> VerificationReport:

@@ -36,9 +36,10 @@ class WeightKind(Enum):
 class GenConfig:
     """Ranges and knobs for the random instance generators.
 
-    ``n_range`` and ``s_range`` are inclusive; ``condition_cap`` bounds the
-    condition number of each drawn weight (and of the weight sum, for the
-    kinds that do not guarantee it by construction).
+    ``n_range`` and ``s_range`` are inclusive; ``condition_cap``, finite
+    and above 1, bounds the condition number of each drawn weight (and of
+    the weight sum, for the kinds that do not guarantee it by
+    construction).
     """
 
     n_range: tuple[int, int] = (2, 10)
@@ -54,10 +55,9 @@ class GenConfig:
             raise BadConfigError(f"bad vertex range {self.n_range}")
         if not (1 <= s_lo <= s_hi):
             raise BadConfigError(f"bad block size range {self.s_range}")
-        if not self.condition_cap > 1.0:
-            raise BadConfigError(
-                f"condition cap must exceed 1, got {self.condition_cap}"
-            )
+        if not 1.0 < self.condition_cap < math.inf:
+            raise BadConfigError(f"condition cap must be finite and exceed "
+                                 f"1, got {self.condition_cap}")
         if not isinstance(self.kind, WeightKind):
             raise BadConfigError(f"bad weight kind {self.kind!r}")
 
@@ -136,8 +136,12 @@ def _draw_weights(edge_count: int, kind: WeightKind, s: int, cap: float,
     raise BadConfigError("could not draw weights with an invertible sum")
 
 
-def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
-    """Edges of the labeled tree encoded by a length n-2 sequence over 1..n."""
+def _prufer_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Edges of the labeled tree that a uniform random length n-2 sequence
+    over 1..n encodes, a bijection onto the labeled trees on n vertices."""
+    if n == 2:
+        return [(1, 2)]
+    seq = [int(x) for x in rng.integers(1, n + 1, size=n - 2)]
     degree = [1] * (n + 1)
     degree[0] = 0
     for x in seq:
@@ -157,6 +161,40 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _random_graph(config: GenConfig, topology) -> MatrixWeightedGraph:
+    """The graph of ``config.seed``: from ``default_rng(config.seed)``, n
+    and s from their ranges, then the edges that ``topology(n, rng)``
+    draws, then their weights per ``config.kind``, in the order of the
+    sorted edges."""
+    rng = np.random.default_rng(config.seed)
+    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
+    s = int(rng.integers(config.s_range[0], config.s_range[1] + 1))
+    topo = sorted(topology(n, rng))
+    weights = _draw_weights(len(topo), config.kind, s, config.condition_cap, rng)
+    return MatrixWeightedGraph(
+        n, s, [(u, v, w) for (u, v), w in zip(topo, weights)]
+    )
+
+
+def _with_cycles(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """A random tree on n >= 3 vertices and one to three distinct edges
+    off it."""
+    if n == 3:
+        tree_topo = [(1, 2), (1, 3)] if rng.uniform() < 0.5 else [(1, 2), (2, 3)]
+    else:
+        tree_topo = _prufer_tree(n, rng)
+    present = set(tree_topo)
+    missing = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (u, v) not in present
+    ]
+    extra_count = int(rng.integers(1, min(3, len(missing)) + 1))
+    picks = rng.choice(len(missing), size=extra_count, replace=False)
+    return tree_topo + [missing[int(i)] for i in picks]
+
+
 def random_tree(config: GenConfig) -> MatrixWeightedGraph:
     """Random matrix-weighted tree drawn uniformly over labeled topologies.
 
@@ -165,18 +203,7 @@ def random_tree(config: GenConfig) -> MatrixWeightedGraph:
     weights are drawn per ``config.kind`` in edge order after sorting edges
     by endpoints.
     """
-    rng = np.random.default_rng(config.seed)
-    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
-    s = int(rng.integers(config.s_range[0], config.s_range[1] + 1))
-    if n == 2:
-        topo = [(1, 2)]
-    else:
-        seq = [int(x) for x in rng.integers(1, n + 1, size=n - 2)]
-        topo = sorted(_prufer_decode(seq, n))
-    weights = _draw_weights(len(topo), config.kind, s, config.condition_cap, rng)
-    return MatrixWeightedGraph(
-        n, s, [(u, v, w) for (u, v), w in zip(topo, weights)]
-    )
+    return _random_graph(config, _prufer_tree)
 
 
 def random_connected_nontree(config: GenConfig) -> MatrixWeightedGraph:
@@ -188,28 +215,7 @@ def random_connected_nontree(config: GenConfig) -> MatrixWeightedGraph:
     """
     if config.n_range[0] < 3:
         raise BadConfigError("connected non-trees need n >= 3")
-    rng = np.random.default_rng(config.seed)
-    n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
-    s = int(rng.integers(config.s_range[0], config.s_range[1] + 1))
-    if n == 3:
-        tree_topo = [(1, 2), (1, 3)] if rng.uniform() < 0.5 else [(1, 2), (2, 3)]
-    else:
-        seq = [int(x) for x in rng.integers(1, n + 1, size=n - 2)]
-        tree_topo = sorted(_prufer_decode(seq, n))
-    present = set(tree_topo)
-    missing = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if (u, v) not in present
-    ]
-    extra_count = int(rng.integers(1, min(3, len(missing)) + 1))
-    picks = rng.choice(len(missing), size=extra_count, replace=False)
-    topo = sorted(tree_topo + [missing[int(i)] for i in picks])
-    weights = _draw_weights(len(topo), config.kind, s, config.condition_cap, rng)
-    return MatrixWeightedGraph(
-        n, s, [(u, v, w) for (u, v), w in zip(topo, weights)]
-    )
+    return _random_graph(config, _with_cycles)
 
 
 def distance_oracle(g: MatrixWeightedGraph) -> BlockMatrix:

@@ -7,8 +7,8 @@ can be overridden per call of the rank functions and the pseudo-inverse;
 the symmetry and zero cutoffs are fixed.  A square matrix is singular
 exactly when its :func:`numerical_rank` at the default cutoff falls short
 of its order: :func:`inverse` and every invertibility check use that one
-test.  :func:`spd_inverse` and :func:`spd_whiten`, for a matrix positive
-definite by construction, take no rank test: a Cholesky pivot within
+test.  :func:`inverse_cholesky`, the one Cholesky kernel, for a matrix
+positive definite by construction, takes no rank test: a pivot within
 rounding of zero raises instead.
 
 The rank is the count of singular values above the cutoff, the SVD's
@@ -168,31 +168,16 @@ def inverses(a) -> np.ndarray:
     return np.ldexp(np.linalg.inv(scaled), -power[:, None, None])
 
 
-def spd_inverse(a) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, as LAPACK's
-    ``xPOTRI`` forms it, in about half the flops of an LU inverse: the
-    Cholesky factor C of the lower triangle, Y = C^-1 by
-    :func:`_lower_inverse`, then ``Y.T @ Y``, which numpy computes as a
-    ``syrk``, so the result is exactly symmetric.  The upper triangle is
-    not read, and no rank test is made: :func:`_cholesky` raises
-    SingularMatrixError instead.
+def inverse_cholesky(a) -> np.ndarray:
+    """Y = C^-1, by :func:`_lower_inverse`, for the Cholesky factor C of
+    the lower triangle of a symmetric positive definite ``a``.  ``Y.T @
+    Y`` is then a^-1 as LAPACK's ``xPOTRI`` forms it, in about half the
+    flops of an LU inverse, and ``Y @ b`` whitens b: ``(Y b)^T (Y b)`` is
+    ``b^T a^-1 b``.  numpy computes such products as a ``syrk``, so they
+    are exactly symmetric.  The upper triangle is not read, and no rank
+    test is made: a pivot that is not positive, or that is within the
+    factorization's rounding of zero, raises SingularMatrixError.
     """
-    y = _lower_inverse(_cholesky(a))
-    return y.T @ y
-
-
-def spd_whiten(a, b) -> np.ndarray:
-    """``C^-1 b`` for the Cholesky factor C of the lower triangle of a
-    symmetric positive definite ``a``, so that ``Y.T @ Y`` is ``b^T a^-1
-    b``, exactly symmetric as a ``syrk``; SingularMatrixError as
-    :func:`_cholesky` raises it."""
-    return _lower_inverse(_cholesky(a)) @ b
-
-
-def _cholesky(a) -> np.ndarray:
-    """The Cholesky factor of the lower triangle of ``a``.  A pivot that is
-    not positive, or that is within the factorization's rounding of zero,
-    raises SingularMatrixError."""
     m = as_matrix(a)
     _require_square(m)
     try:
@@ -206,7 +191,7 @@ def _cholesky(a) -> np.ndarray:
     if not positive:
         raise SingularMatrixError("matrix is not positive definite to "
                                   "working precision")
-    return factor
+    return _lower_inverse(factor)
 
 
 #: Order up to which :func:`_lower_inverse` takes numpy's LU inverse.

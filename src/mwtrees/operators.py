@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, SingularWeightError
 from .graphs import MatrixWeightedGraph, depth_first_tree
-from .linalg import inverses, spd_whiten
+from .linalg import inverse_cholesky, inverses
 
 
 def tree_distance_data(g: MatrixWeightedGraph, layout: TreeLayout) -> np.ndarray:
@@ -100,8 +100,8 @@ def cycle_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
     capacitance[range(k), :, range(k), :] += weights[layout.off]
     if not np.isfinite(capacitance).all():   # so would G_r be
         return np.full_like(data, np.inf)
-    y = spd_whiten(capacitance.reshape(k * s, k * s),
-                   across.reshape(k * s, n * s))
+    y = (inverse_cholesky(capacitance.reshape(k * s, k * s))
+         @ across.reshape(k * s, n * s))
     data -= y.T @ y
     return data
 

@@ -579,6 +579,23 @@ def test_random_unwritable_output_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--n", "4", "--s", "2", "--condition-cap", "inf"],
+    ["--n", "4", "--s", "2", "--condition-cap", "1e400"],   # parses to inf
+    ["--n", "4", "--s", "2", "--condition-cap", "1", "--count", "0"],
+    ["--n", "1", "--s", "2", "--count", "0"],
+    ["--n", "4", "--s", "0", "--count", "0"],
+])
+def test_random_refuses_a_bad_config_before_writing(capsys, tmp_path, argv):
+    # a cap that is not finite and above 1, or a size out of range, is a
+    # precondition failure with a one-line error, even for no files
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "random", *argv, "--out", str(out_dir))
+    assert code == 3 and out == ""
+    assert err.startswith("error: BadConfigError: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", PATH4, "--trials", "-1"],
     ["random", "--n", "4", "--s", "1", "--count", "-1"],
 ])

@@ -52,7 +52,6 @@ from mwtrees.generators import (
 )
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
 from mwtrees.linalg import (
-    BlockMatrix,
     Inertia,
     inverse,
     numerical_rank,
@@ -557,16 +556,19 @@ def _check_reweightings(draws: np.ndarray, blocks: np.ndarray) -> None:
 def _recorded_probe(monkeypatch, g: MatrixWeightedGraph, trials: int,
                     seed: int) -> tuple:
     """The rank probe of the tree g and the ``(weights, blocks)`` of each
-    Laplacian it ranks."""
+    Laplacian it ranks, read from the stacks of its one call of the
+    certificate's bounds."""
     from mwtrees import closedforms
 
-    used = []
-    real = closedforms._tree_rank
-    monkeypatch.setattr(closedforms, "_tree_rank",
-                        lambda graph, tree, weights, blocks, tol:
-                        used.append((weights, blocks))
-                        or real(graph, tree, weights, blocks, tol))
-    return rank_characterization_probe(g, trials, seed), used
+    stacks = []
+    real = closedforms._tree_bounds
+    monkeypatch.setattr(closedforms, "_tree_bounds",
+                        lambda graph, tree, weights, blocks:
+                        stacks.append((weights, blocks))
+                        or real(graph, tree, weights, blocks))
+    probe = rank_characterization_probe(g, trials, seed)
+    assert len(stacks) == 1
+    return probe, list(zip(*stacks[0]))
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 9])
@@ -584,7 +586,7 @@ def test_rank_probe_reweights_with_successive_random_nonsingular_draws(
     draws, blocks = probe_reweightings(g.m, s, 4, 9)
     assert len(used) == 5
     weights, first = used[0]
-    assert weights is g.weights
+    assert weights.tobytes() == g.weights.tobytes()
     assert first.tobytes() == np.array(
         [inverse(e.weight) for e in g.edges]).tobytes()
     for (w, b), want_w, want_b in zip(used[1:], draws, blocks):
@@ -777,7 +779,7 @@ def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
     rtol = max(1e-9, 1e-12 * kept.max() / kept.min())
     norm_l, norm_p = np.linalg.norm(lap), math.sqrt(np.sum(kept ** -2.0))
     for seed in (0, 1, 2):
-        h = a.g_inverse(_seeded_root(g.n, seed)).data
+        h = a.g_inverse(_seeded_root(g.n, seed))
         assert np.linalg.norm(lap @ h @ lap - lap) <= (
             rtol * norm_l * max(norm_p * norm_l, np.linalg.norm(h) * norm_l))
 
@@ -872,9 +874,9 @@ def test_ginverse_records_detect_a_one_block_error(monkeypatch, shape):
             h = real(self, root)
             if root != second:
                 return h
-            data = h.data.copy()
+            data = h.copy()
             data[:s, (n - 1) * s:] += shift
-            return BlockMatrix(data, s)
+            return data
 
         with monkeypatch.context() as patch:
             patch.setattr(closedforms._Analysis, "g_inverse", perturbed)
@@ -978,7 +980,7 @@ def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
     for seed in range(3):
         root = _seeded_root(g.n, seed)
-        h = a.g_inverse(root).data
+        h = a.g_inverse(root)
         grounded = h.reshape(g.n, g.s, g.n, g.s)
         assert not grounded[root - 1].any()
         assert not grounded[:, :, root - 1].any()
@@ -1226,9 +1228,9 @@ def test_invariance_takes_the_next_root_when_two_seeds_draw_the_same(
         h = real(self, root)
         if root != 1:
             return h
-        data = h.data.copy()
+        data = h.copy()
         data[:s, (n - 1) * s:] += shift
-        return BlockMatrix(data, s)
+        return data
 
     monkeypatch.setattr(closedforms._Analysis, "g_inverse", perturbed)
     assert ginverse_invariance_check(g, seed=2).status == FAIL
@@ -1417,14 +1419,16 @@ def test_rank_probe_reports_the_svd_ranks(case):
         draws = [random_nonsingular(s, cap, rng) for _ in range(3 * g.m)]
     except BadConfigError:   # no s x s draw this well conditioned
         assume(False)
-    tree = _subtree_runs(g)
     sets = [(g.weights, np.linalg.inv(g.weights))]
     for weights in np.reshape(draws, (3, g.m, s, s)):
         sets += [(weights, np.linalg.inv(weights)),
                  (np.linalg.inv(weights), weights)]
-    for weights, blocks in sets:
-        assert closedforms._tree_rank(g, tree, weights, blocks, rel_tol) == (
-            numerical_rank(block_laplacian(g, blocks), rel_tol))
+    weights, blocks = (np.array(x) for x in zip(*sets))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        certified = closedforms._certifies(g, closedforms._tree_bounds(
+            g, _subtree_runs(g), weights, blocks), rel_tol)
+    for b in blocks[certified]:
+        assert numerical_rank(block_laplacian(g, b), rel_tol) == (g.n - 1) * s
 
 
 def _svd_probe_ranks(g: MatrixWeightedGraph, trials: int,
@@ -1497,7 +1501,8 @@ def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
     others = [random_nonsingular(s, 1e4, rng) for _ in g.edges]
     for blocks in (np.array([inverse(w) for w in weights]),
                    np.array([inverse(w) for w in others])):
-        ours = closedforms._tree_bounds(g, _subtree_runs(g), weights, blocks)
+        ours = [x[0] for x in closedforms._tree_bounds(
+            g, _subtree_runs(g), weights[None], blocks[None])]
         dense = _dense_bounds(g, weights, blocks)
         top, norm_k, norm_g, residual, null, frobenius = dense
         for i in (0, 1, 2, 5):   # ||L||, ||K||, ||G||, ||L||_F
@@ -1508,6 +1513,36 @@ def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
         for rel_tol in (1e-16, 1e-13, 1e-9, 1e-4, 0.5):
             assert (closedforms._certifies(g, ours, rel_tol)
                     == closedforms._certifies(g, dense, rel_tol))
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "recursive", "prufer"])
+@pytest.mark.parametrize("s", [1, 3, 8])
+@pytest.mark.parametrize("spd", [True, False])
+def test_rank_certificate_bounds_of_a_stack_are_those_of_each_member(
+    shape, s, spd
+):
+    # each member of a stack gets the bits of a stack of one: L's pair,
+    # random nonsingular weights with their inverses, the same the other
+    # way round, and blocks that do not invert the weights
+    from mwtrees import closedforms
+
+    for n in (1, 2, 13):
+        g = _probe_tree(shape, n, s, spd, n)
+        tree = _subtree_runs(g)
+        rng = np.random.default_rng(n)
+        draws = np.reshape([random_nonsingular(s, 1e4, rng)
+                            for _ in range(2 * g.m)], (2, g.m, s, s))
+        weights = np.array([g.weights, draws[0], np.linalg.inv(draws[0]),
+                            draws[0]])
+        blocks = np.array([np.linalg.inv(g.weights), np.linalg.inv(draws[0]),
+                           draws[0], draws[1]])
+        stacked = closedforms._tree_bounds(g, tree, weights, blocks)
+        assert all(x.shape == (4,) for x in stacked)
+        for i in range(4):
+            alone = closedforms._tree_bounds(g, tree, weights[i:i + 1],
+                                             blocks[i:i + 1])
+            assert [x[i].tobytes() for x in stacked] == [
+                x[0].tobytes() for x in alone]
 
 
 @pytest.mark.parametrize("spd", [True, False])

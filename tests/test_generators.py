@@ -33,6 +33,9 @@ def test_gen_config_validation():
         GenConfig(s_range=(0, 2))
     with pytest.raises(BadConfigError):
         GenConfig(condition_cap=0.5)
+    # an infinite cap would reach rng.uniform(-inf, inf) in random_spd
+    with pytest.raises(BadConfigError, match="must be finite"):
+        GenConfig(condition_cap=np.inf)
     with pytest.raises(BadConfigError):
         GenConfig(kind="spd")
 

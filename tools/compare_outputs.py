@@ -10,9 +10,9 @@ checkout's ``tools/dump_outputs.py`` on both sides (with
 bits of the larger products do not depend on the thread count and a numpy
 warning stops a dump), and prints how many lines moved under each output
 label, every record whose status changed and, on a line of its own that
-starts ``source lines``, the ``wc -l`` of ``src/mwtrees/*.py`` at REF and
-in this checkout; the next line, ``source lines by kind``, splits those
-lines into code, docstring and blank lines (:func:`lines_by_kind`).  It
+starts ``source lines``, the lines of ``src/mwtrees/*.py`` at REF and in
+this checkout; the next line, ``source lines by kind``, splits those lines
+into code, docstring and blank lines (:func:`lines_by_kind`).  It
 adds nothing to the repository, and the directory is removed on every
 exit path.  Exit status
 0 means the two dumps are identical, 1 that they differ and 2 that a dump,
@@ -78,12 +78,6 @@ def keyed(dump: str) -> dict[tuple[str, str], tuple[str, str]]:
     return lines
 
 
-def source_lines(tree: Path) -> int:
-    """The ``wc -l`` of the package's modules in the checkout ``tree``."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in tree.glob("src/mwtrees/*.py"))
-
-
 def lines_by_kind(source: str) -> Counter:
     """The lines of one module as ``code``, ``docstring`` and ``blank``.
 
@@ -145,10 +139,10 @@ def main() -> None:
         shutil.copyfile(ROOT / DUMP, tree / DUMP)
         before, after = dumps([tree, ROOT])
         identical = report(ref, before, after)
-        old, new = source_lines(tree), source_lines(ROOT)
-        print(f"source lines (src/mwtrees/*.py): {old:,} at {ref}, "
-              f"{new:,} here ({new - old:+,})")
         old, new = source_kinds(tree), source_kinds(ROOT)
+        was, now = old.total(), new.total()
+        print(f"source lines (src/mwtrees/*.py): {was:,} at {ref}, "
+              f"{now:,} here ({now - was:+,})")
         kinds = ("code", "docstring", "blank")
         print("source lines by kind (src/mwtrees/*.py): " + ", ".join(
             f"{kind} {old[kind]:,} at {ref}, {new[kind]:,} here "
