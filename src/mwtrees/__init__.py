@@ -64,24 +64,6 @@ from .formats import (
     load_graph,
     loads_graph,
 )
-from .gallery import (
-    cycle4_block2,
-    cycle_graph,
-    diamond4,
-    path4_block2,
-    path_graph,
-    star_graph,
-)
-from .generators import (
-    GenConfig,
-    WeightKind,
-    distance_oracle,
-    random_connected_nontree,
-    random_instances,
-    random_nonsingular,
-    random_spd,
-    random_tree,
-)
 from .graphs import (
     Edge,
     MatrixWeightedGraph,
@@ -105,6 +87,32 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 
+# The names of the gallery and the generators load their module on first
+# use (PEP 562): no report command reads them, and the CLI's start-up
+# skips compiling and running both.
+_LAZY = dict.fromkeys(("cycle4_block2", "cycle_graph", "diamond4",
+                       "path4_block2", "path_graph", "star_graph"), "gallery")
+_LAZY |= dict.fromkeys(("GenConfig", "WeightKind", "distance_oracle",
+                        "random_connected_nontree", "random_instances",
+                        "random_nonsingular", "random_spd", "random_tree"),
+                       "generators")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(
+        import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
 from types import ModuleType as _Module
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _Module))
+__all__ = sorted([*_LAZY, *(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module))])

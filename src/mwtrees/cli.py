@@ -16,14 +16,14 @@ that is not finite is ``null`` there (the text format prints ``nan`` or
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 the input
 could not be read, parsed or validated, the arguments were malformed (a
-``--trials`` or ``--count`` below 0, a ``--tolerance`` that is not finite
-and above 0) or ``random`` could not write its output, 3 precondition
-failure (not a tree, not SPD, ...), 4 matrix not invertible, 5 internal
-error: an exception that is not a package error escaped a command's
-computation; it is a bug, and its traceback goes to stderr.  141: stdout
-was closed before all of the output was written (``mwtrees ... | head``);
-it is the code a shell reports for a writer stopped by SIGPIPE, and
-nothing is printed for it.
+``--trials``, ``--count`` or ``--seed`` below 0, a ``--tolerance`` that is
+not finite and above 0) or ``random`` could not write its output, 3
+precondition failure (not a tree, not SPD, ...), 4 matrix not invertible,
+5 internal error: an exception that is not a package error escaped a
+command's computation; it is a bug, and its traceback goes to stderr.
+141: stdout was closed before all of the output was written (``mwtrees
+... | head``); it is the code a shell reports for a writer stopped by
+SIGPIPE, and nothing is printed for it.
 
 :func:`run` is the process entry: the ``mwtrees`` console script,
 ``python -m mwtrees`` and ``python -m mwtrees.cli`` all start there.
@@ -69,7 +69,6 @@ from .formats import (
     loads_graph,
     make_report,
 )
-from .generators import GenConfig, WeightKind, random_instances
 from .graphs import MatrixWeightedGraph
 from .linalg import sign_log_determinant
 
@@ -80,6 +79,10 @@ EXIT_PRECONDITION = 3
 EXIT_NOT_INVERTIBLE = 4
 EXIT_INTERNAL = 5
 EXIT_CLOSED_STDOUT = 141
+
+#: ``random --kind`` choices, the values of ``generators.WeightKind``:
+#: spelled out, so that only ``random`` loads the generators.
+KINDS = ("spd", "nonsingular", "scalar-positive", "scalar-any-nonzero")
 
 
 def _read_input(path: str) -> tuple[MatrixWeightedGraph, str]:
@@ -211,6 +214,8 @@ def cmd_verify(g, args):
 
 
 def cmd_random(args) -> int:
+    from .generators import GenConfig, WeightKind, random_instances
+
     kind = WeightKind(args.kind)
     config = GenConfig(n_range=(args.n, args.n), s_range=(args.s, args.s),
                        kind=kind, condition_cap=args.condition_cap,
@@ -263,7 +268,8 @@ def cmd_deficient(g, args):
 
 
 def _count(text: str) -> int:
-    """A whole number of at least 0, for ``--trials`` and ``--count``."""
+    """A whole number of at least 0, for ``--trials``, ``--count`` and
+    ``--seed``."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     add_common(p)
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--trials", type=_count, default=5,
                    help="reweighting trials in the rank suite")
     p.add_argument("--tolerance", type=_tolerance, default=1e-8,
@@ -326,10 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="write random instance files")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--kind", choices=[k.value for k in WeightKind],
-                   default="spd")
+    p.add_argument("--kind", choices=KINDS, default="spd")
     p.add_argument("--topology", choices=("tree", "nontree"), default="tree")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--condition-cap", type=float, default=1e4)
     p.add_argument("--out", required=True, help="output directory")

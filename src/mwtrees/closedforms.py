@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +103,7 @@ _INTERLACING_SLACK = 1e-8
 _PROBE_CONDITION_CAP = 1e4
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one named numerical check.
 
     ``status`` is PASS, FAIL or SKIPPED; for PASS/FAIL the ``residual`` and
@@ -459,8 +458,7 @@ def distance_determinant_sign_log(g: MatrixWeightedGraph) -> tuple[float, float]
     return sign, log_abs
 
 
-@dataclass(frozen=True)
-class InvertibilityResult:
+class InvertibilityResult(NamedTuple):
     """Whether the tree distance matrix is invertible, with the reason when
     it is not (a singular edge weight or a singular weight sum)."""
 
@@ -715,8 +713,7 @@ def inertia_check(g: MatrixWeightedGraph) -> Inertia:
     return inertia_of(a.distance_eigenvalues)
 
 
-@dataclass(frozen=True)
-class InterlacingReport:
+class InterlacingReport(NamedTuple):
     """Eigenvalue interlacing data for an SPD-weighted tree.
 
     ``mu`` and ``lam`` are the descending spectra of the distance matrix and
@@ -801,8 +798,7 @@ def _bridges(g: MatrixWeightedGraph, tree: TreeLayout) -> set[int]:
     return {k for k, a, b in runs if a <= low[a] and high[a] < b}
 
 
-@dataclass(frozen=True)
-class DeficientWeighting:
+class DeficientWeighting(NamedTuple):
     """A scalar weighting that drops the Laplacian rank of a non-tree graph.
 
     Putting weight ``w`` on the marked edge and 1 on every other edge makes
@@ -831,8 +827,7 @@ def rank_deficient_weighting(g: MatrixWeightedGraph) -> DeficientWeighting:
     return _analysis(g).deficient_weighting
 
 
-@dataclass(frozen=True)
-class RankProbe:
+class RankProbe(NamedTuple):
     """Outcome of :func:`rank_characterization_probe`.
 
     On a tree (branch "tree"), ``observed_ranks`` holds the Laplacian rank

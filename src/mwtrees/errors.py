@@ -3,7 +3,8 @@
 Everything derives from MWTreesError so callers can catch library failures
 with a single except clause.  Errors that point at a specific edge carry its
 0-based index in ``edge_index``; errors raised for one member of a stack of
-matrices carry its position in ``index``.
+matrices carry its position in ``index``.  :func:`refuse_change` is the
+AttributeError of an attempt to change an immutable object.
 """
 
 from __future__ import annotations
@@ -84,3 +85,10 @@ class GraphFileError(MWTreesError):
     def __init__(self, message: str, problems: list[str] | None = None):
         super().__init__(message)
         self.problems = list(problems or [])
+
+
+def refuse_change(obj, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the package's immutable
+    classes: AttributeError, for any attribute."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: "
+                         f"{type(obj).__name__} is immutable")

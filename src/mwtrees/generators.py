@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +32,9 @@ class WeightKind(Enum):
     SCALAR_ANY_NONZERO = "scalar-any-nonzero"
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Ranges and knobs for the random instance generators.
-
-    ``n_range`` and ``s_range`` are inclusive; ``condition_cap``, finite
-    and above 1, bounds the condition number of each drawn weight (and of
-    the weight sum, for the kinds that do not guarantee it by
-    construction).
-    """
+class _Config(NamedTuple):
+    """The fields of :class:`GenConfig`, which checks them in a
+    ``__new__`` that a NamedTuple class may not define itself."""
 
     n_range: tuple[int, int] = (2, 10)
     s_range: tuple[int, int] = (1, 4)
@@ -48,7 +42,22 @@ class GenConfig:
     condition_cap: float = 1e4
     seed: int = 0
 
-    def __post_init__(self):
+
+class GenConfig(_Config):
+    """Ranges and knobs for the random instance generators.
+
+    ``n_range`` and ``s_range`` are inclusive; ``condition_cap``, finite
+    and above 1, bounds the condition number of each drawn weight (and of
+    the weight sum, for the kinds that do not guarantee it by
+    construction); ``seed``, at least 0, seeds the first instance.  Each
+    construction, ``_replace`` included, checks the fields
+    (BadConfigError).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n_lo, n_hi = self.n_range
         s_lo, s_hi = self.s_range
         if not (2 <= n_lo <= n_hi):
@@ -60,6 +69,13 @@ class GenConfig:
                                  f"1, got {self.condition_cap}")
         if not isinstance(self.kind, WeightKind):
             raise BadConfigError(f"bad weight kind {self.kind!r}")
+        if self.seed < 0:
+            raise BadConfigError(f"seed must be >= 0, got {self.seed}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -244,4 +260,4 @@ def random_instances(
 ) -> list[MatrixWeightedGraph]:
     """A reproducible batch: instance i uses seed ``config.seed + i``."""
     draw = random_tree if tree else random_connected_nontree
-    return [draw(replace(config, seed=config.seed + i)) for i in range(count)]
+    return [draw(config._replace(seed=config.seed + i)) for i in range(count)]

@@ -9,11 +9,16 @@ problem at once so file loaders can surface complete diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotATreeError, NotConnectedError, SameVertexError
+from .errors import (
+    NotATreeError,
+    NotConnectedError,
+    SameVertexError,
+    refuse_change,
+)
 
 #: Violation codes produced by :func:`validate`.
 BAD_ORDER = "BadOrder"
@@ -26,17 +31,26 @@ DUPLICATE_EDGE = "DuplicateEdge"
 NOT_CONNECTED = "NotConnected"
 
 
-@dataclass(frozen=True, eq=False)
 class Edge:
-    """One undirected edge with endpoints u < v and its weight matrix."""
+    """One undirected edge with endpoints u < v and its weight matrix;
+    immutable, and compared and hashed by identity."""
 
-    u: int
-    v: int
-    weight: np.ndarray
+    __slots__ = ("u", "v", "weight")
+    __setattr__ = __delattr__ = refuse_change
+
+    def __init__(self, u: int, v: int, weight: np.ndarray):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "weight", weight)
+
+    def __repr__(self) -> str:
+        return f"Edge(u={self.u!r}, v={self.v!r}, weight={self.weight!r})"
+
+    def __reduce__(self):
+        return type(self), (self.u, self.v, self.weight)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One problem found by :func:`validate`; ``edge_index`` is None for
     graph-level problems."""
 
@@ -48,7 +62,6 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
     """Undirected graph on vertices 1..n with an s x s weight per edge.
 
@@ -71,14 +84,15 @@ class MatrixWeightedGraph:
     live as long as the graph does.  Pickling or copying a graph rebuilds
     it through the constructor, so the copy has fresh arrays and no cache.
     Like those caches, graphs and edges compare and hash by identity: a
-    copy is another graph.
+    copy is another graph.  Its attributes cannot be set or deleted.
     """
 
     n: int
     s: int
     edges: tuple[Edge, ...]
-    ends: np.ndarray = field(repr=False)
-    weights: np.ndarray | None = field(repr=False)
+    ends: np.ndarray
+    weights: np.ndarray | None
+    __setattr__ = __delattr__ = refuse_change
 
     def __init__(self, n: int, s: int, edges):
         object.__setattr__(self, "n", int(n))
@@ -108,6 +122,10 @@ class MatrixWeightedGraph:
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
+
+    def __repr__(self) -> str:
+        return (f"MatrixWeightedGraph(n={self.n!r}, s={self.s!r}, "
+                f"edges={self.edges!r})")
 
     def __reduce__(self):
         return type(self), (self.n, self.s, self.edges)

@@ -34,7 +34,7 @@ asymmetric input (the rank's exact ``a == a.T`` only picks its route).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     NotSPDError,
     NotSymmetricError,
     SingularMatrixError,
+    refuse_change,
 )
 
 # Relative cutoff (times the largest singular value, or eigenvalue of an SPD
@@ -345,8 +346,7 @@ def spd_inverse_sqrts(w) -> np.ndarray:
     return 0.5 * (root + root.transpose(0, 2, 1))
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Eigenvalue sign counts (positive, negative, zero) of a symmetric
     matrix."""
 
@@ -370,21 +370,21 @@ def inertia_of(eigenvalues) -> Inertia:
     return Inertia(positive, negative, lam.size - positive - negative)
 
 
-@dataclass(frozen=True)
 class BlockMatrix:
     """A dense array addressed as a grid of equally sized square blocks.
 
     ``data`` has shape (rows * block_size, cols * block_size).  Block indices
     are 1-based to match vertex numbering; ``block(i, j)`` returns a copy of
-    the block at grid position (i, j).
+    the block at grid position (i, j).  Its attributes cannot be set or
+    deleted.
     """
 
-    data: np.ndarray
-    block_size: int
+    __slots__ = ("data", "block_size")
+    __setattr__ = __delattr__ = refuse_change
 
-    def __post_init__(self):
-        m = as_matrix(self.data, "data")
-        s = self.block_size
+    def __init__(self, data: np.ndarray, block_size: int):
+        m = as_matrix(data, "data")
+        s = block_size
         if s < 1:
             raise ValueError(f"block_size must be >= 1, got {s}")
         if m.shape[0] % s or m.shape[1] % s:
@@ -392,6 +392,13 @@ class BlockMatrix:
                 f"shape {m.shape} does not divide into {s}x{s} blocks"
             )
         object.__setattr__(self, "data", m)
+        object.__setattr__(self, "block_size", block_size)
+
+    def __repr__(self) -> str:
+        return f"BlockMatrix(data={self.data!r}, block_size={self.block_size!r})"
+
+    def __reduce__(self):
+        return type(self), (self.data, self.block_size)
 
     @property
     def block_rows(self) -> int:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mwtrees.cli import main
+from mwtrees.cli import KINDS, main
 from mwtrees.formats import dumps_graph, input_digest, load_graph
 from mwtrees.gallery import path4_block2, path_graph, star_graph
+from mwtrees.generators import WeightKind
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
 from mwtrees.closedforms import distance_matrix, laplacian
 
@@ -609,6 +610,27 @@ def test_negative_counts_are_rejected_when_parsed(capsys, tmp_path, argv):
     assert info.value.code == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["verify", PATH4], "-1"),
+    (["random", "--n", "3", "--s", "1"], "-5"),
+])
+def test_negative_seeds_are_rejected_when_parsed(tmp_path, argv, seed):
+    # refused at parsing (exit 2), not passed on to numpy's seeding, which
+    # raised ValueError: an internal error, exit 5 with a traceback
+    out_dir = tmp_path / "out"
+    if argv[0] == "random":
+        argv = [*argv, "--out", str(out_dir)]
+    done = run_python("-m", "mwtrees", *argv, "--seed", seed)
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"argument --seed: must be >= 0, got {seed}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out_dir.exists()
+
+
+def test_random_kind_choices_are_the_weight_kinds():
+    assert KINDS == tuple(kind.value for kind in WeightKind)
 
 
 @pytest.mark.parametrize("argv", [

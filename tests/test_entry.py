@@ -4,6 +4,7 @@ process."""
 
 import gc
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -117,6 +118,72 @@ def test_random_process_writes_the_bytes_of_main(capsys, monkeypatch,
     for name in names:
         assert (process / "out" / name).read_bytes() == (
             library / "out" / name).read_bytes()
+
+
+# the package's modules that `import mwtrees.cli` loads, then those of
+# their classes that are dataclasses, as two JSON lines
+_CLI_IMPORT = (
+    "import json, sys, mwtrees.cli\n"
+    "ours = sorted(m for m in sys.modules if m.split('.')[0] == 'mwtrees')\n"
+    "print(json.dumps(ours))\n"
+    "print(json.dumps([name for m in ours\n"
+    "                  for name, v in vars(sys.modules[m]).items()\n"
+    "                  if isinstance(v, type)\n"
+    "                  and hasattr(v, '__dataclass_fields__')]))\n"
+)
+PUBLIC_NAMES = [
+    "BadConfigError", "BlockMatrix", "DeficientWeighting", "Edge", "FAIL",
+    "GRAPH_SCHEMA", "GenConfig", "GraphFileError", "IDENTITY_NAMES",
+    "Inertia", "InterlacingReport", "InvertibilityResult", "IsATreeError",
+    "LaplacianMode", "MWTreesError", "MatrixWeightedGraph", "NonFiniteError",
+    "NotATreeError", "NotConnectedError", "NotInvertibleError",
+    "NotSPDError", "NotSymmetricError", "PASS", "REPORT_SCHEMA", "RankProbe",
+    "SKIPPED", "SUITES", "SameVertexError", "SingularMatrixError",
+    "SingularWeightError", "VerificationReport", "Violation", "WeightKind",
+    "cycle4_block2", "cycle_graph", "degrees", "delta_vector", "diamond4",
+    "distance_determinant_sign_log", "distance_inverse", "distance_matrix",
+    "distance_oracle", "dump_graph", "dumps_graph",
+    "ginverse_distance_recovery", "ginverse_invariance_check",
+    "graph_from_dict", "graph_to_dict", "incidence_matrix", "inertia_check",
+    "inertia_of", "interlacing_check", "inverse", "invertibility_check",
+    "is_connected", "is_tree", "laplacian", "load_graph", "loads_graph",
+    "numerical_rank", "path4_block2", "path_graph", "pseudo_inverse",
+    "random_connected_nontree", "random_instances", "random_nonsingular",
+    "random_spd", "random_tree", "rank_characterization_probe",
+    "rank_deficient_weighting", "reweighted_scalar_laplacian",
+    "sign_log_determinant", "star_graph", "symmetric_eigenvalues",
+    "tree_path", "validate", "verification_suite", "verify_identities",
+    "weight_sum",
+]
+
+
+def test_cli_start_up_loads_no_generators_and_no_dataclass():
+    # a report command neither compiles the generators and the gallery
+    # nor runs the code generation of a dataclass (`random` loads the
+    # generators when it runs: test_random_process_writes_the_bytes_of_main)
+    done = run_python("-c", _CLI_IMPORT)
+    assert done.returncode == 0, done.stderr
+    modules, dataclasses = map(json.loads, done.stdout.splitlines())
+    assert "mwtrees.cli" in modules and "mwtrees.closedforms" in modules
+    assert "mwtrees.generators" not in modules
+    assert "mwtrees.gallery" not in modules
+    assert dataclasses == []
+
+
+def test_package_serves_the_generators_and_the_gallery_on_first_use():
+    done = run_python("-c", (
+        "from mwtrees import path_graph, random_tree, distance_oracle\n"
+        "print(path_graph.__module__, random_tree.__module__,\n"
+        "      distance_oracle.__module__)\n"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "mwtrees.gallery", "mwtrees.generators", "mwtrees.generators"]
+    import mwtrees
+
+    assert sorted(mwtrees.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(mwtrees))
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        mwtrees.nothing
 
 
 def _mwtrees(*argv, env=None, **kwargs) -> subprocess.Popen:

@@ -114,6 +114,10 @@ def canonical(value) -> bytes:
         return canonical(value.data)
     if isinstance(value, float):
         return value.hex().encode()
+    # a record, a NamedTuple or (in older checkouts) a dataclass: its type
+    # name, then its fields in order, the same bytes for either
+    if hasattr(value, "_fields"):
+        return type(value).__name__.encode() + canonical(list(value))
     if isinstance(value, (list, tuple)):
         return b"(" + b",".join(canonical(x) for x in value) + b")"
     if hasattr(value, "__dataclass_fields__"):
