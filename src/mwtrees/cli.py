@@ -270,7 +270,11 @@ def cmd_deficient(g, args):
 def _count(text: str) -> int:
     """A whole number of at least 0, for ``--trials``, ``--count`` and
     ``--seed``."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 0, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -278,9 +282,13 @@ def _count(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     """A finite number above 0, for ``--tolerance``."""
-    if not 0.0 < float(text) < math.inf:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan   # refused below, as "nan" is
+    if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return float(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

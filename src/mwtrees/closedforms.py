@@ -163,7 +163,8 @@ class _Analysis:
     with the rank test that inverts them for L and the rank probe, decides
     SPD; that test and R's, for R^-1, decide invertibility.  One preorder
     layout, read off the search that validation ran, serves D, the
-    g-inverses (:meth:`g_inverse`), the rank certificate and the bridges.
+    g-inverses (:meth:`g_inverse`), the rank certificate and the witness's
+    marked edge.
 
     :func:`_analysis` keeps one analysis on each graph object.  The analysis
     reaches its graph through a weak reference, so graph -> analysis is the
@@ -338,9 +339,9 @@ class _Analysis:
             raise IsATreeError(
                 "every nonsingular weighting of a tree has full-rank Laplacian"
             )
-        score = degrees(g)[g.ends - 1].sum(axis=1)
-        score[list(_bridges(g, self.layout))] = -1   # never marked
-        best = int(np.argmax(score))   # the first of the highest
+        off = self.layout.off   # each closes a cycle with the tree
+        score = degrees(g)[g.ends[off] - 1].sum(axis=1)
+        best = int(off[np.argmax(score)])   # the first of the highest
         c1 = _marked_cofactor(g, best, 1.0)
         c2 = _marked_cofactor(g, best, 2.0)
         with_edge = round(c2 - c1)
@@ -364,10 +365,18 @@ def _few_cycles(n: int, m: int, s: int) -> bool:
     return n + (m - n + 1) * s + 24 <= n * s
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``; ValueError for a negative
+    integer seed, which numpy refuses with a message naming no argument."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _seeded_root(n: int, seed: int) -> int:
     """The g-inverse root, from 1 to n, for ``seed``: the first draw of
     numpy's PCG64 stream for ``seed``."""
-    return int(np.random.default_rng(seed).integers(1, n + 1))
+    return int(_seeded_rng(seed).integers(1, n + 1))
 
 
 def _analysis(g: MatrixWeightedGraph) -> _Analysis:
@@ -550,13 +559,13 @@ def verify_identities(
     Requires an invertible tree distance matrix (NotInvertibleError if not)
     whose D and R are finite (NonFiniteError if not).
     """
+    rng = _seeded_rng(seed)
     a = _analysis(g)
     _require_invertible(a)
     n, s = g.n, g.s
     tol = rel_tol * n * s
     dist, lap = a.distance, a.laplacian
     delta = delta_vector(g).astype(float)
-    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n * s, _PROBES))
     probes = f"; {_PROBES} Gaussian probes, seed {seed}"
 
@@ -778,26 +787,6 @@ def _marked_cofactor(g: MatrixWeightedGraph, edge_index: int, w: float) -> float
     return float(np.linalg.det(lap[1:, 1:]))
 
 
-def _bridges(g: MatrixWeightedGraph, tree: TreeLayout) -> set[int]:
-    """The bridges of a connected graph, from the layout ``tree`` of any
-    spanning tree: tree edge k is one unless an edge off the tree has one
-    end in its run ``lo[k] .. hi[k] - 1`` and the other outside.  O(n + m),
-    with no search and no recursion."""
-    low, high = np.arange(g.n), np.arange(g.n)   # positions reached
-    ends = tree.at[g.ends[tree.off] - 1]   # of each edge off the tree
-    np.minimum.at(low, ends.ravel(), ends[:, ::-1].ravel())
-    np.maximum.at(high, ends.ravel(), ends[:, ::-1].ravel())
-    low, high = low.tolist(), high.tolist()
-    parent = np.zeros(g.n, dtype=int)
-    parent[tree.lo] = tree.up
-    # children (later in preorder) first, so a run's first position folds
-    # in all of the run
-    for p, up in zip(range(g.n - 1, 0, -1), parent[:0:-1].tolist()):
-        low[up], high[up] = min(low[up], low[p]), max(high[up], high[p])
-    runs = zip(tree.edges.tolist(), tree.lo.tolist(), tree.hi.tolist())
-    return {k for k, a, b in runs if a <= low[a] and high[a] < b}
-
-
 class DeficientWeighting(NamedTuple):
     """A scalar weighting that drops the Laplacian rank of a non-tree graph.
 
@@ -817,8 +806,9 @@ class DeficientWeighting(NamedTuple):
 def rank_deficient_weighting(g: MatrixWeightedGraph) -> DeficientWeighting:
     """Find a scalar weighting of a non-tree graph with deficient rank.
 
-    Picks the non-bridge edge whose endpoint degree sum is largest (first in
-    storage order on ties), recovers the spanning-tree counts from the
+    Marks the edge off the spanning tree of :attr:`_Analysis.layout` whose
+    endpoint degree sum is largest (first in storage order on ties): each
+    such edge closes a cycle.  Recovers the spanning-tree counts from the
     marked cofactor evaluated at weights 1 and 2, and returns the root of
     that linear polynomial.  Trees have no such weighting (IsATreeError);
     every connected non-tree has one.  Computed once per graph object,
@@ -878,10 +868,10 @@ def rank_characterization_probe(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    rng = _seeded_rng(seed)
     a = _analysis(g)
     if a.tree:
         full = (g.n - 1) * g.s
-        rng = np.random.default_rng(seed)
         shape = (trials, g.m, g.s, g.s)
         u = np.linalg.qr(rng.standard_normal(shape))[0]
         v = np.linalg.qr(rng.standard_normal(shape))[0]
@@ -940,8 +930,8 @@ def _tree_bounds(g: MatrixWeightedGraph, tree: TreeLayout,
     at = np.zeros((t, n, s, s))   # C_x by the position of x, 0 at the root
     at[:, lo] = steps
     turns = np.where(inner, at[:, up] - steps, 0.0)   # C_p(x) - C_x
-    lsum, nsum, psum = _abs_sums(np.stack([diag, null, paths]))
-    bsum, rsum, tsum = _abs_sums(np.stack([blocks, steps - np.eye(s), turns]))
+    lsum, nsum, psum = map(_abs_sums, (diag, null, paths))
+    bsum, rsum, tsum = map(_abs_sums, (blocks, steps - np.eye(s), turns))
     ksum = lsum.copy()
     np.add.at(lsum, ends, np.repeat(bsum, 2, axis=1))
     np.add.at(ksum, ends, np.repeat(bsum * inner, 2, axis=1))

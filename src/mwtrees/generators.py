@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .closedforms import _seeded_rng
 from .errors import BadConfigError
 from .graphs import MatrixWeightedGraph, check_structure, tree_path
 from .linalg import BlockMatrix
@@ -78,12 +79,6 @@ class GenConfig(_Config):
         return cls(*fields)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_spd(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray:
     """Random s x s SPD matrix with condition number at most
     ``condition_cap``.
@@ -91,7 +86,7 @@ def random_spd(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray:
     Built as V diag(lam) V^T with a random orthogonal V and eigenvalues
     drawn log-uniformly from [1/sqrt(cap), sqrt(cap)].
     """
-    rng = _as_rng(seed)
+    rng = _seeded_rng(seed)
     half = 0.5 * math.log(condition_cap)
     lam = np.exp(rng.uniform(-half, half, size=s))
     vec = np.linalg.qr(rng.standard_normal((s, s)))[0]
@@ -106,7 +101,7 @@ def random_nonsingular(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray
     number above ``condition_cap`` are rejected and retried, up to
     ``_MAX_REDRAWS`` draws in all (BadConfigError after that).
     """
-    rng = _as_rng(seed)
+    rng = _seeded_rng(seed)
     for _ in range(_MAX_REDRAWS):
         w = rng.uniform(-1.0, 1.0, size=(s, s))
         if abs(np.linalg.det(w)) >= 0.05 and np.linalg.cond(w) <= condition_cap:

@@ -629,6 +629,28 @@ def test_negative_seeds_are_rejected_when_parsed(tmp_path, argv, seed):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", PATH4, "--seed", "x"],
+    ["verify", PATH4, "--trials", "x"],
+    ["verify", PATH4, "--tolerance", "x"],
+    ["random", "--n", "3", "--s", "1", "--count", "x"],
+])
+def test_unparsable_numbers_get_a_plain_usage_message(capsys, tmp_path,
+                                                      argv):
+    # argparse names the type function of an option whose text it cannot
+    # convert ("invalid _count value"), unless that function says why
+    option, out_dir = argv[-2], tmp_path / "out"
+    if argv[0] == "random":
+        argv = [*argv, "--out", str(out_dir)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be " in err and "got " in err
+    assert "_count" not in err and "_tolerance" not in err
+    assert not out_dir.exists()
+
+
 def test_random_kind_choices_are_the_weight_kinds():
     assert KINDS == tuple(kind.value for kind in WeightKind)
 

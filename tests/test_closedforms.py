@@ -30,6 +30,7 @@ from mwtrees.closedforms import (
 from mwtrees.errors import (
     BadConfigError,
     IsATreeError,
+    MWTreesError,
     NonFiniteError,
     NotATreeError,
     NotInvertibleError,
@@ -48,6 +49,7 @@ from mwtrees.generators import (
     WeightKind,
     random_connected_nontree,
     random_nonsingular,
+    random_spd,
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph, is_tree
@@ -631,6 +633,24 @@ def test_rank_probe_rejects_a_negative_trial_count():
         rank_characterization_probe(path4_block2(), trials=-2)
     with pytest.raises(ValueError, match="trials must be >= 0"):
         verification_suite(path4_block2(), "rank", trials=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verification_suite(path4_block2(), seed=-1),
+    lambda: verify_identities(path4_block2(), seed=-1),
+    lambda: ginverse_invariance_check(path_graph(4, 2), seed=-1),
+    lambda: ginverse_distance_recovery(path_graph(4, 2), seed=-1),
+    lambda: rank_characterization_probe(path4_block2(), seed=-1),
+    lambda: random_spd(2, seed=-1),
+    lambda: random_nonsingular(2, seed=-1),
+], ids=["suite", "identities", "invariance", "recovery", "rank_probe",
+        "random_spd", "random_nonsingular"])
+def test_seeded_calls_reject_a_negative_seed(call):
+    # a ValueError naming the seed, as for trials, not numpy's message; and
+    # not a package error, which the suite turns into SKIPPED records
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1") as info:
+        call()
+    assert not isinstance(info.value, MWTreesError)
 
 
 def test_rank_probe_witness_branch_diamond():
@@ -1274,57 +1294,24 @@ def test_an_overflowing_grounded_inverse_skips_the_invariance_record(
                                         "non-finite entries")
 
 
-def _bridges_by_deletion(g: MatrixWeightedGraph) -> set[int]:
-    """Reference bridge search: one search from vertex 1 per deleted edge."""
-    from mwtrees.graphs import adjacency
-
-    adj = adjacency(g)
-    bridges = set()
-    for k in range(g.m):
-        seen, stack = {1}, [1]
-        while stack:
-            for y, j in adj[stack.pop()]:
-                if j != k and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) < g.n:
-            bridges.add(k)
-    return bridges
-
-
-def _breadth_first_layout(g: MatrixWeightedGraph):
-    """A copy of g whose kept search is a breadth-first spanning tree in
-    preorder, and its layout: edges off that tree may join two vertices
-    neither of which is above the other, as none off a depth-first one
-    do."""
-    from mwtrees.graphs import _depth_first, adjacency
-
-    adj, via, queue = adjacency(g), {1: -1}, [1]
-    for x in queue:   # grows while it is read
-        for y, j in adj[x]:
-            if y not in via:
-                via[y] = j
-                queue.append(y)
-    kept = sorted(j for j in via.values() if j >= 0)
-    order, sub = _depth_first(MatrixWeightedGraph(
-        g.n, g.s, [g.edges[j] for j in kept]))
-    copy = MatrixWeightedGraph(g.n, g.s, g.edges)
-    copy.__dict__["_search"] = (order, [j if j < 0 else kept[j] for j in sub])
-    return copy, _subtree_runs(copy)
-
-
 def _scalar_graph(n: int, edges) -> MatrixWeightedGraph:
     return MatrixWeightedGraph(n, 1, [(u, v, [[1.0]]) for u, v in edges])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["tree", "grid", "complete", "nontree", "dense"]),
+@given(st.sampled_from(["tree+k", "grid", "complete", "dense"]),
        st.integers(2, 12), st.integers(0, 10**6))
-def test_bridge_search_matches_per_edge_deletion(shape, size, seed):
-    from mwtrees.closedforms import _bridges
+# the triangle 1, 2, 4 with the pendant edge (3, 4): the highest degree
+# sum, that of edge (1, 4), is on the spanning tree
+@example("tree+k", 2, 9)
+def test_deficient_weighting_marks_an_edge_off_the_spanning_tree(shape, size,
+                                                                 seed):
+    # each edge off the spanning tree closes a cycle with it, so both
+    # spanning-tree counts of the marked edge are positive
+    from mwtrees.closedforms import _analysis
 
     rng = np.random.default_rng(seed)
-    if shape == "nontree":
+    if shape == "tree+k":
         g = random_connected_nontree(GenConfig(
             n_range=(3, 3 + size), s_range=(1, 1),
             kind=WeightKind.SCALAR_POSITIVE, seed=seed))
@@ -1335,25 +1322,20 @@ def test_bridge_search_matches_per_edge_deletion(shape, size, seed):
                   for v in range(u + 1, size + 1)
                   if (u, v) not in edges and rng.uniform() < 0.2]
         g = _scalar_graph(size, [edges[i] for i in rng.permutation(len(edges))])
+        assume(not is_tree(g))
     else:
         g = _scalar_graph(*_topology(shape, min(size, 6) if shape == "grid"
-                                     else size, rng))
-    expected = _bridges_by_deletion(g)
-    assert _bridges(g, _subtree_runs(g)) == expected
-    # the test holds on any spanning tree, not only a depth-first one
-    assert _bridges(*_breadth_first_layout(g)) == expected
-
-
-def test_bridge_search_handles_a_deep_path():
-    from mwtrees.closedforms import _bridges
-
-    n = 5000
-    path = _scalar_graph(n, [(v - 1, v) for v in range(2, n + 1)])
-    assert _bridges(path, _subtree_runs(path)) == set(range(n - 1))
-    # closing the path into a cycle leaves no bridge; a pendant edge is one
-    lasso = _scalar_graph(n + 1, [*((v - 1, v) for v in range(2, n + 1)),
-                                  (1, n), (n, n + 1)])
-    assert _bridges(lasso, _subtree_runs(lasso)) == {n}
+                                     else max(size, 3), rng))
+    w = rank_deficient_weighting(g)
+    assert w.edge_index in _analysis(g).layout.off
+    assert w.trees_with_edge > 0 and w.trees_without_edge > 0
+    n = g.n
+    if shape == "complete":   # Cayley: n^(n - 2) spanning trees of K_n
+        assert (w.trees_with_edge, w.trees_without_edge) == (
+            2 * n ** (n - 3), (n - 2) * n ** (n - 3))
+    elif n <= 9:
+        assert spanning_tree_oracle(g, w.edge_index) == (
+            w.trees_with_edge, w.trees_without_edge)
 
 
 # --- certified tree ranks ----------------------------------------------------
@@ -2058,7 +2040,7 @@ def test_one_trees_op_validates_analyses_and_builds_once(monkeypatch):
 def test_one_nontree_op_searches_and_stacks_once(monkeypatch, make, route):
     # the benchmark's nontree op: the suite and the witness read the search
     # that validation ran, through one layout that serves the cycle route
-    # and the bridge set, and the weight stack that the graph holds
+    # and the witness's marked edge, and the weight stack the graph holds
     from mwtrees import closedforms, graphs, operators
 
     g = make()
@@ -2089,7 +2071,7 @@ def test_deficient_weighting_reuses_the_suite_witness(monkeypatch):
     reports = {r.name: r for r in verification_suite(g, "all")}
     assert reports["rank_characterization"].status == PASS
     counts = {}
-    for name in ("_bridges", "_marked_cofactor"):
+    for name in ("_marked_cofactor",):
         _count_calls(monkeypatch, closedforms, name, counts)
     witness = rank_deficient_weighting(g)
     assert counts == {}

@@ -9,14 +9,14 @@ checkout's ``tools/dump_outputs.py`` on both sides (with
 ``OPENBLAS_NUM_THREADS=1`` and ``-W error::RuntimeWarning``, so that the
 bits of the larger products do not depend on the thread count and a numpy
 warning stops a dump), and prints how many lines moved under each output
-label, every record whose status changed and, on a line of its own that
-starts ``source lines``, the lines of ``src/mwtrees/*.py`` at REF and in
-this checkout; the next line, ``source lines by kind``, splits those lines
-into code, docstring and blank lines (:func:`lines_by_kind`).  It
-adds nothing to the repository, and the directory is removed on every
-exit path.  Exit status
-0 means the two dumps are identical, 1 that they differ and 2 that a dump,
-``git archive`` or its extraction failed.
+label, with the names of the graphs behind them (sorted, at most ten, then
+how many more), every record whose status changed and, on a line of its
+own that starts ``source lines``, the lines of ``src/mwtrees/*.py`` at REF
+and in this checkout; the next line, ``source lines by kind``, splits
+those lines into code, docstring and blank lines (:func:`lines_by_kind`).
+It adds nothing to the repository, and the directory is removed on every
+exit path.  Exit status 0 means the two dumps are identical, 1 that they
+differ and 2 that a dump, ``git archive`` or its extraction failed.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ import signal
 import subprocess
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = Path("tools") / "dump_outputs.py"
+_NAMED = 10   # graphs named under each moved label
 
 
 def fail(message: str) -> None:
@@ -107,18 +108,21 @@ def source_kinds(tree: Path) -> Counter:
 def report(ref: str, before: str, after: str) -> bool:
     """Print what moved between the two dumps; whether they are identical."""
     old, new = keyed(before), keyed(after)
-    moved = Counter()
+    moved = defaultdict(list)   # label -> the graphs whose line moved
     changes = []
     for key in old.keys() | new.keys():
         was, now = old.get(key, ("absent", "")), new.get(key, ("absent", ""))
         if was != now:
-            moved[key[1]] += 1
+            moved[key[1]].append(key[0])
         if was[0] != now[0]:
             changes.append(f"  {key[0]} {key[1]}: {was[0]} -> {now[0]}")
     print(f"{len(old)} lines at {ref}, {len(new)} here; "
-          f"{sum(moved.values())} moved")
-    for label, count in sorted(moved.items()):
-        print(f"  {label}: {count}")
+          f"{sum(map(len, moved.values()))} moved")
+    for label, graphs in sorted(moved.items()):
+        names = sorted(graphs)
+        more = f" … {len(names) - _NAMED} more" if len(names) > _NAMED else ""
+        print(f"  {label}: {len(names)}")
+        print(f"    {' '.join(names[:_NAMED])}{more}")
     print(f"{len(changes)} status changes")
     for change in sorted(changes):
         print(change)
