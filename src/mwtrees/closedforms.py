@@ -365,11 +365,17 @@ def _few_cycles(n: int, m: int, s: int) -> bool:
     return n + (m - n + 1) * s + 24 <= n * s
 
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """``numpy.random.default_rng(seed)``; ValueError for a negative
-    integer seed, which numpy refuses with a message naming no argument."""
+def _require_seed(seed) -> None:
+    """ValueError for a negative integer seed, which numpy refuses with a
+    message naming no argument; builds no generator, so it loads no
+    ``numpy.random``."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)`` after :func:`_require_seed`."""
+    _require_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -629,25 +635,26 @@ def _probe_norm(mx: np.ndarray) -> float:
     return float(frobenius_norms(mx[None])[0]) / math.sqrt(mx.shape[1])
 
 
-def _centred_norm(planes: np.ndarray) -> float:
+def _centred_norm(planes: np.ndarray, scratch: np.ndarray) -> float:
     """``||P H P||_F``, ``P = (I - J/n) kron I_s``, of the H given as
     planes, with the bits of the means of its (n, s, n, s) view: the
     block-row mean subtracted, then the block-column mean, each added up
     in index order, except that numpy adds up a contiguous axis pairwise,
     as it does a block column when s = 1; the norm is taken over the
-    entries in H's own order."""
+    entries in H's own order.  ``scratch``, two (s, s, n, n) slots of the
+    caller's work array, holds the two centred copies, and its contents
+    are lost."""
     s, _, n, _ = planes.shape
-    centred = planes - planes.mean(axis=2, keepdims=True)
+    centred = np.subtract(planes, planes.mean(axis=2, keepdims=True),
+                          out=scratch[0])
     if s == 1:
         centred -= centred.mean(axis=3, keepdims=True)
         return float(frobenius_norms(centred.reshape(1, -1))[0])
-    columns = np.ascontiguousarray(centred.swapaxes(2, 3))   # [a, b, j, i]
+    columns = scratch[1]   # [a, b, j, i]
+    np.copyto(columns, centred.swapaxes(2, 3))
     mean = columns.mean(axis=2)
     ordered = columns.reshape(n, s, n, s)   # H's order, in the same memory
-    for a in range(s):
-        for b in range(s):
-            np.subtract(centred[a, b], mean[a, b, :, None],
-                        out=ordered[:, a, :, b])
+    np.subtract(centred, mean[..., None], out=ordered.transpose(1, 3, 0, 2))
     return float(frobenius_norms(ordered.reshape(1, -1))[0])
 
 
@@ -665,20 +672,32 @@ def ginverse_invariance_check(
     g-inverses apart, so the deviation is pure round-off; tolerance is
     ``_GINVERSE_REL_TOL`` times ``||P H P||_F = ||L^+||_F`` of the first H,
     ``P = (I - J/n) kron I_s``.
+
+    Its (n s)^2-sized scratch is one work array of (s, s, n, n) slots,
+    allocated once: the first H's planes and the second's (when s > 1;
+    at s = 1 they are views of the two H), the first's pair contractions
+    and the second's, less the first's, and :func:`_centred_norm`'s two
+    centred copies in the last two slots, which are free by then.
     """
+    _require_seed(seed)
     a = _analysis(g)
     if not is_connected(g):
         raise NotConnectedError(f"graph on {g.n} vertices is not connected")
     a.require_spd()
+    n, s = g.n, g.s
     seeds = (seed, seed + 1)
-    roots = [_seeded_root(g.n, k) for k in seeds]
+    roots = [_seeded_root(n, k) for k in seeds]
     if roots[1] == roots[0]:
-        roots[1] = roots[0] % g.n + 1
-    first, second = (block_planes(a.g_inverse(r), g.s) for r in roots)
-    dev = pair_contractions(second)
-    dev -= pair_contractions(first)
+        roots[1] = roots[0] % n + 1
+    # at s = 1 the planes are views of the two G_r and take no slot
+    work = np.empty((3 if s > 1 else 2, s, s, n, n))
+    first, second = (block_planes(a.g_inverse(r), s,
+                                  out=slot if s > 1 else None)
+                     for r, slot in zip(roots, work))
+    dev = pair_contractions(second, out=work[-1])
+    dev -= pair_contractions(first, out=work[-2])
     worst = largest_pair_norm(dev)
-    tol = _GINVERSE_REL_TOL * _centred_norm(first)
+    tol = _GINVERSE_REL_TOL * _centred_norm(first, work[-2:])
     return _report("ginverse_invariance", worst, tol, g,
                    f"g-inverses grounded at roots {tuple(roots)}, "
                    f"seeds {seeds}")
@@ -695,6 +714,7 @@ def ginverse_distance_recovery(
     closed form (see :meth:`_Analysis.g_inverse`).  Tolerance is
     ``_GINVERSE_REL_TOL`` times the distance-matrix norm.
     """
+    _require_seed(seed)
     a = _analysis(g)
     require_tree(g)
     a.require_spd()
@@ -868,9 +888,10 @@ def rank_characterization_probe(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    rng = _seeded_rng(seed)
+    _require_seed(seed)
     a = _analysis(g)
     if a.tree:
+        rng = np.random.default_rng(seed)
         full = (g.n - 1) * g.s
         shape = (trials, g.m, g.s, g.s)
         u = np.linalg.qr(rng.standard_normal(shape))[0]

@@ -100,20 +100,30 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel(), power)
 
 
-def block_planes(data: np.ndarray, s: int) -> np.ndarray:
+def block_planes(data: np.ndarray, s: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The (s, s, n, n) planes of a square array of s x s blocks: ``[a, b,
     i, j]`` is entry (a, b) of block (i, j), 0-based.  Contiguous, and a
-    view of ``data``, no copy, when s = 1."""
+    view of ``data``, no copy, when s = 1; copied into ``out`` when it is
+    given, a slot of a caller's work array, and ``out`` returned."""
     n = data.shape[0] // s
-    return np.ascontiguousarray(data.reshape(n, s, n, s).transpose(1, 3, 0, 2))
+    planes = data.reshape(n, s, n, s).transpose(1, 3, 0, 2)
+    if out is None:
+        return np.ascontiguousarray(planes)
+    np.copyto(out, planes)
+    return out
 
 
-def pair_contractions(planes: np.ndarray) -> np.ndarray:
+def pair_contractions(planes: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """:meth:`BlockMatrix.pair_contraction` of every block pair (i, j), as
     planes: ``((B_ii + B_jj) - B_ij) - B_ji``, the same float operations
-    in the same order, so the same bits, with every loop n long."""
+    in the same order, so the same bits, with every loop n long.  Written
+    into ``out`` when it is given, a slot of a caller's work array that
+    shares no memory with ``planes``, and ``out`` returned; a fresh array
+    otherwise."""
     d = np.diagonal(planes, axis1=2, axis2=3)
-    out = d[..., :, None] + d[..., None, :]
+    out = np.add(d[..., :, None], d[..., None, :], out=out)
     out -= planes
     out -= planes.swapaxes(2, 3)
     return out

@@ -187,6 +187,22 @@ def test_cli_process_imports_no_scipy():
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
+def test_deficient_on_a_non_tree_loads_no_numpy_random():
+    # the witness branch draws nothing, so it builds no generator
+    done = run_python("-c", (
+        "import json, sys, numpy\n"
+        "alone = 'numpy.random' in sys.modules\n"
+        "from mwtrees import cli\n"
+        "code = cli.main(['deficient', sys.argv[1]])\n"
+        "print(json.dumps([alone, code, 'numpy.random' in sys.modules]))\n"
+    ), DIAMOND)
+    assert done.returncode == 0, done.stderr
+    alone, code, loaded = json.loads(done.stdout.splitlines()[-1])
+    if alone:
+        pytest.skip("import numpy loads numpy.random on this numpy")
+    assert code == 0 and not loaded
+
+
 def test_det_fixture(capsys):
     code, report, _ = run_json(capsys, "det", PATH4)
     assert code == 0

@@ -643,8 +643,14 @@ def test_rank_probe_rejects_a_negative_trial_count():
     lambda: rank_characterization_probe(path4_block2(), seed=-1),
     lambda: random_spd(2, seed=-1),
     lambda: random_nonsingular(2, seed=-1),
+    # graphs that fail a check's hypotheses: the seed is refused first
+    lambda: ginverse_invariance_check(path4_block2(), seed=-1),
+    lambda: ginverse_distance_recovery(path4_block2(), seed=-1),
+    lambda: verification_suite(path4_block2(), "ginverse", seed=-1),
+    lambda: rank_characterization_probe(diamond4(), seed=-1),
 ], ids=["suite", "identities", "invariance", "recovery", "rank_probe",
-        "random_spd", "random_nonsingular"])
+        "random_spd", "random_nonsingular", "invariance_not_spd",
+        "recovery_not_spd", "ginverse_suite_not_spd", "rank_probe_witness"])
 def test_seeded_calls_reject_a_negative_seed(call):
     # a ValueError naming the seed, as for trials, not numpy's message; and
     # not a package error, which the suite turns into SKIPPED records
@@ -2161,6 +2167,69 @@ def test_ginverse_records_keep_the_reference_bits(route, s, k):
 def test_graded_tree_ginverse_records_keep_the_reference_bits():
     _assert_reference_bits(_probe_tree("recursive", 20, 4, True, 9,
                                        ratio=1e-6))
+
+
+def _looped_centred_norm(planes: np.ndarray) -> float:
+    """``||P H P||_F`` as the invariance record took it before its work
+    array: fresh centred copies, then one subtract of the block-column
+    mean per block entry (a, b)."""
+    from mwtrees.linalg import frobenius_norms
+
+    s, _, n, _ = planes.shape
+    centred = planes - planes.mean(axis=2, keepdims=True)
+    if s == 1:
+        centred -= centred.mean(axis=3, keepdims=True)
+        return float(frobenius_norms(centred.reshape(1, -1))[0])
+    columns = np.ascontiguousarray(centred.swapaxes(2, 3))
+    mean = columns.mean(axis=2)
+    ordered = columns.reshape(n, s, n, s)
+    for a in range(s):
+        for b in range(s):
+            np.subtract(centred[a, b], mean[a, b, :, None],
+                        out=ordered[:, a, :, b])
+    return float(frobenius_norms(ordered.reshape(1, -1))[0])
+
+
+def _allocating_invariance(g: MatrixWeightedGraph, seed: int):
+    """The invariance record's residual and tolerance from fresh arrays:
+    :func:`block_planes` of each g-inverse, allocating
+    :func:`pair_contractions` and :func:`_looped_centred_norm`."""
+    from mwtrees.closedforms import _GINVERSE_REL_TOL, _analysis, _seeded_root
+    from mwtrees.linalg import block_planes, largest_pair_norm, pair_contractions
+
+    a = _analysis(g)
+    roots = [_seeded_root(g.n, k) for k in (seed, seed + 1)]
+    if roots[1] == roots[0]:
+        roots[1] = roots[0] % g.n + 1
+    first, second = (block_planes(a.g_inverse(r), g.s) for r in roots)
+    dev = pair_contractions(second)
+    dev -= pair_contractions(first)
+    return (largest_pair_norm(dev),
+            _GINVERSE_REL_TOL * _looped_centred_norm(first))
+
+
+@pytest.mark.parametrize("route, g", [
+    *(("tree", _probe_tree("prufer", 30, s, True, s)) for s in (1, 2, 3)),
+    ("tree", _probe_tree("recursive", 12, 8, True, 5)),
+    ("cycle", _non_tree("tree+2", 30, 2, 1e-2, 8)),
+    ("cholesky", _non_tree("complete", 7, 2, 1e-2, 3)),
+], ids=["tree-s1", "tree-s2", "tree-s3", "tree-s8", "cycle", "cholesky"])
+def test_invariance_work_array_keeps_the_allocating_bits(route, g):
+    # the work array's slots, the pair contractions written into them and
+    # the one broadcast subtract of the centred norm give the bytes of the
+    # fresh arrays and the looped subtracts they replace
+    from mwtrees.closedforms import _few_cycles
+
+    assert is_tree(g) == (route == "tree")
+    if route != "tree":
+        assert _few_cycles(g.n, g.m, g.s) == (route == "cycle")
+    for seed in (0, 3, 11):
+        record = ginverse_invariance_check(g, seed)
+        residual, tolerance = _allocating_invariance(g, seed)
+        assert np.float64(record.residual).tobytes() == \
+            np.float64(residual).tobytes()
+        assert np.float64(record.tolerance).tobytes() == \
+            np.float64(tolerance).tobytes()
 
 
 @pytest.mark.parametrize("make", [path4_block2, diamond4])

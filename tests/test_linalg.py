@@ -466,8 +466,13 @@ def test_block_matrix_pair_contraction_hand_value():
 def test_pair_contractions_match_pair_contraction(n, s, seed):
     # asymmetric blocks: B_ij and B_ji differ, and so do the two orders
     h = BlockMatrix(np.random.default_rng(seed).standard_normal((n * s, n * s)), s)
-    every = pair_contractions(block_planes(h.data, s))
+    planes = block_planes(h.data, s)
+    every = pair_contractions(planes)
     assert every.shape == (s, s, n, n)
+    # into a work array's slot: the same bytes, in the slot given
+    slot = np.full((2, s, s, n, n), np.nan)[1]
+    assert pair_contractions(planes, out=slot) is slot
+    assert slot.tobytes() == every.tobytes()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert np.array_equal(every[:, :, i - 1, j - 1],
@@ -486,6 +491,10 @@ def test_block_planes_lay_out_each_block_entry(s):
             assert np.array_equal(planes[:, :, i - 1, j - 1], h.block(i, j))
     # a view, no copy, when the blocks are scalars
     assert np.shares_memory(planes, data) == (s == 1)
+    # or a copy into the slot given
+    out = np.full((s, s, n, n), np.nan)
+    assert block_planes(data, s, out=out) is out
+    assert out.tobytes() == planes.tobytes()
 
 
 def _every_pair_norm(planes: np.ndarray) -> float:

@@ -1,15 +1,20 @@
 import importlib.util
 import os
 
-_TOOL = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
-                                     "tools", "compare_outputs.py"))
+_TOOLS = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                      "tools"))
 
 
-def _compare_outputs():
-    spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(_TOOLS, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _compare_outputs():
+    return _tool("compare_outputs")
 
 
 def test_compare_outputs_names_the_graphs_behind_each_moved_label(capsys):
@@ -30,3 +35,17 @@ def test_compare_outputs_names_the_graphs_behind_each_moved_label(capsys):
         "1 status changes",
         "  tree suite/rank: PASS -> FAIL",
     ]
+
+
+def test_faults_reports_each_tree_shape_of_the_benchmark():
+    faults = _tool("faults")
+    shapes = {name: (g.n, g.s, faults.mw.is_tree(g))
+              for name, g in faults.graphs(1).items()}
+    assert shapes == {"deep": (72, 2, True), "wide": (40, 8, True),
+                      "mixed": (64, 4, True), "general": (40, 8, True)}
+    result = faults.measure(1, 1)
+    assert set(result["classes"]) == set(shapes)
+    for name, c in result["classes"].items():
+        assert (c["n"], c["s"]) == shapes[name][:2]
+        assert c["median_s"] > 0 and c["median_minor_faults"] >= 0
+    assert result["rounds"] == 1 and result["numpy"]
