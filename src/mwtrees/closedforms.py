@@ -22,6 +22,7 @@ README shows how these fit together.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from enum import Enum
 from functools import cached_property
@@ -367,10 +368,19 @@ def _few_cycles(n: int, m: int, s: int) -> bool:
 
 def _require_seed(seed) -> None:
     """ValueError for a negative integer seed, which numpy refuses with a
-    message naming no argument; builds no generator, so it loads no
-    ``numpy.random``."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    message naming no argument, and TypeError for a seed that is not None,
+    an integer or a generator, bit generator or seed sequence of
+    ``numpy.random``.  Builds no generator and loads no ``numpy.random``:
+    an object of its types exists only once it is loaded."""
+    if isinstance(seed, (int, np.integer)):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        return
+    random = sys.modules.get("numpy.random")
+    if seed is None or random is not None and isinstance(
+            seed, (random.Generator, random.BitGenerator, random.SeedSequence)):
+        return
+    raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -679,16 +689,15 @@ def ginverse_invariance_check(
     and the second's, less the first's, and :func:`_centred_norm`'s two
     centred copies in the last two slots, which are free by then.
     """
-    _require_seed(seed)
+    n, s = g.n, g.s
+    seeds = (seed, seed + 1)
+    roots = [_seeded_root(n, k) for k in seeds]   # the seed is refused first
+    if roots[1] == roots[0]:
+        roots[1] = roots[0] % n + 1
     a = _analysis(g)
     if not is_connected(g):
         raise NotConnectedError(f"graph on {g.n} vertices is not connected")
     a.require_spd()
-    n, s = g.n, g.s
-    seeds = (seed, seed + 1)
-    roots = [_seeded_root(n, k) for k in seeds]
-    if roots[1] == roots[0]:
-        roots[1] = roots[0] % n + 1
     # at s = 1 the planes are views of the two G_r and take no slot
     work = np.empty((3 if s > 1 else 2, s, s, n, n))
     first, second = (block_planes(a.g_inverse(r), s,
@@ -714,12 +723,11 @@ def ginverse_distance_recovery(
     closed form (see :meth:`_Analysis.g_inverse`).  Tolerance is
     ``_GINVERSE_REL_TOL`` times the distance-matrix norm.
     """
-    _require_seed(seed)
+    root = _seeded_root(g.n, seed)   # the seed is refused first
     a = _analysis(g)
     require_tree(g)
     a.require_spd()
     dist = a.distance
-    root = _seeded_root(g.n, seed)
     dev = pair_contractions(block_planes(a.g_inverse(root), g.s))
     dev -= block_planes(dist, g.s)
     worst = largest_pair_norm(dev)

@@ -3,7 +3,7 @@
 Usage, from the root of a source checkout (the package is imported from
 ``src`` next to this file)::
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/faults.py [--rounds 9] [--seed 1]
+    OPENBLAS_NUM_THREADS=1 python3 tools/faults.py
 
 (BLAS on one thread, as the benchmark runs it.)
 
@@ -15,8 +15,8 @@ nonsingular weights, n = 40, s = 8 (condition cap 1e4, as there).  An op
 is what the workload runs on a graph it has just parsed: a copy of the
 graph, so its analysis is built afresh, then ``verification_suite(g,
 "all")``, ``distance_determinant_sign_log`` and ``distance_inverse``, in
-this process.  After one warm-up round, ``--rounds`` rounds run one op
-per class each, in an order shuffled by the seed in every round: how
+this process.  After one warm-up round, ``ROUNDS`` rounds run one op
+per class each, in an order shuffled by ``SEED`` in every round: how
 many pages an op faults in depends on what the op before it left on the
 heap.
 
@@ -32,7 +32,6 @@ Performance section).
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import platform
@@ -50,6 +49,8 @@ import mwtrees as mw  # noqa: E402
 from mwtrees.generators import GenConfig, WeightKind  # noqa: E402
 
 _CAP = 1e4
+ROUNDS = 9   # measured rounds after the warm-up
+SEED = 1     # seed of the four graphs and of the rounds' order
 
 
 def graphs(seed: int) -> dict[str, mw.MatrixWeightedGraph]:
@@ -109,16 +110,8 @@ def measure(rounds: int, seed: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--rounds", type=int, default=9,
-                        help="measured rounds after the warm-up (default 9)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the four graphs (default 1)")
-    args = parser.parse_args(argv)
-    if args.rounds < 1 or args.seed < 0:
-        parser.error("--rounds must be >= 1 and --seed >= 0")
-    print(json.dumps(measure(args.rounds, args.seed)))
+def main() -> int:
+    print(json.dumps(measure(ROUNDS, SEED)))
     return 0
 
 
