@@ -45,7 +45,6 @@ import numpy as np
 
 from .closedforms import (
     SUITES,
-    LaplacianMode,
     _report,
     _skipped,
     distance_determinant_sign_log,
@@ -126,16 +125,15 @@ def _emit(report: dict, extras: dict, fmt: str) -> None:
 
 
 def cmd_build(g, args):
-    mode = LaplacianMode(args.mode)
     if args.which == "D":
         block = distance_matrix(g)
     elif args.which == "L":
-        block = laplacian(g, mode)
+        block = laplacian(g, args.mode)
     else:
         block = incidence_matrix(g)
     extras = {
         "which": args.which,
-        "mode": mode.value if args.which == "L" else None,
+        "mode": args.mode if args.which == "L" else None,
         "n": g.n,
         "s": g.s,
         "shape": list(block.data.shape),

@@ -56,6 +56,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     BlockMatrix,
     Inertia,
+    _require_rel_tol,
     block_planes,
     frobenius_norms,
     inertia_of,
@@ -383,6 +384,16 @@ def _require_seed(seed) -> None:
     raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
 
 
+def _require_trials(trials: int) -> None:
+    """TypeError for a trial count that is not an integer, which only the
+    tree branch of the rank probe would reach, and ValueError below 0."""
+    if not isinstance(trials, (int, np.integer)):
+        raise TypeError(f"trials must be an integer, got "
+                        f"{type(trials).__name__}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
 def _seeded_rng(seed) -> np.random.Generator:
     """``numpy.random.default_rng(seed)`` after :func:`_require_seed`."""
     _require_seed(seed)
@@ -436,7 +447,9 @@ def laplacian(
     edges at vertex i, accumulated in ascending edge order.  Block rows and
     columns sum to zero by construction.  INVERTED mode is the analysis's L:
     a singular edge weight raises SingularWeightError naming the edge.
+    ``mode`` is a member or its value; ValueError for any other.
     """
+    mode = LaplacianMode(mode)
     a = _analysis(g)
     if mode is LaplacianMode.RAW:
         return BlockMatrix(_read_only(block_laplacian(g, g.weights)), g.s)
@@ -576,6 +589,7 @@ def verify_identities(
     whose D and R are finite (NonFiniteError if not).
     """
     rng = _seeded_rng(seed)
+    _require_rel_tol(rel_tol)
     a = _analysis(g)
     _require_invertible(a)
     n, s = g.n, g.s
@@ -894,9 +908,9 @@ def rank_characterization_probe(
     its own (NonFiniteError if that Laplacian overflows).  The first, that
     of L, reads the inverse weights L was built from.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _require_trials(trials)
     _require_seed(seed)
+    _require_rel_tol(rel_tol)
     a = _analysis(g)
     if a.tree:
         rng = np.random.default_rng(seed)
@@ -1018,7 +1032,7 @@ def _norm_bound(sums: np.ndarray) -> np.ndarray:
 def _inertia_record(g: MatrixWeightedGraph) -> VerificationReport:
     if g.n < 2:   # one vertex: D is the s x s zero block
         return _skipped("inertia", "needs n >= 2", g)
-    found = inertia_check(g).as_tuple()
+    found = tuple(inertia_check(g))
     expected = (g.s, (g.n - 1) * g.s, 0)
     mismatch = sum(abs(x - y) for x, y in zip(found, expected))
     return _report("inertia", float(mismatch), 0.0, g,
@@ -1066,10 +1080,14 @@ def verification_suite(
     tolerance that overflowed is a FAIL record, not a numpy warning.
     ``seed`` draws the identity probes, the roots of the g-inverses
     (``seed`` and ``seed + 1`` for invariance, ``seed + 2`` for recovery)
-    and seeds the rank probe.
+    and seeds the rank probe.  Every argument is checked before the first
+    runner.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    _require_seed(seed)
+    _require_trials(trials)
+    _require_rel_tol(rel_tol)
     checks = (
         ("identities", IDENTITY_NAMES,
          lambda: verify_identities(g, rel_tol, seed)),

@@ -69,6 +69,13 @@ def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     return m
 
 
+def _require_rel_tol(rel_tol: float) -> None:
+    """ValueError unless ``rel_tol`` is finite and >= 0: a NaN cutoff
+    counts no singular value, and a negative one counts every one."""
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+
+
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
@@ -116,11 +123,11 @@ def block_planes(data: np.ndarray, s: int,
 
 def pair_contractions(planes: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """:meth:`BlockMatrix.pair_contraction` of every block pair (i, j), as
-    planes: ``((B_ii + B_jj) - B_ij) - B_ji``, the same float operations
-    in the same order, so the same bits, with every loop n long.  Written
-    into ``out`` when it is given, a slot of a caller's work array that
-    shares no memory with ``planes``, and ``out`` returned; a fresh array
+    """The contraction ``B_ii + B_jj - B_ij - B_ji`` of every block pair
+    (i, j) of an array given as planes (:func:`block_planes`), as planes,
+    added up in that order, with every loop n long.  Written into ``out``
+    when it is given, a slot of a caller's work array that shares no
+    memory with ``planes``, and ``out`` returned; a fresh array
     otherwise."""
     d = np.diagonal(planes, axis1=2, axis2=3)
     out = np.add(d[..., :, None], d[..., None, :], out=out)
@@ -277,6 +284,7 @@ def numerical_ranks(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     ``eigvalsh`` (:func:`_certified_ranks`), the others, and those it does
     not certify, from one batched SVD; each as :func:`_binade_scaled`
     scales it, so that no singular value overflows."""
+    _require_rel_tol(rel_tol)
     m = as_matrix(a, "stack", 3)
     ranks = np.zeros(len(m), dtype=int)
     if 0 in m.shape[1:]:
@@ -321,6 +329,7 @@ def _certified_ranks(m: np.ndarray, rel_tol: float):
 def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the same rank cutoff as
     :func:`numerical_rank`: ``np.linalg.pinv``'s, from one SVD."""
+    _require_rel_tol(rel_tol)
     return np.linalg.pinv(as_matrix(a), rcond=rel_tol)
 
 
@@ -364,9 +373,6 @@ class Inertia(NamedTuple):
     negative: int
     zero: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
-
 
 def inertia_of(eigenvalues) -> Inertia:
     """Count eigenvalues above, below, and within ``DEFAULT_RANK_TOL *
@@ -381,13 +387,9 @@ def inertia_of(eigenvalues) -> Inertia:
 
 
 class BlockMatrix:
-    """A dense array addressed as a grid of equally sized square blocks.
-
-    ``data`` has shape (rows * block_size, cols * block_size).  Block indices
-    are 1-based to match vertex numbering; ``block(i, j)`` returns a copy of
-    the block at grid position (i, j).  Its attributes cannot be set or
-    deleted.
-    """
+    """A dense array of equally sized square blocks: ``data`` has shape
+    (rows * block_size, cols * block_size).  Its attributes cannot be set
+    or deleted."""
 
     __slots__ = ("data", "block_size")
     __setattr__ = __delattr__ = refuse_change
@@ -409,34 +411,3 @@ class BlockMatrix:
 
     def __reduce__(self):
         return type(self), (self.data, self.block_size)
-
-    @property
-    def block_rows(self) -> int:
-        return self.data.shape[0] // self.block_size
-
-    @property
-    def block_cols(self) -> int:
-        return self.data.shape[1] // self.block_size
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The ``block_size`` x ``block_size`` submatrix at 1-based grid
-        position (i, j)."""
-        if not (1 <= i <= self.block_rows and 1 <= j <= self.block_cols):
-            raise IndexError(
-                f"block ({i}, {j}) out of range for "
-                f"{self.block_rows}x{self.block_cols} grid"
-            )
-        s = self.block_size
-        return self.data[(i - 1) * s : i * s, (j - 1) * s : j * s].copy()
-
-    def pair_contraction(self, i: int, j: int) -> np.ndarray:
-        """``block(i,i) + block(j,j) - block(i,j) - block(j,i)``.
-
-        For a generalized inverse of a block Laplacian this combination is
-        the same for every member of the family, which is what makes it a
-        usable distance surrogate.
-        """
-        return (
-            self.block(i, i) + self.block(j, j)
-            - self.block(i, j) - self.block(j, i)
-        )

@@ -175,7 +175,7 @@ def test_criterion_08_inertia_100():
     if np.max(np.abs(eigs - expected)) > 1e-9:
         failures.append("path-3 spectrum mismatch")
     for i, g in enumerate(_trees(100, 72_000, WeightKind.SPD)):
-        found = inertia_check(g).as_tuple()
+        found = tuple(inertia_check(g))
         if found != (g.s, (g.n - 1) * g.s, 0):
             failures.append(f"tree {i}: inertia {found} for n={g.n} s={g.s}")
     _criterion(8, "inertia-100", not failures, failures[:5])

@@ -483,6 +483,28 @@ def test_interlacing_scalar_path3_has_equality_case():
     assert mid <= upper + report.slack
 
 
+def test_interlacing_fails_a_spectrum_off_by_far_less_than_one_percent(
+    monkeypatch
+):
+    # path 3's chain holds with equality, mu[2] = -2 / lam[1] = -2: raising
+    # mu[2] by 1e-5 max|mu| breaks it by about 900 times the slack
+    from mwtrees import closedforms
+
+    real = closedforms.symmetric_eigenvalues
+
+    def shifted(a):
+        mu = real(a)
+        mu[-1] += 1e-5 * np.abs(mu).max()
+        return mu
+
+    monkeypatch.setattr(closedforms, "symmetric_eigenvalues", shifted)
+    report = interlacing_check(path_graph(3))
+    assert not report.passed
+    assert report.worst_violation > 100 * report.slack
+    record, = verification_suite(path_graph(3), "spectrum")[1:]
+    assert (record.name, record.status) == ("interlacing", FAIL)
+
+
 def test_interlacing_single_edge():
     g = MatrixWeightedGraph(2, 1, [(1, 2, [[1.0]])])
     report = interlacing_check(g)
@@ -625,6 +647,10 @@ def test_rank_probe_reweightings_are_inverted_and_well_conditioned(
         for got, want in zip(zip(*used[1:]), (draws, blocks)):
             assert np.reshape(got, want.shape).tobytes() == want.tobytes()
     _check_reweightings(draws, blocks)
+    if (s, trials, m, seed) == (9, 5, 12, 0):   # the first @example
+        # draws that span the cap, 1e4: the worst of these 60 is beyond a
+        # tenth of it
+        assert max(np.linalg.cond(w) for w in draws.reshape(-1, s, s)) > 1e3
 
 
 def test_rank_probe_rejects_a_negative_trial_count():
@@ -660,6 +686,18 @@ def test_seeded_calls_reject_a_negative_seed(call):
 
 
 @pytest.mark.parametrize("call", [
+    lambda: rank_characterization_probe(diamond4(), trials=1.5),
+    lambda: rank_characterization_probe(path4_block2(), trials=1.5),
+    lambda: verification_suite(path_graph(3), "spectrum", trials=2.5),
+], ids=["rank_probe_witness", "rank_probe_tree", "suite"])
+def test_trial_counts_that_are_not_integers_are_refused(call):
+    # the witness branch draws nothing, and the suite's spectrum checks
+    # never read the count: refused all the same
+    with pytest.raises(TypeError, match="trials must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda: rank_characterization_probe(diamond4(), seed=1.5),
     lambda: rank_characterization_probe(path4_block2(), seed="x"),
     lambda: ginverse_invariance_check(path4_block2(), seed=1.5),
@@ -670,6 +708,51 @@ def test_seeded_calls_reject_a_seed_that_is_not_an_integer(call):
     # refused on every branch, the witness's too, which draws nothing
     with pytest.raises(TypeError, match="seed must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda tol: verify_identities(path_graph(3), tol),
+    lambda tol: rank_characterization_probe(path_graph(3), rel_tol=tol),
+    lambda tol: rank_characterization_probe(diamond4(), rel_tol=tol),
+    lambda tol: verification_suite(path_graph(3), "identities", rel_tol=tol),
+], ids=["identities", "rank_probe_tree", "rank_probe_witness", "suite"])
+def test_checks_reject_a_rel_tol_that_is_nan_infinite_or_negative(call,
+                                                                   rel_tol):
+    # a NaN cutoff counted no rank and a negative one FAILed every identity
+    with pytest.raises(ValueError, match="rel_tol must be finite and >= 0"):
+        call(rel_tol)
+
+
+_RUNNERS = ("verify_identities", "ginverse_invariance_check",
+            "ginverse_distance_recovery", "_inertia_record",
+            "_interlacing_record", "_rank_record")
+
+
+@pytest.mark.parametrize("suite, kwargs, error", [
+    ("everything", {}, "unknown suite"),
+    ("spectrum", {"seed": -1}, "seed must be >= 0"),
+    ("spectrum", {"trials": -1}, "trials must be >= 0"),
+    ("all", {"trials": -1}, "trials must be >= 0"),
+    ("identities", {"rel_tol": -1.0}, "rel_tol must be finite"),
+    ("all", {"rel_tol": math.nan}, "rel_tol must be finite"),
+    ("ginverse", {"rel_tol": math.inf}, "rel_tol must be finite"),
+    ("all", {"seed": 1.5}, "seed must be an integer"),
+])
+def test_suite_checks_its_arguments_before_any_runner(monkeypatch, suite,
+                                                      kwargs, error):
+    from mwtrees import closedforms
+
+    called = []
+    for name in _RUNNERS:
+        monkeypatch.setattr(closedforms, name,
+                            lambda *args, name=name: called.append(name) or [])
+    verification_suite(path_graph(3))
+    assert called == list(_RUNNERS)   # the spies see every runner
+    called.clear()
+    with pytest.raises((ValueError, TypeError), match=error):
+        verification_suite(path_graph(3), suite, **kwargs)
+    assert called == []
 
 
 def test_rank_probe_witness_branch_diamond():

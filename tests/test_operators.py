@@ -88,11 +88,12 @@ def test_distance_matrix_golden():
 
 
 def test_distance_matrix_block_symmetric_but_not_symmetric():
-    d = distance_matrix(path4_block2())
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert np.array_equal(d.block(i, j), d.block(j, i))
-    assert not np.array_equal(d.data, d.data.T)
+    d = distance_matrix(path4_block2()).data
+    blocks = d.reshape(4, 2, 4, 2)
+    for i in range(4):
+        for j in range(4):
+            assert np.array_equal(blocks[i, :, j], blocks[j, :, i])
+    assert not np.array_equal(d, d.T)
 
 
 def test_distance_matrix_symmetric_for_symmetric_weights():
@@ -103,8 +104,9 @@ def test_distance_matrix_symmetric_for_symmetric_weights():
 def test_distance_matrix_single_edge():
     w = np.array([[2.0, 1.0], [1.0, 3.0]])
     d = distance_matrix(MatrixWeightedGraph(2, 2, [(1, 2, w)]))
-    assert np.array_equal(d.block(1, 2), w)
-    assert np.array_equal(d.block(1, 1), np.zeros((2, 2)))
+    blocks = d.data.reshape(2, 2, 2, 2)
+    assert np.array_equal(blocks[0, :, 1], w)
+    assert np.array_equal(blocks[0, :, 0], np.zeros((2, 2)))
 
 
 def test_distance_matrix_single_vertex():
@@ -144,6 +146,16 @@ def test_laplacian_raw_vs_inverted():
     inv = laplacian(g, LaplacianMode.INVERTED).data
     assert np.array_equal(raw, np.array([[2.0, -2.0], [-2.0, 2.0]]))
     assert np.array_equal(inv, np.array([[0.5, -0.5], [-0.5, 0.5]]))
+
+
+def test_laplacian_takes_its_mode_as_a_member_or_its_value():
+    g = path_graph(3, 1, [[[2.0]], [[4.0]]])
+    raw = laplacian(g, "raw").data
+    assert np.array_equal(raw, laplacian(g, LaplacianMode.RAW).data)
+    assert np.array_equal(raw[1], [-2.0, 6.0, -4.0])
+    assert np.array_equal(laplacian(g, "inverted").data, laplacian(g).data)
+    with pytest.raises(ValueError, match="'bogus' is not a valid LaplacianMode"):
+        laplacian(g, "bogus")
 
 
 def test_laplacian_raw_accepts_singular_weights():
@@ -204,10 +216,10 @@ def test_laplacian_and_invertibility_check_name_the_first_singular_edge(
 def test_laplacian_block_rows_and_columns_sum_to_zero(seed):
     g = random_tree(GenConfig(n_range=(2, 8), s_range=(1, 3),
                               kind=WeightKind.NONSINGULAR, seed=seed))
-    lap = laplacian(g, LaplacianMode.INVERTED)
     s = g.s
-    row_sum = sum(lap.block(1, j) for j in range(1, g.n + 1))
-    col_sum = sum(lap.block(j, 1) for j in range(1, g.n + 1))
+    blocks = laplacian(g, LaplacianMode.INVERTED).data.reshape(g.n, s, g.n, s)
+    row_sum = sum(blocks[0, :, j] for j in range(g.n))
+    col_sum = sum(blocks[j, :, 0] for j in range(g.n))
     assert np.allclose(row_sum, np.zeros((s, s)), atol=1e-12)
     assert np.allclose(col_sum, np.zeros((s, s)), atol=1e-12)
 
@@ -219,8 +231,8 @@ def test_incidence_golden_path3():
 
 
 def test_incidence_column_blocks_sum_to_zero():
-    q = incidence_matrix(star_graph(4, s=2))
-    stacked = sum(q.block(i, 1) for i in range(1, 5))
+    blocks = incidence_matrix(star_graph(4, s=2)).data.reshape(4, 2, 3, 2)
+    stacked = sum(blocks[i, :, 0] for i in range(4))
     assert np.allclose(stacked, np.zeros((2, 2)), atol=1e-12)
 
 

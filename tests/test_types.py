@@ -108,7 +108,6 @@ def test_records_keep_their_fields_and_methods():
     assert InvertibilityResult(True).reason == ""
     assert Violation("Code", "text").edge_index is None
     assert str(Violation("Code", "text", 3)) == "Code: text"
-    assert Inertia(2, 1, 1).as_tuple() == (2, 1, 1)
     assert GenConfig() == GenConfig((2, 10), (1, 4), WeightKind.SPD, 1e4, 0)
     assert RankProbe._fields == (
         "branch", "full_rank", "observed_ranks", "witness", "passed")

@@ -27,7 +27,8 @@ shape of the benchmark's ``sparse`` class, on the cycle route, and the
 classes, whose witness Laplacians are 144 x 144 and 30 x 30.  For each
 graph, in the order of one benchmark op, it hashes each suite record on its own line (labelled
 ``suite/<record name>``, with the record's status before the hash), the
-determinant, D^{-1}, the rank probe, D, L, Q, the invertibility verdict,
+determinant, D^{-1}, the rank probe, D, L, the raw Laplacian (``L_raw``,
+the edge weights themselves in its blocks), Q, the invertibility verdict,
 the rank-deficient weighting, and the eigenvalues of L that the suite's
 spectrum checks read from the graph's analysis (graphs whose weights are
 not all SPD have no such eigenvalues and hash their NotSPDError); an
@@ -134,6 +135,7 @@ def outputs(g):
     yield "probe", lambda: mw.rank_characterization_probe(g)
     yield "D", lambda: mw.distance_matrix(g)
     yield "L", lambda: mw.laplacian(g)
+    yield "L_raw", lambda: mw.laplacian(g, mw.LaplacianMode.RAW)
     yield "Q", lambda: mw.incidence_matrix(g)
     yield "invertibility", lambda: mw.invertibility_check(g)
     yield "witness", lambda: mw.rank_deficient_weighting(g)
