@@ -15,8 +15,10 @@ checks that need it.  :func:`verify_identities` forms L D and D L and
 estimates the other identities on seeded Gaussian probes, the g-inverse
 checks read grounded inverses (:meth:`_Analysis.g_inverse`), and the rank
 probe certifies a tree's Laplacian ranks from its edge blocks where it can,
-in one stacked call (:func:`_certifies`).  The Architecture section of the
-README shows how these fit together.
+in one stacked call.  The kernels are in :mod:`mwtrees.operators`; this
+module keeps the caches, the hypothesis gates and two choices: the route
+to G_r (:func:`_few_cycles`) and the rank that the kernels' bounds certify
+(:func:`_certifies`).  The README's Architecture section shows the whole.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from .linalg import (
     frobenius_norms,
     inertia_of,
     inverse,
-    inverse_cholesky,
     largest_pair_norm,
     numerical_rank,
     pair_contractions,
@@ -72,8 +73,10 @@ from .linalg import (
 from .operators import (
     TreeLayout,
     _subtree_runs,
+    _tree_bounds,
     block_incidence,
     block_laplacian,
+    cholesky_g_inverse_data,
     cycle_g_inverse_data,
     inverse_weights,
     tree_distance_data,
@@ -273,11 +276,12 @@ class _Analysis:
         deleted), inverted and padded with zeros, so ``L G_root L = L``: on
         a tree in closed form; where :func:`_few_cycles` holds, by
         :func:`~mwtrees.operators.cycle_g_inverse_data` on :attr:`layout`;
-        elsewhere by :meth:`_grounded_inverse`.  Every route reads L first,
-        so an L beyond float range raises its NonFiniteError; a G_root
-        beyond it raises one of its own.  SingularMatrixError when a
-        factored matrix is not positive definite to working precision.
-        The array is read-only.
+        elsewhere by :func:`~mwtrees.operators.cholesky_g_inverse_data`,
+        which lays out no spanning tree.  Every route reads L first, so an
+        L beyond float range raises its NonFiniteError; a G_root beyond it
+        raises one of its own.  SingularMatrixError when a factored matrix
+        is not positive definite to working precision.  The array is
+        read-only.
         """
         self.laplacian
         return _finite(lambda: self._g_inverse_data(root),
@@ -291,32 +295,10 @@ class _Analysis:
         try:
             if _few_cycles(g.n, g.m, g.s):
                 return cycle_g_inverse_data(g, self.layout, root)
-            return self._grounded_inverse(root)
+            return cholesky_g_inverse_data(self.laplacian, g.s, root)
         except SingularMatrixError:
             raise SingularMatrixError("the grounded Laplacian is not positive "
                                       "definite to working precision") from None
-
-    def _grounded_inverse(self, root: int) -> np.ndarray:
-        """G_root = Y^T Y, Y the :func:`~mwtrees.linalg.inverse_cholesky`
-        of the symmetric part of L with the root's block row and column
-        zeroed and I_s on its diagonal block, zeroed again after.  The
-        zeros stay exact through the factorization and the products, so no
-        other index is gathered or scattered.  The symmetric part, not one
-        triangle: L and L^T differ by the asymmetry of the inverse weights,
-        so one triangle's block row sums are that far from zero, and
-        cond(L) amplifies it in G_root.  No rank test, which would cost
-        more: connected SPD weights make the grounded L SPD."""
-        s = self.g.s
-        block = slice((root - 1) * s, root * s)
-        lap = self.laplacian
-        grounded = 0.5 * (lap + lap.T)
-        grounded[block] = 0.0
-        grounded[:, block] = 0.0
-        grounded[block, block] = np.eye(s)
-        y = inverse_cholesky(grounded)
-        data = y.T @ y
-        data[block, block] = 0.0
-        return data
 
     @cached_property
     def invertibility(self) -> InvertibilityResult:
@@ -950,48 +932,6 @@ def rank_characterization_probe(
     )
 
 
-def _tree_bounds(g: MatrixWeightedGraph, tree: TreeLayout,
-                 weights: np.ndarray,
-                 blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``||L||``, ``||K||``, ``||G||``, ``||K G - I||``, ``||L (1_n kron
-    I_s)||`` and ``||L||_F`` for :func:`_certifies`, one of each for every
-    member of a ``(t, m, s, s)`` stack of edge weights and of the blocks
-    of L = ``block_laplacian(g, blocks[i])``, from the layout of the tree
-    g.  Each member's operations are those of a stack of one, in the same
-    order, so its bounds have the same bits."""
-    n, s, m, t = g.n, g.s, g.m, len(weights)
-    below, lo, up, size = tree.below, tree.lo, tree.up, tree.size
-    ends = np.s_[:, np.stack([lo, up]).T.ravel()]   # as in block_laplacian
-    inner = (up > 0)[:, None, None]   # the edges that K keeps
-    pairs = np.repeat(blocks, 2, axis=1)
-    diag = np.zeros((t, n, s, s))
-    np.add.at(diag, ends, pairs)
-    null = diag.copy()   # the block row sums of L
-    np.subtract.at(null, ends, pairs)
-    paths = (below @ weights.reshape(t, m, s * s)).reshape(t, n, s, s)
-    steps = blocks @ (paths[:, lo] - paths[:, up])   # C_x
-    at = np.zeros((t, n, s, s))   # C_x by the position of x, 0 at the root
-    at[:, lo] = steps
-    turns = np.where(inner, at[:, up] - steps, 0.0)   # C_p(x) - C_x
-    lsum, nsum, psum = map(_abs_sums, (diag, null, paths))
-    bsum, rsum, tsum = map(_abs_sums, (blocks, steps - np.eye(s), turns))
-    ksum = lsum.copy()
-    np.add.at(lsum, ends, np.repeat(bsum, 2, axis=1))
-    np.add.at(ksum, ends, np.repeat(bsum * inner, 2, axis=1))
-    spread = np.zeros((t, n, s))   # row p of K G - I has |sub(x)| C_p - C_x
-    np.add.at(spread, np.s_[:, up], size[lo, None] * tsum[:, :, 0])
-    rsum[:, :, 0] += spread[:, lo]
-    rsum[:, :, 1] += (below @ tsum[:, :, 1])[:, lo]
-    out = (size[up] - size[lo])[:, None, None] * psum[:, up]   # 0 at the root
-    gsum = (size[lo, None, None] * psum[:, lo]
-            + (below @ out.reshape(t, m, 2 * s)).reshape(t, n, 2, s)[:, lo])
-    return (_norm_bound(lsum), _norm_bound(ksum[:, 1:]), _norm_bound(gsum),
-            _norm_bound(rsum),
-            np.sqrt(nsum[:, :, 0].max((1, 2)) * nsum[:, :, 1].sum(1).max(1)),
-            np.sqrt((diag ** 2).sum((1, 2, 3))
-                    + 2.0 * (blocks ** 2).sum((1, 2, 3))))
-
-
 def _certifies(g: MatrixWeightedGraph, bounds, rel_tol: float) -> np.ndarray:
     """Which of the Laplacians of the tree g that :func:`_tree_bounds`
     bounded have SVD rank (n - 1) s at ``rel_tol``, certified: a mask,
@@ -1014,19 +954,6 @@ def _certifies(g: MatrixWeightedGraph, bounds, rel_tol: float) -> np.ndarray:
     return ((lowest - slack * top > rel_tol * (1.0 + slack) * top)
             & (null / math.sqrt(n) + slack * top
                <= rel_tol * (1.0 - slack) * frobenius / math.sqrt(n * s)))
-
-
-def _abs_sums(x: np.ndarray) -> np.ndarray:
-    """The row sums ``[..., 0, :]`` and column sums ``[..., 1, :]`` of |x|."""
-    mag = np.abs(x)
-    return np.stack([mag.sum(axis=-1), mag.sum(axis=-2)], axis=-2)
-
-
-def _norm_bound(sums: np.ndarray) -> np.ndarray:
-    """``sqrt(||x||_1 ||x||_inf)`` >= the spectral norm of each member x of
-    a stack, from the row sums ``[t, i, 0]`` of |x| by block row i and its
-    column sums ``[t, i, 1]`` by block column i."""
-    return np.sqrt(sums.max(axis=(1, 3), initial=0.0).prod(axis=1))
 
 
 def _inertia_record(g: MatrixWeightedGraph) -> VerificationReport:

@@ -21,19 +21,17 @@ GRAPH_SCHEMA = "mwtrees/graph/v1"
 REPORT_SCHEMA = "mwtrees/report/v1"
 
 _GRAPH_KEYS = {"schema", "n", "s", "edges"}
-_EDGE_KEYS = {"u", "v", "weight"}
+_EDGE_KEYS = ("u", "v", "weight")   # in the order a missing one is named
 
 
 def graph_to_dict(g: MatrixWeightedGraph) -> dict[str, Any]:
     """Plain-dict form of a graph, ready for ``json.dump``."""
-    weights = (g.weights.tolist() if g.weights is not None
-               else [e.weight.tolist() for e in g.edges])
     return {
         "schema": GRAPH_SCHEMA,
         "n": g.n,
         "s": g.s,
         "edges": [
-            {"u": e.u, "v": e.v, "weight": w} for e, w in zip(g.edges, weights)
+            {"u": e.u, "v": e.v, "weight": e.weight.tolist()} for e in g.edges
         ],
     }
 
@@ -73,7 +71,7 @@ def graph_from_dict(obj: Any) -> MatrixWeightedGraph:
         where = f"edge {k}"
         if not isinstance(entry, dict):
             raise GraphFileError(f"{where}: must be a JSON object")
-        unknown = set(entry) - _EDGE_KEYS
+        unknown = set(entry).difference(_EDGE_KEYS)
         if unknown:
             raise GraphFileError(f"{where}: unknown fields {sorted(unknown)}")
         for key in _EDGE_KEYS:

@@ -7,32 +7,30 @@ import numpy as np
 from .graphs import MatrixWeightedGraph
 
 
+def _assemble(n: int, s: int, topology, weights=None) -> MatrixWeightedGraph:
+    """The graph on n vertices with the ``weights``, identity by default,
+    on the edges (u, v) of ``topology`` in its order."""
+    if weights is None:
+        weights = [np.eye(s)] * len(topology)
+    return MatrixWeightedGraph(
+        n, s, [(u, v, w) for (u, v), w in zip(topology, weights)]
+    )
+
+
 def path_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Path 1 - 2 - ... - n; unit scalar (or identity) weights by default."""
-    if weights is None:
-        weights = [np.eye(s)] * (n - 1)
-    return MatrixWeightedGraph(
-        n, s, [(i, i + 1, w) for i, w in zip(range(1, n), weights)]
-    )
+    return _assemble(n, s, [(i, i + 1) for i in range(1, n)], weights)
 
 
 def star_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Star with center 1 and leaves 2..n; identity weights by default."""
-    if weights is None:
-        weights = [np.eye(s)] * (n - 1)
-    return MatrixWeightedGraph(
-        n, s, [(1, i, w) for i, w in zip(range(2, n + 1), weights)]
-    )
+    return _assemble(n, s, [(1, i) for i in range(2, n + 1)], weights)
 
 
 def cycle_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Cycle 1 - 2 - ... - n - 1; identity weights by default."""
-    topo = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    if weights is None:
-        weights = [np.eye(s)] * n
-    return MatrixWeightedGraph(
-        n, s, [(u, v, w) for (u, v), w in zip(topo, weights)]
-    )
+    return _assemble(n, s, [(i, i + 1) for i in range(1, n)] + [(1, n)],
+                     weights)
 
 
 def path4_block2() -> MatrixWeightedGraph:

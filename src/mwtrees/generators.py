@@ -17,6 +17,7 @@ import numpy as np
 
 from .closedforms import _seeded_rng
 from .errors import BadConfigError
+from .gallery import _assemble
 from .graphs import MatrixWeightedGraph, check_structure, tree_path
 from .linalg import BlockMatrix
 
@@ -47,12 +48,12 @@ class _Config(NamedTuple):
 class GenConfig(_Config):
     """Ranges and knobs for the random instance generators.
 
-    ``n_range`` and ``s_range`` are inclusive; ``condition_cap``, finite
-    and above 1, bounds the condition number of each drawn weight (and of
-    the weight sum, for the kinds that do not guarantee it by
-    construction); ``seed``, at least 0, seeds the first instance.  Each
-    construction, ``_replace`` included, checks the fields
-    (BadConfigError).
+    ``n_range`` and ``s_range`` are inclusive ranges of integers;
+    ``condition_cap``, finite and above 1, bounds the condition number of
+    each drawn weight (and of the weight sum, for the kinds that do not
+    guarantee it by construction); ``seed``, an integer at least 0, seeds
+    the first instance.  Each construction, ``_replace`` included,
+    checks the fields (BadConfigError).
     """
 
     __slots__ = ()
@@ -61,17 +62,16 @@ class GenConfig(_Config):
         self = super().__new__(cls, *args, **kwargs)
         n_lo, n_hi = self.n_range
         s_lo, s_hi = self.s_range
-        if not (2 <= n_lo <= n_hi):
+        if not (_integers(n_lo, n_hi) and 2 <= n_lo <= n_hi):
             raise BadConfigError(f"bad vertex range {self.n_range}")
-        if not (1 <= s_lo <= s_hi):
+        if not (_integers(s_lo, s_hi) and 1 <= s_lo <= s_hi):
             raise BadConfigError(f"bad block size range {self.s_range}")
-        if not 1.0 < self.condition_cap < math.inf:
-            raise BadConfigError(f"condition cap must be finite and exceed "
-                                 f"1, got {self.condition_cap}")
+        _require_cap(self.condition_cap)
         if not isinstance(self.kind, WeightKind):
             raise BadConfigError(f"bad weight kind {self.kind!r}")
-        if self.seed < 0:
-            raise BadConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (_integers(self.seed) and self.seed >= 0):
+            raise BadConfigError(f"seed must be an integer >= 0, got "
+                                 f"{self.seed!r}")
         return self
 
     @classmethod
@@ -79,13 +79,25 @@ class GenConfig(_Config):
         return cls(*fields)
 
 
+def _integers(*values) -> bool:
+    return all(isinstance(x, (int, np.integer)) for x in values)
+
+
+def _require_cap(cap: float) -> None:
+    """BadConfigError unless the condition cap is finite and above 1."""
+    if not 1.0 < cap < math.inf:
+        raise BadConfigError(f"condition cap must be finite and exceed 1, "
+                             f"got {cap}")
+
+
 def random_spd(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray:
     """Random s x s SPD matrix with condition number at most
-    ``condition_cap``.
+    ``condition_cap``, finite and above 1 (BadConfigError otherwise).
 
     Built as V diag(lam) V^T with a random orthogonal V and eigenvalues
     drawn log-uniformly from [1/sqrt(cap), sqrt(cap)].
     """
+    _require_cap(condition_cap)
     rng = _seeded_rng(seed)
     half = 0.5 * math.log(condition_cap)
     lam = np.exp(rng.uniform(-half, half, size=s))
@@ -182,9 +194,7 @@ def _random_graph(config: GenConfig, topology) -> MatrixWeightedGraph:
     s = int(rng.integers(config.s_range[0], config.s_range[1] + 1))
     topo = sorted(topology(n, rng))
     weights = _draw_weights(len(topo), config.kind, s, config.condition_cap, rng)
-    return MatrixWeightedGraph(
-        n, s, [(u, v, w) for (u, v), w in zip(topo, weights)]
-    )
+    return _assemble(n, s, topo, weights)
 
 
 def _with_cycles(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -2,13 +2,15 @@
 
 A graph lives on vertices 1..n and every edge carries an s x s real weight
 matrix, all held in the read-only arrays ``ends`` and ``weights`` that every
-layer reads.  Construction is lenient (anything shaped like edges is
-accepted, endpoints are swapped into u < v); :func:`validate` reports every
-problem at once so file loaders can surface complete diagnostics.
+layer reads.  Construction is lenient but for integer n, s and endpoints
+(anything shaped like edges is accepted, endpoints are swapped into
+u < v); :func:`validate` reports every problem at once so file loaders
+can surface complete diagnostics.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -67,8 +69,9 @@ class MatrixWeightedGraph:
 
     Edges are stored with u < v (the orientation the incidence matrix signs
     against) in the order given; edge indices used throughout the API are
-    0-based positions in ``edges``.  The constructor normalizes but does not
-    reject: call :func:`validate` to check an instance.  It converts the
+    0-based positions in ``edges``.  The constructor normalizes, and
+    rejects only an n, s or endpoint that is not an integer (TypeError):
+    call :func:`validate` to check an instance.  It converts the
     edges once, into the (m, 2) int array ``ends`` of their endpoints and
     the (m, s, s) stack ``weights``, a copy of their weights of which each
     ``Edge.weight`` is a view; all are read-only, so a graph cannot change
@@ -95,11 +98,11 @@ class MatrixWeightedGraph:
     __setattr__ = __delattr__ = refuse_change
 
     def __init__(self, n: int, s: int, edges):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "s", int(s))
+        object.__setattr__(self, "n", operator.index(n))
+        object.__setattr__(self, "s", operator.index(s))
         rows = [(e.u, e.v, e.weight) if isinstance(e, Edge) else e
                 for e in edges]
-        pairs = [sorted((int(u), int(v))) for u, v, _ in rows]
+        pairs = [sorted(map(operator.index, (u, v))) for u, v, _ in rows]
         try:
             ends = np.array(pairs, dtype=int)
         except OverflowError:   # beyond int64, so out of range: 0 or n + 1

@@ -1,13 +1,12 @@
-"""Stateless kernels that assemble the arrays of a matrix-weighted graph's
-block operators, for a graph the caller has already checked.
-
-They build the tree distance matrix D, the block Laplacian L of any stack
-of edge blocks, the scaled incidence matrix Q (L = Q Q^T for SPD weights)
-and the grounded inverses of L from the preorder :class:`TreeLayout` of
-a spanning tree: in closed form on a tree, and with a correction of low
-rank for the edges off it on other graphs.  Nothing here is cached: the
-public builders, which serve each graph's arrays from its analysis, are
-in :mod:`mwtrees.closedforms`.
+"""Stateless kernels for the block operators of a matrix-weighted graph
+the caller has already checked: L of any stack of edge blocks, Q (L = Q
+Q^T for SPD weights), and the grounded inverses G_r of L by Cholesky or,
+from the preorder :class:`TreeLayout` of a spanning tree, in closed form
+on a tree and with a correction of low rank for the edges off it.  The
+layout, which no other module reads but for its ``off`` edges, also gives
+D and the rank certificate's bounds.  Nothing here is cached or chosen:
+:mod:`mwtrees.closedforms` keeps each graph's arrays, picks the G_r route
+and decides the rank that the bounds certify.
 """
 
 from __future__ import annotations
@@ -106,6 +105,85 @@ def cycle_g_inverse_data(g: MatrixWeightedGraph, layout: TreeLayout,
     return data
 
 
+def cholesky_g_inverse_data(laplacian: np.ndarray, s: int,
+                            root: int) -> np.ndarray:
+    """G_root = Y^T Y, Y the :func:`~mwtrees.linalg.inverse_cholesky` of
+    the symmetric part of ``laplacian``, blocks of order s, with the root's
+    block row and column zeroed and I_s on its diagonal block, zeroed
+    again after.  The zeros stay exact through the factorization and the
+    products, so no other index is gathered or scattered.  The symmetric
+    part, not one triangle: L and L^T differ by the asymmetry of the
+    inverse weights, so one triangle's block row sums are that far from
+    zero, and cond(L) amplifies it in G_root.  No rank test, which would
+    cost more: connected SPD weights make the grounded L SPD."""
+    block = slice((root - 1) * s, root * s)
+    grounded = 0.5 * (laplacian + laplacian.T)
+    grounded[block] = 0.0
+    grounded[:, block] = 0.0
+    grounded[block, block] = np.eye(s)
+    y = inverse_cholesky(grounded)
+    data = y.T @ y
+    data[block, block] = 0.0
+    return data
+
+
+def _tree_bounds(g: MatrixWeightedGraph, tree: TreeLayout,
+                 weights: np.ndarray,
+                 blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``||L||``, ``||K||``, ``||G||``, ``||K G - I||``, ``||L (1_n kron
+    I_s)||`` and ``||L||_F`` for :func:`~mwtrees.closedforms._certifies`,
+    one of each for every member of a ``(t, m, s, s)`` stack of edge
+    weights and of the blocks of L = ``block_laplacian(g, blocks[i])``,
+    from the layout of the tree g.  Each member's operations are those of
+    a stack of one, in the same order, so its bounds have the same bits."""
+    n, s, m, t = g.n, g.s, g.m, len(weights)
+    below, lo, up = tree.below, tree.lo, tree.up
+    size = np.full(n, float(n))   # the positions in each position's subtree
+    size[lo] = tree.hi - lo
+    ends = np.s_[:, np.stack([lo, up]).T.ravel()]   # as in block_laplacian
+    inner = (up > 0)[:, None, None]   # the edges that K keeps
+    pairs = np.repeat(blocks, 2, axis=1)
+    diag = np.zeros((t, n, s, s))
+    np.add.at(diag, ends, pairs)
+    null = diag.copy()   # the block row sums of L
+    np.subtract.at(null, ends, pairs)
+    paths = (below @ weights.reshape(t, m, s * s)).reshape(t, n, s, s)
+    steps = blocks @ (paths[:, lo] - paths[:, up])   # C_x
+    at = np.zeros((t, n, s, s))   # C_x by the position of x, 0 at the root
+    at[:, lo] = steps
+    turns = np.where(inner, at[:, up] - steps, 0.0)   # C_p(x) - C_x
+    lsum, nsum, psum = map(_abs_sums, (diag, null, paths))
+    bsum, rsum, tsum = map(_abs_sums, (blocks, steps - np.eye(s), turns))
+    ksum = lsum.copy()
+    np.add.at(lsum, ends, np.repeat(bsum, 2, axis=1))
+    np.add.at(ksum, ends, np.repeat(bsum * inner, 2, axis=1))
+    spread = np.zeros((t, n, s))   # row p of K G - I has |sub(x)| C_p - C_x
+    np.add.at(spread, np.s_[:, up], size[lo, None] * tsum[:, :, 0])
+    rsum[:, :, 0] += spread[:, lo]
+    rsum[:, :, 1] += (below @ tsum[:, :, 1])[:, lo]
+    out = (size[up] - size[lo])[:, None, None] * psum[:, up]   # 0 at the root
+    gsum = (size[lo, None, None] * psum[:, lo]
+            + (below @ out.reshape(t, m, 2 * s)).reshape(t, n, 2, s)[:, lo])
+    return (_norm_bound(lsum), _norm_bound(ksum[:, 1:]), _norm_bound(gsum),
+            _norm_bound(rsum),
+            np.sqrt(nsum[:, :, 0].max((1, 2)) * nsum[:, :, 1].sum(1).max(1)),
+            np.sqrt((diag ** 2).sum((1, 2, 3))
+                    + 2.0 * (blocks ** 2).sum((1, 2, 3))))
+
+
+def _abs_sums(x: np.ndarray) -> np.ndarray:
+    """The row sums ``[..., 0, :]`` and column sums ``[..., 1, :]`` of |x|."""
+    mag = np.abs(x)
+    return np.stack([mag.sum(axis=-1), mag.sum(axis=-2)], axis=-2)
+
+
+def _norm_bound(sums: np.ndarray) -> np.ndarray:
+    """``sqrt(||x||_1 ||x||_inf)`` >= the spectral norm of each member x of
+    a stack, from the row sums ``[t, i, 0]`` of |x| by block row i and its
+    column sums ``[t, i, 1]`` by block column i."""
+    return np.sqrt(sums.max(axis=(1, 3), initial=0.0).prod(axis=1))
+
+
 class TreeLayout:
     """A spanning tree laid out in depth-first preorder from vertex 1, where
     the vertices below every tree edge are one contiguous run of positions.
@@ -114,8 +192,8 @@ class TreeLayout:
     ``off`` those of the graph's other edges (none on a tree).
     ``at[i - 1]`` is the position of vertex i; tree edge ``edges[k]`` joins
     the position ``up[k]`` to its child at ``lo[k]``, and the positions
-    below it are ``lo[k] .. hi[k] - 1``.  :attr:`below` and :attr:`size`
-    are built on first use.
+    below it are ``lo[k] .. hi[k] - 1``.  :attr:`below` is built on first
+    use.
     """
 
     def __init__(self, at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -129,13 +207,6 @@ class TreeLayout:
         tree edge k and 0 elsewhere."""
         pos = np.arange(len(self.at))[:, None]
         return ((self.lo <= pos) & (pos < self.hi)).astype(float)
-
-    @cached_property
-    def size(self) -> np.ndarray:
-        """The number of positions in the subtree of each position."""
-        size = np.full(len(self.at), float(len(self.at)))
-        size[self.lo] = self.hi - self.lo
-        return size
 
 
 def _subtree_runs(g: MatrixWeightedGraph) -> TreeLayout:

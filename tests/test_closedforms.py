@@ -61,6 +61,7 @@ from mwtrees.linalg import (
 from mwtrees.operators import (
     _subtree_runs,
     block_laplacian,
+    cholesky_g_inverse_data,
     cycle_g_inverse_data,
     tree_g_inverse_data,
 )
@@ -1162,7 +1163,7 @@ def test_cycle_route_g_inverse_matches_the_cholesky_route(case):
         centred = centring @ h @ centring
         assert np.linalg.norm(centred - pinv) <= (
             8 * size * eps * (cond * norm_p + norm_t))
-        assert np.linalg.norm(h - a._grounded_inverse(root)) <= (
+        assert np.linalg.norm(h - cholesky_g_inverse_data(lap, g.s, root)) <= (
             size * eps * cond * norm_t)
 
 
@@ -1173,14 +1174,14 @@ def _route_spies(monkeypatch) -> dict[str, list[int]]:
 
     calls = {"cycle": [], "cholesky": [], "layouts": []}
     cycle, cholesky = (closedforms.cycle_g_inverse_data,
-                       closedforms._Analysis._grounded_inverse)
+                       closedforms.cholesky_g_inverse_data)
     layout = closedforms._subtree_runs
     monkeypatch.setattr(closedforms, "cycle_g_inverse_data",
                         lambda g, tree, root:
                         calls["cycle"].append(root) or cycle(g, tree, root))
-    monkeypatch.setattr(closedforms._Analysis, "_grounded_inverse",
-                        lambda self, root: calls["cholesky"].append(root)
-                        or cholesky(self, root))
+    monkeypatch.setattr(closedforms, "cholesky_g_inverse_data",
+                        lambda lap, s, root: calls["cholesky"].append(root)
+                        or cholesky(lap, s, root))
     monkeypatch.setattr(closedforms, "_subtree_runs",
                         lambda g: calls["layouts"].append(g.n) or layout(g))
     return calls
@@ -1226,7 +1227,7 @@ def test_grounded_inverses_keep_exact_zeros_through_the_split_triangle(root):
         n_range=(70, 70), s_range=(2, 2), kind=WeightKind.SPD, seed=11))
     a = _analysis(g)
     lap = a.laplacian
-    h = a._grounded_inverse(root)
+    h = cholesky_g_inverse_data(lap, g.s, root)
     grounded = h.reshape(g.n, g.s, g.n, g.s)
     assert not grounded[root - 1].any()
     assert not grounded[:, :, root - 1].any()
@@ -1290,9 +1291,9 @@ def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
     assert closedforms._few_cycles(n, g.m, s) == (route == "cycle")
     assert ginverse_invariance_check(g).status == PASS
     shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
-    owner, name = ((closedforms, "cycle_g_inverse_data") if route == "cycle"
-                   else (closedforms._Analysis, "_grounded_inverse"))
-    real = getattr(owner, name)
+    name = ("cycle_g_inverse_data" if route == "cycle"
+            else "cholesky_g_inverse_data")
+    real = getattr(closedforms, name)
     made = []
 
     def perturbed(*args):   # the root comes last on both routes
@@ -1302,7 +1303,7 @@ def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
         made.append(args[-1])
         return data
 
-    monkeypatch.setattr(owner, name, perturbed)
+    monkeypatch.setattr(closedforms, name, perturbed)
     report = ginverse_invariance_check(g)
     assert report.status == FAIL
     roots = tuple(made)

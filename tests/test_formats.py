@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from mwtrees.formats import (
 )
 from mwtrees.gallery import path4_block2
 from mwtrees.graphs import MatrixWeightedGraph
+
+from conftest import python_env
 
 
 def graphs_equal(a, b) -> bool:
@@ -89,6 +93,21 @@ def test_missing_and_mistyped_fields_are_rejected():
         graph_from_dict({"n": 2, "s": 1, "edges": {}})
     with pytest.raises(GraphFileError, match="edge 0"):
         graph_from_dict({"n": 2, "s": 1, "edges": [{"u": 1, "v": 2}]})
+
+
+def test_a_missing_edge_field_is_named_whatever_the_hash_seed():
+    # the fields are checked in the order u, v, weight, not in the order
+    # of a set, which changes with the interpreter's string hashing
+    code = ("from mwtrees.formats import graph_from_dict\n"
+            "try:\n"
+            "    graph_from_dict({'n': 2, 's': 1, 'edges': [{'u': 1}]})\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n")
+    for seed in range(1, 7):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={
+                                 **python_env(), "PYTHONHASHSEED": str(seed)})
+        assert out.stdout == "edge 0: missing field 'v'\n", seed
 
 
 def test_bad_schema_and_bad_json():

@@ -40,6 +40,13 @@ def test_gen_config_validation():
         GenConfig(kind="spd")
 
 
+@pytest.mark.parametrize("cap", [0.5, -1.0, 1.0, np.inf, np.nan])
+def test_random_spd_refuses_a_cap_that_is_not_finite_and_above_one(cap):
+    # numpy's "high - low < 0" and math's "math domain error" named no cap
+    with pytest.raises(BadConfigError, match="condition cap must be finite"):
+        random_spd(3, cap)
+
+
 def test_random_tree_is_deterministic():
     cfg = GenConfig(seed=123)
     g1, g2 = random_tree(cfg), random_tree(cfg)

@@ -35,6 +35,24 @@ def test_constructor_orients_edges():
     assert g.edges[0].weight.dtype == np.float64
 
 
+@pytest.mark.parametrize("n, s, u, v", [(2.9, 1, 1, 2), (2, 1.0, 1, 2),
+                                        (2, 1, 1, 2.7), (2, 1, 1.0, 2)])
+def test_constructor_refuses_counts_and_endpoints_that_are_not_integers(
+    n, s, u, v
+):
+    # int() would truncate 2.9 to 2 and 2.7 to 2, and validate would pass
+    with pytest.raises(TypeError):
+        MatrixWeightedGraph(n, s, [(u, v, [[1.0]])])
+
+
+def test_constructor_takes_numpy_integers():
+    two, one = np.int64(2), np.int32(1)
+    g = MatrixWeightedGraph(two, one, [(two, one, [[1.0]])])
+    assert (g.n, g.s, g.edges[0].u, g.edges[0].v) == (2, 1, 1, 2)
+    assert type(g.n) is int and type(g.edges[0].v) is int
+    assert validate(g) == []
+
+
 def test_validate_clean_instance():
     assert validate(path4_block2()) == []
 

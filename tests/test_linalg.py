@@ -17,6 +17,7 @@ from mwtrees.linalg import (
     DEFAULT_SYMMETRY_TOL,
     BlockMatrix,
     Inertia,
+    _certified_ranks,
     block_planes,
     frobenius_norms,
     inertia_of,
@@ -283,6 +284,19 @@ def test_a_symmetric_matrix_near_the_cutoff_takes_the_svd(monkeypatch):
     assert np.array_equal(calls[1], w[None])   # only w, of the three
     assert numerical_rank(np.zeros((3, 3))) == 0   # a zero member too
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("order", [2, 5, 40])
+@pytest.mark.parametrize("t", [2, 8, 32])
+def test_an_eigenvalue_within_the_certificate_margin_takes_the_svd(order, t):
+    # sigma_1 = 1 and one eigenvalue t N eps above the cutoff: inside the
+    # margin of 64 N eps that covers LAPACK's error, so eigvalsh may not
+    # decide the count, though here it and the SVD are exact and agree
+    eps = np.finfo(float).eps
+    a = np.diag([1.0] * (order - 1) + [DEFAULT_RANK_TOL + t * order * eps])
+    certified = _certified_ranks(a[None], DEFAULT_RANK_TOL)[0]
+    assert not certified[0]
+    assert numerical_rank(a) == _svd_rank(a) == order
 
 
 def test_pseudo_inverse_frozen_rank_one():

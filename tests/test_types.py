@@ -164,6 +164,7 @@ def test_pickle_and_copy_round_trip(rebuild, name):
     {"condition_cap": 1.0}, {"condition_cap": 0.5},
     {"condition_cap": math.inf}, {"condition_cap": math.nan},
     {"kind": "spd"}, {"seed": -1},
+    {"seed": 1.5}, {"n_range": (2.5, 4)}, {"s_range": (1, 2.0)},
 ])
 def test_gen_config_refuses_every_bad_field(kwargs):
     with pytest.raises(BadConfigError):
