@@ -24,6 +24,9 @@ from .linalg import BlockMatrix
 # Redraws allowed while rejecting ill-conditioned or singular weight sums.
 _MAX_REDRAWS = 1000
 
+# The largest range bound or seed: numpy draws from int64 ranges.
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class WeightKind(Enum):
     """Weight families the generators can draw from."""
@@ -48,12 +51,12 @@ class _Config(NamedTuple):
 class GenConfig(_Config):
     """Ranges and knobs for the random instance generators.
 
-    ``n_range`` and ``s_range`` are inclusive ranges of integers;
-    ``condition_cap``, finite and above 1, bounds the condition number of
-    each drawn weight (and of the weight sum, for the kinds that do not
-    guarantee it by construction); ``seed``, an integer at least 0, seeds
-    the first instance.  Each construction, ``_replace`` included,
-    checks the fields (BadConfigError).
+    ``n_range`` and ``s_range`` are inclusive ranges of integers that fit
+    in int64; ``condition_cap``, finite and above 1, bounds the condition
+    number of each drawn weight (and of the weight sum, for the kinds that
+    do not guarantee it by construction); ``seed``, an integer from 0 to
+    the int64 maximum, seeds the first instance.  Each construction,
+    ``_replace`` included, checks the fields (BadConfigError).
     """
 
     __slots__ = ()
@@ -62,16 +65,16 @@ class GenConfig(_Config):
         self = super().__new__(cls, *args, **kwargs)
         n_lo, n_hi = self.n_range
         s_lo, s_hi = self.s_range
-        if not (_integers(n_lo, n_hi) and 2 <= n_lo <= n_hi):
+        if not (_integers(n_lo, n_hi) and 2 <= n_lo <= n_hi <= _INT64_MAX):
             raise BadConfigError(f"bad vertex range {self.n_range}")
-        if not (_integers(s_lo, s_hi) and 1 <= s_lo <= s_hi):
+        if not (_integers(s_lo, s_hi) and 1 <= s_lo <= s_hi <= _INT64_MAX):
             raise BadConfigError(f"bad block size range {self.s_range}")
         _require_cap(self.condition_cap)
         if not isinstance(self.kind, WeightKind):
             raise BadConfigError(f"bad weight kind {self.kind!r}")
-        if not (_integers(self.seed) and self.seed >= 0):
-            raise BadConfigError(f"seed must be an integer >= 0, got "
-                                 f"{self.seed!r}")
+        if not (_integers(self.seed) and 0 <= self.seed <= _INT64_MAX):
+            raise BadConfigError(f"seed must be an integer from 0 to "
+                                 f"{_INT64_MAX}, got {self.seed!r}")
         return self
 
     @classmethod
@@ -83,6 +86,12 @@ def _integers(*values) -> bool:
     return all(isinstance(x, (int, np.integer)) for x in values)
 
 
+def _require_size(s: int) -> None:
+    """BadConfigError unless the block size s is an integer >= 1."""
+    if not (_integers(s) and s >= 1):
+        raise BadConfigError(f"block size must be an integer >= 1, got {s!r}")
+
+
 def _require_cap(cap: float) -> None:
     """BadConfigError unless the condition cap is finite and above 1."""
     if not 1.0 < cap < math.inf:
@@ -92,11 +101,13 @@ def _require_cap(cap: float) -> None:
 
 def random_spd(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray:
     """Random s x s SPD matrix with condition number at most
-    ``condition_cap``, finite and above 1 (BadConfigError otherwise).
+    ``condition_cap``, finite and above 1, for an integer s >= 1
+    (BadConfigError otherwise).
 
     Built as V diag(lam) V^T with a random orthogonal V and eigenvalues
     drawn log-uniformly from [1/sqrt(cap), sqrt(cap)].
     """
+    _require_size(s)
     _require_cap(condition_cap)
     rng = _seeded_rng(seed)
     half = 0.5 * math.log(condition_cap)
@@ -107,12 +118,14 @@ def random_spd(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray:
 
 
 def random_nonsingular(s: int, condition_cap: float = 1e4, seed=0) -> np.ndarray:
-    """Random s x s invertible matrix, generally asymmetric.
+    """Random s x s invertible matrix, generally asymmetric, for an
+    integer s >= 1 (BadConfigError otherwise).
 
     Entries are uniform(-1, 1); draws with tiny determinant or condition
     number above ``condition_cap`` are rejected and retried, up to
     ``_MAX_REDRAWS`` draws in all (BadConfigError after that).
     """
+    _require_size(s)
     rng = _seeded_rng(seed)
     for _ in range(_MAX_REDRAWS):
         w = rng.uniform(-1.0, 1.0, size=(s, s))
@@ -263,6 +276,9 @@ def distance_oracle(g: MatrixWeightedGraph) -> BlockMatrix:
 def random_instances(
     count: int, config: GenConfig, tree: bool = True
 ) -> list[MatrixWeightedGraph]:
-    """A reproducible batch: instance i uses seed ``config.seed + i``."""
+    """A reproducible batch: instance i uses seed ``config.seed + i``
+    (BadConfigError for a count that is not an integer >= 0)."""
+    if not (_integers(count) and count >= 0):
+        raise BadConfigError(f"count must be an integer >= 0, got {count!r}")
     draw = random_tree if tree else random_connected_nontree
     return [draw(config._replace(seed=config.seed + i)) for i in range(count)]

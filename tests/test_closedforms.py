@@ -654,6 +654,75 @@ def test_rank_probe_reweightings_are_inverted_and_well_conditioned(
         assert max(np.linalg.cond(w) for w in draws.reshape(-1, s, s)) > 1e3
 
 
+def _qr_calls(monkeypatch) -> list:
+    """The shape of every array passed to ``np.linalg.qr`` from here on."""
+    calls = []
+    real = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs:
+                        calls.append(np.shape(a)) or real(a, *args, **kwargs))
+    return calls
+
+
+def _probed_stacks(g: MatrixWeightedGraph, trials: int, seed) -> tuple:
+    """The ``(draws, blocks)`` stacks of the reweightings that the rank
+    probe of the tree g ranks, after L's own."""
+    with pytest.MonkeyPatch.context() as mp:
+        used = _recorded_probe(mp, g, trials, seed)[1][1:]
+    return tuple(np.array(stack) for stack in zip(*used))
+
+
+def test_rank_probe_draws_once_per_seed_and_shape(monkeypatch):
+    # a path and a star of 6 edges of order 3: the second probe, with the
+    # same integer seed as a numpy integer, reads the first one's draws
+    from mwtrees import closedforms
+
+    closedforms._memo_reweightings.cache_clear()
+    calls = _qr_calls(monkeypatch)
+    first = _probed_stacks(path_graph(7, 3), 4, 9)
+    assert calls == [(4, 6, 3, 3)] * 2
+    second = _probed_stacks(star_graph(7, 3), np.int64(4), np.int64(9))
+    assert len(calls) == 2
+    want = probe_reweightings(6, 3, 4, 9)
+    for stacks in (first, second):
+        assert [x.tobytes() for x in stacks] == [x.tobytes() for x in want]
+
+
+def test_rank_probe_memo_holds_read_only_stacks():
+    from mwtrees import closedforms
+
+    draws, blocks = closedforms._memo_reweightings(9, 2, 3, 2)
+    assert (draws.shape, blocks.shape) == ((2, 3, 2, 2),) * 2
+    for stack in (draws, blocks):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("seed", [lambda: np.random.default_rng(5),
+                                  lambda: None], ids=["generator", "none"])
+def test_rank_probe_draws_afresh_for_a_generator_or_no_seed(monkeypatch,
+                                                            seed):
+    # a shared generator moves on, and None seeds from the OS: each probe
+    # draws its own reweightings, two QR calls each
+    g = path_graph(5, 2)
+    shared = seed()
+    calls = _qr_calls(monkeypatch)
+    first, second = (_probed_stacks(g, 3, shared) for _ in range(2))
+    assert len(calls) == 4
+    for a, b in zip(first, second):
+        assert a.tobytes() != b.tobytes()
+
+
+def test_rank_probe_memo_keeps_a_bounded_number_of_shapes():
+    from mwtrees import closedforms
+
+    memo = closedforms._memo_reweightings
+    bound = memo.cache_info().maxsize
+    for n in range(2, bound + 5):
+        rank_characterization_probe(path_graph(n, 2), trials=1, seed=9)
+    assert memo.cache_info().currsize == bound
+
+
 def test_rank_probe_rejects_a_negative_trial_count():
     # no reweighting at all would pass on L's rank alone
     with pytest.raises(ValueError, match="trials must be >= 0"):

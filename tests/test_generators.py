@@ -47,6 +47,38 @@ def test_random_spd_refuses_a_cap_that_is_not_finite_and_above_one(cap):
         random_spd(3, cap)
 
 
+@pytest.mark.parametrize("draw", [random_spd, random_nonsingular])
+@pytest.mark.parametrize("s", [2.5, -1, 0, np.float64(2.0)])
+def test_generators_refuse_a_block_size_that_is_not_a_positive_integer(draw,
+                                                                       s):
+    # numpy's TypeError, ValueError or LinAlgError named no size, and
+    # random_spd(0) returned a 0 x 0 matrix
+    with pytest.raises(BadConfigError, match="block size must be an integer"):
+        draw(s)
+
+
+def test_generators_take_a_numpy_integer_block_size():
+    assert random_spd(np.int64(2)).tobytes() == random_spd(2).tobytes()
+    assert random_nonsingular(np.int32(2)).tobytes() == \
+        random_nonsingular(2).tobytes()
+
+
+def test_random_instances_refuses_a_negative_count():
+    # a negative count returned an empty batch
+    with pytest.raises(BadConfigError, match="count must be an integer >= 0"):
+        random_instances(-1, GenConfig())
+    assert random_instances(0, GenConfig()) == []
+
+
+def test_seeds_end_at_the_int64_maximum():
+    # the last seed draws; a batch that would pass it is refused
+    top = np.iinfo(np.int64).max
+    config = GenConfig(n_range=(3, 5), seed=top)
+    assert [g.n for g in random_instances(1, config)] == [random_tree(config).n]
+    with pytest.raises(BadConfigError, match="seed must be an integer"):
+        random_instances(2, config)
+
+
 def test_random_tree_is_deterministic():
     cfg = GenConfig(seed=123)
     g1, g2 = random_tree(cfg), random_tree(cfg)

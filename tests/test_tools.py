@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+
+import pytest
 
 _TOOLS = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
                                       "tools"))
@@ -49,3 +52,29 @@ def test_faults_reports_each_tree_shape_of_the_benchmark():
         assert (c["n"], c["s"]) == shapes[name][:2]
         assert c["median_s"] > 0 and c["median_minor_faults"] >= 0
     assert result["rounds"] == 1 and result["numpy"]
+
+
+def test_bench_runs_one_pair_of_head_against_the_checkout():
+    # bench/run.py reads scipy's version
+    pytest.importorskip("scipy")
+    bench = _tool("bench")
+    result = bench.ab("HEAD", "trees", pairs=1, seconds=1)
+    assert (result["workload"], result["seed"], result["pairs"]) == \
+        ("trees", 1, 1)
+    assert len(result["ref"]) == 40
+    assert result["correct"] == {"ref": [True], "change": [True]}
+    specs = json.loads((bench.ROOT / "BENCHMARK.json").read_text())
+    assert list(result["metrics"]) == [m["name"] for m in specs["end_to_end"]]
+    for spec in specs["end_to_end"]:
+        metric = result["metrics"][spec["name"]]
+        assert set(metric) == {
+            "unit", "better", "ref", "change", "ratios", "favour_change",
+            "ref_median", "change_median", "ref_iqr", "ref_iqr_share",
+            "bound"}
+        assert (metric["unit"], metric["better"], metric["bound"]) == \
+            (spec["unit"], spec["better"], spec["bound"])
+        assert len(metric["ref"]) == len(metric["change"]) == 1
+        assert metric["ratios"] == [metric["change"][0] / metric["ref"][0]]
+        assert metric["favour_change"] in (0, 1)
+        assert metric["ref_iqr"] == 0.0
+    json.dumps(result, allow_nan=False)

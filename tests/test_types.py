@@ -165,6 +165,8 @@ def test_pickle_and_copy_round_trip(rebuild, name):
     {"condition_cap": math.inf}, {"condition_cap": math.nan},
     {"kind": "spd"}, {"seed": -1},
     {"seed": 1.5}, {"n_range": (2.5, 4)}, {"s_range": (1, 2.0)},
+    # beyond int64, where numpy's draws fail with "high is out of bounds"
+    {"n_range": (2, 10**30)}, {"s_range": (1, 2**63)}, {"seed": 2**63},
 ])
 def test_gen_config_refuses_every_bad_field(kwargs):
     with pytest.raises(BadConfigError):
