@@ -13,31 +13,21 @@ __version__ = "0.1.0"
 
 from .closedforms import (
     FAIL,
-    IDENTITY_NAMES,
     PASS,
     SKIPPED,
     SUITES,
     DeficientWeighting,
-    InterlacingReport,
     InvertibilityResult,
     LaplacianMode,
-    RankProbe,
     VerificationReport,
     distance_determinant_sign_log,
     distance_inverse,
     distance_matrix,
-    ginverse_distance_recovery,
-    ginverse_invariance_check,
     incidence_matrix,
-    inertia_check,
-    interlacing_check,
     invertibility_check,
     laplacian,
-    rank_characterization_probe,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
-    verification_suite,
-    verify_identities,
 )
 from .errors import (
     BadConfigError,
@@ -82,20 +72,26 @@ from .linalg import (
     inertia_of,
     inverse,
     numerical_rank,
-    pseudo_inverse,
     sign_log_determinant,
     symmetric_eigenvalues,
 )
 
-# The names of the gallery and the generators load their module on first
-# use (PEP 562): no report command reads them, and the CLI's start-up
-# skips compiling and running both.
+# The names of the gallery, the generators and the checks load their
+# module on first use (PEP 562): no report command reads the first two,
+# only ``verify`` runs the checks, and a CLI process compiles and runs
+# none of the three unless its command needs it.
 _LAZY = dict.fromkeys(("cycle4_block2", "cycle_graph", "diamond4",
                        "path4_block2", "path_graph", "star_graph"), "gallery")
 _LAZY |= dict.fromkeys(("GenConfig", "WeightKind", "distance_oracle",
                         "random_connected_nontree", "random_instances",
                         "random_nonsingular", "random_spd", "random_tree"),
                        "generators")
+_LAZY |= dict.fromkeys(("IDENTITY_NAMES", "InterlacingReport", "RankProbe",
+                        "ginverse_distance_recovery",
+                        "ginverse_invariance_check", "inertia_check",
+                        "interlacing_check", "pseudo_inverse",
+                        "rank_characterization_probe", "verification_suite",
+                        "verify_identities"), "checks")
 
 
 def __getattr__(name: str):

@@ -8,6 +8,8 @@ rank-deficient weightings of non-tree graphs.
 Every command but ``random`` (which writes files and a manifest) is a
 report command: ``cmd_<name>(g, args)`` only computes, and returns its
 check records, its extra report fields and its matrices (or None).
+Only ``verify`` imports :mod:`mwtrees.checks` and only ``random`` the
+generators, each inside its command, so no other command compiles them.
 :func:`main` is the one report path: it reads the input, assembles the
 ``mwtrees/report/v1`` report, prints it as JSON or text and sets the exit
 code from the records.  JSON reports are strict: a residual or tolerance
@@ -52,9 +54,8 @@ from .closedforms import (
     distance_matrix,
     incidence_matrix,
     laplacian,
-    rank_characterization_probe,
     rank_deficient_weighting,
-    verification_suite,
+    witness_rank,
 )
 from .errors import (
     GraphFileError,
@@ -192,6 +193,8 @@ def cmd_det(g, args):
 
 
 def cmd_verify(g, args):
+    from .checks import verification_suite
+
     records = verification_suite(
         g,
         suite=args.suite,
@@ -245,7 +248,7 @@ def cmd_random(args) -> int:
 
 def cmd_deficient(g, args):
     witness = rank_deficient_weighting(g)   # IsATreeError on a tree
-    rank = rank_characterization_probe(g).observed_ranks[0]
+    rank = witness_rank(g)
     records = [_report(
         "rank_deficiency", float(rank), float(g.n - 2), g,
         f"scalar Laplacian rank with weight {witness.w:g} on edge "

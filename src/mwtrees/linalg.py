@@ -3,13 +3,14 @@
 Everything here works on plain float64 numpy arrays, with numpy as the only
 backend.  Rank, symmetry and definiteness decisions are made with relative
 thresholds so they behave the same across scales.  The rank cutoff below
-can be overridden per call of the rank functions and the pseudo-inverse;
-the symmetry and zero cutoffs are fixed.  A square matrix is singular
-exactly when its :func:`numerical_rank` at the default cutoff falls short
-of its order: :func:`inverse` and every invertibility check use that one
-test.  :func:`inverse_cholesky`, the one Cholesky kernel, for a matrix
-positive definite by construction, takes no rank test: a pivot within
-rounding of zero raises instead.
+can be overridden per call of the rank functions; the symmetry and zero
+cutoffs are fixed.  A square matrix is singular exactly when its
+:func:`numerical_rank` at the default cutoff falls short of its order:
+:func:`inverse` and every invertibility check use that one test.  The
+kernels that only the checks call (the Cholesky inverse, the block planes
+and pair contractions of the g-inverse checks, and the pseudo-inverse)
+are in :mod:`mwtrees.checks`, so a command that runs no check compiles
+none of them.
 
 The rank is the count of singular values above the cutoff, the SVD's
 count.  An exactly symmetric matrix's singular values are its
@@ -107,54 +108,6 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel(), power)
 
 
-def block_planes(data: np.ndarray, s: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The (s, s, n, n) planes of a square array of s x s blocks: ``[a, b,
-    i, j]`` is entry (a, b) of block (i, j), 0-based.  Contiguous, and a
-    view of ``data``, no copy, when s = 1; copied into ``out`` when it is
-    given, a slot of a caller's work array, and ``out`` returned."""
-    n = data.shape[0] // s
-    planes = data.reshape(n, s, n, s).transpose(1, 3, 0, 2)
-    if out is None:
-        return np.ascontiguousarray(planes)
-    np.copyto(out, planes)
-    return out
-
-
-def pair_contractions(planes: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The contraction ``B_ii + B_jj - B_ij - B_ji`` of every block pair
-    (i, j) of an array given as planes (:func:`block_planes`), as planes,
-    added up in that order, with every loop n long.  Written into ``out``
-    when it is given, a slot of a caller's work array that shares no
-    memory with ``planes``, and ``out`` returned; a fresh array
-    otherwise."""
-    d = np.diagonal(planes, axis1=2, axis2=3)
-    out = np.add(d[..., :, None], d[..., None, :], out=out)
-    out -= planes
-    out -= planes.swapaxes(2, 3)
-    return out
-
-
-def largest_pair_norm(planes: np.ndarray) -> float:
-    """The largest :func:`frobenius_norms` of the blocks (i, j), i < j, of
-    an array given as planes, 0.0 with no pair: that of the blocks whose
-    sums of squares, after :func:`_binade_scaled`, are within 2^-24 of the
-    largest, far above their s^2 eps rounding, so the same bits as that of
-    every block; of every block when that largest sum is inf, NaN or below
-    2^-1000, where squares that underflow could reorder the blocks."""
-    s, _, n, _ = planes.shape
-    scaled = _binade_scaled(planes.reshape(1, -1))[0].reshape(s * s, n, n)
-    sums = np.triu(np.einsum("kij,kij->ij", scaled, scaled), 1)
-    top = sums.max(initial=0.0)
-    if 2.0 ** -1000 <= top < math.inf:
-        i, j = np.nonzero(sums >= (1.0 - 2.0 ** -24) * top)
-    else:
-        i, j = np.triu_indices(n, 1)
-    blocks = planes.transpose(2, 3, 0, 1)[i, j]
-    return float(frobenius_norms(blocks).max(initial=0.0))
-
-
 def _asymmetries(m: np.ndarray):
     """Largest entry of ``|a - a.T|`` for each member ``a`` of a square
     stack, and whether it is within ``DEFAULT_SYMMETRY_TOL`` times the
@@ -184,53 +137,6 @@ def inverses(a) -> np.ndarray:
         )
     scaled, power = _binade_scaled(m)
     return np.ldexp(np.linalg.inv(scaled), -power[:, None, None])
-
-
-def inverse_cholesky(a) -> np.ndarray:
-    """Y = C^-1, by :func:`_lower_inverse`, for the Cholesky factor C of
-    the lower triangle of a symmetric positive definite ``a``.  ``Y.T @
-    Y`` is then a^-1 as LAPACK's ``xPOTRI`` forms it, in about half the
-    flops of an LU inverse, and ``Y @ b`` whitens b: ``(Y b)^T (Y b)`` is
-    ``b^T a^-1 b``.  numpy computes such products as a ``syrk``, so they
-    are exactly symmetric.  The upper triangle is not read, and no rank
-    test is made: a pivot that is not positive, or that is within the
-    factorization's rounding of zero, raises SingularMatrixError.
-    """
-    m = as_matrix(a)
-    _require_square(m)
-    try:
-        factor = np.linalg.cholesky(m)
-        # the factor's backward error moves a_jj by up to about N eps a_jj,
-        # so a smaller pivot c_jj^2 could as well be zero
-        positive = (np.diagonal(factor) ** 2
-                    > len(m) * np.finfo(float).eps * np.diagonal(m)).all()
-    except np.linalg.LinAlgError:
-        positive = False
-    if not positive:
-        raise SingularMatrixError("matrix is not positive definite to "
-                                  "working precision")
-    return _lower_inverse(factor)
-
-
-#: Order up to which :func:`_lower_inverse` takes numpy's LU inverse.
-_TRIANGLE_LEAF = 64
-
-
-def _lower_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower triangle, by splitting it in two:
-    ``[[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]]``, so every
-    product is a GEMM; up to order ``_TRIANGLE_LEAF``, the lower triangle
-    of ``np.linalg.inv``'s inverse, whose row swaps leave rounding above
-    the diagonal."""
-    n = len(c)
-    if n <= _TRIANGLE_LEAF:
-        return np.tril(np.linalg.inv(c))
-    k = n // 2
-    y = np.zeros_like(c)
-    top = y[:k, :k] = _lower_inverse(c[:k, :k])
-    bottom = y[k:, k:] = _lower_inverse(c[k:, k:])
-    np.negative(bottom @ (c[k:, :k] @ top), out=y[k:, :k])
-    return y
 
 
 def sign_log_determinant(a) -> tuple[float, float]:
@@ -324,13 +230,6 @@ def _certified_ranks(m: np.ndarray, rel_tol: float):
         gap = lam - rel_tol * top
         certified = (np.abs(gap) > margin).all(axis=1)
     return certified, np.count_nonzero(gap > 0.0, axis=1)
-
-
-def pseudo_inverse(a, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the same rank cutoff as
-    :func:`numerical_rank`: ``np.linalg.pinv``'s, from one SVD."""
-    _require_rel_tol(rel_tol)
-    return np.linalg.pinv(as_matrix(a), rcond=rel_tol)
 
 
 def spd_inverse_sqrts(w) -> np.ndarray:

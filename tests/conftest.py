@@ -65,7 +65,7 @@ def probe_reweightings(m: int, s: int, trials: int,
     built one draw at a time: from ``default_rng(seed)``, the normals of
     every U, then those of every V, then every sigma, log-uniform on
     [cap^-1/2, cap^1/2] for the probe's condition cap."""
-    from mwtrees.closedforms import _PROBE_CONDITION_CAP
+    from mwtrees.checks import _PROBE_CONDITION_CAP
 
     rng = np.random.default_rng(seed)
     count = trials * m
@@ -176,7 +176,8 @@ def ginverse_reference(g, seed: int) -> dict:
     did: every pair contraction from an (n, n, s, s) view of the blocks,
     the norm of every pair's block, and P H P from the means of the (n, s,
     n, s) view.  The records must keep these bits."""
-    from mwtrees.closedforms import _GINVERSE_REL_TOL, _analysis, _seeded_root
+    from mwtrees.checks import _GINVERSE_REL_TOL, _seeded_root, g_inverse
+    from mwtrees.closedforms import _analysis
     from mwtrees.linalg import frobenius_norms
 
     a = _analysis(g)
@@ -198,7 +199,7 @@ def ginverse_reference(g, seed: int) -> dict:
     roots = [_seeded_root(n, k) for k in (seed, seed + 1)]
     if roots[1] == roots[0]:
         roots[1] = roots[0] % n + 1
-    first, second = (a.g_inverse(r) for r in roots)
+    first, second = (g_inverse(a, r) for r in roots)
     x = first.reshape(n, s, n, s)
     x = x - x.mean(axis=0)
     reference = {"ginverse_invariance": (
@@ -206,7 +207,7 @@ def ginverse_reference(g, seed: int) -> dict:
         norm(x - x.mean(axis=2, keepdims=True)))}
     if a.tree:
         dist = a.distance
-        h = a.g_inverse(_seeded_root(n, seed))
+        h = g_inverse(a, _seeded_root(n, seed))
         blocks = dist.reshape(n, s, n, s).transpose(0, 2, 1, 3)
         reference["ginverse_recovery"] = (worst(contractions(h) - blocks),
                                           norm(dist))

@@ -13,6 +13,14 @@ import time
 
 import numpy as np
 
+from mwtrees.checks import (
+    ginverse_distance_recovery,
+    ginverse_invariance_check,
+    inertia_check,
+    interlacing_check,
+    rank_characterization_probe,
+    verify_identities,
+)
 from mwtrees.closedforms import (
     PASS,
     SKIPPED,
@@ -20,16 +28,10 @@ from mwtrees.closedforms import (
     distance_determinant_sign_log,
     distance_inverse,
     distance_matrix,
-    ginverse_distance_recovery,
-    ginverse_invariance_check,
     incidence_matrix,
-    inertia_check,
-    interlacing_check,
     laplacian,
-    rank_characterization_probe,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
-    verify_identities,
 )
 from mwtrees.gallery import cycle4_block2, diamond4, path4_block2, path_graph
 from mwtrees.generators import (

@@ -693,7 +693,7 @@ def test_untyped_error_after_parsing_is_an_internal_error(capsys,
     def broken(*args, **kwargs):
         raise ValueError("cannot convert float NaN to integer")
 
-    monkeypatch.setattr("mwtrees.cli.verification_suite", broken)
+    monkeypatch.setattr("mwtrees.checks.verification_suite", broken)
     code, out, err = run_cli(capsys, "verify", PATH4)
     assert code == 5 and out == ""
     assert "Traceback" in err

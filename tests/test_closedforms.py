@@ -6,26 +6,31 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mwtrees.checks import (
+    IDENTITY_NAMES,
+    cholesky_g_inverse_data,
+    cycle_g_inverse_data,
+    ginverse_distance_recovery,
+    ginverse_invariance_check,
+    inertia_check,
+    interlacing_check,
+    rank_characterization_probe,
+    tree_g_inverse_data,
+    verification_suite,
+    verify_identities,
+)
 from mwtrees.closedforms import (
     FAIL,
-    IDENTITY_NAMES,
     PASS,
     SKIPPED,
     LaplacianMode,
     distance_determinant_sign_log,
     distance_inverse,
     distance_matrix,
-    ginverse_distance_recovery,
-    ginverse_invariance_check,
-    inertia_check,
-    interlacing_check,
     invertibility_check,
     laplacian,
-    rank_characterization_probe,
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
-    verification_suite,
-    verify_identities,
 )
 from mwtrees.errors import (
     BadConfigError,
@@ -58,13 +63,7 @@ from mwtrees.linalg import (
     inverse,
     numerical_rank,
 )
-from mwtrees.operators import (
-    _subtree_runs,
-    block_laplacian,
-    cholesky_g_inverse_data,
-    cycle_g_inverse_data,
-    tree_g_inverse_data,
-)
+from mwtrees.operators import _subtree_runs, block_laplacian
 
 from conftest import (
     conditioned_matrix,
@@ -570,7 +569,7 @@ def _decomposed_members(monkeypatch) -> set:
 def _check_reweightings(draws: np.ndarray, blocks: np.ndarray) -> None:
     """Every draw has condition number at most the probe's cap, and its
     block inverts it to within s eps cap."""
-    from mwtrees.closedforms import _PROBE_CONDITION_CAP as cap
+    from mwtrees.checks import _PROBE_CONDITION_CAP as cap
 
     s = draws.shape[-1]
     for w, b in zip(draws.reshape(-1, s, s), blocks.reshape(-1, s, s)):
@@ -583,11 +582,11 @@ def _recorded_probe(monkeypatch, g: MatrixWeightedGraph, trials: int,
     """The rank probe of the tree g and the ``(weights, blocks)`` of each
     Laplacian it ranks, read from the stacks of its one call of the
     certificate's bounds."""
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     stacks = []
-    real = closedforms._tree_bounds
-    monkeypatch.setattr(closedforms, "_tree_bounds",
+    real = checks._tree_bounds
+    monkeypatch.setattr(checks, "_tree_bounds",
                         lambda graph, tree, weights, blocks:
                         stacks.append((weights, blocks))
                         or real(graph, tree, weights, blocks))
@@ -674,9 +673,9 @@ def _probed_stacks(g: MatrixWeightedGraph, trials: int, seed) -> tuple:
 def test_rank_probe_draws_once_per_seed_and_shape(monkeypatch):
     # a path and a star of 6 edges of order 3: the second probe, with the
     # same integer seed as a numpy integer, reads the first one's draws
-    from mwtrees import closedforms
+    from mwtrees import checks
 
-    closedforms._memo_reweightings.cache_clear()
+    checks._memo_reweightings.cache_clear()
     calls = _qr_calls(monkeypatch)
     first = _probed_stacks(path_graph(7, 3), 4, 9)
     assert calls == [(4, 6, 3, 3)] * 2
@@ -688,9 +687,9 @@ def test_rank_probe_draws_once_per_seed_and_shape(monkeypatch):
 
 
 def test_rank_probe_memo_holds_read_only_stacks():
-    from mwtrees import closedforms
+    from mwtrees import checks
 
-    draws, blocks = closedforms._memo_reweightings(9, 2, 3, 2)
+    draws, blocks = checks._memo_reweightings(9, 2, 3, 2)
     assert (draws.shape, blocks.shape) == ((2, 3, 2, 2),) * 2
     for stack in (draws, blocks):
         assert not stack.flags.writeable
@@ -714,9 +713,9 @@ def test_rank_probe_draws_afresh_for_a_generator_or_no_seed(monkeypatch,
 
 
 def test_rank_probe_memo_keeps_a_bounded_number_of_shapes():
-    from mwtrees import closedforms
+    from mwtrees import checks
 
-    memo = closedforms._memo_reweightings
+    memo = checks._memo_reweightings
     bound = memo.cache_info().maxsize
     for n in range(2, bound + 5):
         rank_characterization_probe(path_graph(n, 2), trials=1, seed=9)
@@ -811,11 +810,11 @@ _RUNNERS = ("verify_identities", "ginverse_invariance_check",
 ])
 def test_suite_checks_its_arguments_before_any_runner(monkeypatch, suite,
                                                       kwargs, error):
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     called = []
     for name in _RUNNERS:
-        monkeypatch.setattr(closedforms, name,
+        monkeypatch.setattr(checks, name,
                             lambda *args, name=name: called.append(name) or [])
     verification_suite(path_graph(3))
     assert called == list(_RUNNERS)   # the spies see every runner
@@ -947,7 +946,8 @@ def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
     # the eigenvalues interlacing reads are the singular values of L to
     # rounding, the probe's first rank is its SVD rank, and the grounded
     # inverses meet the defining equation L H L = L
-    from mwtrees.closedforms import _analysis, _seeded_root
+    from mwtrees.checks import _seeded_root, g_inverse
+    from mwtrees.closedforms import _analysis
 
     g = _spd_graph(*case)
     a = _analysis(g)
@@ -971,7 +971,7 @@ def test_spectrum_rank_pinv_and_ginverses_of_spd_laplacians(case):
     rtol = max(1e-9, 1e-12 * kept.max() / kept.min())
     norm_l, norm_p = np.linalg.norm(lap), math.sqrt(np.sum(kept ** -2.0))
     for seed in (0, 1, 2):
-        h = a.g_inverse(_seeded_root(g.n, seed))
+        h = g_inverse(a, _seeded_root(g.n, seed))
         assert np.linalg.norm(lap @ h @ lap - lap) <= (
             rtol * norm_l * max(norm_p * norm_l, np.linalg.norm(h) * norm_l))
 
@@ -1040,9 +1040,9 @@ def _perturbed(g: MatrixWeightedGraph, name: str) -> MatrixWeightedGraph:
 def test_ginverse_records_detect_a_one_block_error(monkeypatch, shape):
     # ten times the tolerance in one block of the second grounded inverse,
     # 1e-6 ||L^+||_F, or of D, 1e-6 ||D||_F: the record that reads it fails
-    from mwtrees import closedforms
+    from mwtrees import checks
 
-    real = closedforms._Analysis.g_inverse
+    real = checks.g_inverse
     for seed in range(8):
         n, s = 3 + 2 * seed, 1 + seed % 4
 
@@ -1055,9 +1055,9 @@ def test_ginverse_records_detect_a_one_block_error(monkeypatch, shape):
                            "ginverse_recovery": PASS}
         # two seeds that draw different roots
         first = next(k for k in range(100)
-                     if closedforms._seeded_root(n, k)
-                     != closedforms._seeded_root(n, k + 1))
-        second = closedforms._seeded_root(n, first + 1)
+                     if checks._seeded_root(n, k)
+                     != checks._seeded_root(n, k + 1))
+        second = checks._seeded_root(n, first + 1)
         g = tree()
         assert ginverse_invariance_check(g, first).status == PASS
         shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
@@ -1071,7 +1071,7 @@ def test_ginverse_records_detect_a_one_block_error(monkeypatch, shape):
             return data
 
         with monkeypatch.context() as patch:
-            patch.setattr(closedforms._Analysis, "g_inverse", perturbed)
+            patch.setattr(checks, "g_inverse", perturbed)
             assert ginverse_invariance_check(g, first).status == FAIL
         g = _perturbed(tree(), "distance")
         assert ginverse_distance_recovery(g, seed=2).status == FAIL
@@ -1157,7 +1157,8 @@ def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
     # of the grounded L and of the products and sums: N eps ||L||^2 ||H||
     # and N eps (cond(L) ||L^+|| + ||H||).  G_r vanishes on the block row
     # and column of its root.
-    from mwtrees.closedforms import _analysis, _seeded_root
+    from mwtrees.checks import _seeded_root, g_inverse
+    from mwtrees.closedforms import _analysis
 
     g = _non_tree(*case)
     a = _analysis(g)
@@ -1172,7 +1173,7 @@ def test_non_tree_g_inverse_samples_centre_to_the_pseudo_inverse(case):
     norm_l, norm_p = np.linalg.norm(lap), np.linalg.norm(pinv)
     for seed in range(3):
         root = _seeded_root(g.n, seed)
-        h = a.g_inverse(root)
+        h = g_inverse(a, root)
         grounded = h.reshape(g.n, g.s, g.n, g.s)
         assert not grounded[root - 1].any()
         assert not grounded[:, :, root - 1].any()
@@ -1204,7 +1205,8 @@ def test_cycle_route_g_inverse_matches_the_cholesky_route(case):
     # ||H||: G_r is G_T less a positive semidefinite term, so it carries
     # the rounding of G_T, whose norm reached 5.8e3 times its own at ratio
     # 1e-8 in these draws
-    from mwtrees.closedforms import _analysis, _seeded_root
+    from mwtrees.checks import _seeded_root
+    from mwtrees.closedforms import _analysis
 
     g = _non_tree(*case)
     a = _analysis(g)
@@ -1239,16 +1241,16 @@ def test_cycle_route_g_inverse_matches_the_cholesky_route(case):
 def _route_spies(monkeypatch) -> dict[str, list[int]]:
     """The roots each g-inverse route is called at, and the spanning-tree
     layouts built, from here on."""
-    from mwtrees import closedforms
+    from mwtrees import checks, closedforms
 
     calls = {"cycle": [], "cholesky": [], "layouts": []}
-    cycle, cholesky = (closedforms.cycle_g_inverse_data,
-                       closedforms.cholesky_g_inverse_data)
+    cycle, cholesky = (checks.cycle_g_inverse_data,
+                       checks.cholesky_g_inverse_data)
     layout = closedforms._subtree_runs
-    monkeypatch.setattr(closedforms, "cycle_g_inverse_data",
+    monkeypatch.setattr(checks, "cycle_g_inverse_data",
                         lambda g, tree, root:
                         calls["cycle"].append(root) or cycle(g, tree, root))
-    monkeypatch.setattr(closedforms, "cholesky_g_inverse_data",
+    monkeypatch.setattr(checks, "cholesky_g_inverse_data",
                         lambda lap, s, root: calls["cholesky"].append(root)
                         or cholesky(lap, s, root))
     monkeypatch.setattr(closedforms, "_subtree_runs",
@@ -1261,7 +1263,7 @@ def test_g_inverse_route_follows_the_cycle_rank(monkeypatch, extra, route):
     # n + k s + 24 <= n s picks the route: a tree on 30 vertices with s = 2
     # plus 3 edges is on the cycle side (60 <= 60), plus 4 edges on the
     # Cholesky side (62 > 60), where no spanning tree is laid out
-    from mwtrees.closedforms import _few_cycles, _seeded_root
+    from mwtrees.checks import _few_cycles, _seeded_root
 
     g = _non_tree(f"tree+{extra}", 30, 2, 1e-2, 7)
     assert _few_cycles(g.n, g.m, g.s) == (route == "cycle")
@@ -1277,7 +1279,7 @@ def test_g_inverse_route_follows_the_cycle_rank(monkeypatch, extra, route):
                                      (676, 1300, 1), (12, 12, 3)],
                          ids=["grid12", "K30", "diamond4", "grid26", "cli12"])
 def test_dense_and_scalar_graphs_stay_on_the_cholesky_route(n, m, s):
-    from mwtrees.closedforms import _few_cycles
+    from mwtrees.checks import _few_cycles
 
     assert not _few_cycles(n, m, s)
 
@@ -1320,7 +1322,7 @@ def test_graded_non_trees_pass_the_invariance_record(ratio):
     # up to 7.5 times the tolerance: even the exact inverses of its float
     # entries miss the 1e-7 tolerance on some of them, so verdicts there
     # follow the rounding
-    from mwtrees.closedforms import _few_cycles
+    from mwtrees.checks import _few_cycles
 
     # after _non_tree's caps: grid sides 3 and 4, and K_3, K_5 and K_7
     sizes = {"grid": (3, 4), "complete": (3, 5, 8)}
@@ -1353,16 +1355,16 @@ def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
     # ten times the tolerance, 1e-6 ||L^+||_F, added to block (1, n) of the
     # first seed's grounded inverse alone, on either route: the samples no
     # longer share an L^+, so the record that compares them fails
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     g = make()
     n, s = g.n, g.s
-    assert closedforms._few_cycles(n, g.m, s) == (route == "cycle")
+    assert checks._few_cycles(n, g.m, s) == (route == "cycle")
     assert ginverse_invariance_check(g).status == PASS
     shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
     name = ("cycle_g_inverse_data" if route == "cycle"
             else "cholesky_g_inverse_data")
-    real = getattr(closedforms, name)
+    real = getattr(checks, name)
     made = []
 
     def perturbed(*args):   # the root comes last on both routes
@@ -1372,11 +1374,11 @@ def test_non_tree_invariance_detects_a_one_block_error_in_one_sample(
         made.append(args[-1])
         return data
 
-    monkeypatch.setattr(closedforms, name, perturbed)
+    monkeypatch.setattr(checks, name, perturbed)
     report = ginverse_invariance_check(g)
     assert report.status == FAIL
     roots = tuple(made)
-    assert roots == tuple(closedforms._seeded_root(n, seed)
+    assert roots == tuple(checks._seeded_root(n, seed)
                           for seed in (0, 1))
     assert f"grounded at roots {roots}, seeds (0, 1)" in report.detail
 
@@ -1405,16 +1407,16 @@ def test_invariance_takes_the_next_root_when_two_seeds_draw_the_same(
     # seeds 2 and 3 both draw root 4 of 4, so the second root is the next
     # vertex, 4 % 4 + 1 = 1; ten times the tolerance, 1e-6 ||L^+||_F, in
     # block (1, n) of that root's grounded inverse fails the record
-    from mwtrees import closedforms
+    from mwtrees import checks
 
-    assert closedforms._seeded_root(4, 2) == closedforms._seeded_root(4, 3)
+    assert checks._seeded_root(4, 2) == checks._seeded_root(4, 3)
     g = make()
     report = ginverse_invariance_check(g, seed=2)
     assert report.status == PASS
     assert "grounded at roots (4, 1), seeds (2, 3)" in report.detail
     n, s = g.n, g.s
     shift = 1e-6 * np.linalg.norm(np.linalg.pinv(laplacian(g).data))
-    real = closedforms._Analysis.g_inverse
+    real = checks.g_inverse
 
     def perturbed(self, root):
         h = real(self, root)
@@ -1424,7 +1426,7 @@ def test_invariance_takes_the_next_root_when_two_seeds_draw_the_same(
         data[:s, (n - 1) * s:] += shift
         return data
 
-    monkeypatch.setattr(closedforms._Analysis, "g_inverse", perturbed)
+    monkeypatch.setattr(checks, "g_inverse", perturbed)
     assert ginverse_invariance_check(g, seed=2).status == FAIL
 
 
@@ -1436,15 +1438,15 @@ def test_an_exactly_singular_grounded_laplacian_raises_a_typed_error(
     # of the edge off the depth-first tree, W + its G_T contraction = 1 - 1;
     # the suite never gets here (the weights are not SPD), but either
     # route's factorization maps LinAlgError
-    from mwtrees import closedforms
+    from mwtrees import checks, closedforms
     from mwtrees.errors import SingularMatrixError
 
     g = MatrixWeightedGraph(3, 1, [(1, 2, [[1.0]]), (2, 3, [[1.0]]),
                                    (1, 3, [[-2.0]])])
     for few in (False, True):
-        monkeypatch.setattr(closedforms, "_few_cycles", lambda n, m, s: few)
+        monkeypatch.setattr(checks, "_few_cycles", lambda n, m, s: few)
         with pytest.raises(SingularMatrixError, match="grounded Laplacian"):
-            closedforms._analysis(g).g_inverse(1)
+            checks.g_inverse(closedforms._analysis(g), 1)
 
 
 def test_an_overflowing_grounded_inverse_skips_the_invariance_record(
@@ -1453,11 +1455,11 @@ def test_an_overflowing_grounded_inverse_skips_the_invariance_record(
     # weights 5e307 on a 30-cycle: the resistances, the entries of G_r,
     # reach 7.5 times the weight and overflow float range, on the cycle
     # route already in the spanning tree's path sums
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     g = cycle_graph(30, 1, [[[5e307]]] * 30)
     for few in (False, True):
-        monkeypatch.setattr(closedforms, "_few_cycles", lambda n, m, s: few)
+        monkeypatch.setattr(checks, "_few_cycles", lambda n, m, s: few)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verification_suite(g, "ginverse")[0]
@@ -1563,7 +1565,7 @@ def test_rank_probe_reports_the_svd_ranks(case):
     # assembled Laplacian gives, at every tolerance and conditioning: of L,
     # and with random_nonsingular draws of each cap as the weights and
     # their inverses as the blocks, or the other way round
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     shape, n, s, spd, log_cap, log_tol, seed = case
     g = _probe_tree(shape, n, s, spd, seed)
@@ -1579,7 +1581,7 @@ def test_rank_probe_reports_the_svd_ranks(case):
                  (np.linalg.inv(weights), weights)]
     weights, blocks = (np.array(x) for x in zip(*sets))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        certified = closedforms._certifies(g, closedforms._tree_bounds(
+        certified = checks._certifies(g, checks._tree_bounds(
             g, _subtree_runs(g), weights, blocks), rel_tol)
     for b in blocks[certified]:
         assert numerical_rank(block_laplacian(g, b), rel_tol) == (g.n - 1) * s
@@ -1646,7 +1648,7 @@ DENSE_TREES = st.one_of(
 def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
     # with blocks that do not invert the weights, K G - I is as large as
     # K and G, so every block of it is checked at full scale
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     shape, n, s = case
     g = _probe_tree(shape, n, s, spd, seed)
@@ -1655,7 +1657,7 @@ def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
     others = [random_nonsingular(s, 1e4, rng) for _ in g.edges]
     for blocks in (np.array([inverse(w) for w in weights]),
                    np.array([inverse(w) for w in others])):
-        ours = [x[0] for x in closedforms._tree_bounds(
+        ours = [x[0] for x in checks._tree_bounds(
             g, _subtree_runs(g), weights[None], blocks[None])]
         dense = _dense_bounds(g, weights, blocks)
         top, norm_k, norm_g, residual, null, frobenius = dense
@@ -1665,8 +1667,8 @@ def test_rank_certificate_bounds_match_the_dense_ones(case, spd, seed):
         assert abs(ours[3] - residual) <= size_eps * norm_k * norm_g
         assert abs(ours[4] - null) <= size_eps * top * math.sqrt(n)
         for rel_tol in (1e-16, 1e-13, 1e-9, 1e-4, 0.5):
-            assert (closedforms._certifies(g, ours, rel_tol)
-                    == closedforms._certifies(g, dense, rel_tol))
+            assert (checks._certifies(g, ours, rel_tol)
+                    == checks._certifies(g, dense, rel_tol))
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "recursive", "prufer"])
@@ -1678,7 +1680,7 @@ def test_rank_certificate_bounds_of_a_stack_are_those_of_each_member(
     # each member of a stack gets the bits of a stack of one: L's pair,
     # random nonsingular weights with their inverses, the same the other
     # way round, and blocks that do not invert the weights
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     for n in (1, 2, 13):
         g = _probe_tree(shape, n, s, spd, n)
@@ -1690,10 +1692,10 @@ def test_rank_certificate_bounds_of_a_stack_are_those_of_each_member(
                             draws[0]])
         blocks = np.array([np.linalg.inv(g.weights), np.linalg.inv(draws[0]),
                            draws[0], draws[1]])
-        stacked = closedforms._tree_bounds(g, tree, weights, blocks)
+        stacked = checks._tree_bounds(g, tree, weights, blocks)
         assert all(x.shape == (4,) for x in stacked)
         for i in range(4):
-            alone = closedforms._tree_bounds(g, tree, weights[i:i + 1],
+            alone = checks._tree_bounds(g, tree, weights[i:i + 1],
                                              blocks[i:i + 1])
             assert [x[i].tobytes() for x in stacked] == [
                 x[0].tobytes() for x in alone]
@@ -1727,10 +1729,10 @@ def test_graded_spd_trees_keep_the_svd_spectrum_and_ranks(monkeypatch):
     # the interlacing status a dense SVD of L gives, and the probe's first
     # rank is the SVD rank of L, also where the certificate cannot decide
     # it (from ratio 1e-6 on, most of these trees) and the SVD counts it
-    from mwtrees import closedforms
+    from mwtrees import checks
 
     computed = {}
-    _count_calls(monkeypatch, closedforms, "numerical_rank", computed)
+    _count_calls(monkeypatch, checks, "numerical_rank", computed)
     for ratio in (1.0, 1e-4, 1e-6, 1e-8):
         computed.clear()
         for shape in ("path", "star", "recursive", "prufer"):
@@ -1858,7 +1860,7 @@ def test_a_weight_spd_by_eigh_but_singular_by_the_svd_is_not_spd(make):
 def test_suite_skips_exactly_the_records_of_a_runner_that_raises(
     monkeypatch
 ):
-    from mwtrees import closedforms
+    from mwtrees import checks
     from mwtrees.errors import NotConnectedError
 
     g = path_graph(4, s=2)
@@ -1867,7 +1869,7 @@ def test_suite_skips_exactly_the_records_of_a_runner_that_raises(
     def refuse(*args):
         raise NotConnectedError("refused")
 
-    monkeypatch.setattr(closedforms, "ginverse_distance_recovery", refuse)
+    monkeypatch.setattr(checks, "ginverse_distance_recovery", refuse)
     after = verification_suite(g)
     assert [r.name for r in after] == SUITE_NAMES
     for old, new in zip(before, after):
@@ -1875,14 +1877,14 @@ def test_suite_skips_exactly_the_records_of_a_runner_that_raises(
             assert (new.status, new.detail) == (SKIPPED, "refused")
         else:
             assert new == old
-    monkeypatch.setattr(closedforms, "verify_identities", refuse)
+    monkeypatch.setattr(checks, "verify_identities", refuse)
     assert [r.status for r in verification_suite(g, "identities")] == (
         [SKIPPED] * len(IDENTITY_NAMES))
 
     def crash(*args):
         raise ValueError("a bug, not a hypothesis")
 
-    monkeypatch.setattr(closedforms, "_interlacing_record", crash)
+    monkeypatch.setattr(checks, "_interlacing_record", crash)
     with pytest.raises(ValueError, match="a bug"):
         verification_suite(g, "spectrum")
 
@@ -2031,7 +2033,7 @@ def test_spd_non_tree_suite_takes_no_svd_of_its_laplacian(monkeypatch):
     # I_s in the root's block, and no LU inverse of the (n - 1) s rows it
     # keeps; a graph with few cycles factors only the k s x k s
     # capacitance at each root and inverts only that factor's triangle
-    from mwtrees.closedforms import _few_cycles
+    from mwtrees.checks import _few_cycles
 
     real_cholesky, real_inv = np.linalg.cholesky, np.linalg.inv
     for n, s in ((7, 2), (40, 3)):
@@ -2213,10 +2215,10 @@ def test_one_nontree_op_searches_and_stacks_once(monkeypatch, make, route):
     # the benchmark's nontree op: the suite and the witness read the search
     # that validation ran, through one layout that serves the cycle route
     # and the witness's marked edge, and the weight stack the graph holds
-    from mwtrees import closedforms, graphs, operators
+    from mwtrees import checks, closedforms, graphs, operators
 
     g = make()
-    assert closedforms._few_cycles(g.n, g.m, g.s) == (route == "cycle")
+    assert checks._few_cycles(g.n, g.m, g.s) == (route == "cycle")
     counts, passed = {}, {}
     for name in ("_depth_first", "adjacency"):
         _count_calls(monkeypatch, graphs, name, counts)
@@ -2320,7 +2322,7 @@ def test_ginverse_records_keep_the_reference_bits(route, s, k):
     # the records from block planes give the bits of the (n, n, s, s) and
     # (n, s, n, s) views on every route, also where the weights' scale
     # sends the norms through their power-of-two scaling
-    from mwtrees.closedforms import _few_cycles
+    from mwtrees.checks import _few_cycles
 
     base = _ginverse_route_graph(route, s)
     g = MatrixWeightedGraph(base.n, s, [(e.u, e.v, np.ldexp(e.weight, k))

@@ -156,18 +156,53 @@ PUBLIC_NAMES = [
     "weight_sum",
 ]
 
+# the package names that mwtrees.checks serves
+CHECKS_NAMES = [
+    "IDENTITY_NAMES", "InterlacingReport", "RankProbe",
+    "ginverse_distance_recovery", "ginverse_invariance_check",
+    "inertia_check", "interlacing_check", "pseudo_inverse",
+    "rank_characterization_probe", "verification_suite", "verify_identities",
+]
 
-def test_cli_start_up_loads_no_generators_and_no_dataclass():
+# processes of every command, with their exit codes and whether each
+# loads the checks: only `verify` runs them
+_COMMANDS = [
+    (["build", PATH4, "--which", "D"], 0, False),
+    (["invert", PATH4], 0, False),
+    (["det", PATH4], 0, False),
+    (["random", "--n", "5", "--s", "2", "--out", "out"], 0, False),
+    (["deficient", PATH4], 3, False),   # a tree: IsATreeError
+    (["deficient", fixture_path("diamond4.json")], 0, False),
+    (["verify", PATH4], 0, True),
+]
+
+
+def _imported(*argv, **kwargs) -> tuple[int, set[str]]:
+    """The exit code of ``python -X importtime *argv`` and the modules it
+    imported."""
+    done = run_python("-X", "importtime", *argv, **kwargs)
+    return done.returncode, {
+        line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line}
+
+
+def test_cli_start_up_loads_no_generators_and_no_dataclass(tmp_path):
     # a report command neither compiles the generators and the gallery
     # nor runs the code generation of a dataclass (`random` loads the
-    # generators when it runs: test_random_process_writes_the_bytes_of_main)
+    # generators when it runs: test_random_process_writes_the_bytes_of_main),
+    # and no command but `verify` compiles the checks
     done = run_python("-c", _CLI_IMPORT)
     assert done.returncode == 0, done.stderr
     modules, dataclasses = map(json.loads, done.stdout.splitlines())
     assert "mwtrees.cli" in modules and "mwtrees.closedforms" in modules
     assert "mwtrees.generators" not in modules
     assert "mwtrees.gallery" not in modules
+    assert "mwtrees.checks" not in modules
     assert dataclasses == []
+    for argv, code, checks in _COMMANDS:
+        found, modules = _imported("-m", "mwtrees", *argv, cwd=tmp_path)
+        assert (found, "mwtrees.cli" in modules) == (code, True), argv
+        assert ("mwtrees.checks" in modules) == checks, argv
 
 
 def test_package_serves_the_generators_and_the_gallery_on_first_use():
@@ -178,6 +213,17 @@ def test_package_serves_the_generators_and_the_gallery_on_first_use():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "mwtrees.gallery", "mwtrees.generators", "mwtrees.generators"]
+    # and the checks: `import mwtrees` loads none of them, and each name
+    # is the object of mwtrees.checks
+    done = run_python("-c", (
+        "import sys, mwtrees\n"
+        "print('mwtrees.checks' in sys.modules)\n"
+        f"names = {CHECKS_NAMES!r}\n"
+        "values = [getattr(mwtrees, name) for name in names]\n"
+        "from mwtrees import checks\n"
+        "print(all(v is getattr(checks, n) for n, v in zip(names, values)))\n"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
     import mwtrees
 
     assert sorted(mwtrees.__all__) == PUBLIC_NAMES

@@ -6,6 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mwtrees.checks import (
+    block_planes,
+    inverse_cholesky,
+    largest_pair_norm,
+    pair_contractions,
+    pseudo_inverse,
+)
 from mwtrees.closedforms import (
     rank_deficient_weighting,
     reweighted_scalar_laplacian,
@@ -18,17 +25,12 @@ from mwtrees.linalg import (
     BlockMatrix,
     Inertia,
     _certified_ranks,
-    block_planes,
     frobenius_norms,
     inertia_of,
     inverse,
-    inverse_cholesky,
     inverses,
-    largest_pair_norm,
     numerical_rank,
     numerical_ranks,
-    pair_contractions,
-    pseudo_inverse,
     sign_log_determinant,
     sign_log_determinants,
     spd_inverse_sqrts,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mwtrees.checks import tree_g_inverse_data
 from mwtrees.closedforms import (
     LaplacianMode,
     _analysis,
@@ -32,11 +33,7 @@ from mwtrees.generators import (
     random_tree,
 )
 from mwtrees.graphs import MatrixWeightedGraph
-from mwtrees.operators import (
-    _subtree_runs,
-    block_laplacian,
-    tree_g_inverse_data,
-)
+from mwtrees.operators import _subtree_runs, block_laplacian
 
 from conftest import conditioned_matrix, graded_spd, grounded_inverse_oracle
 

@@ -9,18 +9,20 @@ import pickle
 import numpy as np
 import pytest
 
-from mwtrees.closedforms import (
-    DeficientWeighting,
+from mwtrees.checks import (
     InterlacingReport,
-    InvertibilityResult,
     RankProbe,
-    VerificationReport,
     inertia_check,
     interlacing_check,
-    invertibility_check,
     rank_characterization_probe,
-    rank_deficient_weighting,
     verification_suite,
+)
+from mwtrees.closedforms import (
+    DeficientWeighting,
+    InvertibilityResult,
+    VerificationReport,
+    invertibility_check,
+    rank_deficient_weighting,
 )
 from mwtrees.errors import BadConfigError
 from mwtrees.gallery import diamond4, path4_block2, path_graph
